@@ -10,6 +10,7 @@ the parallelism degree.
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -49,6 +50,7 @@ from .simulate import (
     truth_from_dict,
     truth_to_dict,
 )
+from .stability import Thresholds
 
 log = logging.getLogger(__name__)
 
@@ -106,6 +108,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("subsets must be at least 2")
     if cfg.parallelism < 1:
         raise ConfigError("parallelism must be at least 1")
+    try:
+        search_params(cfg)
+        Thresholds(cfg.pi_sel)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad search settings: {exc}") from None
     for attr in ("data", "layout", "prior", "truth"):
         value = getattr(cfg, attr)
         if value is not None and not Path(value).exists():
@@ -416,7 +423,7 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         return COMMANDS[args.command](cfg)
-    except (ConfigError, InvalidPrior) as exc:
+    except (ConfigError, InvalidPrior, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SearchFailed as exc:

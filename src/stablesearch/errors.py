@@ -33,9 +33,5 @@ class InvalidPrior(StableSearchError):
     """Prior-knowledge input references unknown variables or is malformed."""
 
 
-class OrientationConflict(StableSearchError):
-    """Two aggregation rules want the same edge oriented in opposite directions."""
-
-
 class EmptyMultiset(StableSearchError):
     """No causal-effect values could be collected for a requested pair."""

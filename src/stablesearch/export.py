@@ -270,7 +270,3 @@ def prior_from_dict(obj) -> list[tuple[str, str]]:
             raise InvalidPrior(f"bad prior entry: {entry!r}")
         out.append((str(entry[0]), str(entry[1])))
     return out
-
-
-def prior_to_dict(prior) -> dict:
-    return {"forbidden": [[a, b] for a, b in prior]}

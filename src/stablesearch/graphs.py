@@ -10,14 +10,11 @@ and enumeration both honour it.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConstraintViolation, ExtensionCapExceeded, NoExtension
-
-log = logging.getLogger(__name__)
 
 Arc = tuple[int, int]
 
@@ -58,23 +55,11 @@ class ConstraintMask:
     def allows(self, a: int, b: int) -> bool:
         return not self.forbidden[a, b]
 
-    def allows_arcs(self, arcs) -> bool:
-        return all(not self.forbidden[a, b] for a, b in arcs)
-
     def with_forbidden(self, arcs) -> "ConstraintMask":
         mat = np.array(self.forbidden, copy=True)
         for a, b in arcs:
             mat[a, b] = True
         return ConstraintMask(self.n_nodes, mat)
-
-    def free_pairs(self) -> list[tuple[int, int]]:
-        """Unordered pairs with at least one allowed direction."""
-        out = []
-        for a in range(self.n_nodes):
-            for b in range(a + 1, self.n_nodes):
-                if not (self.forbidden[a, b] and self.forbidden[b, a]):
-                    out.append((a, b))
-        return out
 
     def __eq__(self, other):
         return (
@@ -158,12 +143,6 @@ class Dag:
             lst.sort()
         return out
 
-    def adjacency(self) -> np.ndarray:
-        mat = np.zeros((self.n_nodes, self.n_nodes), dtype=bool)
-        for a, b in self.arcs:
-            mat[a, b] = True
-        return mat
-
     def topological_order(self) -> list[int]:
         order = topological_order(self.n_nodes, self.arcs)
         assert order is not None
@@ -171,19 +150,6 @@ class Dag:
 
     def skeleton(self) -> frozenset[tuple[int, int]]:
         return frozenset((min(a, b), max(a, b)) for a, b in self.arcs)
-
-    def v_structures(self) -> frozenset[tuple[int, int, int]]:
-        """Colliders a -> c <- b with a, b non-adjacent, canonical (min, c, max)."""
-        skel = self.skeleton()
-        out = set()
-        par: dict[int, list[int]] = {}
-        for a, b in self.arcs:
-            par.setdefault(b, []).append(a)
-        for c, ps in par.items():
-            for a, b in itertools.combinations(sorted(ps), 2):
-                if (min(a, b), max(a, b)) not in skel:
-                    out.add((a, c, b))
-        return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -222,25 +188,20 @@ class Cpdag:
             if (a, b) in seen:
                 raise ValueError(f"edge ({a}, {b}) is both directed and undirected")
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.directed) + len(self.undirected)
-
     def skeleton(self) -> frozenset[tuple[int, int]]:
         skel = set(self.undirected)
         skel.update((min(a, b), max(a, b)) for a, b in self.directed)
         return frozenset(skel)
 
-    def has_arc(self, a: int, b: int) -> bool:
-        return (a, b) in self.directed
-
-    def has_undirected(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.undirected
-
 
 def repair_arcs(n_nodes: int, arcs, mask: ConstraintMask | None,
                 rng: np.random.Generator) -> frozenset[Arc]:
-    """Arc-set form of repair_to_dag, used on the search hot path."""
+    """Make an arbitrary arc set acyclic and mask-consistent.
+
+    Forbidden arcs (self-loops without a mask) are dropped outright.  While
+    a cycle remains, one arc on some cycle is removed, chosen uniformly by
+    the supplied generator, so repair is reproducible under a fixed seed.
+    """
     if mask is not None:
         kept = {(a, b) for a, b in arcs if mask.allows(a, b)}
     else:
@@ -251,17 +212,6 @@ def repair_arcs(n_nodes: int, arcs, mask: ConstraintMask | None,
             return frozenset(kept)
         drop = cycle[int(rng.integers(len(cycle)))]
         kept.discard(drop)
-
-
-def repair_to_dag(arcs, mask: ConstraintMask, rng: np.random.Generator,
-                  labels: tuple[str, ...] | None = None) -> Dag:
-    """Make an arbitrary arc set acyclic and mask-consistent.
-
-    Forbidden arcs are dropped outright.  While a cycle remains, one arc on
-    some cycle is removed, chosen uniformly by the supplied generator, so
-    repair is reproducible under a fixed seed.
-    """
-    return Dag(mask.n_nodes, repair_arcs(mask.n_nodes, arcs, mask, rng), labels)
 
 
 def _find_cycle(n_nodes: int, arcs) -> list[Arc] | None:
@@ -301,13 +251,8 @@ def _find_cycle(n_nodes: int, arcs) -> list[Arc] | None:
     return None
 
 
-def has_directed_path(graph, a: int, b: int) -> bool:
-    """True when a directed path a -> ... -> b exists (a == b counts as a path
-    only if a lies on a cycle, which cannot happen for a Dag).
-
-    Accepts a Dag or a Cpdag; for a Cpdag only directed arcs are followed.
-    """
-    arcs = graph.arcs if isinstance(graph, Dag) else graph.directed
+def has_directed_path(arcs, a: int, b: int) -> bool:
+    """True when the arcs hold a directed path a -> ... -> b of length >= 1."""
     children: dict[int, list[int]] = {}
     for u, v in arcs:
         children.setdefault(u, []).append(v)
@@ -322,6 +267,31 @@ def has_directed_path(graph, a: int, b: int) -> bool:
                 seen.add(c)
                 frontier.append(c)
     return False
+
+
+def arc_matrix(n_nodes: int, arcs) -> np.ndarray:
+    """Boolean adjacency matrix with mat[a, b] set for every arc (a, b)."""
+    mat = np.zeros((n_nodes, n_nodes), dtype=bool)
+    for a, b in arcs:
+        mat[a, b] = True
+    return mat
+
+
+def reachability(adj: np.ndarray) -> np.ndarray:
+    """reach[a, b] is True when a directed path of length >= 1 leads a -> b.
+
+    adj is a p x p boolean (or 0/1) matrix.  The closure of (I | adj) by
+    repeated squaring covers every path length up to p; a node lies on a
+    directed cycle exactly when its diagonal entry is set.
+    """
+    p = adj.shape[0]
+    m = adj.astype(np.uint8)
+    reach = m | np.eye(p, dtype=np.uint8)
+    steps = 1
+    while steps < p:
+        reach = (reach @ reach > 0).astype(np.uint8)
+        steps *= 2
+    return (m @ reach) > 0
 
 
 def _chickering_labels(dag: Dag) -> dict[Arc, int]:
@@ -506,7 +476,6 @@ def enumerate_extensions(
         adj[b].add(a)
 
     results: list[Dag] = []
-    chosen: list[Arc] = []
 
     parents: list[set[int]] = [set() for _ in range(n)]
     for a, b in base:
@@ -515,22 +484,6 @@ def enumerate_extensions(
     def creates_v(a: int, b: int) -> bool:
         # a -> b joins existing c -> b with c not adjacent to a
         return any(c != a and c not in adj[a] for c in parents[b])
-
-    def reachable(src: int, dst: int, arcs: set[Arc]) -> bool:
-        kids: dict[int, list[int]] = {}
-        for u, v in arcs:
-            kids.setdefault(u, []).append(v)
-        seen = {src}
-        front = [src]
-        while front:
-            v = front.pop()
-            if v == dst:
-                return True
-            for c in kids.get(v, ()):
-                if c not in seen:
-                    seen.add(c)
-                    front.append(c)
-        return False
 
     current: set[Arc] = set(base)
 
@@ -548,13 +501,11 @@ def enumerate_extensions(
                 continue
             if creates_v(u, v):
                 continue
-            if reachable(v, u, current):
+            if has_directed_path(current, v, u):
                 continue
             current.add((u, v))
             parents[v].add(u)
-            chosen.append((u, v))
             place(k + 1)
-            chosen.pop()
             parents[v].discard(u)
             current.discard((u, v))
 
@@ -565,38 +516,3 @@ def enumerate_extensions(
     if not results:
         raise NoExtension("pattern admits no consistent acyclic extension")
     return results
-
-
-def to_dot(graph, edge_labels: dict | None = None) -> str:
-    """Graphviz-style text for a Dag or Cpdag.
-
-    Directed arcs appear as `a -> b`, undirected edges as `a -- b [dir=none]`.
-    edge_labels maps an arc or canonical pair to a label string attached to
-    that edge.
-    """
-    lines = ["digraph G {"]
-    for name in graph.labels:
-        lines.append(f'  "{name}";')
-
-    if isinstance(graph, Dag):
-        directed = sorted(graph.arcs)
-        undirected: list[tuple[int, int]] = []
-    else:
-        directed = sorted(graph.directed)
-        undirected = sorted(graph.undirected)
-
-    for a, b in directed:
-        attrs = []
-        if edge_labels and (a, b) in edge_labels:
-            attrs.append(f'label="{edge_labels[(a, b)]}"')
-        tail = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f'  "{graph.labels[a]}" -> "{graph.labels[b]}"{tail};')
-    for a, b in undirected:
-        attrs = ["dir=none"]
-        if edge_labels and (a, b) in edge_labels:
-            attrs.append(f'label="{edge_labels[(a, b)]}"')
-        lines.append(
-            f'  "{graph.labels[a]}" -- "{graph.labels[b]}" [{", ".join(attrs)}];'
-        )
-    lines.append("}")
-    return "\n".join(lines)

@@ -165,9 +165,6 @@ class LongitudinalDataset:
         first = self.layout.presence[var][0]
         return self.data.columns[self._where[(var, first)]].kind
 
-    def take_subjects(self, idx) -> "LongitudinalDataset":
-        return LongitudinalDataset(self.data.take_rows(idx), self.layout)
-
 
 @dataclass(frozen=True)
 class TransitionFrame:

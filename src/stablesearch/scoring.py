@@ -42,7 +42,7 @@ class Dataset:
     __slots__ = ("columns", "values")
 
     def __init__(self, columns, values):
-        values = np.asarray(values, dtype=float)
+        values = np.array(values, dtype=float)
         if values.ndim != 2:
             raise ShapeMismatch("values must be a 2-d matrix")
         cols = tuple(c if isinstance(c, Column) else Column(str(c)) for c in columns)
@@ -73,10 +73,6 @@ class Dataset:
 
     def take_rows(self, idx) -> "Dataset":
         return Dataset(self.columns, self.values[np.asarray(idx)])
-
-    def take_columns(self, idx) -> "Dataset":
-        idx = list(idx)
-        return Dataset([self.columns[i] for i in idx], self.values[:, idx])
 
 
 def rank_normalize(data: Dataset) -> Dataset:
@@ -159,17 +155,6 @@ class FitResult:
     residual_variances: tuple[float, ...] = field(compare=False)
 
 
-def implied_covariance(fit: FitResult) -> np.ndarray:
-    """Sigma = (I - C)^-1 diag(psi) (I - C)^-T from the fitted parameters."""
-    p = len(fit.residual_variances)
-    c = np.zeros((p, p))
-    for j, row in fit.coefficients.items():
-        for a, w in row.items():
-            c[j, a] = w
-    inv = np.linalg.inv(np.eye(p) - c)
-    return inv @ np.diag(fit.residual_variances) @ inv.T
-
-
 def _node_regressions(parent_lists, cov):
     """Per-node least squares on parents; returns (psi, coefficient map)."""
     psi = []
@@ -215,17 +200,3 @@ def fit_dag_ml(dag: Dag, cov: np.ndarray, n: int) -> FitResult:
         coefficients=coeffs,
         residual_variances=tuple(psi),
     )
-
-
-def score_population(dags, cov: np.ndarray, n: int) -> list[FitResult]:
-    """fit_dag_ml over a list, order preserved, duplicates served from a memo."""
-    memo: dict[frozenset, FitResult] = {}
-    out = []
-    for dag in dags:
-        key = dag.arcs
-        hit = memo.get(key)
-        if hit is None:
-            hit = fit_dag_ml(dag, cov, n)
-            memo[key] = hit
-        out.append(hit)
-    return out

@@ -1,32 +1,27 @@
 """NSGA-II search over constrained DAG structures.
 
-Objectives are (chi_square, complexity), both minimized.  Structures are
-encoded as bit vectors over ordered node pairs; crossover and mutation may
-break acyclicity, so every operator runs its output through cycle repair.
-The module keeps two faces: small, contract-shaped operator functions, and a
-batched evolve() loop that scores through per-node and per-structure caches
-(the search is the hot path of the whole pipeline).
+Objectives are (chi_square, complexity), both minimized.  evolve() holds the
+population as one (N, p, p) boolean array of adjacency matrices; forbidden
+cells are never set.  Tournament selection and variation are pure array
+functions fed with the generator draws evolve() makes; uniform crossover and
+bit-flip mutation may close a directed cycle, so each offspring that is not
+acyclic goes through cycle repair.  Scoring runs through per-node and
+per-structure caches (the search is the hot path of the whole pipeline).
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateData
-from .graphs import ConstraintMask, Cpdag, Dag, dag_to_cpdag, repair_arcs
+from .graphs import (
+    ConstraintMask, Cpdag, Dag, arc_matrix, dag_to_cpdag, reachability, repair_arcs,
+)
 from .scoring import FitResult, fit_dag_ml
 
-log = logging.getLogger(__name__)
-
 INFEASIBLE = float("inf")
-
-
-def ordered_pairs(p: int) -> list[tuple[int, int]]:
-    """Bit position k of a chromosome corresponds to ordered_pairs(p)[k]."""
-    return [(a, b) for a in range(p) for b in range(p) if a != b]
 
 
 @dataclass(frozen=True)
@@ -46,63 +41,6 @@ class SearchParams:
             raise ValueError("generations must be positive")
 
 
-@dataclass(frozen=True, eq=False)
-class Chromosome:
-    """Bit vector over ordered pairs; forbidden positions are always false."""
-
-    bits: np.ndarray
-    mask: ConstraintMask
-
-    def __post_init__(self):
-        p = self.mask.n_nodes
-        bits = np.asarray(self.bits, dtype=bool)
-        if bits.shape != (p * (p - 1),):
-            raise ValueError(f"expected {p * (p - 1)} bits")
-        object.__setattr__(self, "bits", bits)
-        self.bits.setflags(write=False)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.mask.n_nodes
-
-    def arcs(self) -> frozenset[tuple[int, int]]:
-        pairs = ordered_pairs(self.n_nodes)
-        return frozenset(pairs[k] for k in np.flatnonzero(self.bits))
-
-    def decode(self) -> Dag:
-        return Dag(self.n_nodes, self.arcs())
-
-    @classmethod
-    def from_arcs(cls, arcs, mask: ConstraintMask) -> "Chromosome":
-        index = {pair: k for k, pair in enumerate(ordered_pairs(mask.n_nodes))}
-        bits = np.zeros(len(index), dtype=bool)
-        for arc in arcs:
-            bits[index[arc]] = True
-        return cls(bits, mask)
-
-    @classmethod
-    def random(cls, mask: ConstraintMask, rng: np.random.Generator) -> "Chromosome":
-        """Sparse random start: each allowed bit set with probability 2/p(p-1)."""
-        p = mask.n_nodes
-        length = p * (p - 1)
-        bits = rng.random(length) < 2.0 / length
-        return cls._repaired(bits, mask, rng)
-
-    @classmethod
-    def _repaired(cls, bits, mask: ConstraintMask, rng) -> "Chromosome":
-        pairs = ordered_pairs(mask.n_nodes)
-        raw = {pairs[k] for k in np.flatnonzero(bits)}
-        return cls.from_arcs(repair_arcs(mask.n_nodes, raw, mask, rng), mask)
-
-
-@dataclass
-class Individual:
-    chromosome: Chromosome
-    objectives: tuple[float, int] | None = None
-    rank: int | None = None
-    crowding: float | None = None
-
-
 @dataclass(frozen=True)
 class ParetoModel:
     """One member of the returned Pareto set, with its equivalence class."""
@@ -110,13 +48,6 @@ class ParetoModel:
     dag: Dag
     fit: FitResult
     cpdag: Cpdag
-
-
-def dominates(a, b) -> bool:
-    """True when objective pair a dominates b (minimization, infeasible never wins)."""
-    if not np.isfinite(a[0]):
-        return False
-    return a[0] <= b[0] and a[1] <= b[1] and (a[0] < b[0] or a[1] < b[1])
 
 
 def _domination_matrix(objs: np.ndarray) -> np.ndarray:
@@ -148,17 +79,6 @@ def _rank_array(objs: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def fast_nondominated_sort(pop: list[Individual]) -> list[list[Individual]]:
-    """Assign ranks and return the fronts, best first."""
-    objs = np.array([ind.objectives for ind in pop], dtype=float)
-    ranks = _rank_array(objs)
-    fronts: list[list[Individual]] = [[] for _ in range(int(ranks.max()) + 1)]
-    for ind, r in zip(pop, ranks):
-        ind.rank = int(r)
-        fronts[int(r)].append(ind)
-    return fronts
-
-
 def _crowding_array(objs: np.ndarray) -> np.ndarray:
     m = objs.shape[0]
     d = np.zeros(m)
@@ -180,56 +100,32 @@ def _crowding_array(objs: np.ndarray) -> np.ndarray:
     return d
 
 
-def crowding_distance(front: list[Individual]) -> None:
-    """Assign crowding in place: boundaries +inf, interior normalized gaps."""
-    objs = np.array([ind.objectives for ind in front], dtype=float)
-    for ind, val in zip(front, _crowding_array(objs)):
-        ind.crowding = float(val)
+def _tournament(ranks, crowding, cand, coin) -> np.ndarray:
+    """Binary tournament winners, one per row of the (N, 2) candidate pairs.
+
+    Lower rank wins, then larger crowding distance; a full tie goes to the
+    first candidate where coin is True.
+    """
+    a, b = cand[:, 0], cand[:, 1]
+    same_rank = ranks[a] == ranks[b]
+    a_better = (ranks[a] < ranks[b]) | (same_rank & (crowding[a] > crowding[b]))
+    tie = same_rank & (crowding[a] == crowding[b])
+    return np.where(a_better | (tie & coin), a, b)
 
 
-def binary_tournament(pop: list[Individual], rng: np.random.Generator) -> Individual:
-    i, j = rng.integers(0, len(pop), size=2)
-    a, b = pop[int(i)], pop[int(j)]
-    if a.rank != b.rank:
-        return a if a.rank < b.rank else b
-    if a.crowding != b.crowding:
-        return a if a.crowding > b.crowding else b
-    return a if rng.random() < 0.5 else b
+def _vary(pa, pb, apply_cx, mix, do_mut, flip, allowed) -> np.ndarray:
+    """Uniform crossover of parent pairs, then bit-flip mutation; no repair.
 
-
-def crossover(
-    a: Chromosome,
-    b: Chromosome,
-    rng: np.random.Generator,
-    p_crossover: float = 0.85,
-) -> tuple[Chromosome, Chromosome]:
-    """Uniform crossover with per-bit exchange probability 0.5, then repair."""
-    if a.mask != b.mask:
-        raise ValueError("parents use different masks")
-    if rng.random() >= p_crossover:
-        return a, b
-    take_b = rng.random(a.bits.shape[0]) < 0.5
-    c1 = np.where(take_b, b.bits, a.bits)
-    c2 = np.where(take_b, a.bits, b.bits)
-    return (
-        Chromosome._repaired(c1, a.mask, rng),
-        Chromosome._repaired(c2, a.mask, rng),
-    )
-
-
-def mutate(
-    c: Chromosome, rng: np.random.Generator, p_mutation: float = 0.07
-) -> Chromosome:
-    """With probability p_mutation, flip each allowed bit with rate 1/p(p-1)."""
-    if rng.random() >= p_mutation:
-        return c
-    p = c.n_nodes
-    length = p * (p - 1)
-    allowed = np.array(
-        [c.mask.allows(x, y) for x, y in ordered_pairs(p)], dtype=bool
-    )
-    flips = (rng.random(length) < 1.0 / length) & allowed
-    return Chromosome._repaired(c.bits ^ flips, c.mask, rng)
+    Pair t (rows pa[t], pb[t]) yields offspring 2t and 2t+1, exchanging the
+    cells where mix[t] is set if apply_cx[t], else copying the parents.
+    Offspring i then flips its allowed cells where flip[i] is set, if
+    do_mut[i].
+    """
+    cx = apply_cx[:, None, None] & mix
+    out = np.empty((2 * len(pa),) + pa.shape[1:], dtype=bool)
+    out[0::2] = np.where(cx, pb, pa)
+    out[1::2] = np.where(cx, pa, pb)
+    return out ^ (do_mut[:, None, None] & flip & allowed)
 
 
 class _Scorer:
@@ -291,52 +187,17 @@ class _Scorer:
         return value
 
 
-def _repair_adj(
-    adj: np.ndarray, mask: ConstraintMask, rng: np.random.Generator, p: int,
-    pairs: list[tuple[int, int]],
-) -> np.ndarray:
-    """Cycle repair on an adjacency matrix (forbidden bits are already clear)."""
-    arcs = {pairs[k] for k in np.flatnonzero(adj.reshape(-1)[_offdiag_index(p)])}
-    fixed = repair_arcs(p, arcs, mask, rng)
-    if len(fixed) == len(arcs):
-        return adj
-    out = np.zeros((p, p), dtype=bool)
-    for a, b in fixed:
-        out[a, b] = True
-    return out
-
-
-_OFFDIAG_CACHE: dict[int, np.ndarray] = {}
-
-
-def _offdiag_index(p: int) -> np.ndarray:
-    """Flat indices of the off-diagonal entries, in ordered_pairs order."""
-    hit = _OFFDIAG_CACHE.get(p)
-    if hit is None:
-        hit = np.array([a * p + b for a, b in ordered_pairs(p)], dtype=np.int64)
-        _OFFDIAG_CACHE[p] = hit
-    return hit
-
-
-def _is_acyclic_adj(adj: np.ndarray) -> bool:
-    p = adj.shape[0]
-    m = adj.astype(np.uint8)
-    # closure of (I | adj) by repeated squaring covers all path lengths <= p
-    reach = m | np.eye(p, dtype=np.uint8)
-    steps = 1
-    while steps < p:
-        reach = (reach @ reach > 0).astype(np.uint8)
-        steps *= 2
-    return not bool((m @ reach).diagonal().any())
+def _arcs(adj: np.ndarray) -> list[tuple[int, int]]:
+    """The set cells of an adjacency matrix as (tail, head) arcs, row-major."""
+    return [(a, b) for a, b in np.argwhere(adj).tolist()]
 
 
 def _pareto_postfilter(
-    front_adj: list[np.ndarray], mask: ConstraintMask, cov: np.ndarray, n: int,
+    front_adj: np.ndarray, mask: ConstraintMask, cov: np.ndarray, n: int,
     labels: tuple[str, ...] | None,
 ) -> list[ParetoModel]:
     """Dedup front 0 by CPDAG, keep the best fit per complexity level."""
     p = mask.n_nodes
-    pairs = ordered_pairs(p)
     models = []
     seen_structs = set()
     for adj in front_adj:
@@ -344,10 +205,7 @@ def _pareto_postfilter(
         if key in seen_structs:
             continue
         seen_structs.add(key)
-        arcs = frozenset(
-            pairs[k] for k in np.flatnonzero(adj.reshape(-1)[_offdiag_index(p)])
-        )
-        dag = Dag(p, arcs, labels)
+        dag = Dag(p, frozenset(_arcs(adj)), labels)
         try:
             fit = fit_dag_ml(dag, cov, n)
         except DegenerateData:
@@ -384,37 +242,30 @@ def evolve(
         raise DegenerateData("covariance, mask and p disagree on dimensions")
     rng = np.random.default_rng(params.seed)
     scorer = _Scorer(cov, n)
-    pairs = ordered_pairs(p)
-    flat_idx = _offdiag_index(p)
     pop_n = params.population_size
-
-    allowed_flat = np.array([mask.allows(a, b) for a, b in pairs], dtype=bool)
-    allowed_mat = np.zeros((p, p), dtype=bool)
-    for bit, (a, b) in zip(allowed_flat, pairs):
-        allowed_mat[a, b] = bit
+    half = pop_n // 2
+    length = p * (p - 1)
+    allowed = ~mask.forbidden
+    offdiag = ~np.eye(p, dtype=bool)
 
     def repair(adj: np.ndarray) -> np.ndarray:
-        if _is_acyclic_adj(adj):
+        """Acyclic matrices pass unchanged; the others go through repair_arcs."""
+        if not reachability(adj).diagonal().any():
             return adj
-        return _repair_adj(adj, mask, rng, p, pairs)
+        arcs = set(_arcs(adj))
+        fixed = repair_arcs(p, arcs, mask, rng)
+        return adj if len(fixed) == len(arcs) else arc_matrix(p, fixed)
 
-    def score_all(adjs: list[np.ndarray]) -> np.ndarray:
-        out = np.empty((len(adjs), 2))
-        for i, adj in enumerate(adjs):
-            out[i, 0] = scorer.chi_square(adj)
-            out[i, 1] = adj.sum()
-        return out
+    def score_all(adjs: np.ndarray) -> np.ndarray:
+        return np.array([(scorer.chi_square(adj), adj.sum()) for adj in adjs], dtype=float)
 
-    # random sparse initialization
-    length = p * (p - 1)
-    population: list[np.ndarray] = []
-    for _ in range(pop_n):
-        flat = np.zeros(p * p, dtype=bool)
-        flat[flat_idx] = (rng.random(length) < 2.0 / length) & allowed_flat
-        population.append(repair(flat.reshape(p, p)))
+    # random sparse initialization, one draw and one repair per individual
+    population = np.zeros((pop_n, p, p), dtype=bool)
+    for i in range(pop_n):
+        population[i][offdiag] = rng.random(length) < 2.0 / length
+        population[i] = repair(population[i] & allowed)
     objs = score_all(population)
 
-    half = pop_n // 2
     for _ in range(params.generations):
         ranks = _rank_array(objs)
         crowding = np.empty(pop_n)
@@ -422,42 +273,23 @@ def evolve(
             idx = np.flatnonzero(ranks == r)
             crowding[idx] = _crowding_array(objs[idx])
 
-        # batched binary tournaments: one winner per parent slot
         cand = rng.integers(0, pop_n, size=(pop_n, 2))
-        a, b = cand[:, 0], cand[:, 1]
         coin = rng.random(pop_n) < 0.5
-        a_better = (ranks[a] < ranks[b]) | (
-            (ranks[a] == ranks[b]) & (crowding[a] > crowding[b])
-        )
-        tie = (ranks[a] == ranks[b]) & (crowding[a] == crowding[b])
-        pick_a = a_better | (tie & coin)
-        winners = np.where(pick_a, a, b)
-
+        winners = _tournament(ranks, crowding, cand, coin)
         apply_cx = rng.random(half) < params.p_crossover
         mix = rng.random((half, p, p)) < 0.5
         do_mut = rng.random(pop_n) < params.p_mutation
         flip = rng.random((pop_n, p, p)) < 1.0 / length
-
-        offspring: list[np.ndarray] = []
-        for t in range(half):
-            pa = population[int(winners[2 * t])]
-            pb = population[int(winners[2 * t + 1])]
-            if apply_cx[t]:
-                c1 = np.where(mix[t], pb, pa)
-                c2 = np.where(mix[t], pa, pb)
-            else:
-                c1, c2 = pa.copy(), pb.copy()
-            offspring.append(c1)
-            offspring.append(c2)
+        offspring = _vary(
+            population[winners[0::2]], population[winners[1::2]],
+            apply_cx, mix, do_mut, flip, allowed,
+        )
         for i in range(pop_n):
-            if do_mut[i]:
-                offspring[i] = offspring[i] ^ (flip[i] & allowed_mat)
             offspring[i] = repair(offspring[i])
-
         off_objs = score_all(offspring)
 
         # elitist (mu + lambda) environmental selection
-        union = population + offspring
+        union = np.concatenate([population, offspring])
         union_objs = np.vstack([objs, off_objs])
         union_ranks = _rank_array(union_objs)
         chosen: list[int] = []
@@ -472,9 +304,8 @@ def evolve(
                 chosen.extend(idx[order[:gap]].tolist())
             if len(chosen) == pop_n:
                 break
-        population = [union[i] for i in chosen]
+        population = union[chosen]
         objs = union_objs[chosen]
 
     final_ranks = _rank_array(objs)
-    front_adj = [population[i] for i in np.flatnonzero(final_ranks == 0)]
-    return _pareto_postfilter(front_adj, mask, cov, n, labels)
+    return _pareto_postfilter(population[final_ranks == 0], mask, cov, n, labels)

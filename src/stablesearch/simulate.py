@@ -16,7 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ShapeMismatch
-from .graphs import ConstraintMask, Cpdag, Dag, dag_to_cpdag, is_acyclic, topological_order
+from .graphs import (
+    ConstraintMask, Cpdag, Dag, arc_matrix, dag_to_cpdag, is_acyclic, reachability,
+    topological_order,
+)
 from .longitudinal import (
     Layout,
     LongitudinalDataset,
@@ -31,7 +34,6 @@ from .seeding import DATAGEN_LANE, PIPELINE_LANE, SUBSAMPLE_LANE, derived_rng, d
 from .stability import (
     EDGE,
     StabilityGraph,
-    _directed_closure,
     collect_models,
     compute_pi_bic,
     run_searches,
@@ -226,18 +228,7 @@ def _allowed_structures(sg: StabilityGraph, mask: ConstraintMask | None):
         return {
             (a, b) for a, b in keys if mask.allows(a, b) or mask.allows(b, a)
         }
-    p = mask.n_nodes
-    adj = np.zeros((p, p), dtype=np.uint8)
-    for a in range(p):
-        for b in range(p):
-            if a != b and mask.allows(a, b):
-                adj[a, b] = 1
-    reach = adj | np.eye(p, dtype=np.uint8)
-    steps = 1
-    while steps < p:
-        reach = (reach @ reach > 0).astype(np.uint8)
-        steps *= 2
-    possible = (adj @ reach) > 0
+    possible = reachability(~mask.forbidden)
     return {(a, b) for a, b in keys if possible[a, b]}
 
 
@@ -264,7 +255,7 @@ def roc_and_auc(
         skel = truth.skeleton()
         positives = {k for k in universe if k in skel}
     else:
-        closure = _directed_closure(truth)
+        closure = reachability(arc_matrix(truth.n_nodes, truth.directed))
         positives = {k for k in universe if closure[k[0], k[1]]}
     n_pos = len(positives)
     n_neg = len(universe) - n_pos

@@ -15,7 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateData, SearchFailed, StableSearchError
-from .graphs import ConstraintMask, Dag, dag_to_cpdag, topological_order
+from .graphs import (
+    ConstraintMask, Dag, arc_matrix, dag_to_cpdag, has_directed_path, reachability,
+    topological_order,
+)
 from .scoring import Dataset, sample_covariance
 from .search import ParetoModel, SearchParams, evolve
 from .seeding import SEARCH_LANE, derived_seed
@@ -157,19 +160,6 @@ def collect_models(results: list[SubsetResult]) -> list[ParetoModel]:
     return out
 
 
-def _directed_closure(cpdag) -> np.ndarray:
-    p = cpdag.n_nodes
-    adj = np.zeros((p, p), dtype=np.uint8)
-    for a, b in cpdag.directed:
-        adj[a, b] = 1
-    reach = adj | np.eye(p, dtype=np.uint8)
-    steps = 1
-    while steps < p:
-        reach = (reach @ reach > 0).astype(np.uint8)
-        steps *= 2
-    return (adj @ reach) > 0  # paths of length >= 1
-
-
 def complete_dag_under(mask: ConstraintMask) -> Dag | None:
     """The densest DAG the mask allows: one arc per pair with a free direction.
 
@@ -217,7 +207,7 @@ def _tabulate(models, p: int):
         skel = m.cpdag.skeleton()
         for pair in skel:
             edge_hits[pair][j] += 1
-        closure = _directed_closure(m.cpdag)
+        closure = reachability(arc_matrix(p, m.cpdag.directed))
         for a, b in zip(*np.nonzero(closure)):
             path_hits[(int(a), int(b))][j] += 1
     return counts, edge_hits, path_hits
@@ -272,7 +262,7 @@ def stability_graphs(
     path_pins = {0: {k: 0.0 for k in path_hits}}
     full = complete_dag_under(mask)
     if full is not None:
-        closure = _directed_closure(dag_to_cpdag(full, mask))
+        closure = reachability(arc_matrix(p, dag_to_cpdag(full, mask).directed))
         path_pins[max_j] = {
             k: float(closure[k[0], k[1]]) for k in path_hits
         }
@@ -283,14 +273,6 @@ def stability_graphs(
         StabilityGraph(EDGE, labels, edge_curves, imputed),
         StabilityGraph(CAUSAL_PATH, labels, path_curves, imputed.copy()),
     )
-
-
-def edge_stability(models, mask: ConstraintMask, labels=None) -> StabilityGraph:
-    return stability_graphs(models, mask, labels)[0]
-
-
-def causal_path_stability(models, mask: ConstraintMask, labels=None) -> StabilityGraph:
-    return stability_graphs(models, mask, labels)[1]
 
 
 def compute_pi_bic(models) -> int:
@@ -337,9 +319,6 @@ class AnnotatedCausalGraph:
     undirected: dict[tuple[int, int], float]
     effects: dict[tuple[int, int], float]
 
-    def arc_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.directed)
-
 
 def assemble_graph(
     relevant_edges: list[RelevantStructure],
@@ -361,10 +340,7 @@ def assemble_graph(
         a, b = min(st.key), max(st.key)
         undirected[(a, b)] = st.reliability
 
-    def cycle_with(x: int, y: int) -> bool:
-        arcs = set(directed) | {(x, y)}
-        return topological_order(p, arcs) is None
-
+    # an arc x -> y closes a cycle exactly when y already reaches x;
     # arcs the mask forces: pair present, one direction forbidden
     for a, b in sorted(undirected):
         fwd, bwd = mask.allows(a, b), mask.allows(b, a)
@@ -374,7 +350,7 @@ def assemble_graph(
             arc = (b, a)
         else:
             continue
-        if cycle_with(*arc):
+        if has_directed_path(directed, arc[1], arc[0]):
             log.warning(
                 "mask-forced arc %s -> %s would close a cycle; edge left undirected",
                 labels[arc[0]], labels[arc[1]],
@@ -394,7 +370,7 @@ def assemble_graph(
             continue
         if (a, b) in directed or pair not in undirected:
             continue
-        if cycle_with(a, b):
+        if has_directed_path(directed, b, a):
             log.warning(
                 "skipping orientation %s -> %s: would close a directed cycle",
                 labels[a], labels[b],

@@ -49,12 +49,12 @@ def test_config_defaults():
 
 def test_config_file_then_flags(tmp_path):
     path = tmp_path / "cfg.json"
-    write_json(path, {"generations": 9, "population": 33, "discrete": ["A"]})
+    write_json(path, {"generations": 9, "population": 34, "discrete": ["A"]})
     cfg = parse_config(
         ["search", "--config", str(path), "--generations", "5"]
     )
     assert cfg.generations == 5  # flag wins
-    assert cfg.population == 33  # file wins over default
+    assert cfg.population == 34  # file wins over default
     assert cfg.crossover == 0.85  # untouched default
     assert cfg.discrete == ("A",)
 
@@ -138,6 +138,29 @@ def test_prev_suffix_prior_exits_config(tmp_path, capsys):
     )
     assert rc == EXIT_CONFIG
     assert "previous slice" in capsys.readouterr().err
+
+
+BAD_CONFIGS = {
+    "odd population": ["--population", "7"],
+    "zero generations": ["--generations", "0"],
+    "zero pi-sel": ["--pi-sel", "0"],
+    "crossover above one": ["--crossover", "1.5"],
+    "malformed config json": ["--config", "{bad}"],
+    "malformed prior json": ["--prior", "{bad}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_exits_config_without_traceback(case, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"generations": 3,')
+    extra = [str(bad) if arg == "{bad}" else arg for arg in BAD_CONFIGS[case]]
+    csv = write_chain_csv(tmp_path / "d.csv")
+    rc = main(["search", "--data", csv, "--out", str(tmp_path / "o"), *FAST, *extra])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_degenerate_data_exits_data(tmp_path, capsys):

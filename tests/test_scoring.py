@@ -16,12 +16,17 @@ from stablesearch.scoring import (
     Dataset,
     FitResult,
     fit_dag_ml,
-    implied_covariance,
     load_dataset,
     rank_normalize,
     sample_covariance,
-    score_population,
 )
+
+
+def implied_covariance(fit):
+    """Covariance the fitted model implies, from its coefficients and residual variances."""
+    weights = {(a, j): w for j, row in fit.coefficients.items() for a, w in row.items()}
+    p = len(fit.residual_variances)
+    return sem_implied_covariance(p, weights, list(fit.residual_variances))
 
 
 def random_dataset(rng, n=200, p=4):
@@ -34,6 +39,16 @@ def test_dataset_shape_and_missing_checks():
         Dataset(["a", "b"], np.zeros((3, 3)))
     with pytest.raises(DegenerateData):
         Dataset(["a"], np.array([[np.nan], [1.0]]))
+
+
+def test_dataset_copies_instead_of_freezing_caller_array():
+    values = np.zeros((3, 2))
+    data = Dataset(["a", "b"], values)
+    assert values.flags.writeable
+    values[0, 0] = 5.0
+    assert data.values[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        data.values[0, 0] = 1.0
 
 
 def test_sample_covariance_two_point_example():
@@ -172,20 +187,6 @@ def test_degenerate_parent_block_raises():
     cov = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(DegenerateData):
         fit_dag_ml(Dag(2, frozenset({(0, 1)})), cov, 50)
-
-
-def test_score_population_composition_and_order():
-    rng = np.random.default_rng(7)
-    data = random_dataset(rng, n=150, p=3)
-    cov = sample_covariance(data)
-    empty = Dag(3, frozenset())
-    sat = Dag(3, frozenset({(0, 1), (0, 2), (1, 2)}))
-    out = score_population([empty, sat, empty], cov, data.n_rows)
-    assert out[1].chi_square < 1e-8
-    assert out[0] is out[2]  # duplicate served from the memo
-    rev = score_population([sat, empty], cov, data.n_rows)
-    assert rev[0].chi_square == out[1].chi_square
-    assert rev[1].chi_square == out[0].chi_square
 
 
 def test_load_dataset_and_rank_normalize(tmp_path):

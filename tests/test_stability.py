@@ -15,12 +15,10 @@ from stablesearch.stability import (
     StabilityGraph,
     Thresholds,
     assemble_graph,
-    causal_path_stability,
     collect_models,
     complete_dag_under,
     compute_pi_bic,
     cross_sectional_cov,
-    edge_stability,
     relevant_structures,
     run_searches,
     stability_graphs,
@@ -116,7 +114,7 @@ def test_edge_probabilities_count_cpdags():
         make_model(3, {(1, 0)}, mask),  # same class as 0->1
         make_model(3, {(0, 2)}, mask),
     ]
-    sg = edge_stability(models, mask)
+    sg = stability_graphs(models, mask)[0]
     assert sg.curve(0, 1)[1] == pytest.approx(0.75)
     assert sg.curve(0, 2)[1] == pytest.approx(0.25)
     assert sg.curve(1, 2)[1] == 0.0
@@ -134,7 +132,7 @@ def test_path_probabilities_use_directed_closure():
         make_model(3, {(0, 1)}, mask),          # class is undirected: no path
         make_model(3, {(0, 2), (1, 2)}, mask),  # collider stays directed
     ]
-    sg = causal_path_stability(models, mask)
+    sg = stability_graphs(models, mask)[1]
     assert sg.curve(0, 1)[1] == 0.0
     assert sg.curve(0, 2)[1] == 0.0
     assert sg.curve(0, 2)[2] == 1.0
@@ -146,7 +144,7 @@ def test_path_probabilities_use_directed_closure():
 
     # with only the collider observed, complexity 1 is a genuine gap and
     # interpolates between the zero pin and the observed 1.0
-    sg = causal_path_stability([make_model(3, {(0, 2), (1, 2)}, mask)], mask)
+    sg = stability_graphs([make_model(3, {(0, 2), (1, 2)}, mask)], mask)[1]
     assert sg.curve(0, 2)[1] == pytest.approx(0.5)
     assert list(sg.imputed) == [True, True, False, True]
 
@@ -154,11 +152,11 @@ def test_path_probabilities_use_directed_closure():
 def test_path_stability_mask_compelled_pair():
     mask = ConstraintMask.empty(2).with_forbidden([(1, 0)])
     models = [make_model(2, {(0, 1)}, mask)]
-    sg = causal_path_stability(models, mask)
+    sg = stability_graphs(models, mask)[1]
     assert list(sg.curve(0, 1)) == [0.0, 1.0]
     assert list(sg.curve(1, 0)) == [0.0, 0.0]
 
-    edge_sg = edge_stability(models, mask)
+    edge_sg = stability_graphs(models, mask)[0]
     assert list(edge_sg.curve(0, 1)) == [0.0, 1.0]
 
 
