@@ -83,6 +83,13 @@ class RunConfig:
     truth: str | None = None
 
 
+# integer settings and their lower bounds (None: SearchParams checks it)
+INTEGER_SETTINGS = {
+    "subsets": 2, "generations": None, "population": None, "seed": 0,
+    "parallelism": 1, "datasets": 1, "samples": 1, "slices": 2,
+}
+
+
 class ConfigError(Exception):
     pass
 
@@ -95,6 +102,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         loaded = read_json(path)
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file must hold a JSON object: {path}")
         for key, val in loaded.items():
             if key not in values:
                 raise ConfigError(f"unknown config key {key!r}")
@@ -104,18 +113,33 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             values[key] = tuple(flag) if isinstance(flag, list) else flag
     cfg = RunConfig(**values)
-    if cfg.subsets is not None and cfg.subsets < 2:
-        raise ConfigError("subsets must be at least 2")
-    if cfg.parallelism < 1:
-        raise ConfigError("parallelism must be at least 1")
+    for name in INTEGER_SETTINGS:
+        value = getattr(cfg, name)
+        if value is None and name == "subsets":
+            continue
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{name} must be an integer, not {value!r}")
+        low = INTEGER_SETTINGS[name]
+        if low is not None and value < low:
+            raise ConfigError(f"{name} must be at least {low}")
+    for name in ("discrete", "prev_only", "cur_only"):
+        value = getattr(cfg, name)
+        if not isinstance(value, tuple) or not all(isinstance(v, str) for v in value):
+            raise ConfigError(f"{name} must be a list of names, not {value!r}")
+    if cfg.subsample_unit not in ("subject", "row"):
+        raise ConfigError(
+            f"subsample_unit must be 'subject' or 'row', not {cfg.subsample_unit!r}"
+        )
     try:
         search_params(cfg)
         Thresholds(cfg.pi_sel)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad search settings: {exc}") from None
+    if not isinstance(cfg.out, str):
+        raise ConfigError(f"out must be a path, not {cfg.out!r}")
     for attr in ("data", "layout", "prior", "truth"):
         value = getattr(cfg, attr)
-        if value is not None and not Path(value).exists():
+        if value is not None and not (isinstance(value, str) and Path(value).exists()):
             raise ConfigError(f"{attr} path not found: {value}")
     return cfg
 
@@ -372,11 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--data", help="wide-format longitudinal CSV")
     sp.add_argument("--layout", help="layout JSON mapping variables to slices")
-    sp.add_argument(
-        "--subsample-unit",
-        dest="subsample_unit",
-        choices=("subject", "row"),
-    )
+    sp.add_argument("--subsample-unit", dest="subsample_unit", help="subject or row")
     sp.add_argument("--prev-only", dest="prev_only", nargs="*")
     sp.add_argument("--cur-only", dest="cur_only", nargs="*")
     _add_common(sp)

@@ -22,6 +22,7 @@ from .pipeline import PipelineResult, run_pipeline
 from .scoring import Column, Dataset, sample_covariance
 from .search import SearchParams
 from .seeding import PIPELINE_LANE, SUBSAMPLE_LANE, derived_rng, derived_seed
+from .stability import cross_sectional_cov
 
 log = logging.getLogger(__name__)
 
@@ -154,25 +155,12 @@ class LongitudinalDataset:
     def p(self) -> int:
         return len(self.layout.variables)
 
-    @property
-    def n_slices(self) -> int:
-        return self.layout.slices
-
     def column(self, var: str, k: int) -> int:
         return self._where[(var, k)]
 
     def kind_of(self, var: str) -> str:
         first = self.layout.presence[var][0]
         return self.data.columns[self._where[(var, first)]].kind
-
-
-@dataclass(frozen=True)
-class TransitionFrame:
-    """Stacked slice pairs: row r is subject r // n_pairs at pair t = r % n_pairs."""
-
-    data: Dataset
-    n_subjects: int
-    n_pairs: int
 
 
 def baseline_slice(data: LongitudinalDataset) -> Dataset:
@@ -186,8 +174,10 @@ def baseline_slice(data: LongitudinalDataset) -> Dataset:
     return Dataset(cols, data.data.values[:, idx])
 
 
-def reshape(data: LongitudinalDataset) -> TransitionFrame:
+def reshape(data: LongitudinalDataset) -> Dataset:
     """Stack the [x(t), x(t+1)] blocks for t = 0 .. T-2, subject-major.
+
+    Row r holds subject r // (T-1) at the slice pair t = r % (T-1).
 
     A variable unobserved at a needed slice is filled from its nearest
     observed slice.  A forward fill gets a warning: it only makes sense for
@@ -212,20 +202,20 @@ def reshape(data: LongitudinalDataset) -> TransitionFrame:
                     )
                 idx.append(data.column(v, j))
         out[t :: T - 1] = values[:, idx]
-    cols = [Column(v + PREV_SUFFIX, data.kind_of(v)) for v in lay.variables]
-    cols += [Column(v + CUR_SUFFIX, data.kind_of(v)) for v in lay.variables]
-    return TransitionFrame(Dataset(cols, out), s, T - 1)
+    kinds = [data.kind_of(v) for v in lay.variables] * 2
+    names = transition_labels(lay.variables)
+    return Dataset([Column(n, k) for n, k in zip(names, kinds)], out)
 
 
-def unreshape(frame: TransitionFrame, layout: Layout) -> LongitudinalDataset:
+def unreshape(frame: Dataset, layout: Layout) -> LongitudinalDataset:
     """Inverse bookkeeping of reshape: read every observed cell back."""
     p, T = len(layout.variables), layout.slices
-    if frame.n_pairs != T - 1 or frame.data.n_cols != 2 * p:
+    if T < 2 or frame.n_rows % (T - 1) or frame.n_cols != 2 * p:
         raise ShapeMismatch("frame shape does not match the layout")
-    vals = frame.data.values
+    vals = frame.values
     cols, stacked = [], []
     for v_i, v in enumerate(layout.variables):
-        kind = frame.data.columns[v_i].kind
+        kind = frame.columns[v_i].kind
         for k in layout.presence[v]:
             if k < T - 1:
                 col = vals[k :: T - 1, v_i]  # prev side of pair (k, k+1)
@@ -346,7 +336,31 @@ class TransitionCov:
 
     def __call__(self, subset: Dataset):
         frame = reshape(LongitudinalDataset(subset, self.layout))
-        return sample_covariance(frame.data), frame.data.n_rows, frame.data.names
+        return sample_covariance(frame), frame.n_rows, frame.names
+
+
+def transition_problem(
+    data: LongitudinalDataset, params: SearchParams, n_subsets: int, prior=(),
+    subsample_unit: str = "subject", prev_only=(), cur_only=(),
+):
+    """Set up the transition model's search: (frame, mask, subsets, cov_fn).
+
+    The mask adds the role rules that follow from the layout's presence to
+    ``prev_only`` and ``cur_only``.  The frame is the reshaped data.  With
+    ``subsample_unit`` "subject", the subsets are whole-subject draws seeded
+    from ``params`` and ``cov_fn`` reshapes each one; with "row", subsets is
+    None and the pipeline subsamples the frame's rows.
+    """
+    auto_prev, auto_cur = derive_role_rules(data.layout)
+    prev_only = tuple(dict.fromkeys((*auto_prev, *prev_only)))
+    cur_only = tuple(dict.fromkeys((*auto_cur, *cur_only)))
+    mask = transition_mask(data.layout.variables, prior, prev_only, cur_only)
+    frame = reshape(data)
+    if subsample_unit == "row":
+        return frame, mask, None, cross_sectional_cov
+    rng = derived_rng(params.seed, SUBSAMPLE_LANE, 0)
+    subsets = subsample_subjects(data, n_subsets, rng)
+    return frame, mask, subsets, TransitionCov(data.layout)
 
 
 def run_longitudinal(
@@ -359,64 +373,29 @@ def run_longitudinal(
     subsample_unit: str = "subject",
     prev_only=(),
     cur_only=(),
-    baseline_prior=None,
 ) -> tuple[PipelineResult, PipelineResult]:
     """Baseline and transition stability pipelines on longitudinal data.
 
     The baseline model searches the first slice under the prior's
     intra-slice mask; the transition model searches the reshaped slice pairs
-    under the structural mask.  ``prior`` lists forbidden intra-slice arcs
-    by variable name and applies to both parts unless ``baseline_prior``
-    overrides it.  ``subsample_unit`` is "subject" (draw subjects, then
-    reshape each subset) or "row" (subsample the reshaped rows directly).
+    under the structural mask (see ``transition_problem``).  ``prior`` lists
+    forbidden intra-slice arcs by variable name and applies to both parts.
+    ``subsample_unit`` is "subject" (draw subjects, then reshape each
+    subset) or "row" (subsample the reshaped rows directly).
     """
-    if baseline_prior is None:
-        baseline_prior = prior
     if subsample_unit not in ("subject", "row"):
         raise ValueError("subsample_unit must be 'subject' or 'row'")
-    auto_prev, auto_cur = derive_role_rules(data.layout)
-    prev_only = tuple(dict.fromkeys((*auto_prev, *prev_only)))
-    cur_only = tuple(dict.fromkeys((*auto_cur, *cur_only)))
-
     base = baseline_slice(data)
-    base_mask = intra_slice_mask(base.names, baseline_prior)
     base_params = replace(params, seed=derived_seed(params.seed, PIPELINE_LANE, 0))
     baseline = run_pipeline(
-        base,
-        base_mask,
-        base_params,
-        n_subsets=n_subsets,
-        pi_sel=pi_sel,
-        parallelism=parallelism,
+        base, intra_slice_mask(base.names, prior), base_params, n_subsets, pi_sel,
+        parallelism,
     )
-
-    variables = data.layout.variables
-    t_mask = transition_mask(variables, prior, prev_only, cur_only)
     t_params = replace(params, seed=derived_seed(params.seed, PIPELINE_LANE, 1))
-    frame = reshape(data)
-    if subsample_unit == "subject":
-        rng = derived_rng(t_params.seed, SUBSAMPLE_LANE, 0)
-        subsets = subsample_subjects(data, n_subsets, rng)
-        cov_fn = TransitionCov(data.layout)
-        transition = run_pipeline(
-            frame.data,
-            t_mask,
-            t_params,
-            pi_sel=pi_sel,
-            parallelism=parallelism,
-            cov_fn=cov_fn,
-            subsets=subsets,
-            labels=transition_labels(variables),
-            effects_data=frame.data,
-        )
-    else:
-        transition = run_pipeline(
-            frame.data,
-            t_mask,
-            t_params,
-            n_subsets=n_subsets,
-            pi_sel=pi_sel,
-            parallelism=parallelism,
-            labels=transition_labels(variables),
-        )
+    frame, mask, subsets, cov_fn = transition_problem(
+        data, t_params, n_subsets, prior, subsample_unit, prev_only, cur_only
+    )
+    transition = run_pipeline(
+        frame, mask, t_params, n_subsets, pi_sel, parallelism, cov_fn, subsets
+    )
     return baseline, transition

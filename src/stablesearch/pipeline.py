@@ -3,7 +3,9 @@
 Composition of the pieces: subsample the data, run one evolutionary search
 per subset, aggregate Pareto models into stability curves, pick the BIC
 complexity, collect the relevant structures, assemble the summary graph and
-annotate it with median causal effects.
+annotate it with median causal effects.  This is the only module that
+chains the stages; the longitudinal models and the recovery evaluation call
+``run_pipeline`` or its searched half, ``search_stability``.
 """
 
 from __future__ import annotations
@@ -50,6 +52,33 @@ class PipelineResult:
     subset_results: list[SubsetResult]
 
 
+def search_stability(
+    data: Dataset,
+    mask: ConstraintMask,
+    params: SearchParams,
+    n_subsets: int = 50,
+    parallelism: int = 1,
+    cov_fn=cross_sectional_cov,
+    subsets: list[Dataset] | None = None,
+) -> tuple[list[Dataset], list[SubsetResult], StabilityGraph, StabilityGraph, int]:
+    """Subsample, search every subset, pool the Pareto models, pick pi_bic.
+
+    Returns (subsets, subset results, edge curves, causal-path curves,
+    pi_bic); the curves are labelled with ``data.names``.  ``subsets``
+    overrides the default row subsampling of ``data`` (the transition model
+    draws whole subjects).  ``cov_fn`` turns a subset into (covariance,
+    effective n, labels) and is what the transition model hooks to reshape
+    each subset.
+    """
+    if subsets is None:
+        rng = derived_rng(params.seed, SUBSAMPLE_LANE, 0)
+        subsets = subsample(data, n_subsets, rng)
+    results = run_searches(subsets, cov_fn, mask, params, parallelism)
+    models = collect_models(results)
+    edge_sg, path_sg = stability_graphs(models, mask, data.names)
+    return subsets, results, edge_sg, path_sg, compute_pi_bic(models)
+
+
 def run_pipeline(
     data: Dataset,
     mask: ConstraintMask,
@@ -59,31 +88,21 @@ def run_pipeline(
     parallelism: int = 1,
     cov_fn=cross_sectional_cov,
     subsets: list[Dataset] | None = None,
-    labels: tuple[str, ...] | None = None,
-    effects_data: Dataset | None = None,
 ) -> PipelineResult:
     """Subsample, search, aggregate, threshold, assemble, estimate.
 
-    ``subsets`` overrides the default row subsampling (used for
-    subject-level draws on longitudinal data), in which case ``data`` only
-    provides the fallback for ``effects_data``.  ``cov_fn`` turns a subset
-    into (covariance, effective n, labels) and is what the transition model
-    hooks to reshape each subset.
+    The first four stages are ``search_stability``, with the same
+    arguments.  ``data`` names the nodes and is the data the effects are
+    estimated on.
     """
-    if labels is None:
-        labels = data.names
-    if subsets is None:
-        rng = derived_rng(params.seed, SUBSAMPLE_LANE, 0)
-        subsets = subsample(data, n_subsets, rng)
-    results = run_searches(subsets, cov_fn, mask, params, parallelism)
-    models = collect_models(results)
-    edge_sg, path_sg = stability_graphs(models, mask, tuple(labels))
-    pi_bic = compute_pi_bic(models)
+    subsets, results, edge_sg, path_sg, pi_bic = search_stability(
+        data, mask, params, n_subsets, parallelism, cov_fn, subsets
+    )
     thresholds = Thresholds(pi_sel, pi_bic)
     relevant = relevant_structures(edge_sg, path_sg, thresholds)
     edges = [st for st in relevant if st.kind == EDGE]
     paths = [st for st in relevant if st.kind == CAUSAL_PATH]
-    graph = assemble_graph(edges, paths, mask, tuple(labels))
+    graph = assemble_graph(edges, paths, mask, data.names)
 
     estimates: list[EffectEstimate] = []
     if paths:
@@ -91,22 +110,10 @@ def run_pipeline(
             None if r.failed else cov_fn(s)[0] for r, s in zip(results, subsets)
         ]
         estimates = aggregate_effects(
-            results,
-            covariances,
-            pi_bic,
-            paths,
-            data if effects_data is None else effects_data,
-            mask,
+            results, covariances, pi_bic, paths, data, mask
         )
         graph = annotate_effects(graph, estimates)
     return PipelineResult(
-        tuple(labels),
-        edge_sg,
-        path_sg,
-        pi_bic,
-        thresholds,
-        relevant,
-        graph,
-        estimates,
-        results,
+        data.names, edge_sg, path_sg, pi_bic, thresholds, relevant, graph,
+        estimates, results,
     )

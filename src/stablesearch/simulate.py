@@ -20,25 +20,12 @@ from .graphs import (
     ConstraintMask, Cpdag, Dag, arc_matrix, dag_to_cpdag, is_acyclic, reachability,
     topological_order,
 )
-from .longitudinal import (
-    Layout,
-    LongitudinalDataset,
-    TransitionCov,
-    subsample_subjects,
-    transition_labels,
-    transition_mask,
-)
+from .longitudinal import Layout, LongitudinalDataset, transition_mask, transition_problem
+from .pipeline import search_stability
 from .scoring import Dataset
 from .search import SearchParams
-from .seeding import DATAGEN_LANE, PIPELINE_LANE, SUBSAMPLE_LANE, derived_rng, derived_seed
-from .stability import (
-    EDGE,
-    StabilityGraph,
-    collect_models,
-    compute_pi_bic,
-    run_searches,
-    stability_graphs,
-)
+from .seeding import DATAGEN_LANE, PIPELINE_LANE, derived_rng, derived_seed
+from .stability import EDGE, StabilityGraph
 
 log = logging.getLogger(__name__)
 
@@ -197,14 +184,12 @@ def simulate_datasets(
 
 
 def true_cpdag(
-    model: GroundTruthModel,
-    baseline_mask: ConstraintMask | None = None,
-    trans_mask: ConstraintMask | None = None,
+    model: GroundTruthModel, trans_mask: ConstraintMask | None = None
 ) -> tuple[Cpdag, Cpdag]:
-    """Patterns of the two ground-truth parts under their masks."""
+    """Patterns of the two ground-truth parts; the transition one under its mask."""
     if trans_mask is None:
         trans_mask = transition_mask(model.variables)
-    baseline = dag_to_cpdag(Dag(model.p, model.baseline_arcs), baseline_mask)
+    baseline = dag_to_cpdag(Dag(model.p, model.baseline_arcs))
     transition = dag_to_cpdag(
         Dag(2 * model.p, model.transition_arcs), trans_mask
     )
@@ -317,35 +302,34 @@ def evaluate_recovery(
 ) -> EvaluationReport:
     """Transition-model recovery across replicate datasets.
 
-    Each dataset gets its own subject-level subsampling and searches, all
-    seeded from the dataset index.  The averaging scheme pools the stability
+    Each dataset runs the transition model's subject-level subsampling and
+    searches (``transition_problem`` and ``search_stability``, as in
+    ``run_longitudinal``), seeded from the dataset index; no summary graph
+    or effects are computed.  The averaging scheme pools the stability
     curves before the ROC sweep, with the BIC complexity fixed at the median
     of the per-dataset values; the individual scheme keeps one ROC per
     dataset.
     """
-    variables = model.variables
-    tmask = transition_mask(variables, prior)
-    _, truth = true_cpdag(model, trans_mask=tmask)
-
+    if not datasets:
+        raise ShapeMismatch("no datasets to evaluate")
     edge_sgs, path_sgs, pi_bics = [], [], []
     for d, ld in enumerate(datasets):
         t_params = replace(
             params, seed=derived_seed(params.seed, PIPELINE_LANE, d)
         )
-        rng = derived_rng(t_params.seed, SUBSAMPLE_LANE, 0)
-        subsets = subsample_subjects(ld, n_subsets, rng)
-        results = run_searches(
-            subsets, TransitionCov(ld.layout), tmask, t_params, parallelism
+        frame, tmask, subsets, cov_fn = transition_problem(
+            ld, t_params, n_subsets, prior
         )
-        models = collect_models(results)
-        edge_sg, path_sg = stability_graphs(
-            models, tmask, transition_labels(variables)
+        _, _, edge_sg, path_sg, pi_bic = search_stability(
+            frame, tmask, t_params, n_subsets, parallelism, cov_fn, subsets
         )
         edge_sgs.append(edge_sg)
         path_sgs.append(path_sg)
-        pi_bics.append(compute_pi_bic(models))
-        log.info("dataset %d searched, pi_bic=%d", d, pi_bics[-1])
+        pi_bics.append(pi_bic)
+        log.info("dataset %d searched, pi_bic=%d", d, pi_bic)
 
+    # the datasets share the model's layout, so their masks agree
+    _, truth = true_cpdag(model, trans_mask=tmask)
     pi_med = int(np.median(pi_bics))
     edge_roc = roc_and_auc(averaging_scheme(edge_sgs), truth, pi_med, tmask)
     causal_roc = roc_and_auc(averaging_scheme(path_sgs), truth, pi_med, tmask)

@@ -259,14 +259,14 @@ def test_criterion_06_reshape_shapes_exact():
     checks = []
     for s, p, t, rows in ((179, 4, 6, 895), (400, 4, 3, 800)):
         frame = reshape(_structured_longitudinal(s, p, t))
-        shape_ok = frame.data.values.shape == (rows, 2 * p)
+        shape_ok = frame.values.shape == (rows, 2 * p)
         subj = np.arange(rows) // (t - 1)
         pair = np.arange(rows) % (t - 1)
         expected = np.empty((rows, 2 * p))
         for v in range(p):
             expected[:, v] = subj * 1000 + v * 10 + pair
             expected[:, p + v] = subj * 1000 + v * 10 + pair + 1
-        content_ok = np.array_equal(frame.data.values, expected)
+        content_ok = np.array_equal(frame.values, expected)
         checks.append(shape_ok and content_ok)
     ok = all(checks)
     report(6, "transition reshape", ok, "179x4x6 -> 895x8, 400x4x3 -> 800x8")

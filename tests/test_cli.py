@@ -140,23 +140,38 @@ def test_prev_suffix_prior_exits_config(tmp_path, capsys):
     assert "previous slice" in capsys.readouterr().err
 
 
+# (command, extra arguments); an argument starting with "{" is the text of a
+# JSON file that the argument is replaced with
 BAD_CONFIGS = {
-    "odd population": ["--population", "7"],
-    "zero generations": ["--generations", "0"],
-    "zero pi-sel": ["--pi-sel", "0"],
-    "crossover above one": ["--crossover", "1.5"],
-    "malformed config json": ["--config", "{bad}"],
-    "malformed prior json": ["--prior", "{bad}"],
+    "odd population": ("search", ["--population", "7"]),
+    "zero generations": ("search", ["--generations", "0"]),
+    "zero pi-sel": ("search", ["--pi-sel", "0"]),
+    "crossover above one": ("search", ["--crossover", "1.5"]),
+    "malformed config json": ("search", ["--config", '{"generations": 3,']),
+    "malformed prior json": ("search", ["--prior", '{"generations": 3,']),
+    "zero datasets": ("simulate", ["--datasets", "0"]),
+    "zero samples": ("simulate", ["--samples", "0"]),
+    "one slice": ("simulate", ["--slices", "1"]),
+    "unknown subsample unit": ("search", ["--config", '{"subsample_unit": "bogus"}']),
+    "string seed": ("search", ["--config", '{"seed": "abc"}']),
+    "discrete as one string": ("search", ["--config", '{"discrete": "X1_t0"}']),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
 def test_bad_config_exits_config_without_traceback(case, tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"generations": 3,')
-    extra = [str(bad) if arg == "{bad}" else arg for arg in BAD_CONFIGS[case]]
-    csv = write_chain_csv(tmp_path / "d.csv")
-    rc = main(["search", "--data", csv, "--out", str(tmp_path / "o"), *FAST, *extra])
+    command, args = BAD_CONFIGS[case]
+    extra = []
+    for i, arg in enumerate(args):
+        if arg.startswith("{"):
+            path = tmp_path / f"arg{i}.json"
+            path.write_text(arg)
+            arg = str(path)
+        extra.append(arg)
+    if command == "search":
+        extra += ["--data", write_chain_csv(tmp_path / "d.csv")]
+    fast = FAST[: FAST.index("--seed")]  # a --seed flag would override the config's
+    rc = main([command, "--out", str(tmp_path / "o"), *fast, *extra])
     err = capsys.readouterr().err
     assert rc == EXIT_CONFIG
     assert err.startswith("error: ")

@@ -36,15 +36,15 @@ def make_long(s, p, T, rng=None, scramble=False):
 
 def test_reshape_shapes():
     frame = reshape(make_long(179, 4, 6))
-    assert frame.data.values.shape == (895, 8)
+    assert frame.values.shape == (895, 8)
     frame = reshape(make_long(2, 4, 3))
-    assert frame.data.values.shape == (4, 8)
+    assert frame.values.shape == (4, 8)
 
     tiny = make_long(1, 1, 2)
     frame = reshape(tiny)
-    assert frame.data.values.shape == (1, 2)
-    assert list(frame.data.values[0]) == list(tiny.data.values[0])
-    assert frame.data.names == ("V0_prev", "V0_cur")
+    assert frame.values.shape == (1, 2)
+    assert list(frame.values[0]) == list(tiny.data.values[0])
+    assert frame.names == ("V0_prev", "V0_cur")
 
 
 def test_reshape_row_bookkeeping():
@@ -52,13 +52,13 @@ def test_reshape_row_bookkeeping():
     ld = make_long(3, 2, 4)
     frame = reshape(ld)
     T = 4
-    for r in range(frame.data.n_rows):
+    for r in range(frame.n_rows):
         subj, t = divmod(r, T - 1)
         for v_i, v in enumerate(ld.layout.variables):
             prev = ld.data.values[subj, ld.column(v, t)]
             cur = ld.data.values[subj, ld.column(v, t + 1)]
-            assert frame.data.values[r, v_i] == prev
-            assert frame.data.values[r, 2 + v_i] == cur
+            assert frame.values[r, v_i] == prev
+            assert frame.values[r, 2 + v_i] == cur
 
 
 def test_reshape_unreshape_roundtrip():
@@ -115,9 +115,9 @@ def test_presence_drops_columns_and_fills_sides():
     vals = np.arange(8.0).reshape(2, 4)
     ld = LongitudinalDataset(Dataset(names, vals), layout)
     frame = reshape(ld)
-    assert frame.data.values.shape == (4, 4)
+    assert frame.values.shape == (4, 4)
     # A's prev side at t=1 borrows its only observation, slice 0
-    subj0_pair1 = frame.data.values[1]
+    subj0_pair1 = frame.values[1]
     assert subj0_pair1[0] == vals[0, 0]
     # A's cur side always borrows slice 0 too
     assert subj0_pair1[2] == vals[0, 0]

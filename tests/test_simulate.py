@@ -11,7 +11,7 @@ from oracles import (
 )
 from stablesearch.errors import ShapeMismatch
 from stablesearch.graphs import Cpdag, dag_to_cpdag
-from stablesearch.longitudinal import transition_mask
+from stablesearch.longitudinal import run_longitudinal, transition_mask
 from stablesearch.scoring import sample_covariance
 from stablesearch.search import SearchParams
 from stablesearch.simulate import (
@@ -260,6 +260,21 @@ def test_evaluate_recovery_smoke():
         assert 0.0 <= roc.auc <= 1.0
         assert roc.points[0] == (0.0, 0.0) and roc.points[-1] == (1.0, 1.0)
     assert all(j >= 0 for j in report.pi_bics)
+
+
+def test_evaluate_recovery_agrees_with_run_longitudinal():
+    # dataset 1 gets the transition seed of run_longitudinal, (PIPELINE_LANE, 1)
+    model = random_parameterization(default_structure(), np.random.default_rng(3))
+    datasets = simulate_datasets(model, 2, 60, seed=5)
+    params = SearchParams(generations=4, population_size=12, seed=9)
+    report = evaluate_recovery(datasets, model, params, n_subsets=4)
+    _, transition = run_longitudinal(datasets[1], params, n_subsets=4)
+    tmask = transition_mask(model.variables)
+    _, truth = true_cpdag(model, trans_mask=tmask)
+    pi_bic = transition.pi_bic
+    assert report.pi_bics[1] == pi_bic
+    assert report.edge_aucs[1] == roc_and_auc(transition.edge_sg, truth, pi_bic, tmask).auc
+    assert report.causal_aucs[1] == roc_and_auc(transition.path_sg, truth, pi_bic, tmask).auc
 
 
 def test_truth_dict_roundtrip():
