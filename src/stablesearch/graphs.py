@@ -294,6 +294,23 @@ def reachability(adj: np.ndarray) -> np.ndarray:
     return (m @ reach) > 0
 
 
+def cyclic_rows(adjs: np.ndarray) -> np.ndarray:
+    """Which matrices of an (N, p, p) boolean batch hold a directed cycle.
+
+    Kahn's source removal on every row at once: each step deletes all nodes
+    with no in-arc left, until no row has a source.  A node that survives
+    lies on a cycle or downstream of one.
+    """
+    indeg = adjs.sum(axis=1)
+    alive = np.ones(indeg.shape, dtype=bool)
+    while True:
+        src = alive & (indeg == 0)
+        if not src.any():
+            return alive.any(axis=1)
+        alive &= ~src
+        indeg -= (adjs & src[:, :, None]).sum(axis=1)
+
+
 def _chickering_labels(dag: Dag) -> dict[Arc, int]:
     """Label every arc compelled or reversible (Chickering's edge labelling).
 

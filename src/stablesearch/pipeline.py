@@ -60,15 +60,14 @@ def search_stability(
     parallelism: int = 1,
     cov_fn=cross_sectional_cov,
     subsets: list[Dataset] | None = None,
-) -> tuple[list[Dataset], list[SubsetResult], StabilityGraph, StabilityGraph, int]:
+) -> tuple[list[SubsetResult], StabilityGraph, StabilityGraph, int]:
     """Subsample, search every subset, pool the Pareto models, pick pi_bic.
 
-    Returns (subsets, subset results, edge curves, causal-path curves,
-    pi_bic); the curves are labelled with ``data.names``.  ``subsets``
-    overrides the default row subsampling of ``data`` (the transition model
-    draws whole subjects).  ``cov_fn`` turns a subset into (covariance,
-    effective n, labels) and is what the transition model hooks to reshape
-    each subset.
+    Returns (subset results, edge curves, causal-path curves, pi_bic); the
+    curves are labelled with ``data.names``.  ``subsets`` overrides the
+    default row subsampling of ``data`` (the transition model draws whole
+    subjects).  ``cov_fn`` turns a subset into (covariance, effective n,
+    labels) and is what the transition model hooks to reshape each subset.
     """
     if subsets is None:
         rng = derived_rng(params.seed, SUBSAMPLE_LANE, 0)
@@ -76,7 +75,7 @@ def search_stability(
     results = run_searches(subsets, cov_fn, mask, params, parallelism)
     models = collect_models(results)
     edge_sg, path_sg = stability_graphs(models, mask, data.names)
-    return subsets, results, edge_sg, path_sg, compute_pi_bic(models)
+    return results, edge_sg, path_sg, compute_pi_bic(models)
 
 
 def run_pipeline(
@@ -95,7 +94,7 @@ def run_pipeline(
     arguments.  ``data`` names the nodes and is the data the effects are
     estimated on.
     """
-    subsets, results, edge_sg, path_sg, pi_bic = search_stability(
+    results, edge_sg, path_sg, pi_bic = search_stability(
         data, mask, params, n_subsets, parallelism, cov_fn, subsets
     )
     thresholds = Thresholds(pi_sel, pi_bic)
@@ -106,9 +105,7 @@ def run_pipeline(
 
     estimates: list[EffectEstimate] = []
     if paths:
-        covariances = [
-            None if r.failed else cov_fn(s)[0] for r, s in zip(results, subsets)
-        ]
+        covariances = [r.cov for r in results]
         estimates = aggregate_effects(
             results, covariances, pi_bic, paths, data, mask
         )

@@ -50,6 +50,8 @@ class Dataset:
             raise ShapeMismatch(
                 f"{len(cols)} columns declared but values have {values.shape[1]}"
             )
+        if len({c.name for c in cols}) != len(cols):
+            raise ShapeMismatch(f"duplicate column names in {[c.name for c in cols]}")
         if not np.all(np.isfinite(values)):
             raise DegenerateData("data contains missing or non-finite values")
         self.columns = cols

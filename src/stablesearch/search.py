@@ -4,9 +4,10 @@ Objectives are (chi_square, complexity), both minimized.  evolve() holds the
 population as one (N, p, p) boolean array of adjacency matrices; forbidden
 cells are never set.  Tournament selection and variation are pure array
 functions fed with the generator draws evolve() makes; uniform crossover and
-bit-flip mutation may close a directed cycle, so each offspring that is not
-acyclic goes through cycle repair.  Scoring runs through per-node and
-per-structure caches (the search is the hot path of the whole pipeline).
+bit-flip mutation may close a directed cycle, so one batched cycle check runs
+per generation and only the cyclic offspring go through cycle repair, in
+ascending index order.  Scoring runs through per-node and per-structure
+caches (the search is the hot path of the whole pipeline).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateData
 from .graphs import (
-    ConstraintMask, Cpdag, Dag, arc_matrix, dag_to_cpdag, reachability, repair_arcs,
+    ConstraintMask, Cpdag, Dag, arc_matrix, cyclic_rows, dag_to_cpdag, repair_arcs,
 )
 from .scoring import FitResult, fit_dag_ml
 
@@ -173,8 +174,8 @@ class _Scorer:
             return hit
         total = 0.0
         ok = True
-        for j in range(adj.shape[0]):
-            psi = self._node_psi(j, tuple(np.flatnonzero(adj[:, j])))
+        for j, col in enumerate(adj.T.tolist()):
+            psi = self._node_psi(j, tuple(i for i, arc in enumerate(col) if arc))
             if psi is None:
                 ok = False
                 break
@@ -248,22 +249,21 @@ def evolve(
     allowed = ~mask.forbidden
     offdiag = ~np.eye(p, dtype=bool)
 
-    def repair(adj: np.ndarray) -> np.ndarray:
-        """Acyclic matrices pass unchanged; the others go through repair_arcs."""
-        if not reachability(adj).diagonal().any():
-            return adj
-        arcs = set(_arcs(adj))
-        fixed = repair_arcs(p, arcs, mask, rng)
-        return adj if len(fixed) == len(arcs) else arc_matrix(p, fixed)
+    def repair(adjs: np.ndarray) -> None:
+        """Repair cyclic rows in place, in index order; acyclic rows draw nothing."""
+        for i in np.flatnonzero(cyclic_rows(adjs)):
+            adjs[i] = arc_matrix(p, repair_arcs(p, set(_arcs(adjs[i])), mask, rng))
 
     def score_all(adjs: np.ndarray) -> np.ndarray:
-        return np.array([(scorer.chi_square(adj), adj.sum()) for adj in adjs], dtype=float)
+        chi = [scorer.chi_square(adj) for adj in adjs]
+        return np.column_stack([chi, adjs.sum(axis=(1, 2))])
 
     # random sparse initialization, one draw and one repair per individual
     population = np.zeros((pop_n, p, p), dtype=bool)
     for i in range(pop_n):
         population[i][offdiag] = rng.random(length) < 2.0 / length
-        population[i] = repair(population[i] & allowed)
+        population[i] &= allowed
+        repair(population[i][None])
     objs = score_all(population)
 
     for _ in range(params.generations):
@@ -284,8 +284,7 @@ def evolve(
             population[winners[0::2]], population[winners[1::2]],
             apply_cx, mix, do_mut, flip, allowed,
         )
-        for i in range(pop_n):
-            offspring[i] = repair(offspring[i])
+        repair(offspring)
         off_objs = score_all(offspring)
 
         # elitist (mu + lambda) environmental selection

@@ -320,7 +320,7 @@ def evaluate_recovery(
         frame, tmask, subsets, cov_fn = transition_problem(
             ld, t_params, n_subsets, prior
         )
-        _, _, edge_sg, path_sg, pi_bic = search_stability(
+        _, edge_sg, path_sg, pi_bic = search_stability(
             frame, tmask, t_params, n_subsets, parallelism, cov_fn, subsets
         )
         edge_sgs.append(edge_sg)

@@ -78,6 +78,7 @@ class SubsetResult:
     index: int
     models: list[ParetoModel] | None
     error: str | None = None
+    cov: np.ndarray | None = None  # the covariance searched, reused for effects
 
     @property
     def failed(self) -> bool:
@@ -115,7 +116,7 @@ def _search_one(task):
         models = evolve(
             cov, n_eff, mask.n_nodes, mask, replace(params, seed=seed_i), labels
         )
-        return SubsetResult(index, models)
+        return SubsetResult(index, models, cov=cov)
     except StableSearchError as exc:
         return SubsetResult(index, None, f"{type(exc).__name__}: {exc}")
 
@@ -136,8 +137,9 @@ def run_searches(
     if not subsets:
         raise SearchFailed("no subsets to search")
     tasks = [(i, s, cov_fn, mask, params) for i, s in enumerate(subsets)]
-    if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    workers = min(parallelism, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_search_one, tasks))
     else:
         results = [_search_one(t) for t in tasks]

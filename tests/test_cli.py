@@ -185,6 +185,19 @@ def test_degenerate_data_exits_data(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_duplicate_column_names_exit_data(tmp_path, capsys):
+    csv = tmp_path / "dup.csv"
+    rows = np.random.default_rng(0).normal(size=(40, 4))
+    lines = [",".join(map(repr, row)) for row in rows.tolist()]
+    csv.write_text("\n".join(["A,A,C,D", *lines]) + "\n")
+    out = tmp_path / "o"
+    rc = main(["search", "--data", str(csv), "--out", str(out), *FAST])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert err.startswith("error: ") and "duplicate column names" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.fixture(scope="module")
 def sim_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("sim")

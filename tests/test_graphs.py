@@ -7,6 +7,7 @@ from oracles import (
     all_dag_arcsets,
     class_key,
     equivalence_class,
+    oracle_is_acyclic,
     oracle_reachability,
     union_orientation,
 )
@@ -20,6 +21,7 @@ from stablesearch.graphs import (
     Cpdag,
     Dag,
     arc_matrix,
+    cyclic_rows,
     dag_to_cpdag,
     enumerate_extensions,
     has_directed_path,
@@ -211,6 +213,30 @@ def test_has_directed_path_matches_matrix_closure():
             for b in range(n):
                 if a != b:
                     assert has_directed_path(arcs, a, b) == reach[a, b]
+
+
+@pytest.mark.parametrize("rate", [0.05, 0.3])
+def test_cyclic_rows_matches_reachability_and_oracle(rate):
+    rng = np.random.default_rng(11)
+    for p in range(1, 21):
+        adjs = rng.random((12, p, p)) < rate
+        adjs[:, np.arange(p), np.arange(p)] = False
+        got = cyclic_rows(adjs)
+        assert got.shape == (12,) and got.dtype == bool
+        for adj, cyclic in zip(adjs, got):
+            assert cyclic == reachability(adj).diagonal().any()
+            assert cyclic != oracle_is_acyclic(p, list(zip(*np.nonzero(adj))))
+
+
+def test_cyclic_rows_triangle_all_cyclic_and_empty_batches():
+    tri = arc_matrix(3, [(0, 1), (1, 2), (2, 0)])
+    chain = arc_matrix(3, [(0, 1), (1, 2)])
+    assert cyclic_rows(np.stack([chain, tri, chain])).tolist() == [False, True, False]
+    # a cycle with an acyclic tail upstream and downstream of it
+    tailed = arc_matrix(5, [(0, 1), (1, 2), (2, 3), (3, 1), (3, 4)])
+    two_cycle = arc_matrix(5, [(0, 4), (4, 0)])
+    assert cyclic_rows(np.stack([tailed, two_cycle])).tolist() == [True, True]
+    assert cyclic_rows(np.zeros((0, 4, 4), dtype=bool)).shape == (0,)
 
 
 def test_enumerate_single_edge_and_directed_only():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stablesearch import longitudinal
 from stablesearch.errors import InvalidPrior, ShapeMismatch
 from stablesearch.graphs import is_acyclic
 from stablesearch.longitudinal import (
@@ -218,9 +219,10 @@ def test_subsample_subjects_draws_half():
         assert {tuple(r) for r in s.values} <= original
 
 
-def test_run_longitudinal_masks_hold_on_every_model():
+def autoregressive_long():
+    """Two variables over three slices, each slice 0.9 times the last plus noise."""
     rng = np.random.default_rng(8)
-    s, p, T = 60, 2, 3
+    s, T = 60, 3
     layout = Layout(("A", "B"), T)
     base = rng.standard_normal((s, 2))
     t1 = 0.9 * base + 0.4 * rng.standard_normal((s, 2))
@@ -229,8 +231,11 @@ def test_run_longitudinal_masks_hold_on_every_model():
         [base[:, 0], t1[:, 0], t2[:, 0], base[:, 1], t1[:, 1], t2[:, 1]]
     )
     names = ["A_t0", "A_t1", "A_t2", "B_t0", "B_t1", "B_t2"]
-    ld = LongitudinalDataset(Dataset(names, wide), layout)
+    return LongitudinalDataset(Dataset(names, wide), layout)
 
+
+def test_run_longitudinal_masks_hold_on_every_model():
+    ld = autoregressive_long()
     params = SearchParams(generations=4, population_size=8, seed=3)
     baseline, transition = run_longitudinal(ld, params, n_subsets=6)
 
@@ -252,6 +257,21 @@ def test_run_longitudinal_masks_hold_on_every_model():
     assert [m.dag.arcs for r in again[1].subset_results for m in r.models] == [
         m.dag.arcs for r in transition.subset_results for m in r.models
     ]
+
+
+def test_run_longitudinal_reshapes_each_subset_once(monkeypatch):
+    calls = []
+
+    def counted(ld):
+        calls.append(ld.data.n_rows)
+        return reshape(ld)
+
+    monkeypatch.setattr(longitudinal, "reshape", counted)
+    params = SearchParams(generations=4, population_size=8, seed=3)
+    _, transition = run_longitudinal(autoregressive_long(), params, n_subsets=6)
+    assert transition.estimates  # the effects stage ran on the subsets
+    # the whole frame (60 subjects) once, then each subset (30) once
+    assert calls == [60] + [30] * 6
 
 
 def test_run_longitudinal_row_unit_switch():

@@ -9,7 +9,8 @@ from oracles import (
     oracle_reachability,
     sem_implied_covariance,
 )
-from stablesearch.graphs import ConstraintMask, Dag, arc_matrix, reachability
+from stablesearch import search
+from stablesearch.graphs import ConstraintMask, Dag, arc_matrix, reachability, repair_arcs
 from stablesearch.scoring import Dataset, sample_covariance
 from stablesearch.search import (
     SearchParams,
@@ -303,8 +304,8 @@ GOLDEN_RUNS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(GOLDEN_RUNS))
-def test_evolve_matches_recorded_runs(kind):
+def golden_run(kind):
+    """The p=5 search behind GOLDEN_RUNS[kind]."""
     rng = np.random.default_rng(20261018)
     sigma = sem_implied_covariance(5, GOLDEN_ARCS, [1.0] * 5)
     vals = rng.standard_normal((300, 5)) @ np.linalg.cholesky(sigma).T
@@ -314,8 +315,32 @@ def test_evolve_matches_recorded_runs(kind):
         later_to_earlier = [(b, a) for a in range(5) for b in range(a + 2, 5)]
         mask = mask.with_forbidden(later_to_earlier + [(1, 0), (2, 1)])
     params = SearchParams(generations=12, population_size=24, seed=5)
-    models = evolve(cov, 300, 5, mask, params)
+    return evolve(cov, 300, 5, mask, params)
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_RUNS))
+def test_evolve_matches_recorded_runs(kind):
+    models = golden_run(kind)
     got = [(sorted(m.dag.arcs), m.fit.chi_square) for m in models]
     assert [arcs for arcs, _ in got] == [arcs for arcs, _ in GOLDEN_RUNS[kind]]
     for (_, chi), (_, want) in zip(got, GOLDEN_RUNS[kind]):
         assert chi == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+# repair_arcs calls of the golden runs, counted when every individual was
+# checked for cycles one at a time
+GOLDEN_REPAIRS = {"cross": 20, "masked": 4}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_REPAIRS))
+def test_evolve_repairs_only_cyclic_offspring(kind, monkeypatch):
+    calls = []
+
+    def counted(n_nodes, arcs, mask, rng):
+        calls.append(sorted(arcs))
+        assert not oracle_is_acyclic(n_nodes, arcs)
+        return repair_arcs(n_nodes, arcs, mask, rng)
+
+    monkeypatch.setattr(search, "repair_arcs", counted)
+    golden_run(kind)
+    assert len(calls) == GOLDEN_REPAIRS[kind]

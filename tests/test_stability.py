@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import sem_implied_covariance
+from stablesearch import stability
 from stablesearch.errors import DegenerateData, SearchFailed
 from stablesearch.graphs import ConstraintMask, Dag, dag_to_cpdag
 from stablesearch.scoring import Dataset, FitResult, sample_covariance
@@ -85,6 +86,38 @@ def test_run_searches_deterministic_across_parallelism():
         ]
 
 
+def test_run_searches_caps_pool_at_subset_count(monkeypatch):
+    created = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(stability, "ProcessPoolExecutor", InProcessPool)
+    rng = np.random.default_rng(3)
+    subsets = subsample(chain_dataset(rng, rows=120), 3, np.random.default_rng(7))
+    mask = ConstraintMask.empty(3)
+    params = SearchParams(generations=2, population_size=8, seed=11)
+
+    results = run_searches(subsets, cross_sectional_cov, mask, params, parallelism=64)
+    assert created == [3]
+    for r, s in zip(results, subsets):
+        assert np.array_equal(r.cov, sample_covariance(s))
+    run_searches(subsets[:1], cross_sectional_cov, mask, params, parallelism=64)
+    assert created == [3]  # one subset runs in-process
+
+
 def test_run_searches_failure_budget():
     rng = np.random.default_rng(4)
     good = chain_dataset(rng, rows=80)
@@ -100,6 +133,7 @@ def test_run_searches_failure_budget():
     )
     assert sum(r.failed for r in results) == 1
     assert results[9].failed and "DegenerateData" in results[9].error
+    assert results[9].cov is None
     assert len(collect_models(results)) > 0
 
     with pytest.raises(SearchFailed):
