@@ -361,18 +361,25 @@ def cmd_export_dot(cfg: RunConfig) -> int:
     return 0
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="JSON config file; flags override it")
+# Each command registers only the flags it reads; every command takes
+# --config, whose JSON may set any RunConfig field.
+def _add_output(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", help="output directory")
     sp.add_argument("--seed", type=int)
+
+
+def _add_search(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--subsets", type=int)
-    sp.add_argument("--pi-sel", dest="pi_sel", type=float)
     sp.add_argument("--parallelism", type=int)
     sp.add_argument("--generations", type=int)
     sp.add_argument("--population", type=int)
     sp.add_argument("--crossover", type=float)
     sp.add_argument("--mutation", type=float)
     sp.add_argument("--prior", help="JSON file with forbidden intra-slice arcs")
+
+
+def _add_selection(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--pi-sel", dest="pi_sel", type=float)
     sp.add_argument(
         "--discrete", nargs="*", help="column names to rank-normalize"
     )
@@ -387,39 +394,45 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("search", help="cross-sectional structure search")
-    sp.add_argument("--data", help="CSV with a header row")
-    _add_common(sp)
+    def command(name: str, summary: str):
+        sp = sub.add_parser(name, help=summary)
+        sp.add_argument("--config", help="JSON config file; flags override it")
+        return sp
 
-    sp = sub.add_parser(
-        "search-longitudinal", help="baseline + transition structure search"
-    )
+    sp = command("search", "cross-sectional structure search")
+    sp.add_argument("--data", help="CSV with a header row")
+    _add_output(sp)
+    _add_search(sp)
+    _add_selection(sp)
+
+    sp = command("search-longitudinal", "baseline + transition structure search")
     sp.add_argument("--data", help="wide-format longitudinal CSV")
     sp.add_argument("--layout", help="layout JSON mapping variables to slices")
     sp.add_argument("--subsample-unit", dest="subsample_unit", help="subject or row")
     sp.add_argument("--prev-only", dest="prev_only", nargs="*")
     sp.add_argument("--cur-only", dest="cur_only", nargs="*")
-    _add_common(sp)
+    _add_output(sp)
+    _add_search(sp)
+    _add_selection(sp)
 
-    sp = sub.add_parser("simulate", help="generate ground-truth datasets")
+    sp = command("simulate", "generate ground-truth datasets")
     sp.add_argument("--datasets", type=int)
     sp.add_argument("--samples", type=int)
     sp.add_argument("--slices", type=int)
     sp.add_argument("--truth", help="reuse an existing ground-truth JSON")
-    _add_common(sp)
+    _add_output(sp)
 
-    sp = sub.add_parser("evaluate", help="ROC/AUC recovery evaluation")
+    sp = command("evaluate", "ROC/AUC recovery evaluation")
     sp.add_argument("--data", help="simulate output directory")
     sp.add_argument("--truth", help="ground-truth JSON override")
-    _add_common(sp)
+    _add_output(sp)
+    _add_search(sp)
 
-    sp = sub.add_parser("effects", help="print a run's effects table")
+    sp = command("effects", "print a run's effects table")
     sp.add_argument("--data", help="finished run directory")
-    _add_common(sp)
 
-    sp = sub.add_parser("export-dot", help="print a run's annotated DOT graph")
+    sp = command("export-dot", "print a run's annotated DOT graph")
     sp.add_argument("--data", help="finished run directory")
-    _add_common(sp)
 
     return parser
 

@@ -208,12 +208,11 @@ def stability_svg(
         f'y2="{y(pi_sel):.1f}" stroke="#888888" stroke-dasharray="4 3"/>'
     )
 
-    window = slice(0, window_j + 1)
     color_i = 0
     labeled_y = []
-    for key in sorted(sg.probabilities):
+    for key, reliability in sg.reliability(pi_bic).items():
         curve = sg.probabilities[key]
-        relevant = float(np.max(curve[window])) >= pi_sel
+        relevant = reliability >= pi_sel
         pts = " ".join(f"{x(j):.1f},{y(v):.1f}" for j, v in enumerate(curve))
         if relevant:
             color = PALETTE[color_i % len(PALETTE)]

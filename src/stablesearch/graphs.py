@@ -18,8 +18,6 @@ from .errors import ConstraintViolation, ExtensionCapExceeded, NoExtension
 
 Arc = tuple[int, int]
 
-_UNKNOWN, _COMPELLED, _REVERSIBLE = 0, 1, 2
-
 
 def _default_labels(n_nodes: int) -> tuple[str, ...]:
     return tuple(f"X{i + 1}" for i in range(n_nodes))
@@ -142,11 +140,6 @@ class Dag:
         for lst in out:
             lst.sort()
         return out
-
-    def topological_order(self) -> list[int]:
-        order = topological_order(self.n_nodes, self.arcs)
-        assert order is not None
-        return order
 
     def skeleton(self) -> frozenset[tuple[int, int]]:
         return frozenset((min(a, b), max(a, b)) for a, b in self.arcs)
@@ -311,63 +304,18 @@ def cyclic_rows(adjs: np.ndarray) -> np.ndarray:
         indeg -= (adjs & src[:, :, None]).sum(axis=1)
 
 
-def _chickering_labels(dag: Dag) -> dict[Arc, int]:
-    """Label every arc compelled or reversible (Chickering's edge labelling).
-
-    Arcs are processed in the canonical order: sort by topological position of
-    the head ascending, breaking ties by position of the tail descending.
-    """
-    topo = dag.topological_order()
-    pos = {v: i for i, v in enumerate(topo)}
-    order = sorted(dag.arcs, key=lambda e: (pos[e[1]], -pos[e[0]]))
-    idx = {e: i for i, e in enumerate(order)}
-
-    parent_set: dict[int, set[int]] = {v: set() for v in range(dag.n_nodes)}
-    for a, b in dag.arcs:
-        parent_set[b].add(a)
-    # parents of v sorted by the position of the arc (w, v) in the ordering
-    parents_by_edge = {
-        v: sorted(parent_set[v], key=lambda w: idx[(w, v)]) for v in range(dag.n_nodes)
-    }
-
-    label = {e: _UNKNOWN for e in order}
-    for x, y in order:
-        if label[(x, y)] != _UNKNOWN:
-            continue
-        resolved = False
-        for w in parents_by_edge[x]:
-            if label[(w, x)] != _COMPELLED:
-                continue
-            if w not in parent_set[y]:
-                for z in parent_set[y]:
-                    label[(z, y)] = _COMPELLED
-                resolved = True
-                break
-            label[(w, y)] = _COMPELLED
-        if resolved:
-            continue
-        if any(z != x and z not in parent_set[x] for z in parent_set[y]):
-            mark = _COMPELLED
-        else:
-            mark = _REVERSIBLE
-        for z in parent_set[y]:
-            if label[(z, y)] == _UNKNOWN:
-                label[(z, y)] = mark
-    return label
-
-
 def _meek_closure(
     n_nodes: int,
     directed: set[Arc],
     undirected: set[tuple[int, int]],
     mask: ConstraintMask | None,
-    reference_arcs: frozenset[Arc] | None,
+    reference_arcs: frozenset[Arc],
 ) -> None:
     """Orient undirected edges in place until Meek's rules reach a fixpoint.
 
-    reference_arcs, when given, is the DAG the pattern came from; every
-    orientation a sound rule derives must agree with it, so a disagreement
-    means the mask and the pattern are inconsistent.
+    reference_arcs is the DAG the pattern came from; every orientation a
+    sound rule derives must agree with it, so a disagreement means the mask
+    and the pattern are inconsistent.
     """
     adj: list[set[int]] = [set() for _ in range(n_nodes)]
     for a, b in directed:
@@ -384,7 +332,7 @@ def _meek_closure(
             raise ConstraintViolation(
                 f"orientation {u} -> {v} forced by closure but forbidden by mask"
             )
-        if reference_arcs is not None and (u, v) not in reference_arcs:
+        if (u, v) not in reference_arcs:
             raise ConstraintViolation(
                 f"closure derived {u} -> {v}, which contradicts the source graph"
             )
@@ -439,10 +387,11 @@ def _meek_closure(
 def dag_to_cpdag(dag: Dag, mask: ConstraintMask | None = None) -> Cpdag:
     """Convert a DAG to the pattern of its (mask-constrained) equivalence class.
 
-    Without a mask this is the ordinary CPDAG.  With one, reversible arcs
-    whose reversal the mask forbids are kept directed, and the orientation
-    rules then propagate to a maximally oriented, still mask-consistent
-    pattern.  Raises ConstraintViolation when the DAG itself breaks the mask.
+    The arcs of every v-structure a -> c <- b (a, b non-adjacent) start
+    directed, and so does every arc whose reversal the mask forbids; Meek's
+    rules R1-R4 then orient the rest to the maximally oriented pattern.
+    Without a mask this is the ordinary CPDAG.  Raises ConstraintViolation
+    when the DAG itself breaks the mask.
     """
     if mask is not None:
         if mask.n_nodes != dag.n_nodes:
@@ -451,20 +400,22 @@ def dag_to_cpdag(dag: Dag, mask: ConstraintMask | None = None) -> Cpdag:
             if not mask.allows(a, b):
                 raise ConstraintViolation(f"input arc {a} -> {b} is forbidden")
 
-    labels = _chickering_labels(dag)
-    directed = {e for e, l in labels.items() if l == _COMPELLED}
+    arcs = dag.arcs
+    directed: set[Arc] = set()
+    for c, pa in enumerate(dag.parent_lists()):
+        for a, b in itertools.combinations(pa, 2):
+            if (a, b) not in arcs and (b, a) not in arcs:
+                directed.update(((a, c), (b, c)))
     undirected: set[tuple[int, int]] = set()
-    for (x, y), l in labels.items():
-        if l != _REVERSIBLE:
+    for x, y in arcs:
+        if (x, y) in directed:
             continue
         if mask is not None and not mask.allows(y, x):
             directed.add((x, y))
         else:
             undirected.add((min(x, y), max(x, y)))
 
-    if mask is not None:
-        _meek_closure(dag.n_nodes, directed, undirected, mask, dag.arcs)
-
+    _meek_closure(dag.n_nodes, directed, undirected, mask, arcs)
     return Cpdag(dag.n_nodes, frozenset(directed), frozenset(undirected), dag.labels)
 
 

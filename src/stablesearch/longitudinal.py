@@ -93,7 +93,7 @@ def layout_from_dict(obj: dict) -> Layout:
             obj.get("column_pattern", "<var>_t<k>"),
             {str(v): tuple(ks) for v, ks in obj.get("presence", {}).items()},
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ShapeMismatch(f"bad layout: {exc}") from exc
 
 

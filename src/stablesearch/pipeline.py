@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .effects import EffectEstimate, aggregate_effects
+from .errors import DegenerateData
 from .graphs import ConstraintMask
 from .scoring import Dataset
 from .search import SearchParams
@@ -68,7 +69,10 @@ def search_stability(
     default row subsampling of ``data`` (the transition model draws whole
     subjects).  ``cov_fn`` turns a subset into (covariance, effective n,
     labels) and is what the transition model hooks to reshape each subset.
+    Raises DegenerateData for data with fewer than two variables.
     """
+    if data.n_cols < 2:
+        raise DegenerateData("need at least two variables")
     if subsets is None:
         rng = derived_rng(params.seed, SUBSAMPLE_LANE, 0)
         subsets = subsample(data, n_subsets, rng)

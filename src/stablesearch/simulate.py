@@ -231,11 +231,9 @@ def roc_and_auc(
     edges, a directed path for causal paths).  ``mask`` restricts the
     universe to structures the constrained search could ever return.
     """
-    window = slice(0, min(pi_bic, sg.max_complexity) + 1)
     universe = _allowed_structures(sg, mask)
-    reliability = {
-        k: float(np.max(sg.probabilities[k][window])) for k in universe
-    }
+    peak = sg.reliability(pi_bic)
+    reliability = {k: peak[k] for k in universe}
     if sg.kind == EDGE:
         skel = truth.skeleton()
         positives = {k for k in universe if k in skel}
@@ -379,5 +377,5 @@ def truth_from_dict(obj: dict) -> GroundTruthModel:
             tuple(obj["baseline_noise"]),
             tuple(obj["transition_noise"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ShapeMismatch(f"bad ground-truth file: {exc}") from exc

@@ -72,6 +72,14 @@ class StabilityGraph:
             return self.probabilities[(min(a, b), max(a, b))]
         return self.probabilities[(a, b)]
 
+    def reliability(self, pi_bic: int) -> dict[tuple[int, int], float]:
+        """Each structure's peak probability over complexities 0..min(pi_bic, J)."""
+        window = slice(0, min(pi_bic, self.max_complexity) + 1)
+        return {
+            key: float(np.max(self.probabilities[key][window]))
+            for key in sorted(self.probabilities)
+        }
+
 
 @dataclass
 class SubsetResult:
@@ -303,9 +311,7 @@ def relevant_structures(
     """Structures whose probability within complexities <= pi_bic peaks >= pi_sel."""
     out = []
     for sg in (edge_sg, path_sg):
-        window = slice(0, min(thr.pi_bic, sg.max_complexity) + 1)
-        for key in sorted(sg.probabilities):
-            reliability = float(np.max(sg.probabilities[key][window]))
+        for key, reliability in sg.reliability(thr.pi_bic).items():
             if reliability >= thr.pi_sel:
                 out.append(RelevantStructure(sg.kind, key, reliability))
     return out

@@ -168,14 +168,68 @@ def test_bad_config_exits_config_without_traceback(case, tmp_path, capsys):
             path.write_text(arg)
             arg = str(path)
         extra.append(arg)
+    fast = []  # simulate takes none of the search flags
     if command == "search":
         extra += ["--data", write_chain_csv(tmp_path / "d.csv")]
-    fast = FAST[: FAST.index("--seed")]  # a --seed flag would override the config's
+        fast = FAST[: FAST.index("--seed")]  # a --seed flag would override the config's
     rc = main([command, "--out", str(tmp_path / "o"), *fast, *extra])
     err = capsys.readouterr().err
     assert rc == EXIT_CONFIG
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# flags a command does not read are not registered for it
+UNREAD_FLAGS = [
+    ("simulate", "--population", "12"),
+    ("simulate", "--prior", "prior.json"),
+    ("evaluate", "--pi-sel", "0.5"),
+    ("evaluate", "--discrete", "A"),
+    ("effects", "--seed", "1"),
+    ("export-dot", "--out", "o"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,flag,value", UNREAD_FLAGS, ids=[f"{c} {f}" for c, f, _ in UNREAD_FLAGS]
+)
+def test_unread_flag_exits_config_without_traceback(
+    command, flag, value, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)  # a command that did run writes to ./run
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_CONFIG
+    assert f"unrecognized arguments: {flag} {value}" in err
+    assert "Traceback" not in err
+
+
+def write_one_variable_panel(tmp_path):
+    rng = np.random.default_rng(4)
+    x = np.cumsum(rng.normal(size=(80, 3)), axis=1)
+    csv = tmp_path / "panel.csv"
+    lines = [",".join(map(repr, row)) for row in x.tolist()]
+    csv.write_text("\n".join(["X1_t0,X1_t1,X1_t2", *lines]) + "\n")
+    layout = tmp_path / "layout.json"
+    write_json(layout, {"variables": ["X1"], "slices": 3})
+    return ["--data", str(csv), "--layout", str(layout)]
+
+
+def test_single_variable_data_exits_data(tmp_path, capsys):
+    csv = tmp_path / "one.csv"
+    column = np.random.default_rng(0).normal(size=50)
+    csv.write_text("\n".join(["A", *map(repr, column.tolist())]) + "\n")
+    runs = {
+        "search": ["--data", str(csv)],
+        "search-longitudinal": write_one_variable_panel(tmp_path),  # baseline slice
+    }
+    for command, args in runs.items():
+        rc = main([command, *args, "--out", str(tmp_path / "o"), *FAST])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA, command
+        assert err.startswith("error: ") and "at least two variables" in err
+        assert "Traceback" not in err
 
 
 def test_degenerate_data_exits_data(tmp_path, capsys):
@@ -270,6 +324,34 @@ def test_evaluate_end_to_end(sim_dir, tmp_path):
     assert rows[0] == "fpr,tpr"
     assert rows[1] == "0.0,0.0"
     assert rows[-1] == "1.0,1.0"
+
+
+# (command, file, key, value): one key of a simulate output set to a JSON
+# value of the wrong type
+MALFORMED_JSON = {
+    "layout presence as a list": (
+        "search-longitudinal", "layout.json", "presence", [1, 2]
+    ),
+    "truth weights as a list": ("simulate", "truth.json", "baseline_weights", []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
+def test_malformed_json_exits_data(case, sim_dir, tmp_path, capsys):
+    command, name, key, value = MALFORMED_JSON[case]
+    obj = read_json(sim_dir / name)
+    obj[key] = value
+    bad = tmp_path / name
+    write_json(bad, obj)
+    if command == "simulate":
+        args = ["--truth", str(bad), "--datasets", "1", "--samples", "30"]
+    else:
+        args = ["--data", str(sim_dir / "data_00.csv"), "--layout", str(bad), *FAST]
+    rc = main([command, *args, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_evaluate_layout_mismatch_exits_data(sim_dir, tmp_path, capsys):

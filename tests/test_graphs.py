@@ -9,6 +9,8 @@ from oracles import (
     equivalence_class,
     oracle_is_acyclic,
     oracle_reachability,
+    oracle_skeleton,
+    oracle_v_structures,
     union_orientation,
 )
 from stablesearch.errors import (
@@ -184,6 +186,44 @@ def test_constrained_pattern_equals_union_over_allowed_members():
         for a, b in out.undirected:
             assert mask.allows(a, b) and mask.allows(b, a)
         checked += 1
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_pattern_describes_its_class_at_larger_p(masked):
+    rng = np.random.default_rng(31 if masked else 29)
+    for _ in range(60):
+        p = int(rng.integers(5, 10))
+        order = rng.permutation(p)
+        upper = np.triu(rng.random((p, p)) < 0.35, k=1)
+        arcs = frozenset(
+            (int(order[i]), int(order[j])) for i, j in zip(*np.nonzero(upper))
+        )
+        mask = None
+        if masked:
+            forbidden = rng.random((p, p)) < 0.3
+            for a, b in arcs:
+                forbidden[a, b] = False  # the input must stay legal
+            mask = ConstraintMask(p, forbidden)
+        out = dag_to_cpdag(Dag(p, arcs), mask)
+        members = [d.arcs for d in enumerate_extensions(out, mask)]
+        skeleton, v_structures = oracle_skeleton(arcs), oracle_v_structures(arcs)
+        for m in members:
+            assert oracle_skeleton(m) == skeleton
+            assert oracle_v_structures(m) == v_structures
+            assert mask is None or all(mask.allows(a, b) for a, b in m)
+        assert arcs in members
+        for a, b in out.directed:
+            assert all((a, b) in m for m in members)
+        for a, b in out.undirected:
+            assert any((a, b) in m for m in members)
+            assert any((b, a) in m for m in members)
+        # maximal: no orientation beyond what the whole (masked) class shares,
+        # with the class enumerated from the v-structures alone
+        colliders = {(x, c) for a, c, b in v_structures for x in (a, b)}
+        loose = Cpdag(p, colliders, skeleton - oracle_skeleton(colliders))
+        whole = [d.arcs for d in enumerate_extensions(loose, mask)]
+        assert sorted(map(sorted, whole)) == sorted(map(sorted, members))
+        assert as_pattern(out) == union_orientation(whole)
 
 
 def test_has_directed_path_examples():

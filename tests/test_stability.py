@@ -282,6 +282,16 @@ def test_relevant_structures_prefix_maximum():
     assert {(s.kind, s.key) for s in got} == {(EDGE, (0, 1))}
 
 
+def test_reliability_is_the_windowed_peak_in_key_order():
+    sg = sg_from_curves(
+        CAUSAL_PATH, {(1, 0): [0.0, 0.9, 0.1], (0, 1): [0.3, 0.2, 1.0]}
+    )
+    assert sg.reliability(0) == {(0, 1): 0.3, (1, 0): 0.0}
+    assert list(sg.reliability(1).items()) == [((0, 1), 0.3), ((1, 0), 0.9)]
+    # a window past J covers the whole curve
+    assert sg.reliability(2) == sg.reliability(50) == {(0, 1): 1.0, (1, 0): 0.9}
+
+
 def test_relevant_structures_monotone():
     rng = np.random.default_rng(5)
     curves_e = {(0, 1): rng.random(4), (0, 2): rng.random(4), (1, 2): rng.random(4)}
