@@ -107,6 +107,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         for key, val in loaded.items():
             if key not in values:
                 raise ConfigError(f"unknown config key {key!r}")
+            if key not in vars(args):
+                raise ConfigError(f"config key {key!r} is not a {args.command} setting")
             values[key] = tuple(val) if isinstance(val, list) else val
     for key in values:
         flag = getattr(args, key, None)
@@ -361,8 +363,8 @@ def cmd_export_dot(cfg: RunConfig) -> int:
     return 0
 
 
-# Each command registers only the flags it reads; every command takes
-# --config, whose JSON may set any RunConfig field.
+# Each command registers only the flags it reads; its --config JSON may set
+# only the RunConfig fields those flags set.
 def _add_output(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", help="output directory")
     sp.add_argument("--seed", type=int)

@@ -5,7 +5,8 @@ least-squares regression of y on {x} union pa(x); adjusting for the parents
 of x blocks every back-door path, so the coefficient is computable from a
 covariance matrix alone.  Over a pattern the effect becomes a multiset with
 one value per class member, and over subsampled searches the multisets
-concatenate; the reported estimate is the median.
+concatenate; the reported estimate is the median.  A chosen pattern's class
+is enumerated once for all paths, with one regression per distinct pa(x).
 """
 
 from __future__ import annotations
@@ -53,6 +54,20 @@ def causal_effect(dag: Dag, cov: np.ndarray, x: int, y: int) -> float:
     return float(beta[0])
 
 
+def _class_effects(cpdag, cov, mask, pairs, memo) -> list[list[float]]:
+    """Per (x, y) pair, the effects over the class in enumeration order;
+    ``memo`` maps (x, pa(x), y) to the effect under ``cov``."""
+    values: list[list[float]] = [[] for _ in pairs]
+    for dag in enumerate_extensions(cpdag, mask):
+        parents = dag.parent_lists()
+        for out, (x, y) in zip(values, pairs):
+            key = (x, tuple(parents[x]), y)
+            if key not in memo:
+                memo[key] = causal_effect(dag, cov, x, y)
+            out.append(memo[key])
+    return values
+
+
 def ida_multiset(
     cpdag: Cpdag,
     cov: np.ndarray,
@@ -64,7 +79,7 @@ def ida_multiset(
 
     Order follows the class enumeration, so repeated calls agree exactly.
     """
-    return [causal_effect(dag, cov, x, y) for dag in enumerate_extensions(cpdag, mask)]
+    return _class_effects(cpdag, cov, mask, [(x, y)], {})[0]
 
 
 def aggregate_effects(
@@ -102,22 +117,25 @@ def aggregate_effects(
         )
     chosen = [(i, m) for i, m in models if m.fit.complexity == target]
 
+    pairs = [getattr(key, "key", key) for key in paths]
+    values: list[list[float]] = [[] for _ in pairs]
+    memos: dict[int, dict] = {}  # per subset: its covariance fixes the regressions
+    for i, m in chosen if pairs else ():
+        if covariances[i] is not None:
+            memo = memos.setdefault(i, {})
+            class_values = _class_effects(m.cpdag, covariances[i], mask, pairs, memo)
+            for vals, new in zip(values, class_values):
+                vals.extend(new)
+
     sds = np.std(data.values, axis=0, ddof=1)
     kinds = data.kinds()
     out = []
-    for key in paths:
-        x, y = getattr(key, "key", key)
-        values: list[float] = []
-        for i, m in chosen:
-            cov = covariances[i]
-            if cov is None:
-                continue
-            values.extend(ida_multiset(m.cpdag, cov, mask, x, y))
-        if not values:
+    for (x, y), vals in zip(pairs, values):
+        if not vals:
             raise EmptyMultiset(f"no effect values for path {x} -> {y}")
-        median = float(np.median(values))
+        median = float(np.median(vals))
         standardized = None
         if kinds[x] == CONTINUOUS and kinds[y] == CONTINUOUS:
             standardized = median * float(sds[x]) / float(sds[y])
-        out.append(EffectEstimate(x, y, median, standardized, len(values)))
+        out.append(EffectEstimate(x, y, median, standardized, len(vals)))
     return out

@@ -1,10 +1,10 @@
 """The benchmark's trace mode wraps package attributes by name.
 
 ``bench/tracer.py`` replaces module attributes that the package looks up at
-call time and reads counters off the arguments of ``evolve``.  A refactor
-under ``src/`` that renames or moves one of them breaks
-``bench/run.py --trace 1`` without failing any package test; these tests
-catch that.
+call time and reads counters off the arguments of ``evolve`` and of the
+effects call sites.  A refactor under ``src/`` that renames or moves one of
+them breaks ``bench/run.py --trace 1`` without failing any package test;
+these tests catch that.
 """
 
 import importlib
@@ -12,7 +12,14 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from stablesearch import effects
+from stablesearch.graphs import Dag, dag_to_cpdag
+from stablesearch.scoring import Dataset, FitResult
+from stablesearch.search import ParetoModel
+from stablesearch.stability import SubsetResult
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -46,3 +53,41 @@ def test_evolve_binds_the_tracer_hook_arguments(tracer):
     args = [object()] * 6
     evolve.bind(*args)
     hook.bind(object(), *args, result=[])
+
+
+def test_effects_hooks_bind_their_call_sites_arguments(tracer):
+    causal_effect = inspect.signature(effects.causal_effect)
+    hook = inspect.signature(tracer.Tracer._on_causal_effect)
+    hook_names = [
+        name for name, param in hook.parameters.items()
+        if name != "self" and param.kind is not param.KEYWORD_ONLY
+    ]
+    assert list(causal_effect.parameters) == hook_names
+    # effects calls causal_effect(dag, cov, x, y) and
+    # enumerate_extensions(cpdag, mask), both positionally
+    args = [object()] * 4
+    causal_effect.bind(*args)
+    hook.bind(object(), *args, result=0.0)
+    args = [object()] * 2
+    inspect.signature(effects.enumerate_extensions).bind(*args)
+    inspect.signature(tracer.Tracer._on_enumerate_extensions).bind(
+        object(), *args, result=[]
+    )
+
+
+def test_traced_effects_count_classes_and_regressions(tracer):
+    # a 3-chain: its class has three members and pa(0) takes two values
+    dag = Dag(3, frozenset({(0, 1), (1, 2)}))
+    model = ParetoModel(dag, FitResult(1.0, 2, 1.0, {}, (1.0,) * 3), dag_to_cpdag(dag))
+    rng = np.random.default_rng(0)
+    data = Dataset(["a", "b", "c"], rng.standard_normal((50, 3)))
+    cov = np.cov(data.values, rowvar=False)
+    with tracer.Tracer() as t:
+        effects.aggregate_effects(
+            [SubsetResult(0, [model])], [cov], 2, [(0, 2), (0, 1)], data
+        )
+    metrics = t.layer_metrics()
+    assert metrics["effects.enumerate_extensions.calls"] == 1
+    assert metrics["effects.extensions"] == 3
+    assert metrics["effects.causal_effect.calls"] == 4
+    assert metrics["effects.distinct_parent_share"] == 1.0

@@ -152,7 +152,9 @@ BAD_CONFIGS = {
     "zero datasets": ("simulate", ["--datasets", "0"]),
     "zero samples": ("simulate", ["--samples", "0"]),
     "one slice": ("simulate", ["--slices", "1"]),
-    "unknown subsample unit": ("search", ["--config", '{"subsample_unit": "bogus"}']),
+    "unknown subsample unit": (
+        "search-longitudinal", ["--config", '{"subsample_unit": "bogus"}']
+    ),
     "string seed": ("search", ["--config", '{"seed": "abc"}']),
     "discrete as one string": ("search", ["--config", '{"discrete": "X1_t0"}']),
 }
@@ -177,6 +179,18 @@ def test_bad_config_exits_config_without_traceback(case, tmp_path, capsys):
     assert rc == EXIT_CONFIG
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_config_keys_are_limited_to_the_commands_flags(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    write_json(path, {"population": 12})
+    assert parse_config(["search", "--config", str(path)]).population == 12
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert err.startswith("error: ") and "'population'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 # flags a command does not read are not registered for it

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import sem_implied_covariance
+from stablesearch import effects
 from stablesearch.effects import (
     EffectEstimate,
     aggregate_effects,
@@ -11,7 +12,13 @@ from stablesearch.effects import (
     ida_multiset,
 )
 from stablesearch.errors import DegenerateData, EmptyMultiset
-from stablesearch.graphs import ConstraintMask, Cpdag, Dag, dag_to_cpdag
+from stablesearch.graphs import (
+    ConstraintMask,
+    Cpdag,
+    Dag,
+    dag_to_cpdag,
+    enumerate_extensions,
+)
 from stablesearch.scoring import Column, Dataset, FitResult, sample_covariance
 from stablesearch.search import ParetoModel
 from stablesearch.stability import SubsetResult
@@ -183,3 +190,110 @@ def test_discrete_endpoint_reports_no_standardized_value():
     out = aggregate_effects(results, [cov], 1, [(0, 1)], data, mask)
     assert out[0].standardized is None
     assert isinstance(out[0], EffectEstimate)
+
+
+def per_path_effects(results, covariances, pi_bic, paths, data, mask):
+    """The per-path loop aggregate_effects ran before classes were shared:
+    every path re-enumerates every chosen class and regresses per member."""
+    models = [(r.index, m) for r in results if not r.failed for m in r.models]
+    populated = sorted({m.fit.complexity for _, m in models})
+    target = min(populated, key=lambda j: (abs(j - pi_bic), j))
+    chosen = [(i, m) for i, m in models if m.fit.complexity == target]
+    out = []
+    for x, y in paths:
+        values = []
+        for i, m in chosen:
+            if covariances[i] is not None:
+                for dag in enumerate_extensions(m.cpdag, mask):
+                    values.append(causal_effect(dag, covariances[i], x, y))
+        out.append((float(np.median(values)), len(values)))
+    return out
+
+
+def random_effects_case(rng, masked):
+    """Four subsets at p = 5..8: subset 0 holds two members of one class,
+    subset 1 a model off the chosen complexity too, subset 2 has models but
+    no covariance and subset 3 failed.  Paths share their sources."""
+    p = int(rng.integers(5, 9))
+    n_arcs = int(rng.integers(p - 1, 2 * p - 2))
+
+    def random_arcs():
+        order = rng.permutation(p)
+        pairs = [
+            (int(order[i]), int(order[j])) for i in range(p) for j in range(i + 1, p)
+        ]
+        picks = rng.choice(len(pairs), n_arcs, replace=False)
+        return frozenset(pairs[k] for k in picks)
+
+    arcsets = [random_arcs() for _ in range(3)]
+    mask = None
+    if masked:
+        forbidden = rng.random((p, p)) < 0.3
+        for a, b in set().union(*arcsets):
+            forbidden[a, b] = False
+        mask = ConstraintMask(p, forbidden)
+    first, second, third = (_model(p, arcs, p, mask=mask) for arcs in arcsets)
+    twin = _model(p, enumerate_extensions(first.cpdag, mask)[-1].arcs, p, mask=mask)
+    off = _model(p, sorted(arcsets[1])[1:], p, mask=mask)
+    results = [
+        _result(0, [first, twin]),
+        _result(1, [off, second]),
+        _result(2, [third]),
+        _result(3, None),
+    ]
+    covs = [np.cov(rng.standard_normal((60, p)), rowvar=False) for _ in range(2)]
+    covs += [None, None]
+    sources = [int(v) for v in rng.choice(p, 2, replace=False)]
+    paths = [(x, y) for x in sources for y in range(p) if y != x][:7]
+    data = Dataset([f"v{j}" for j in range(p)], rng.standard_normal((40, p)))
+    return results, covs, n_arcs, paths, data, mask
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_aggregate_matches_per_path_loop_bit_for_bit(masked):
+    rng = np.random.default_rng(43 if masked else 41)
+    for _ in range(25):
+        case = random_effects_case(rng, masked)
+        got = aggregate_effects(*case)
+        want = per_path_effects(*case)
+        assert [(e.median, e.n_values) for e in got] == want
+        assert [(e.source, e.target) for e in got] == case[3]
+
+
+def test_aggregate_enumerates_each_class_once_and_regresses_per_parent_set(monkeypatch):
+    rng = np.random.default_rng(47)
+    for masked in (False, True):
+        results, covs, pi_bic, paths, data, mask = random_effects_case(rng, masked)
+        chosen = [
+            (r.index, m) for r in results if not r.failed
+            for m in r.models if m.fit.complexity == pi_bic
+        ]
+        expected = {
+            (i, x, tuple(dag.parents(x)), y)
+            for i, m in chosen if covs[i] is not None
+            for dag in enumerate_extensions(m.cpdag, mask)
+            for x, y in paths
+        }
+        subset_of = {id(c): i for i, c in enumerate(covs) if c is not None}
+        enumerated, regressed = [], []
+
+        def counting_enumerate(cpdag, mask=None):
+            enumerated.append(cpdag)
+            return enumerate_extensions(cpdag, mask)
+
+        def counting_effect(dag, cov, x, y):
+            regressed.append((subset_of[id(cov)], x, tuple(dag.parents(x)), y))
+            return causal_effect(dag, cov, x, y)
+
+        monkeypatch.setattr(effects, "enumerate_extensions", counting_enumerate)
+        monkeypatch.setattr(effects, "causal_effect", counting_effect)
+        aggregate_effects(results, covs, pi_bic, paths, data, mask)
+        # subset 0 holds two models, subset 1 one; subset 2 has no covariance
+        assert len(enumerated) == sum(covs[i] is not None for i, _ in chosen) == 3
+        assert len(regressed) == len(set(regressed))
+        assert set(regressed) == expected
+
+        enumerated.clear()
+        assert aggregate_effects(results, covs, pi_bic, [], data, mask) == []
+        assert enumerated == []
+        monkeypatch.undo()
