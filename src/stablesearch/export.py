@@ -28,22 +28,15 @@ def _csv_line(fields) -> str:
 def stability_csv(sg: StabilityGraph) -> str:
     """Long-format table: kind, from, to, complexity, probability, imputed."""
     out = [_csv_line(["kind", "from", "to", "complexity", "probability", "imputed"])]
-    for key in sorted(sg.probabilities):
-        a, b = key
-        curve = sg.probabilities[key]
-        for j, prob in enumerate(curve):
-            out.append(
-                _csv_line(
-                    [
-                        sg.kind,
-                        sg.labels[a],
-                        sg.labels[b],
-                        j,
-                        repr(float(prob)),
-                        "true" if sg.imputed[j] else "false",
-                    ]
-                )
-            )
+    kind = _csv_field(sg.kind)
+    labels = [_csv_field(name) for name in sg.labels]
+    flags = ["true" if flag else "false" for flag in sg.imputed]
+    for a, b in sorted(sg.probabilities):
+        head = f"{kind},{labels[a]},{labels[b]},"
+        out.extend(
+            f"{head}{j},{prob!r},{flags[j]}\n"
+            for j, prob in enumerate(sg.probabilities[(a, b)].tolist())
+        )
     return "".join(out)
 
 
@@ -210,10 +203,11 @@ def stability_svg(
 
     color_i = 0
     labeled_y = []
+    xs = [f"{x(j):.1f}" for j in range(max_j + 1)]
     for key, reliability in sg.reliability(pi_bic).items():
         curve = sg.probabilities[key]
         relevant = reliability >= pi_sel
-        pts = " ".join(f"{x(j):.1f},{y(v):.1f}" for j, v in enumerate(curve))
+        pts = " ".join(f"{xj},{y(v):.1f}" for xj, v in zip(xs, curve.tolist()))
         if relevant:
             color = PALETTE[color_i % len(PALETTE)]
             color_i += 1

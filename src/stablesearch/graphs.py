@@ -294,14 +294,15 @@ def cyclic_rows(adjs: np.ndarray) -> np.ndarray:
     with no in-arc left, until no row has a source.  A node that survives
     lies on a cycle or downstream of one.
     """
-    indeg = adjs.sum(axis=1)
+    a = adjs.astype(np.int64)
+    indeg = a.sum(axis=1)
     alive = np.ones(indeg.shape, dtype=bool)
     while True:
         src = alive & (indeg == 0)
         if not src.any():
             return alive.any(axis=1)
         alive &= ~src
-        indeg -= (adjs & src[:, :, None]).sum(axis=1)
+        indeg -= np.matmul(src[:, None, :].astype(np.int64), a)[:, 0, :]
 
 
 def _meek_closure(

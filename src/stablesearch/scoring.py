@@ -157,26 +157,23 @@ class FitResult:
     residual_variances: tuple[float, ...] = field(compare=False)
 
 
-def _node_regressions(parent_lists, cov):
-    """Per-node least squares on parents; returns (psi, coefficient map)."""
-    psi = []
-    coeffs: dict[int, dict[int, float]] = {}
-    for j, pa in enumerate(parent_lists):
-        if not pa:
-            psi.append(float(cov[j, j]))
-            continue
-        sub = cov[np.ix_(pa, pa)]
-        rhs = cov[pa, j]
-        try:
-            b = np.linalg.solve(sub, rhs)
-        except np.linalg.LinAlgError:
-            raise DegenerateData(f"singular parent block for node {j}") from None
-        resid = float(cov[j, j] - rhs @ b)
-        if resid <= 0 or not np.isfinite(resid):
-            raise DegenerateData(f"non-positive residual variance at node {j}")
-        psi.append(resid)
-        coeffs[j] = {a: float(w) for a, w in zip(pa, b)}
-    return psi, coeffs
+def node_regression(cov: np.ndarray, j: int, parents):
+    """Least squares of node j on its parents: (residual variance, weights).
+
+    Raises DegenerateData when the parent block is singular or the residual
+    variance is not positive.
+    """
+    if len(parents) == 0:
+        return float(cov[j, j]), np.empty(0)
+    rhs = cov[parents, j]
+    try:
+        b = np.linalg.solve(cov[np.ix_(parents, parents)], rhs)
+    except np.linalg.LinAlgError:
+        raise DegenerateData(f"singular parent block for node {j}") from None
+    resid = float(cov[j, j] - rhs @ b)
+    if resid <= 0 or not np.isfinite(resid):
+        raise DegenerateData(f"non-positive residual variance at node {j}")
+    return resid, b
 
 
 def chi_square_from_psi(psi, logdet_s: float, n: int) -> float:
@@ -192,7 +189,13 @@ def fit_dag_ml(dag: Dag, cov: np.ndarray, n: int) -> FitResult:
     sign, logdet_s = np.linalg.slogdet(cov)
     if sign <= 0:
         raise DegenerateData("sample covariance is not positive definite")
-    psi, coeffs = _node_regressions(dag.parent_lists(), cov)
+    psi = []
+    coeffs: dict[int, dict[int, float]] = {}
+    for j, pa in enumerate(dag.parent_lists()):
+        resid, b = node_regression(cov, j, pa)
+        psi.append(resid)
+        if pa:
+            coeffs[j] = {a: float(w) for a, w in zip(pa, b)}
     k = len(dag.arcs)
     chi2 = chi_square_from_psi(psi, logdet_s, n)
     return FitResult(

@@ -6,12 +6,14 @@ cells are never set.  Tournament selection and variation are pure array
 functions fed with the generator draws evolve() makes; uniform crossover and
 bit-flip mutation may close a directed cycle, so one batched cycle check runs
 per generation and only the cyclic offspring go through cycle repair, in
-ascending index order.  Scoring runs through per-node and per-structure
-caches (the search is the hot path of the whole pipeline).
+ascending index order.  Offspring are scored in one batch per generation;
+the population is ranked once, and truncation carries the ranks forward
+(the search is the hot path of the whole pipeline).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +22,7 @@ from .errors import DegenerateData
 from .graphs import (
     ConstraintMask, Cpdag, Dag, arc_matrix, cyclic_rows, dag_to_cpdag, repair_arcs,
 )
-from .scoring import FitResult, fit_dag_ml
+from .scoring import FitResult, fit_dag_ml, node_regression
 
 INFEASIBLE = float("inf")
 
@@ -51,32 +53,34 @@ class ParetoModel:
     cpdag: Cpdag
 
 
-def _domination_matrix(objs: np.ndarray) -> np.ndarray:
-    chi = objs[:, 0]
-    k = objs[:, 1]
-    le = (chi[:, None] <= chi[None, :]) & (k[:, None] <= k[None, :])
-    lt = (chi[:, None] < chi[None, :]) | (k[:, None] < k[None, :])
-    dom = le & lt
-    dom[~np.isfinite(chi)] = False
-    return dom
-
-
 def _rank_array(objs: np.ndarray) -> np.ndarray:
-    """Front index per row, by Deb's iterative peeling on the domination matrix."""
-    n = objs.shape[0]
-    dom = _domination_matrix(objs)
-    n_dominators = dom.sum(axis=0).astype(np.int64)
-    ranks = np.full(n, -1, dtype=np.int64)
-    current = 0
-    remaining = n
-    while remaining:
-        front = (n_dominators == 0) & (ranks < 0)
-        if not front.any():  # safety net; cannot happen for a strict partial order
-            front = ranks < 0
-        ranks[front] = current
-        n_dominators -= dom[front].sum(axis=0)
-        remaining -= int(front.sum())
-        current += 1
+    """Front index per row, by a sorted sweep over the two objectives.
+
+    Feasible rows are visited by complexity, then chi-square, so each row
+    comes after every row that dominates it.  A front's latest member has
+    its lowest chi-square, so it dominates a row iff the front does, and the
+    fronts that dominate a row form a prefix: a binary search over the
+    latest members finds the row's front (Jensen 2003, IEEE TEC 7(5)).
+    Infeasible rows (chi-square +inf) dominate nothing; each lands one front
+    behind the worst feasible row of no greater complexity.
+    """
+    chi, k = objs[:, 0], objs[:, 1]
+    order = np.lexsort((chi, k))
+    finite = np.isfinite(chi[order])
+    feasible, infeasible = order[finite], order[~finite]
+    latest: list[list[float]] = []  # [chi, k] of each front's latest member
+    fronts = []
+    for point in objs[feasible].tolist():
+        f = bisect_left(latest, point)
+        if f == len(latest):
+            latest.append(point)
+        else:
+            latest[f] = point
+        fronts.append(f)
+    ranks = np.zeros(len(objs), dtype=np.int64)
+    ranks[feasible] = fronts
+    worst = np.concatenate(([-1], np.maximum.accumulate(ranks[feasible])))
+    ranks[infeasible] = worst[np.searchsorted(k[feasible], k[infeasible], "right")] + 1
     return ranks
 
 
@@ -122,18 +126,20 @@ def _vary(pa, pb, apply_cx, mix, do_mut, flip, allowed) -> np.ndarray:
     Offspring i then flips its allowed cells where flip[i] is set, if
     do_mut[i].
     """
-    cx = apply_cx[:, None, None] & mix
+    swap = (pa ^ pb) & apply_cx[:, None, None] & mix  # the cells the pair exchanges
     out = np.empty((2 * len(pa),) + pa.shape[1:], dtype=bool)
-    out[0::2] = np.where(cx, pb, pa)
-    out[1::2] = np.where(cx, pa, pb)
+    out[0::2] = pa ^ swap
+    out[1::2] = pb ^ swap
     return out ^ (do_mut[:, None, None] & flip & allowed)
 
 
 class _Scorer:
-    """Chi-square scoring with per-structure and per-(node, parents) memo caches.
+    """Chi-square scoring of whole batches, one regression per (node, parents).
 
-    Only (chi_square, complexity) is produced here; full FitResults are fitted
-    once at the end for the returned Pareto set.
+    The chi-square decomposes over nodes (see scoring), so each column of a
+    batch is one (node, parent set) key.  ln psi is cached per key, NaN when
+    the node's fit degenerates.  Only (chi_square, complexity) is produced
+    here; full FitResults are fitted once at the end for the Pareto set.
     """
 
     def __init__(self, cov: np.ndarray, n: int):
@@ -143,49 +149,42 @@ class _Scorer:
         self.cov = cov
         self.n = n
         self.logdet_s = logdet
-        self.node_cache: dict[tuple, float | None] = {}
-        self.struct_cache: dict[bytes, float] = {}
+        p = len(cov)
+        # a key is a column's parent vector and its node's one-hot, padded to
+        # whole 64-bit words, so keys are exact at any p
+        self.node_bits = np.eye(p, 64 * ((2 * p + 63) // 64) - p, dtype=bool)
+        self.log_psi: dict[tuple[int, ...], float] = {}
 
-    def _node_psi(self, j: int, pa: tuple[int, ...]) -> float | None:
-        key = (j, pa)
-        hit = self.node_cache.get(key, 0)
-        if hit != 0:
-            return hit
-        cov = self.cov
-        if not pa:
-            val = float(cov[j, j])
-        else:
-            idx = list(pa)
-            try:
-                beta = np.linalg.solve(cov[np.ix_(idx, idx)], cov[idx, j])
-                val = float(cov[j, j] - cov[j, idx] @ beta)
-            except np.linalg.LinAlgError:
-                val = None
-            if val is not None and (val <= 0 or not np.isfinite(val)):
-                val = None
-        self.node_cache[key] = val
-        return val
-
-    def chi_square(self, adj: np.ndarray) -> float:
-        """adj is a p x p boolean matrix; returns +inf for degenerate fits."""
-        key = adj.tobytes()
-        hit = self.struct_cache.get(key)
-        if hit is not None:
-            return hit
-        total = 0.0
-        ok = True
-        for j, col in enumerate(adj.T.tolist()):
-            psi = self._node_psi(j, tuple(i for i, arc in enumerate(col) if arc))
-            if psi is None:
-                ok = False
-                break
-            total += np.log(psi)
-        if ok:
-            value = max((self.n - 1) * (total - self.logdet_s), 0.0)
-        else:
-            value = INFEASIBLE
-        self.struct_cache[key] = value
-        return value
+    def chi_squares(self, adjs: np.ndarray) -> np.ndarray:
+        """Chi-square per matrix of an (N, p, p) batch; +inf for degenerate fits."""
+        n_rows, p = adjs.shape[:2]
+        cols = adjs.transpose(0, 2, 1).reshape(-1, p)  # row c: parents of node c % p
+        bits = np.concatenate([cols, np.tile(self.node_bits, (n_rows, 1))], axis=1)
+        keys = np.packbits(bits, axis=1).view(np.uint64)
+        order = np.lexsort(keys.T)
+        ordered = keys[order]
+        first = np.ones(len(order), dtype=bool)  # first of its key in sorted order
+        first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        inverse = np.empty(len(order), dtype=np.int64)
+        inverse[order] = np.cumsum(first) - 1
+        logs = []
+        for c, key in zip(order[first].tolist(), map(tuple, ordered[first].tolist())):
+            val = self.log_psi.get(key)
+            if val is None:
+                try:
+                    psi, _ = node_regression(self.cov, c % p, np.flatnonzero(cols[c]))
+                    val = np.log(psi)
+                except DegenerateData:
+                    val = np.nan
+                self.log_psi[key] = val
+            logs.append(val)
+        logs = np.array(logs)[inverse].reshape(n_rows, p)
+        total = np.zeros(n_rows)
+        for j in range(p):  # node order, as a scalar running sum would add them
+            total += logs[:, j]
+        chi = np.maximum((self.n - 1) * (total - self.logdet_s), 0.0)
+        chi[np.isnan(total)] = INFEASIBLE
+        return chi
 
 
 def _arcs(adj: np.ndarray) -> list[tuple[int, int]]:
@@ -255,8 +254,7 @@ def evolve(
             adjs[i] = arc_matrix(p, repair_arcs(p, set(_arcs(adjs[i])), mask, rng))
 
     def score_all(adjs: np.ndarray) -> np.ndarray:
-        chi = [scorer.chi_square(adj) for adj in adjs]
-        return np.column_stack([chi, adjs.sum(axis=(1, 2))])
+        return np.column_stack([scorer.chi_squares(adjs), adjs.sum(axis=(1, 2))])
 
     # random sparse initialization, one draw and one repair per individual
     population = np.zeros((pop_n, p, p), dtype=bool)
@@ -265,9 +263,9 @@ def evolve(
         population[i] &= allowed
         repair(population[i][None])
     objs = score_all(population)
+    ranks = _rank_array(objs)
 
     for _ in range(params.generations):
-        ranks = _rank_array(objs)
         crowding = np.empty(pop_n)
         for r in range(int(ranks.max()) + 1):
             idx = np.flatnonzero(ranks == r)
@@ -303,8 +301,9 @@ def evolve(
                 chosen.extend(idx[order[:gap]].tolist())
             if len(chosen) == pop_n:
                 break
+        # a kept front keeps all its dominators, so its ranks stand
         population = union[chosen]
         objs = union_objs[chosen]
+        ranks = union_ranks[chosen]
 
-    final_ranks = _rank_array(objs)
-    return _pareto_postfilter(population[final_ranks == 0], mask, cov, n, labels)
+    return _pareto_postfilter(population[ranks == 0], mask, cov, n, labels)

@@ -115,7 +115,12 @@ def oracle_reachability(n, arcs):
 
 
 def oracle_dominates(f, g):
-    """Minimization on both coordinates: f dominates g."""
+    """Minimization on both coordinates: f dominates g.
+
+    An infeasible fit (chi-square +inf) dominates nothing.
+    """
+    if f[0] == np.inf:
+        return False
     return f[0] <= g[0] and f[1] <= g[1] and (f[0] < g[0] or f[1] < g[1])
 
 

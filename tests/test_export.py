@@ -64,6 +64,63 @@ def test_csv_quoting():
     assert lines[1].startswith('edge,"wei,rd","qu""ote",0')
 
 
+def field_per_field_csv(sg):
+    """The writer stability_csv replaced: every field of every row quoted alone."""
+
+    def field(value):
+        text = str(value)
+        if any(c in text for c in ',"\n'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    rows = [["kind", "from", "to", "complexity", "probability", "imputed"]]
+    for a, b in sorted(sg.probabilities):
+        for j, prob in enumerate(sg.probabilities[(a, b)]):
+            flag = "true" if sg.imputed[j] else "false"
+            rows.append([sg.kind, sg.labels[a], sg.labels[b], j, repr(float(prob)), flag])
+    return "".join(",".join(field(f) for f in row) + "\n" for row in rows)
+
+
+def random_sg(kind, labels, rng, length=13):
+    p = len(labels)
+    pairs = [(a, b) for a in range(p) for b in range(p) if a != b]
+    if kind == EDGE:
+        pairs = [(a, b) for a, b in pairs if a < b]
+    probs = {key: rng.random(length) for key in pairs}
+    probs[pairs[0]][:3] = [0.0, 1.0, 1 / 3][:length]
+    return StabilityGraph(kind, labels, probs, rng.random(length) < 0.4)
+
+
+@pytest.mark.parametrize("kind", [EDGE, CAUSAL_PATH])
+def test_stability_csv_equals_per_field_writer(kind):
+    rng = np.random.default_rng(12)
+    sg = random_sg(kind, ('wei,rd', 'qu"ote', "plain", "X1_t"), rng)
+    assert sg.imputed.any() and not sg.imputed.all()
+    assert stability_csv(sg) == field_per_field_csv(sg)
+
+
+@pytest.mark.parametrize("length", [1, 2, 13])
+def test_svg_points_equal_per_point_writer(length):
+    rng = np.random.default_rng(length)
+    sg = random_sg(CAUSAL_PATH, ('wei,rd', 'qu"ote', "plain"), rng, length)
+    max_j = length - 1
+    # the chart's plot area: 720 x 440 with margins 60, 150, 30 and 50
+
+    def x(j):
+        return 60 + (j / max_j) * 510 if max_j else 60 + 510 / 2
+
+    def y(v):
+        return 30 + (1.0 - v) * 360
+
+    text = stability_svg(sg, pi_sel=0.5, pi_bic=length // 2)
+    got = [line.split('"')[1] for line in text.splitlines() if line.startswith("<polyline")]
+    want = [
+        " ".join(f"{x(j):.1f},{y(v):.1f}" for j, v in enumerate(sg.probabilities[key]))
+        for key in sorted(sg.probabilities)
+    ]
+    assert got == want
+
+
 def test_effects_csv_rows_sorted_and_none_blank():
     ests = [
         EffectEstimate(2, 0, 0.31, None, 4),

@@ -10,6 +10,7 @@ from oracles import (
     sem_implied_covariance,
 )
 from stablesearch import search
+from stablesearch.errors import DegenerateData
 from stablesearch.graphs import ConstraintMask, Dag, arc_matrix, reachability, repair_arcs
 from stablesearch.scoring import Dataset, sample_covariance
 from stablesearch.search import (
@@ -83,6 +84,19 @@ def test_sort_matches_pairwise_oracle():
 def test_sort_handles_infeasible_fits():
     # the infeasible individual is dominated by (7.0, 0) but dominates nothing
     assert ranks([(np.inf, 0), (5.0, 1), (7.0, 0)]) == [1, 0, 0]
+
+
+def test_sort_matches_oracle_with_ties_and_infeasible_fits():
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        n = int(rng.integers(1, 60))
+        chi = rng.integers(0, 8, size=n).astype(float)  # few values: many ties
+        chi[rng.random(n) < 0.2] = np.inf
+        objs = [(c, int(k)) for c, k in zip(chi.tolist(), rng.integers(0, 6, size=n))]
+        assert ranks(objs) == oracle_front_ranks(objs)
+    # infeasible rows below, between and above every feasible complexity
+    objs = [(np.inf, 0), (3.0, 1), (np.inf, 2), (2.0, 3), (4.0, 3), (np.inf, 5)]
+    assert ranks(objs) == oracle_front_ranks(objs) == [0, 0, 1, 0, 1, 2]
 
 
 def test_crowding_small_fronts_and_hand_example():
@@ -171,6 +185,70 @@ def test_fast_acyclicity_check_matches_oracle():
         reach = reachability(adj)
         assert np.array_equal(reach, oracle_reachability(p, arcs))
         assert (not reach.diagonal().any()) == oracle_is_acyclic(p, arcs)
+
+
+def scalar_chi_square(cov, n, adj, infeasible=frozenset()):
+    """The per-row scoring loop that the batched scorer replaced.
+
+    infeasible holds (node, parents) keys whose fit is taken to degenerate.
+    """
+    logdet_s = np.linalg.slogdet(cov)[1]
+    total = 0.0
+    for j, col in enumerate(adj.T.tolist()):
+        pa = [i for i, arc in enumerate(col) if arc]
+        if (j, tuple(pa)) in infeasible:
+            return search.INFEASIBLE
+        if not pa:
+            psi = float(cov[j, j])
+        else:
+            try:
+                beta = np.linalg.solve(cov[np.ix_(pa, pa)], cov[pa, j])
+            except np.linalg.LinAlgError:
+                return search.INFEASIBLE
+            psi = float(cov[j, j] - cov[j, pa] @ beta)
+            if psi <= 0 or not np.isfinite(psi):
+                return search.INFEASIBLE
+        total += np.log(psi)
+    return max((n - 1) * (total - logdet_s), 0.0)
+
+
+@pytest.mark.parametrize("p", [5, 8, 16, 70])
+def test_batched_scorer_equals_per_row_loop(p, monkeypatch):
+    rng = np.random.default_rng(p)
+    n = 3 * p + 20
+    cov = sample_covariance(Dataset(range(p), rng.standard_normal((n, p))))
+    batches = []
+    for density in (0.05, 2.0 / p, 0.3):
+        adjs = np.stack([random_adj(rng, p, density) for _ in range(30)])
+        batches.append(np.concatenate([adjs, adjs[::3]]))  # duplicate rows
+    # force one key of the first batch infeasible, the node's fit degenerating
+    i, j = 1, p - 1
+    bad = (j, tuple(np.flatnonzero(batches[0][i, :, j]).tolist()))
+    kernel = search.node_regression
+
+    def degenerate_once(cov_, node, parents):
+        if (node, tuple(parents)) == bad:
+            raise DegenerateData("forced")
+        return kernel(cov_, node, parents)
+
+    monkeypatch.setattr(search, "node_regression", degenerate_once)
+    scorer = search._Scorer(cov, n)
+    for adjs in batches + batches[:1]:  # the repeat hits the key cache
+        want = [scalar_chi_square(cov, n, adj, {bad}) for adj in adjs]
+        assert scorer.chi_squares(adjs).tolist() == want
+    assert search.INFEASIBLE in scorer.chi_squares(batches[0]).tolist()
+
+
+def test_evolve_ranks_once_per_generation(monkeypatch):
+    calls = []
+
+    def counted(objs):
+        calls.append(len(objs))
+        return _rank_array(objs)
+
+    monkeypatch.setattr(search, "_rank_array", counted)
+    golden_run("cross")
+    assert calls == [24] + [48] * 12
 
 
 def dataset_from_model(n, weighted_arcs, rng, rows):
