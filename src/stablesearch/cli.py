@@ -22,7 +22,6 @@ from .export import (
     annotated_dot,
     dataset_csv,
     effects_csv,
-    graph_from_dict,
     graph_to_dict,
     prior_from_dict,
     read_json,
@@ -343,26 +342,6 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_effects(cfg: RunConfig) -> int:
-    if cfg.data is None:
-        raise ConfigError("effects needs --data (a finished run directory)")
-    path = Path(cfg.data) / "effects.csv"
-    if not path.is_file():
-        raise ConfigError(f"no effects table at {path}")
-    sys.stdout.write(path.read_text())
-    return 0
-
-
-def cmd_export_dot(cfg: RunConfig) -> int:
-    if cfg.data is None:
-        raise ConfigError("export-dot needs --data (a finished run directory)")
-    path = Path(cfg.data) / "graph.json"
-    if not path.is_file():
-        raise ConfigError(f"no graph at {path}")
-    sys.stdout.write(annotated_dot(graph_from_dict(read_json(path))))
-    return 0
-
-
 # Each command registers only the flags it reads; its --config JSON may set
 # only the RunConfig fields those flags set.
 def _add_output(sp: argparse.ArgumentParser) -> None:
@@ -430,12 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(sp)
     _add_search(sp)
 
-    sp = command("effects", "print a run's effects table")
-    sp.add_argument("--data", help="finished run directory")
-
-    sp = command("export-dot", "print a run's annotated DOT graph")
-    sp.add_argument("--data", help="finished run directory")
-
     return parser
 
 
@@ -444,8 +417,6 @@ COMMANDS = {
     "search-longitudinal": cmd_search_longitudinal,
     "simulate": cmd_simulate,
     "evaluate": cmd_evaluate,
-    "effects": cmd_effects,
-    "export-dot": cmd_export_dot,
 }
 
 

@@ -47,7 +47,7 @@ def causal_effect(dag: Dag, cov: np.ndarray, x: int, y: int) -> float:
     if y in pa:
         return 0.0
     pred = [x] + [v for v in pa if v != x]
-    block = cov[np.ix_(pred, pred)]
+    block = cov[pred][:, pred]
     if np.linalg.cond(block) > MAX_CONDITION:
         raise DegenerateData("regressor submatrix is singular")
     beta = np.linalg.solve(block, cov[pred, y])

@@ -108,17 +108,6 @@ def graph_to_dict(graph: AnnotatedCausalGraph) -> dict:
     }
 
 
-def graph_from_dict(obj: dict) -> AnnotatedCausalGraph:
-    labels = tuple(obj["labels"])
-    return AnnotatedCausalGraph(
-        len(labels),
-        labels,
-        {(int(a), int(b)): float(r) for a, b, r in obj["directed"]},
-        {(int(a), int(b)): float(r) for a, b, r in obj["undirected"]},
-        {(int(a), int(b)): float(v) for a, b, v in obj["effects"]},
-    )
-
-
 PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#8c564b", "#e377c2", "#17becf", "#bcbd22", "#7f7f7f",

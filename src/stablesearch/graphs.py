@@ -244,24 +244,6 @@ def _find_cycle(n_nodes: int, arcs) -> list[Arc] | None:
     return None
 
 
-def has_directed_path(arcs, a: int, b: int) -> bool:
-    """True when the arcs hold a directed path a -> ... -> b of length >= 1."""
-    children: dict[int, list[int]] = {}
-    for u, v in arcs:
-        children.setdefault(u, []).append(v)
-    seen = set()
-    frontier = [a]
-    while frontier:
-        v = frontier.pop()
-        for c in children.get(v, ()):
-            if c == b:
-                return True
-            if c not in seen:
-                seen.add(c)
-                frontier.append(c)
-    return False
-
-
 def arc_matrix(n_nodes: int, arcs) -> np.ndarray:
     """Boolean adjacency matrix with mat[a, b] set for every arc (a, b)."""
     mat = np.zeros((n_nodes, n_nodes), dtype=bool)
@@ -454,6 +436,19 @@ def enumerate_extensions(
         # a -> b joins existing c -> b with c not adjacent to a
         return any(c != a and c not in adj[a] for c in parents[b])
 
+    def is_ancestor(a: int, b: int) -> bool:
+        # walk up from b; u -> v closes a cycle exactly when v is above u
+        seen = set()
+        frontier = [b]
+        while frontier:
+            for c in parents[frontier.pop()]:
+                if c == a:
+                    return True
+                if c not in seen:
+                    seen.add(c)
+                    frontier.append(c)
+        return False
+
     current: set[Arc] = set(base)
 
     def place(k: int) -> None:
@@ -468,9 +463,7 @@ def enumerate_extensions(
         for u, v in ((a, b), (b, a)):
             if mask is not None and not mask.allows(u, v):
                 continue
-            if creates_v(u, v):
-                continue
-            if has_directed_path(current, v, u):
+            if creates_v(u, v) or is_ancestor(v, u):
                 continue
             current.add((u, v))
             parents[v].add(u)

@@ -207,25 +207,6 @@ def reshape(data: LongitudinalDataset) -> Dataset:
     return Dataset([Column(n, k) for n, k in zip(names, kinds)], out)
 
 
-def unreshape(frame: Dataset, layout: Layout) -> LongitudinalDataset:
-    """Inverse bookkeeping of reshape: read every observed cell back."""
-    p, T = len(layout.variables), layout.slices
-    if T < 2 or frame.n_rows % (T - 1) or frame.n_cols != 2 * p:
-        raise ShapeMismatch("frame shape does not match the layout")
-    vals = frame.values
-    cols, stacked = [], []
-    for v_i, v in enumerate(layout.variables):
-        kind = frame.columns[v_i].kind
-        for k in layout.presence[v]:
-            if k < T - 1:
-                col = vals[k :: T - 1, v_i]  # prev side of pair (k, k+1)
-            else:
-                col = vals[T - 2 :: T - 1, p + v_i]  # cur side of the last pair
-            cols.append(Column(layout.column_name(v, k), kind))
-            stacked.append(col)
-    return LongitudinalDataset(Dataset(cols, np.column_stack(stacked)), layout)
-
-
 def _variable_index(variables: tuple[str, ...], name: str) -> int:
     if name.endswith(PREV_SUFFIX):
         raise InvalidPrior(

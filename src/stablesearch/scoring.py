@@ -123,28 +123,24 @@ def load_dataset(csv_path, kinds: dict[str, str] | None = None) -> Dataset:
     return Dataset(cols, np.array(rows))
 
 
-def sample_covariance(data: Dataset, validate: bool = True) -> np.ndarray:
+def sample_covariance(data: Dataset) -> np.ndarray:
     """Unbiased (n-1 divisor) sample covariance of the dataset.
 
-    With validate on (the pipeline default), zero-variance columns and
-    numerically singular matrices raise DegenerateData; validate=False
-    returns the raw matrix for diagnostics.
+    Fewer than p+2 rows, zero-variance columns and numerically singular
+    matrices raise DegenerateData.
     """
     n, p = data.values.shape
-    if validate and n < p + 2:
+    if n < p + 2:
         raise DegenerateData(f"need at least p+2={p + 2} rows, got {n}")
-    if n < 2:
-        raise DegenerateData("covariance needs at least 2 rows")
     cov = np.cov(data.values, rowvar=False, ddof=1)
     cov = np.atleast_2d(cov)
     cov = (cov + cov.T) / 2.0
-    if validate:
-        diag = np.diag(cov)
-        if np.any(diag <= 0):
-            bad = data.columns[int(np.argmin(diag))].name
-            raise DegenerateData(f"column {bad!r} has zero variance")
-        if np.linalg.cond(cov) > MAX_CONDITION:
-            raise DegenerateData("sample covariance is numerically singular")
+    diag = np.diag(cov)
+    if np.any(diag <= 0):
+        bad = data.columns[int(np.argmin(diag))].name
+        raise DegenerateData(f"column {bad!r} has zero variance")
+    if np.linalg.cond(cov) > MAX_CONDITION:
+        raise DegenerateData("sample covariance is numerically singular")
     return cov
 
 
@@ -167,7 +163,7 @@ def node_regression(cov: np.ndarray, j: int, parents):
         return float(cov[j, j]), np.empty(0)
     rhs = cov[parents, j]
     try:
-        b = np.linalg.solve(cov[np.ix_(parents, parents)], rhs)
+        b = np.linalg.solve(cov[parents][:, parents], rhs)
     except np.linalg.LinAlgError:
         raise DegenerateData(f"singular parent block for node {j}") from None
     resid = float(cov[j, j] - rhs @ b)

@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import DegenerateData, SearchFailed, StableSearchError
 from .graphs import (
-    ConstraintMask, Dag, arc_matrix, dag_to_cpdag, has_directed_path, reachability,
-    topological_order,
+    ConstraintMask, Dag, arc_matrix, dag_to_cpdag, reachability, topological_order,
 )
 from .scoring import Dataset, sample_covariance
 from .search import ParetoModel, SearchParams, evolve
@@ -358,7 +357,7 @@ def assemble_graph(
             arc = (b, a)
         else:
             continue
-        if has_directed_path(directed, arc[1], arc[0]):
+        if reachability(arc_matrix(p, directed))[arc[1], arc[0]]:
             log.warning(
                 "mask-forced arc %s -> %s would close a cycle; edge left undirected",
                 labels[arc[0]], labels[arc[1]],
@@ -378,7 +377,7 @@ def assemble_graph(
             continue
         if (a, b) in directed or pair not in undirected:
             continue
-        if has_directed_path(directed, b, a):
+        if reachability(arc_matrix(p, directed))[b, a]:
             log.warning(
                 "skipping orientation %s -> %s: would close a directed cycle",
                 labels[a], labels[b],

@@ -3,13 +3,16 @@
 Everything here is written independently of the package under test: graph
 enumeration by trying all orientations, equivalence classes keyed on
 (skeleton, v-structures), reachability by boolean matrix powers, Pareto
-fronts by pairwise comparison, and covariance matrices implied by small
-hand-solved models.
+fronts by pairwise comparison, covariance matrices implied by small
+hand-solved models, and the inverse of the longitudinal reshape.
 """
 
 import itertools
 
 import numpy as np
+
+from stablesearch.longitudinal import LongitudinalDataset
+from stablesearch.scoring import Column, Dataset
 
 
 def oracle_is_acyclic(n, arcs):
@@ -225,3 +228,21 @@ def oracle_pareto_front(n_nodes, sample_cov, n_obs, forbidden=None):
             front[k] = best[k]
             cur = best[k]
     return front
+
+
+def unreshape(frame, layout):
+    """Inverse bookkeeping of reshape: read every observed cell back."""
+    p, T = len(layout.variables), layout.slices
+    assert T >= 2 and frame.n_rows % (T - 1) == 0 and frame.n_cols == 2 * p
+    vals = frame.values
+    cols, stacked = [], []
+    for v_i, v in enumerate(layout.variables):
+        kind = frame.columns[v_i].kind
+        for k in layout.presence[v]:
+            if k < T - 1:
+                col = vals[k :: T - 1, v_i]  # prev side of pair (k, k+1)
+            else:
+                col = vals[T - 2 :: T - 1, p + v_i]  # cur side of the last pair
+            cols.append(Column(layout.column_name(v, k), kind))
+            stacked.append(col)
+    return LongitudinalDataset(Dataset(cols, np.column_stack(stacked)), layout)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from oracles import (
     class_key,
     equivalence_class,
     oracle_is_acyclic,
-    oracle_reachability,
     oracle_skeleton,
     oracle_v_structures,
     union_orientation,
@@ -26,10 +26,10 @@ from stablesearch.graphs import (
     cyclic_rows,
     dag_to_cpdag,
     enumerate_extensions,
-    has_directed_path,
     is_acyclic,
     reachability,
     repair_arcs,
+    topological_order,
 )
 
 
@@ -226,35 +226,6 @@ def test_pattern_describes_its_class_at_larger_p(masked):
         assert as_pattern(out) == union_orientation(whole)
 
 
-def test_has_directed_path_examples():
-    chain = {(0, 1), (1, 2)}
-    assert has_directed_path(chain, 0, 2)
-    assert not has_directed_path(chain, 2, 0)
-    assert not has_directed_path(set(), 0, 3)
-    # a node reaches itself only around a cycle
-    assert not has_directed_path(chain, 0, 0)
-    assert has_directed_path({(0, 1), (1, 0)}, 0, 0)
-
-
-def test_has_directed_path_matches_matrix_closure():
-    rng = np.random.default_rng(2)
-    for _ in range(80):
-        n = 6
-        raw = {
-            (a, b)
-            for a in range(n)
-            for b in range(n)
-            if a != b and rng.random() < 0.25
-        }
-        arcs = repair_arcs(n, raw, None, rng)
-        reach = oracle_reachability(n, arcs)
-        assert np.array_equal(reachability(arc_matrix(n, arcs)), reach)
-        for a in range(n):
-            for b in range(n):
-                if a != b:
-                    assert has_directed_path(arcs, a, b) == reach[a, b]
-
-
 @pytest.mark.parametrize("rate", [0.05, 0.3])
 def test_cyclic_rows_matches_reachability_and_oracle(rate):
     rng = np.random.default_rng(11)
@@ -319,6 +290,17 @@ def test_enumerate_cap_and_empty_class():
     square = Cpdag(4, frozenset(), frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
     with pytest.raises(NoExtension):
         enumerate_extensions(square)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_enumerate_clique_gives_every_order_once(k):
+    # the members of an undirected k-clique are its k! total orders; the
+    # later edges close a cycle only through chains of up to k - 1 arcs
+    clique = Cpdag(k, frozenset(), frozenset(itertools.combinations(range(k), 2)))
+    out = enumerate_extensions(clique)
+    orders = {tuple(topological_order(k, d.arcs)) for d in out}
+    assert len(out) == len(orders) == math.factorial(k)
+    assert orders == set(itertools.permutations(range(k)))
 
 
 def test_enumerate_respects_mask():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import unreshape
 from stablesearch import longitudinal
 from stablesearch.errors import InvalidPrior, ShapeMismatch
 from stablesearch.graphs import is_acyclic
@@ -17,7 +18,6 @@ from stablesearch.longitudinal import (
     subsample_subjects,
     transition_labels,
     transition_mask,
-    unreshape,
 )
 from stablesearch.scoring import Column, Dataset
 from stablesearch.search import SearchParams

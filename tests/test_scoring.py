@@ -52,10 +52,10 @@ def test_dataset_copies_instead_of_freezing_caller_array():
 
 
 def test_sample_covariance_two_point_example():
-    data = Dataset(["a", "b"], np.array([[0.0, 0.0], [1.0, 1.0]]))
-    raw = sample_covariance(data, validate=False)
-    assert np.allclose(raw, 0.5)
-    # perfectly correlated columns are singular, so validation rejects them
+    values = np.array([[0.0, 0.0], [1.0, 1.0]])
+    assert np.allclose(np.cov(values, rowvar=False, ddof=1), 0.5)
+    data = Dataset(["a", "b"], values)
+    # too few rows, and perfectly correlated columns are singular anyway
     with pytest.raises(DegenerateData):
         sample_covariance(data)
 

@@ -1,0 +1,61 @@
+"""Every top-level function and class in the package has a caller outside tests.
+
+Code that only tests call belongs in tests/oracles.py, or nowhere.  A name
+counts as used when package code other than its own definition, or a bench
+script, refers to it: as a name, an attribute, an import, or (in bench,
+whose tracer patches call sites by name) a dotted string constant.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "stablesearch"
+
+# public API with no caller inside the package
+PUBLIC_API = {"ida_multiset"}
+
+
+def referenced_names(tree: ast.AST, strings: bool) -> set[str]:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+        elif (
+            strings
+            and isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and re.fullmatch(r"[\w.]+", node.value)
+        ):
+            out.update(node.value.split("."))
+    return out
+
+
+def test_every_top_level_name_has_a_caller_outside_tests():
+    defined = []
+    uses = []  # (defining top-level name or None, names referenced there)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            owner = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                owner = node.name
+                defined.append((path.name, owner))
+            uses.append((owner, referenced_names(node, strings=False)))
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        uses.append((None, referenced_names(ast.parse(path.read_text()), strings=True)))
+    assert len(defined) > 100  # the scan found the package
+
+    def has_caller(name):
+        return any(name in names for owner, names in uses if owner != name)
+
+    unused = [
+        f"{module}:{name}"
+        for module, name in defined
+        if name not in PUBLIC_API and not has_caller(name)
+    ]
+    assert unused == []
