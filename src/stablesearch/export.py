@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .errors import InvalidPrior
-from .stability import CAUSAL_PATH, EDGE, AnnotatedCausalGraph, StabilityGraph
+from .stability import EDGE, AnnotatedCausalGraph, StabilityGraph
 
 
 def _csv_field(value) -> str:

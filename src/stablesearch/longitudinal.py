@@ -19,10 +19,12 @@ import numpy as np
 from .errors import DegenerateData, InvalidPrior, ShapeMismatch
 from .graphs import ConstraintMask
 from .pipeline import PipelineResult, run_pipeline
-from .scoring import Column, Dataset, sample_covariance
+# sample_covariance is not called here: bench/tracer.py wraps
+# stablesearch.longitudinal.sample_covariance by name, and
+# tests/test_bench_hooks.py requires that the name resolves
+from .scoring import Column, Dataset, sample_covariance  # noqa: F401
 from .search import SearchParams
 from .seeding import PIPELINE_LANE, SUBSAMPLE_LANE, derived_rng, derived_seed
-from .stability import cross_sectional_cov
 
 log = logging.getLogger(__name__)
 
@@ -290,58 +292,52 @@ def derive_role_rules(layout: Layout) -> tuple[tuple[str, ...], tuple[str, ...]]
 
 
 def subsample_subjects(
-    data: LongitudinalDataset, n_subsets: int, rng: np.random.Generator
+    frame: Dataset, n_subjects: int, n_subsets: int, rng: np.random.Generator
 ) -> list[Dataset]:
-    """Wide-row subsets, each drawing floor(s/2) subjects without replacement.
+    """Subsets of ``frame``, each the row blocks of floor(s/2) subjects drawn
+    without replacement.
 
     Rows reshaped from one subject are dependent, so stability selection on
-    the transition model resamples whole subjects by default.
+    the transition model resamples whole subjects by default.  ``reshape``
+    is subject-major, so a draw's blocks in draw order are the reshape of
+    the drawn subjects.
     """
-    s = data.n_subjects
+    s = n_subjects
     if s < 4:
         raise DegenerateData("need at least 4 subjects to subsample")
     if n_subsets < 1:
         raise ValueError("n_subsets must be positive")
     half = s // 2
+    blocks = np.arange(frame.n_rows).reshape(s, -1)  # row i: subject i's rows
     return [
-        data.data.take_rows(rng.choice(s, size=half, replace=False))
+        frame.take_rows(blocks[rng.choice(s, size=half, replace=False)].ravel())
         for _ in range(n_subsets)
     ]
-
-
-class TransitionCov:
-    """Covariance hook mapping wide subject rows to the reshaped pair frame."""
-
-    def __init__(self, layout: Layout):
-        self.layout = layout
-
-    def __call__(self, subset: Dataset):
-        frame = reshape(LongitudinalDataset(subset, self.layout))
-        return sample_covariance(frame), frame.n_rows, frame.names
 
 
 def transition_problem(
     data: LongitudinalDataset, params: SearchParams, n_subsets: int, prior=(),
     subsample_unit: str = "subject", prev_only=(), cur_only=(),
 ):
-    """Set up the transition model's search: (frame, mask, subsets, cov_fn).
+    """Set up the transition model's search: (frame, mask, subsets).
 
     The mask adds the role rules that follow from the layout's presence to
     ``prev_only`` and ``cur_only``.  The frame is the reshaped data.  With
-    ``subsample_unit`` "subject", the subsets are whole-subject draws seeded
-    from ``params`` and ``cov_fn`` reshapes each one; with "row", subsets is
-    None and the pipeline subsamples the frame's rows.
+    ``subsample_unit`` "subject", the subsets are whole-subject draws of the
+    frame's rows seeded from ``params``; with "row", subsets is None and the
+    pipeline subsamples the frame's rows.
     """
+    if subsample_unit not in ("subject", "row"):
+        raise ValueError("subsample_unit must be 'subject' or 'row'")
     auto_prev, auto_cur = derive_role_rules(data.layout)
     prev_only = tuple(dict.fromkeys((*auto_prev, *prev_only)))
     cur_only = tuple(dict.fromkeys((*auto_cur, *cur_only)))
     mask = transition_mask(data.layout.variables, prior, prev_only, cur_only)
     frame = reshape(data)
     if subsample_unit == "row":
-        return frame, mask, None, cross_sectional_cov
+        return frame, mask, None
     rng = derived_rng(params.seed, SUBSAMPLE_LANE, 0)
-    subsets = subsample_subjects(data, n_subsets, rng)
-    return frame, mask, subsets, TransitionCov(data.layout)
+    return frame, mask, subsample_subjects(frame, data.n_subjects, n_subsets, rng)
 
 
 def run_longitudinal(
@@ -361,22 +357,20 @@ def run_longitudinal(
     intra-slice mask; the transition model searches the reshaped slice pairs
     under the structural mask (see ``transition_problem``).  ``prior`` lists
     forbidden intra-slice arcs by variable name and applies to both parts.
-    ``subsample_unit`` is "subject" (draw subjects, then reshape each
-    subset) or "row" (subsample the reshaped rows directly).
+    ``subsample_unit`` is "subject" (draw whole subjects' reshaped rows) or
+    "row" (subsample the reshaped rows directly).
     """
-    if subsample_unit not in ("subject", "row"):
-        raise ValueError("subsample_unit must be 'subject' or 'row'")
+    t_params = replace(params, seed=derived_seed(params.seed, PIPELINE_LANE, 1))
+    frame, mask, subsets = transition_problem(
+        data, t_params, n_subsets, prior, subsample_unit, prev_only, cur_only
+    )
     base = baseline_slice(data)
     base_params = replace(params, seed=derived_seed(params.seed, PIPELINE_LANE, 0))
     baseline = run_pipeline(
         base, intra_slice_mask(base.names, prior), base_params, n_subsets, pi_sel,
         parallelism,
     )
-    t_params = replace(params, seed=derived_seed(params.seed, PIPELINE_LANE, 1))
-    frame, mask, subsets, cov_fn = transition_problem(
-        data, t_params, n_subsets, prior, subsample_unit, prev_only, cur_only
-    )
     transition = run_pipeline(
-        frame, mask, t_params, n_subsets, pi_sel, parallelism, cov_fn, subsets
+        frame, mask, t_params, n_subsets, pi_sel, parallelism, subsets
     )
     return baseline, transition

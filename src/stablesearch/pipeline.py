@@ -30,7 +30,6 @@ from .stability import (
     assemble_graph,
     collect_models,
     compute_pi_bic,
-    cross_sectional_cov,
     relevant_structures,
     run_searches,
     stability_graphs,
@@ -59,7 +58,6 @@ def search_stability(
     params: SearchParams,
     n_subsets: int = 50,
     parallelism: int = 1,
-    cov_fn=cross_sectional_cov,
     subsets: list[Dataset] | None = None,
 ) -> tuple[list[SubsetResult], StabilityGraph, StabilityGraph, int]:
     """Subsample, search every subset, pool the Pareto models, pick pi_bic.
@@ -67,8 +65,7 @@ def search_stability(
     Returns (subset results, edge curves, causal-path curves, pi_bic); the
     curves are labelled with ``data.names``.  ``subsets`` overrides the
     default row subsampling of ``data`` (the transition model draws whole
-    subjects).  ``cov_fn`` turns a subset into (covariance, effective n,
-    labels) and is what the transition model hooks to reshape each subset.
+    subjects' row blocks); each subset is searched on its sample covariance.
     Raises DegenerateData for data with fewer than two variables.
     """
     if data.n_cols < 2:
@@ -76,7 +73,7 @@ def search_stability(
     if subsets is None:
         rng = derived_rng(params.seed, SUBSAMPLE_LANE, 0)
         subsets = subsample(data, n_subsets, rng)
-    results = run_searches(subsets, cov_fn, mask, params, parallelism)
+    results = run_searches(subsets, mask, params, parallelism)
     models = collect_models(results)
     edge_sg, path_sg = stability_graphs(models, mask, data.names)
     return results, edge_sg, path_sg, compute_pi_bic(models)
@@ -89,7 +86,6 @@ def run_pipeline(
     n_subsets: int = 50,
     pi_sel: float = 0.6,
     parallelism: int = 1,
-    cov_fn=cross_sectional_cov,
     subsets: list[Dataset] | None = None,
 ) -> PipelineResult:
     """Subsample, search, aggregate, threshold, assemble, estimate.
@@ -99,7 +95,7 @@ def run_pipeline(
     estimated on.
     """
     results, edge_sg, path_sg, pi_bic = search_stability(
-        data, mask, params, n_subsets, parallelism, cov_fn, subsets
+        data, mask, params, n_subsets, parallelism, subsets
     )
     thresholds = Thresholds(pi_sel, pi_bic)
     relevant = relevant_structures(edge_sg, path_sg, thresholds)

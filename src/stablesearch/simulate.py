@@ -315,11 +315,11 @@ def evaluate_recovery(
         t_params = replace(
             params, seed=derived_seed(params.seed, PIPELINE_LANE, d)
         )
-        frame, tmask, subsets, cov_fn = transition_problem(
+        frame, tmask, subsets = transition_problem(
             ld, t_params, n_subsets, prior
         )
         _, edge_sg, path_sg, pi_bic = search_stability(
-            frame, tmask, t_params, n_subsets, parallelism, cov_fn, subsets
+            frame, tmask, t_params, n_subsets, parallelism, subsets
         )
         edge_sgs.append(edge_sg)
         path_sgs.append(path_sg)

@@ -111,14 +111,14 @@ def subsample(data: Dataset, n_subsets: int, rng: np.random.Generator) -> list[D
 
 
 def cross_sectional_cov(subset: Dataset):
-    """Default cov-fn: sample covariance, row count, column names."""
+    """A subset's sample covariance, row count and column names."""
     return sample_covariance(subset), subset.n_rows, subset.names
 
 
 def _search_one(task):
-    index, subset, cov_fn, mask, params = task
+    index, subset, mask, params = task
     try:
-        cov, n_eff, labels = cov_fn(subset)
+        cov, n_eff, labels = cross_sectional_cov(subset)
         seed_i = derived_seed(params.seed, SEARCH_LANE, index)
         models = evolve(
             cov, n_eff, mask.n_nodes, mask, replace(params, seed=seed_i), labels
@@ -130,7 +130,6 @@ def _search_one(task):
 
 def run_searches(
     subsets: list[Dataset],
-    cov_fn,
     mask: ConstraintMask,
     params: SearchParams,
     parallelism: int = 1,
@@ -143,7 +142,7 @@ def run_searches(
     """
     if not subsets:
         raise SearchFailed("no subsets to search")
-    tasks = [(i, s, cov_fn, mask, params) for i, s in enumerate(subsets)]
+    tasks = [(i, s, mask, params) for i, s in enumerate(subsets)]
     workers = min(parallelism, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,7 +1,5 @@
 """Command line tests: config layering, artifacts, exit codes, reruns."""
 
-import json
-
 import numpy as np
 import pytest
 

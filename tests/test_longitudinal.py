@@ -3,7 +3,7 @@ import pytest
 
 from oracles import unreshape
 from stablesearch import longitudinal
-from stablesearch.errors import InvalidPrior, ShapeMismatch
+from stablesearch.errors import DegenerateData, InvalidPrior, ShapeMismatch
 from stablesearch.graphs import is_acyclic
 from stablesearch.longitudinal import (
     Layout,
@@ -18,8 +18,9 @@ from stablesearch.longitudinal import (
     subsample_subjects,
     transition_labels,
     transition_mask,
+    transition_problem,
 )
-from stablesearch.scoring import Column, Dataset
+from stablesearch.scoring import Column, Dataset, sample_covariance
 from stablesearch.search import SearchParams
 
 
@@ -211,12 +212,59 @@ def test_derive_role_rules_from_presence():
 
 def test_subsample_subjects_draws_half():
     ld = make_long(11, 2, 3)
-    subsets = subsample_subjects(ld, 4, np.random.default_rng(0))
+    frame = reshape(ld)
+    subsets = subsample_subjects(frame, ld.n_subjects, 4, np.random.default_rng(0))
     assert len(subsets) == 4
-    original = {tuple(r) for r in ld.data.values}
+    # each subject owns two consecutive frame rows, one per slice pair
+    blocks = {frame.values[2 * i : 2 * i + 2].tobytes() for i in range(11)}
     for s in subsets:
-        assert s.n_rows == 5
-        assert {tuple(r) for r in s.values} <= original
+        assert s.n_rows == 5 * 2 and s.columns == frame.columns
+        drawn = {s.values[2 * j : 2 * j + 2].tobytes() for j in range(5)}
+        assert len(drawn) == 5 and drawn <= blocks
+    with pytest.raises(DegenerateData):
+        subsample_subjects(reshape(make_long(3, 2, 3)), 3, 4, np.random.default_rng(0))
+
+
+def reshaped_draws(ld, n_subsets, rng):
+    """Reference whole-subject subsets: draw wide rows, then reshape each draw."""
+    s = ld.n_subjects
+    return [
+        reshape(LongitudinalDataset(
+            ld.data.take_rows(rng.choice(s, size=s // 2, replace=False)), ld.layout
+        ))
+        for _ in range(n_subsets)
+    ]
+
+
+@pytest.mark.parametrize("T, presence", [
+    (2, None),
+    (4, None),
+    # V0 borrows slice 1 at slice 0 (forward) and slice 2 at slice 3
+    # (backward); V2 fills slice 1 backward and slice 2 forward
+    (4, {"V0": (1, 2), "V2": (0, 3)}),
+])
+def test_subsample_subjects_are_the_reshaped_draws(T, presence):
+    layout = Layout(("V0", "V1", "V2"), T, presence=presence)
+    names = layout.column_names()
+    values = np.random.default_rng(T).standard_normal((21, len(names)))
+    ld = LongitudinalDataset(Dataset(names, values), layout)
+    blocks = subsample_subjects(reshape(ld), ld.n_subjects, 5, np.random.default_rng(2))
+    old = reshaped_draws(ld, 5, np.random.default_rng(2))
+    for new, ref in zip(blocks, old, strict=True):
+        assert new.columns == ref.columns
+        assert np.array_equal(new.values, ref.values)
+        assert (sample_covariance(new) == sample_covariance(ref)).all()
+
+
+def test_transition_problem_rejects_unknown_unit():
+    ld = make_long(8, 2, 3)
+    params = SearchParams(seed=1)
+    with pytest.raises(ValueError, match="subsample_unit"):
+        transition_problem(ld, params, 2, subsample_unit="subjects")
+    frame, _, subsets = transition_problem(ld, params, 2, subsample_unit="row")
+    assert subsets is None and frame.n_rows == 16
+    _, _, subsets = transition_problem(ld, params, 2)
+    assert [s.n_rows for s in subsets] == [8, 8]
 
 
 def autoregressive_long():
@@ -270,8 +318,8 @@ def test_run_longitudinal_reshapes_each_subset_once(monkeypatch):
     params = SearchParams(generations=4, population_size=8, seed=3)
     _, transition = run_longitudinal(autoregressive_long(), params, n_subsets=6)
     assert transition.estimates  # the effects stage ran on the subsets
-    # the whole frame (60 subjects) once, then each subset (30) once
-    assert calls == [60] + [30] * 6
+    # the whole frame (60 subjects) once; the subsets are its row blocks
+    assert calls == [60]
 
 
 def test_run_longitudinal_row_unit_switch():
@@ -282,3 +330,13 @@ def test_run_longitudinal_row_unit_switch():
     assert transition.pi_bic >= 0
     with pytest.raises(ValueError):
         run_longitudinal(ld, params, subsample_unit="bogus")
+
+
+def test_run_longitudinal_rejects_unknown_unit_before_searching(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a pipeline ran")
+
+    monkeypatch.setattr(longitudinal, "run_pipeline", no_search)
+    params = SearchParams(generations=3, population_size=8, seed=1)
+    with pytest.raises(ValueError, match="subsample_unit"):
+        run_longitudinal(make_long(40, 2, 3), params, subsample_unit="bogus")

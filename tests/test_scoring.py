@@ -12,9 +12,7 @@ from stablesearch.graphs import Dag, is_acyclic
 from stablesearch.scoring import (
     CONTINUOUS,
     DISCRETE,
-    Column,
     Dataset,
-    FitResult,
     fit_dag_ml,
     load_dataset,
     rank_normalize,

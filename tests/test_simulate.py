@@ -10,7 +10,7 @@ from oracles import (
     union_orientation,
 )
 from stablesearch.errors import ShapeMismatch
-from stablesearch.graphs import Cpdag, dag_to_cpdag
+from stablesearch.graphs import Cpdag
 from stablesearch.longitudinal import run_longitudinal, transition_mask
 from stablesearch.scoring import sample_covariance
 from stablesearch.search import SearchParams

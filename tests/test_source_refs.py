@@ -4,6 +4,9 @@ Code that only tests call belongs in tests/oracles.py, or nowhere.  A name
 counts as used when package code other than its own definition, or a bench
 script, refers to it: as a name, an attribute, an import, or (in bench,
 whose tracer patches call sites by name) a dotted string constant.
+
+Every module-level import in the package and in the tests is read by its
+module, too.
 """
 
 import ast
@@ -15,6 +18,12 @@ PACKAGE = ROOT / "src" / "stablesearch"
 
 # public API with no caller inside the package
 PUBLIC_API = {"ida_multiset"}
+
+# imports their module never reads, each kept on purpose
+KEPT_IMPORTS = {
+    # bench/tracer.py wraps stablesearch.longitudinal.sample_covariance by name
+    "longitudinal.sample_covariance",
+}
 
 
 def referenced_names(tree: ast.AST, strings: bool) -> set[str]:
@@ -59,3 +68,26 @@ def test_every_top_level_name_has_a_caller_outside_tests():
         if name not in PUBLIC_API and not has_caller(name)
     ]
     assert unused == []
+
+
+def test_every_module_level_import_is_read():
+    unread = []
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        bound = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound += [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [a.asname or a.name for a in node.names]
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [
+            f"{path.stem}.{name}" for name in bound
+            if name not in read and f"{path.stem}.{name}" not in KEPT_IMPORTS
+        ]
+    assert len(paths) > 20  # the scan found the package and the tests
+    assert unread == []

@@ -19,7 +19,6 @@ from stablesearch.stability import (
     collect_models,
     complete_dag_under,
     compute_pi_bic,
-    cross_sectional_cov,
     relevant_structures,
     run_searches,
     stability_graphs,
@@ -73,10 +72,8 @@ def test_run_searches_deterministic_across_parallelism():
     mask = ConstraintMask.empty(3)
     params = SearchParams(generations=6, population_size=12, seed=11)
 
-    serial = run_searches(subsets, cross_sectional_cov, mask, params)
-    parallel = run_searches(
-        subsets, cross_sectional_cov, mask, params, parallelism=2
-    )
+    serial = run_searches(subsets, mask, params)
+    parallel = run_searches(subsets, mask, params, parallelism=2)
     assert len(serial) == len(parallel) == 4
     for a, b in zip(serial, parallel):
         assert a.index == b.index and not a.failed and not b.failed
@@ -110,11 +107,11 @@ def test_run_searches_caps_pool_at_subset_count(monkeypatch):
     mask = ConstraintMask.empty(3)
     params = SearchParams(generations=2, population_size=8, seed=11)
 
-    results = run_searches(subsets, cross_sectional_cov, mask, params, parallelism=64)
+    results = run_searches(subsets, mask, params, parallelism=64)
     assert created == [3]
     for r, s in zip(results, subsets):
         assert np.array_equal(r.cov, sample_covariance(s))
-    run_searches(subsets[:1], cross_sectional_cov, mask, params, parallelism=64)
+    run_searches(subsets[:1], mask, params, parallelism=64)
     assert created == [3]  # one subset runs in-process
 
 
@@ -128,16 +125,14 @@ def test_run_searches_failure_budget():
     mask = ConstraintMask.empty(3)
     params = SearchParams(generations=4, population_size=8, seed=0)
 
-    results = run_searches(
-        [good] * 9 + [bad], cross_sectional_cov, mask, params
-    )
+    results = run_searches([good] * 9 + [bad], mask, params)
     assert sum(r.failed for r in results) == 1
     assert results[9].failed and "DegenerateData" in results[9].error
     assert results[9].cov is None
     assert len(collect_models(results)) > 0
 
     with pytest.raises(SearchFailed):
-        run_searches([good] * 8 + [bad] * 2, cross_sectional_cov, mask, params)
+        run_searches([good] * 8 + [bad] * 2, mask, params)
 
 
 def test_edge_probabilities_count_cpdags():
@@ -362,7 +357,7 @@ def test_end_to_end_stability_on_chain_data():
     mask = ConstraintMask.empty(3)
     subsets = subsample(data, 12, np.random.default_rng(42))
     params = SearchParams(generations=12, population_size=24, seed=5)
-    results = run_searches(subsets, cross_sectional_cov, mask, params)
+    results = run_searches(subsets, mask, params)
     models = collect_models(results)
     edge_sg, path_sg = stability_graphs(models, mask, data.names)
 
