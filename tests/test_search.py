@@ -379,21 +379,33 @@ GOLDEN_RUNS = {
         ([(0, 1), (1, 2), (1, 3), (2, 3), (4, 3)], 55.794824920768924),
         ([(0, 1), (0, 3), (1, 2), (1, 3), (3, 2), (4, 3)], 38.72591762653513),
     ],
+    "dense": [
+        ([], 306.09094049505296),
+        ([(0, 1)], 141.79094662905126),
+        ([(1, 0), (1, 2)], 0.02180989891090363),
+        ([(0, 2), (1, 0), (1, 2)], 2.6971480604487397e-14),
+    ],
 }
 
 
 def golden_run(kind):
-    """The p=5 search behind GOLDEN_RUNS[kind]."""
+    """The search behind GOLDEN_RUNS[kind]: p=5, or p=3 for "dense".
+
+    At p=3 the initial arc rate is 1/3, so about 30% of the initial
+    individuals hold a 2-cycle and are repaired during the init.
+    """
+    p = 3 if kind == "dense" else 5
     rng = np.random.default_rng(20261018)
-    sigma = sem_implied_covariance(5, GOLDEN_ARCS, [1.0] * 5)
-    vals = rng.standard_normal((300, 5)) @ np.linalg.cholesky(sigma).T
-    cov = sample_covariance(Dataset([f"X{i}" for i in range(5)], vals))
-    mask = ConstraintMask.empty(5)
+    arcs = {arc: w for arc, w in GOLDEN_ARCS.items() if max(arc) < p}
+    sigma = sem_implied_covariance(p, arcs, [1.0] * p)
+    vals = rng.standard_normal((300, p)) @ np.linalg.cholesky(sigma).T
+    cov = sample_covariance(Dataset([f"X{i}" for i in range(p)], vals))
+    mask = ConstraintMask.empty(p)
     if kind == "masked":
         later_to_earlier = [(b, a) for a in range(5) for b in range(a + 2, 5)]
         mask = mask.with_forbidden(later_to_earlier + [(1, 0), (2, 1)])
     params = SearchParams(generations=12, population_size=24, seed=5)
-    return evolve(cov, 300, 5, mask, params)
+    return evolve(cov, 300, p, mask, params)
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_RUNS))
@@ -407,7 +419,7 @@ def test_evolve_matches_recorded_runs(kind):
 
 # repair_arcs calls of the golden runs, counted when every individual was
 # checked for cycles one at a time
-GOLDEN_REPAIRS = {"cross": 20, "masked": 4}
+GOLDEN_REPAIRS = {"cross": 20, "dense": 31, "masked": 4}
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_REPAIRS))
