@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .effects import EffectEstimate, aggregate_effects
 from .errors import DegenerateData
 from .graphs import ConstraintMask
-from .scoring import Dataset
+from .scoring import Dataset, sample_covariance
 from .search import SearchParams
 from .seeding import SUBSAMPLE_LANE, derived_rng
 from .stability import (
@@ -66,10 +66,11 @@ def search_stability(
     curves are labelled with ``data.names``.  ``subsets`` overrides the
     default row subsampling of ``data`` (the transition model draws whole
     subjects' row blocks); each subset is searched on its sample covariance.
-    Raises DegenerateData for data with fewer than two variables.
+    Raises DegenerateData for fewer than two variables or a degenerate covariance.
     """
     if data.n_cols < 2:
         raise DegenerateData("need at least two variables")
+    sample_covariance(data)
     if subsets is None:
         rng = derived_rng(params.seed, SUBSAMPLE_LANE, 0)
         subsets = subsample(data, n_subsets, rng)

@@ -2,13 +2,13 @@
 
 Objectives are (chi_square, complexity), both minimized.  evolve() holds the
 population as one (N, p, p) boolean array of adjacency matrices; forbidden
-cells are never set.  Tournament selection and variation are pure array
-functions fed with the generator draws evolve() makes; uniform crossover and
-bit-flip mutation may close a directed cycle, so one batched cycle check runs
-per generation and only the cyclic offspring go through cycle repair, in
-ascending index order.  Offspring are scored in one batch per generation;
-the population is ranked once, and truncation carries the ranks forward
-(the search is the hot path of the whole pipeline).
+cells are never set.  Selection and variation are pure array functions fed
+with evolve()'s draws.  A per-search memo keyed by packed adjacency bits lets
+an individual seen before skip the cycle check, repair and scorer; new ones
+are repaired in index order and scored in one batch.  Ranking sweeps distinct
+points once per generation.  Only draws that are read are made, each at its
+place in the full draw's stream: the init draws blocks cut at each cyclic
+row, and mutation skips the flip cells of offspring that do not mutate.
 """
 
 from __future__ import annotations
@@ -68,9 +68,12 @@ def _rank_array(objs: np.ndarray) -> np.ndarray:
     order = np.lexsort((chi, k))
     finite = np.isfinite(chi[order])
     feasible, infeasible = order[finite], order[~finite]
+    points = objs[feasible]
+    new = np.ones(len(points), dtype=bool)  # first of its point in sweep order
+    new[1:] = (points[1:] != points[:-1]).any(axis=1)
     latest: list[list[float]] = []  # [chi, k] of each front's latest member
     fronts = []
-    for point in objs[feasible].tolist():
+    for point in points[new].tolist():  # identical points share a front
         f = bisect_left(latest, point)
         if f == len(latest):
             latest.append(point)
@@ -78,7 +81,7 @@ def _rank_array(objs: np.ndarray) -> np.ndarray:
             latest[f] = point
         fronts.append(f)
     ranks = np.zeros(len(objs), dtype=np.int64)
-    ranks[feasible] = fronts
+    ranks[feasible] = np.array(fronts, dtype=np.int64)[np.cumsum(new) - 1]
     worst = np.concatenate(([-1], np.maximum.accumulate(ranks[feasible])))
     ranks[infeasible] = worst[np.searchsorted(k[feasible], k[infeasible], "right")] + 1
     return ranks
@@ -131,6 +134,24 @@ def _vary(pa, pb, apply_cx, mix, do_mut, flip, allowed) -> np.ndarray:
     out[0::2] = pa ^ swap
     out[1::2] = pb ^ swap
     return out ^ (do_mut[:, None, None] & flip & allowed)
+
+
+def _flips(rng: np.random.Generator, do_mut: np.ndarray, p: int, rate: float) -> np.ndarray:
+    """``rng.random((N, p, p)) < rate`` on the do_mut rows, False elsewhere.
+
+    Only those rows are drawn; the generator ends where the full draw ends.
+    """
+    bitgen = rng.bit_generator
+    buffered = {key: bitgen.state[key] for key in ("has_uint32", "uinteger")}
+    flip = np.zeros((len(do_mut), p, p), dtype=bool)
+    done = 0
+    for i in np.flatnonzero(do_mut).tolist():
+        bitgen.advance((i - done) * p * p)
+        flip[i] = rng.random((p, p)) < rate
+        done = i + 1
+    bitgen.advance((len(do_mut) - done) * p * p)
+    bitgen.state = {**bitgen.state, **buffered}  # advance() drops a buffered half
+    return flip
 
 
 class _Scorer:
@@ -247,22 +268,45 @@ def evolve(
     length = p * (p - 1)
     allowed = ~mask.forbidden
     offdiag = ~np.eye(p, dtype=bool)
+    seen: dict[bytes, int] = {}  # packed repaired individual -> its row of table
+    table = np.empty((0, 2))  # (chi_square, complexity) of each individual seen
 
-    def repair(adjs: np.ndarray) -> None:
-        """Repair cyclic rows in place, in index order; acyclic rows draw nothing."""
-        for i in np.flatnonzero(cyclic_rows(adjs)):
+    def repair(adjs: np.ndarray, rows) -> None:
+        for i in rows:
             adjs[i] = arc_matrix(p, repair_arcs(p, set(_arcs(adjs[i])), mask, rng))
 
-    def score_all(adjs: np.ndarray) -> np.ndarray:
-        return np.column_stack([scorer.chi_squares(adjs), adjs.sum(axis=(1, 2))])
+    def packed(adjs: np.ndarray) -> list[bytes]:
+        flat = np.packbits(adjs.reshape(len(adjs), -1), axis=1)
+        return flat.view(f"V{flat.shape[1]}").ravel().tolist()  # one bytes per row
 
-    # random sparse initialization, one draw and one repair per individual
+    def objectives(adjs: np.ndarray, keys: list[bytes]) -> np.ndarray:
+        """(chi, k) per acyclic row; each individual new to the search is scored once."""
+        nonlocal table
+        fresh = {key: i for i, key in enumerate(keys) if key not in seen}
+        if fresh:
+            rows = adjs[list(fresh.values())]
+            seen.update(zip(fresh, range(len(table), len(table) + len(fresh))))
+            new_objs = np.column_stack([scorer.chi_squares(rows), rows.sum(axis=(1, 2))])
+            table = np.concatenate([table, new_objs])
+        return table[[seen[key] for key in keys]]
+
+    # random sparse initialization in blocks of rows; a cyclic row is redrawn
+    # and repaired before any later row is drawn, as a per-row loop does
     population = np.zeros((pop_n, p, p), dtype=bool)
-    for i in range(pop_n):
-        population[i][offdiag] = rng.random(length) < 2.0 / length
-        population[i] &= allowed
-        repair(population[i][None])
-    objs = score_all(population)
+    start = 0
+    while start < pop_n:
+        state = rng.bit_generator.state
+        block = population[start:]
+        block[:, offdiag] = rng.random((len(block), length)) < 2.0 / length
+        block &= allowed
+        cyclic = np.flatnonzero(cyclic_rows(block))
+        if not len(cyclic):
+            break
+        rng.bit_generator.state = state
+        rng.random((cyclic[0] + 1, length))
+        repair(block, cyclic[:1])
+        start += cyclic[0] + 1
+    objs = objectives(population, packed(population))
     ranks = _rank_array(objs)
 
     for _ in range(params.generations):
@@ -277,13 +321,22 @@ def evolve(
         apply_cx = rng.random(half) < params.p_crossover
         mix = rng.random((half, p, p)) < 0.5
         do_mut = rng.random(pop_n) < params.p_mutation
-        flip = rng.random((pop_n, p, p)) < 1.0 / length
+        flip = _flips(rng, do_mut, p, 1.0 / length)
         offspring = _vary(
             population[winners[0::2]], population[winners[1::2]],
             apply_cx, mix, do_mut, flip, allowed,
         )
-        repair(offspring)
-        off_objs = score_all(offspring)
+        # an individual seen before is acyclic and scored; the others are
+        # checked, and the cyclic ones repaired in ascending index order
+        keys = packed(offspring)
+        new = np.flatnonzero([key not in seen for key in keys])
+        fresh = offspring[new]
+        cyclic = np.flatnonzero(cyclic_rows(fresh))
+        if len(cyclic):
+            repair(fresh, cyclic)
+            offspring[new] = fresh
+            keys = packed(offspring)
+        off_objs = objectives(offspring, keys)
 
         # elitist (mu + lambda) environmental selection
         union = np.concatenate([population, offspring])

@@ -263,6 +263,24 @@ def test_degenerate_data_exits_data(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case, message", [
+    ("constant column", "column 'C' has zero variance"),
+    ("collinear pair", "numerically singular"),
+])
+def test_degenerate_covariance_exits_data(tmp_path, capsys, case, message):
+    a, c = np.random.default_rng(0).normal(size=(2, 60))
+    if case == "constant column":
+        c = np.ones(60)
+    rows = np.column_stack([a, 2 * a if case == "collinear pair" else -a + c, c])
+    csv = tmp_path / "degenerate.csv"
+    csv.write_text("A,B,C\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+    rc = main(["search", "--data", str(csv), "--out", str(tmp_path / "o"), *FAST])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_duplicate_column_names_exit_data(tmp_path, capsys):
     csv = tmp_path / "dup.csv"
     rows = np.random.default_rng(0).normal(size=(40, 4))

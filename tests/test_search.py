@@ -173,6 +173,23 @@ def test_mutate_expected_flip_count():
     assert abs(out.sum() / trials - 1.0) < 0.1
 
 
+@pytest.mark.parametrize("p", [3, 16])
+def test_flips_draw_what_the_full_draw_draws(p):
+    rate = 1.0 / (p * (p - 1))
+    masks = [np.random.default_rng(seed).random(40) < 0.2 for seed in range(4)]
+    masks += [np.zeros(40, dtype=bool), np.ones(40, dtype=bool)]
+    for seed, do_mut in enumerate(masks):
+        skip, full = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (skip, full):
+            rng.integers(7)  # leaves the other 32-bit half of a draw buffered
+        assert full.bit_generator.state["has_uint32"] == 1
+        flip = search._flips(skip, do_mut, p, rate)
+        want = full.random((len(do_mut), p, p)) < rate
+        assert np.array_equal(flip[do_mut], want[do_mut])
+        assert not flip[~do_mut].any()
+        assert skip.bit_generator.state == full.bit_generator.state
+
+
 def test_fast_acyclicity_check_matches_oracle():
     rng = np.random.default_rng(6)
     # a triangle is the classic miss for naive power-of-two reachability
@@ -237,6 +254,44 @@ def test_batched_scorer_equals_per_row_loop(p, monkeypatch):
         want = [scalar_chi_square(cov, n, adj, {bad}) for adj in adjs]
         assert scorer.chi_squares(adjs).tolist() == want
     assert search.INFEASIBLE in scorer.chi_squares(batches[0]).tolist()
+
+
+def test_evolve_scores_each_distinct_individual_once(monkeypatch):
+    scored, covs, varied, ranked = [], [], [], []
+    chi_squares, vary = search._Scorer.chi_squares, search._vary
+
+    def recorded(self, adjs):
+        scored.extend(adj.tobytes() for adj in adjs)
+        covs.append(self.cov)
+        return chi_squares(self, adjs)
+
+    # node 4 without parents degenerates: a common infeasible key, so
+    # infeasible individuals are bred again
+    bad = (4, ())
+    kernel = search.node_regression
+
+    def degenerate(cov_, node, parents):
+        if (node, tuple(parents)) == bad:
+            raise DegenerateData("forced")
+        return kernel(cov_, node, parents)
+
+    monkeypatch.setattr(search._Scorer, "chi_squares", recorded)
+    monkeypatch.setattr(search, "node_regression", degenerate)
+    monkeypatch.setattr(search, "_vary", lambda *args: varied.append(vary(*args)) or varied[-1])
+    monkeypatch.setattr(search, "_rank_array", lambda objs: ranked.append(objs) or _rank_array(objs))
+    golden_run("cross")
+    assert len(scored) == len(set(scored))
+
+    # every offspring visit (repaired in place) reads what the scalar loop
+    # gives; the union ranked after generation g ends with its offspring
+    cov = covs[0]
+    infeasible = []
+    for offspring, objs in zip(varied, ranked[1:]):
+        for adj, (chi, k) in zip(offspring, objs[-len(offspring):].tolist()):
+            assert (chi, k) == (scalar_chi_square(cov, 300, adj, {bad}), adj.sum())
+            if chi == search.INFEASIBLE:
+                infeasible.append(adj.tobytes())
+    assert len(infeasible) > len(set(infeasible)) > 0  # revisited, still infeasible
 
 
 def test_evolve_ranks_once_per_generation(monkeypatch):
