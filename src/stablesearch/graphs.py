@@ -126,10 +126,6 @@ class Dag:
         if not is_acyclic(self.n_nodes, self.arcs):
             raise ValueError("arc set has a directed cycle")
 
-    @property
-    def complexity(self) -> int:
-        return len(self.arcs)
-
     def parents(self, v: int) -> list[int]:
         return sorted(a for a, b in self.arcs if b == v)
 
@@ -140,9 +136,6 @@ class Dag:
         for lst in out:
             lst.sort()
         return out
-
-    def skeleton(self) -> frozenset[tuple[int, int]]:
-        return frozenset((min(a, b), max(a, b)) for a, b in self.arcs)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ chi_square = (n-1) * (sum_j ln psi_j - ln|S|) with no matrix inversion.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
@@ -127,7 +127,8 @@ def sample_covariance(data: Dataset) -> np.ndarray:
     """Unbiased (n-1 divisor) sample covariance of the dataset.
 
     Fewer than p+2 rows, zero-variance columns and numerically singular
-    matrices raise DegenerateData.
+    matrices raise DegenerateData; a singular one names its collinear
+    columns.
     """
     n, p = data.values.shape
     if n < p + 2:
@@ -140,7 +141,14 @@ def sample_covariance(data: Dataset) -> np.ndarray:
         bad = data.columns[int(np.argmin(diag))].name
         raise DegenerateData(f"column {bad!r} has zero variance")
     if np.linalg.cond(cov) > MAX_CONDITION:
-        raise DegenerateData("sample covariance is numerically singular")
+        # the columns in the correlation's near-null direction are collinear
+        sd = np.sqrt(diag)
+        _, vecs = np.linalg.eigh(cov / np.outer(sd, sd))
+        names = [c.name for c, w in zip(data.columns, vecs[:, 0]) if abs(w) > 1e-3]
+        raise DegenerateData(
+            f"sample covariance is numerically singular: columns "
+            f"{', '.join(map(repr, names))} are collinear"
+        )
     return cov
 
 
@@ -149,18 +157,16 @@ class FitResult:
     chi_square: float
     complexity: int
     bic: float
-    coefficients: dict[int, dict[int, float]] = field(compare=False)
-    residual_variances: tuple[float, ...] = field(compare=False)
 
 
-def node_regression(cov: np.ndarray, j: int, parents):
-    """Least squares of node j on its parents: (residual variance, weights).
+def node_regression(cov: np.ndarray, j: int, parents) -> float:
+    """Residual variance of the least squares of node j on its parents.
 
     Raises DegenerateData when the parent block is singular or the residual
     variance is not positive.
     """
     if len(parents) == 0:
-        return float(cov[j, j]), np.empty(0)
+        return float(cov[j, j])
     rhs = cov[parents, j]
     try:
         b = np.linalg.solve(cov[parents][:, parents], rhs)
@@ -169,12 +175,7 @@ def node_regression(cov: np.ndarray, j: int, parents):
     resid = float(cov[j, j] - rhs @ b)
     if resid <= 0 or not np.isfinite(resid):
         raise DegenerateData(f"non-positive residual variance at node {j}")
-    return resid, b
-
-
-def chi_square_from_psi(psi, logdet_s: float, n: int) -> float:
-    value = (n - 1) * (float(np.sum(np.log(psi))) - logdet_s)
-    return max(value, 0.0)
+    return resid
 
 
 def fit_dag_ml(dag: Dag, cov: np.ndarray, n: int) -> FitResult:
@@ -185,19 +186,9 @@ def fit_dag_ml(dag: Dag, cov: np.ndarray, n: int) -> FitResult:
     sign, logdet_s = np.linalg.slogdet(cov)
     if sign <= 0:
         raise DegenerateData("sample covariance is not positive definite")
-    psi = []
-    coeffs: dict[int, dict[int, float]] = {}
-    for j, pa in enumerate(dag.parent_lists()):
-        resid, b = node_regression(cov, j, pa)
-        psi.append(resid)
-        if pa:
-            coeffs[j] = {a: float(w) for a, w in zip(pa, b)}
+    total = 0.0
+    for j, pa in enumerate(dag.parent_lists()):  # node order, as the search's scorer adds
+        total += np.log(node_regression(cov, j, pa))
     k = len(dag.arcs)
-    chi2 = chi_square_from_psi(psi, logdet_s, n)
-    return FitResult(
-        chi_square=chi2,
-        complexity=k,
-        bic=chi2 + k * float(np.log(n)),
-        coefficients=coeffs,
-        residual_variances=tuple(psi),
-    )
+    chi2 = float(max((n - 1) * (total - logdet_s), 0.0))
+    return FitResult(chi_square=chi2, complexity=k, bic=chi2 + k * float(np.log(n)))

@@ -9,6 +9,7 @@ are repaired in index order and scored in one batch.  Ranking sweeps distinct
 points once per generation.  Only draws that are read are made, each at its
 place in the full draw's stream: the init draws blocks cut at each cyclic
 row, and mutation skips the flip cells of offspring that do not mutate.
+The returned Pareto set carries the memo's scores; nothing is fitted again.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from .errors import DegenerateData
 from .graphs import (
     ConstraintMask, Cpdag, Dag, arc_matrix, cyclic_rows, dag_to_cpdag, repair_arcs,
 )
-from .scoring import FitResult, fit_dag_ml, node_regression
+# fit_dag_ml is not called here: bench/tracer.py wraps
+# stablesearch.search.fit_dag_ml by name
+from .scoring import FitResult, fit_dag_ml, node_regression  # noqa: F401
 
 INFEASIBLE = float("inf")
 
@@ -159,8 +162,8 @@ class _Scorer:
 
     The chi-square decomposes over nodes (see scoring), so each column of a
     batch is one (node, parent set) key.  ln psi is cached per key, NaN when
-    the node's fit degenerates.  Only (chi_square, complexity) is produced
-    here; full FitResults are fitted once at the end for the Pareto set.
+    the node's fit degenerates.  ln psi is summed in node order, as
+    scoring.fit_dag_ml sums it, so both give the same chi-square.
     """
 
     def __init__(self, cov: np.ndarray, n: int):
@@ -193,8 +196,7 @@ class _Scorer:
             val = self.log_psi.get(key)
             if val is None:
                 try:
-                    psi, _ = node_regression(self.cov, c % p, np.flatnonzero(cols[c]))
-                    val = np.log(psi)
+                    val = np.log(node_regression(self.cov, c % p, np.flatnonzero(cols[c])))
                 except DegenerateData:
                     val = np.nan
                 self.log_psi[key] = val
@@ -214,34 +216,24 @@ def _arcs(adj: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _pareto_postfilter(
-    front_adj: np.ndarray, mask: ConstraintMask, cov: np.ndarray, n: int,
+    front_adj: np.ndarray, front_objs: np.ndarray, mask: ConstraintMask, n: int,
     labels: tuple[str, ...] | None,
 ) -> list[ParetoModel]:
-    """Dedup front 0 by CPDAG, keep the best fit per complexity level."""
-    p = mask.n_nodes
-    models = []
-    seen_structs = set()
-    for adj in front_adj:
-        key = adj.tobytes()
-        if key in seen_structs:
-            continue
-        seen_structs.add(key)
-        dag = Dag(p, frozenset(_arcs(adj)), labels)
-        try:
-            fit = fit_dag_ml(dag, cov, n)
-        except DegenerateData:
-            continue
-        models.append((dag, fit))
+    """Front 0's best model per complexity, with the scores the search ranked.
 
-    # same constrained CPDAG implies same skeleton, hence the same complexity,
-    # so keeping the best fit per complexity also deduplicates by CPDAG
-    models.sort(key=lambda m: (m[1].complexity, m[1].chi_square, sorted(m[0].arcs)))
+    Per complexity the lowest (chi-square, row-major arcs) is kept; infeasible
+    rows are dropped.  The same constrained CPDAG implies the same skeleton,
+    hence the same complexity, so this also deduplicates by CPDAG.
+    """
+    best: dict[int, tuple[float, list[tuple[int, int]]]] = {}
+    for adj, (chi, k) in zip(front_adj, front_objs.tolist()):
+        k, model = int(k), (chi, _arcs(adj))
+        if chi != INFEASIBLE and (k not in best or model < best[k]):
+            best[k] = model
     out: list[ParetoModel] = []
-    seen_complexity = set()
-    for dag, fit in models:
-        if fit.complexity in seen_complexity:
-            continue
-        seen_complexity.add(fit.complexity)
+    for k, (chi, arcs) in sorted(best.items()):
+        dag = Dag(mask.n_nodes, frozenset(arcs), labels)
+        fit = FitResult(chi, k, chi + k * float(np.log(n)))
         out.append(ParetoModel(dag, fit, dag_to_cpdag(dag, mask)))
     return out
 
@@ -359,4 +351,5 @@ def evolve(
         objs = union_objs[chosen]
         ranks = union_ranks[chosen]
 
-    return _pareto_postfilter(population[ranks == 0], mask, cov, n, labels)
+    front = ranks == 0
+    return _pareto_postfilter(population[front], objs[front], mask, n, labels)

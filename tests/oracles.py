@@ -190,8 +190,8 @@ def gaussian_deviance(sample_cov, implied_cov, n_obs):
     return (n_obs - 1) * (logdet_i + tr - logdet_s - p)
 
 
-def oracle_fit_chi_square(n_nodes, arcs, sample_cov, n_obs):
-    """Independent DAG fit: estimate per-node params, build Sigma, full deviance."""
+def oracle_sem_params(n_nodes, arcs, sample_cov):
+    """Per-node least squares: ({(a, b): weight}, [noise variance per node])."""
     weights = {}
     noise = []
     for j in range(n_nodes):
@@ -203,7 +203,12 @@ def oracle_fit_chi_square(n_nodes, arcs, sample_cov, n_obs):
             noise.append(float(sample_cov[j, j] - sample_cov[pa, j] @ beta))
         else:
             noise.append(float(sample_cov[j, j]))
-    sigma = sem_implied_covariance(n_nodes, weights, noise)
+    return weights, noise
+
+
+def oracle_fit_chi_square(n_nodes, arcs, sample_cov, n_obs):
+    """Independent DAG fit: estimate per-node params, build Sigma, full deviance."""
+    sigma = sem_implied_covariance(n_nodes, *oracle_sem_params(n_nodes, arcs, sample_cov))
     return gaussian_deviance(sample_cov, sigma, n_obs)
 
 

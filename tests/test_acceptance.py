@@ -302,7 +302,7 @@ def test_criterion_07_simulation_recovery_aucs():
 
 def _pareto(n, arcs, mask):
     dag = Dag(n, frozenset(arcs))
-    fit = FitResult(1.0, len(dag.arcs), 10.0, {}, (1.0,) * n)
+    fit = FitResult(1.0, len(dag.arcs), 10.0)
     return ParetoModel(dag, fit, dag_to_cpdag(dag, mask))
 
 

@@ -78,7 +78,7 @@ def test_effects_hooks_bind_their_call_sites_arguments(tracer):
 def test_traced_effects_count_classes_and_regressions(tracer):
     # a 3-chain: its class has three members and pa(0) takes two values
     dag = Dag(3, frozenset({(0, 1), (1, 2)}))
-    model = ParetoModel(dag, FitResult(1.0, 2, 1.0, {}, (1.0,) * 3), dag_to_cpdag(dag))
+    model = ParetoModel(dag, FitResult(1.0, 2, 1.0), dag_to_cpdag(dag))
     rng = np.random.default_rng(0)
     data = Dataset(["a", "b", "c"], rng.standard_normal((50, 3)))
     cov = np.cov(data.values, rowvar=False)

@@ -265,7 +265,8 @@ def test_degenerate_data_exits_data(tmp_path, capsys):
 
 @pytest.mark.parametrize("case, message", [
     ("constant column", "column 'C' has zero variance"),
-    ("collinear pair", "numerically singular"),
+    pytest.param("collinear pair", "numerically singular: columns 'A', 'B' are collinear",
+                 id="collinear pair-numerically singular"),
 ])
 def test_degenerate_covariance_exits_data(tmp_path, capsys, case, message):
     a, c = np.random.default_rng(0).normal(size=(2, 60))

@@ -123,7 +123,7 @@ def _result(index, models):
 
 def _model(n, arcs, cov_n, chi=1.0, bic=10.0, mask=None):
     dag = Dag(n, frozenset(arcs))
-    fit = FitResult(chi, len(dag.arcs), bic, {}, (1.0,) * n)
+    fit = FitResult(chi, len(dag.arcs), bic)
     return ParetoModel(dag, fit, dag_to_cpdag(dag, mask))
 
 

@@ -5,6 +5,7 @@ from oracles import (
     all_dag_arcsets,
     equivalence_class,
     gaussian_deviance,
+    oracle_sem_params,
     sem_implied_covariance,
 )
 from stablesearch.errors import DegenerateData, ShapeMismatch
@@ -20,11 +21,9 @@ from stablesearch.scoring import (
 )
 
 
-def implied_covariance(fit):
-    """Covariance the fitted model implies, from its coefficients and residual variances."""
-    weights = {(a, j): w for j, row in fit.coefficients.items() for a, w in row.items()}
-    p = len(fit.residual_variances)
-    return sem_implied_covariance(p, weights, list(fit.residual_variances))
+def implied_covariance(dag, cov):
+    """Covariance the ML fit of the DAG implies, from per-node least squares."""
+    return sem_implied_covariance(dag.n_nodes, *oracle_sem_params(dag.n_nodes, dag.arcs, cov))
 
 
 def random_dataset(rng, n=200, p=4):
@@ -67,6 +66,14 @@ def test_sample_covariance_monte_carlo_independence():
     assert np.allclose(cov, cov.T)
 
 
+def test_sample_covariance_names_collinear_columns():
+    rng = np.random.default_rng(11)
+    a, b, d = rng.standard_normal((3, 80))
+    data = Dataset(["A", "B", "C", "D"], np.column_stack([a, b, a + b, d]))
+    with pytest.raises(DegenerateData, match="columns 'A', 'B', 'C' are collinear"):
+        sample_covariance(data)
+
+
 def test_sample_covariance_rejects_zero_variance():
     vals = np.column_stack([np.ones(10), np.arange(10.0)])
     with pytest.raises(DegenerateData):
@@ -83,7 +90,7 @@ def test_saturated_model_reproduces_sample_covariance():
         )
         fit = fit_dag_ml(Dag(4, arcs), cov, data.n_rows)
         assert fit.chi_square < 1e-8
-        assert np.max(np.abs(implied_covariance(fit) - cov)) < 1e-8
+        assert np.max(np.abs(implied_covariance(Dag(4, arcs), cov) - cov)) < 1e-8
 
 
 def test_empty_model_chi_square_on_standardized_data():
@@ -105,7 +112,7 @@ def test_chi_square_matches_full_deviance_formula():
     for i in rng.choice(len(universe), size=40, replace=False):
         dag = Dag(4, universe[i])
         fit = fit_dag_ml(dag, cov, data.n_rows)
-        direct = gaussian_deviance(cov, implied_covariance(fit), data.n_rows)
+        direct = gaussian_deviance(cov, implied_covariance(dag, cov), data.n_rows)
         assert abs(fit.chi_square - direct) < 1e-8
         assert fit.chi_square >= 0
         assert abs(fit.bic - (fit.chi_square + fit.complexity * np.log(data.n_rows))) < 1e-12
@@ -177,7 +184,8 @@ def test_fit_matches_known_generating_model():
     # x0 -> x1 with weight 0.8: regression recovers the weight from cov alone
     cov = sem_implied_covariance(2, {(0, 1): 0.8}, [1.0, 1.0])
     fit = fit_dag_ml(Dag(2, frozenset({(0, 1)})), cov, 1000)
-    assert abs(fit.coefficients[1][0] - 0.8) < 1e-12
+    weights, _ = oracle_sem_params(2, {(0, 1)}, cov)
+    assert abs(weights[(0, 1)] - 0.8) < 1e-12
     assert fit.chi_square < 1e-8
 
 

@@ -464,12 +464,58 @@ def golden_run(kind):
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_RUNS))
-def test_evolve_matches_recorded_runs(kind):
+def test_evolve_matches_recorded_runs(kind, monkeypatch):
+    def refit(*args):
+        raise AssertionError("the search's own scores are returned, not refitted")
+
+    monkeypatch.setattr(search, "fit_dag_ml", refit)
     models = golden_run(kind)
     got = [(sorted(m.dag.arcs), m.fit.chi_square) for m in models]
     assert [arcs for arcs, _ in got] == [arcs for arcs, _ in GOLDEN_RUNS[kind]]
     for (_, chi), (_, want) in zip(got, GOLDEN_RUNS[kind]):
         assert chi == pytest.approx(want, rel=1e-9, abs=1e-9)
+    for m in models:
+        assert m.fit.complexity == len(m.dag.arcs)
+        assert m.fit.bic == m.fit.chi_square + m.fit.complexity * np.log(300)
+
+
+def test_evolve_drops_infeasible_front_rows(monkeypatch):
+    # node 4 without parents degenerates, so the empty model is infeasible
+    # and, with nothing of complexity 0 to dominate it, stays in front 0
+    bad = (4, ())
+    kernel = search.node_regression
+
+    def degenerate(cov_, node, parents):
+        if (node, tuple(parents)) == bad:
+            raise DegenerateData("forced")
+        return kernel(cov_, node, parents)
+
+    fronts = []
+    postfilter = search._pareto_postfilter
+
+    def recorded(front_adj, front_objs, *args):
+        fronts.append(front_objs)
+        return postfilter(front_adj, front_objs, *args)
+
+    monkeypatch.setattr(search, "node_regression", degenerate)
+    monkeypatch.setattr(search, "_pareto_postfilter", recorded)
+    models = golden_run("cross")
+    assert search.INFEASIBLE in fronts[0][:, 0]
+    assert models and all(np.isfinite(m.fit.chi_square) for m in models)
+
+
+@pytest.mark.parametrize("p", [3, 8, 12, 16])
+def test_fit_dag_ml_scores_exactly_as_the_search(p):
+    rng = np.random.default_rng(p)
+    n = 3 * p + 20
+    cov = sample_covariance(Dataset(range(p), rng.standard_normal((n, p))))
+    scorer = search._Scorer(cov, n)
+    for density in (2.0 / p, 0.3, 0.6):
+        for _ in range(30):
+            order = rng.permutation(p)
+            adj = np.triu(rng.random((p, p)) < density, 1)[order][:, order]
+            fit = search.fit_dag_ml(Dag(p, frozenset(_arcs(adj))), cov, n)
+            assert fit.chi_square == scorer.chi_squares(adj[None])[0]
 
 
 # repair_arcs calls of the golden runs, counted when every individual was

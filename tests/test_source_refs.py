@@ -23,6 +23,8 @@ PUBLIC_API = {"ida_multiset"}
 KEPT_IMPORTS = {
     # bench/tracer.py wraps stablesearch.longitudinal.sample_covariance by name
     "longitudinal.sample_covariance",
+    # bench/tracer.py wraps stablesearch.search.fit_dag_ml by name
+    "search.fit_dag_ml",
 }
 
 

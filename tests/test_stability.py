@@ -29,7 +29,7 @@ from stablesearch.stability import (
 def make_model(n, arcs, mask=None, bic=0.0, chi=1.0):
     mask = mask or ConstraintMask.empty(n)
     dag = Dag(n, frozenset(arcs))
-    fit = FitResult(chi, len(dag.arcs), bic, {}, (1.0,) * n)
+    fit = FitResult(chi, len(dag.arcs), bic)
     return ParetoModel(dag, fit, dag_to_cpdag(dag, mask))
 
 
