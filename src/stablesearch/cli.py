@@ -164,10 +164,8 @@ def load_prior(cfg: RunConfig) -> list[tuple[str, str]]:
 def manifest_dict(command: str, cfg: RunConfig, extra: dict) -> dict:
     versions = {"stablesearch": __version__, "python": sys.version.split()[0]}
     import numpy
-    import scipy
 
     versions["numpy"] = numpy.__version__
-    versions["scipy"] = scipy.__version__
     return {
         "command": command,
         "config": asdict(cfg),

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateData, EmptyMultiset
 from .graphs import ConstraintMask, Cpdag, Dag, enumerate_extensions
-from .scoring import CONTINUOUS, MAX_CONDITION, Dataset
+from .scoring import CONTINUOUS, Dataset, is_singular
 
 log = logging.getLogger(__name__)
 
@@ -48,7 +48,7 @@ def causal_effect(dag: Dag, cov: np.ndarray, x: int, y: int) -> float:
         return 0.0
     pred = [x] + [v for v in pa if v != x]
     block = cov[pred][:, pred]
-    if np.linalg.cond(block) > MAX_CONDITION:
+    if is_singular(block):
         raise DegenerateData("regressor submatrix is singular")
     beta = np.linalg.solve(block, cov[pred, y])
     return float(beta[0])

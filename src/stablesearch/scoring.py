@@ -15,7 +15,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DegenerateData, ShapeMismatch
 from .graphs import Dag
@@ -87,7 +86,8 @@ def rank_normalize(data: Dataset) -> Dataset:
     for j, col in enumerate(data.columns):
         if col.kind != DISCRETE:
             continue
-        ranks = rankdata(values[:, j], method="average")
+        _, inv, counts = np.unique(values[:, j], return_inverse=True, return_counts=True)
+        ranks = (np.cumsum(counts) - (counts - 1) / 2)[inv]  # midranks
         sd = ranks.std(ddof=1)
         if sd == 0:
             raise DegenerateData(f"discrete column {col.name!r} is constant")
@@ -123,26 +123,33 @@ def load_dataset(csv_path, kinds: dict[str, str] | None = None) -> Dataset:
     return Dataset(cols, np.array(rows))
 
 
+def is_singular(block: np.ndarray) -> bool:
+    """Whether covariance `block` is numerically singular: a variance is not
+    positive, or the correlation matrix (free of units) is ill conditioned."""
+    sd = np.sqrt(np.diag(block))
+    return not np.all(sd > 0) or np.linalg.cond(block / np.outer(sd, sd)) > MAX_CONDITION
+
+
 def sample_covariance(data: Dataset) -> np.ndarray:
     """Unbiased (n-1 divisor) sample covariance of the dataset.
 
-    Fewer than p+2 rows, zero-variance columns and numerically singular
-    matrices raise DegenerateData; a singular one names its collinear
-    columns.
+    Fewer than p+2 rows, columns constant up to rounding and numerically
+    singular matrices raise DegenerateData; a singular one names its
+    collinear columns.
     """
     n, p = data.values.shape
     if n < p + 2:
         raise DegenerateData(f"need at least p+2={p + 2} rows, got {n}")
-    cov = np.cov(data.values, rowvar=False, ddof=1)
-    cov = np.atleast_2d(cov)
+    cov = np.atleast_2d(np.cov(data.values, rowvar=False, ddof=1))
     cov = (cov + cov.T) / 2.0
-    diag = np.diag(cov)
-    if np.any(diag <= 0):
-        bad = data.columns[int(np.argmin(diag))].name
+    sd = np.sqrt(np.diag(cov))
+    # a spread at rounding level of the column's magnitude is no variance
+    flat = sd <= n * np.finfo(float).eps * np.abs(data.values).max(axis=0)
+    if np.any(flat):
+        bad = data.columns[int(np.argmax(flat))].name
         raise DegenerateData(f"column {bad!r} has zero variance")
-    if np.linalg.cond(cov) > MAX_CONDITION:
+    if is_singular(cov):
         # the columns in the correlation's near-null direction are collinear
-        sd = np.sqrt(diag)
         _, vecs = np.linalg.eigh(cov / np.outer(sd, sd))
         names = [c.name for c, w in zip(data.columns, vecs[:, 0]) if abs(w) > 1e-3]
         raise DegenerateData(

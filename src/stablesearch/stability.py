@@ -293,14 +293,7 @@ def compute_pi_bic(models) -> int:
         ns[j] = ns.get(j, 0) + 1
     if not sums:
         raise SearchFailed("no models, pi_bic undefined")
-    best_j = min(sums)  # fallback when every mean is infinite
-    best = np.inf
-    for j in sorted(sums):
-        mean = sums[j] / ns[j]
-        if mean < best:
-            best = mean
-            best_j = j
-    return best_j
+    return min(sorted(sums), key=lambda j: sums[j] / ns[j])
 
 
 def relevant_structures(

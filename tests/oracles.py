@@ -4,7 +4,8 @@ Everything here is written independently of the package under test: graph
 enumeration by trying all orientations, equivalence classes keyed on
 (skeleton, v-structures), reachability by boolean matrix powers, Pareto
 fronts by pairwise comparison, covariance matrices implied by small
-hand-solved models, and the inverse of the longitudinal reshape.
+hand-solved models, midranks by averaging tied positions, and the inverse
+of the longitudinal reshape.
 """
 
 import itertools
@@ -143,6 +144,17 @@ def oracle_front_ranks(points):
         idx = [i for i in idx if i not in front]
         r += 1
     return ranks
+
+
+def oracle_midranks(values):
+    """Each value's rank: the mean of the 1-based positions of its ties in
+    the sorted order, found by brute force."""
+    ordered = sorted(values)
+    out = []
+    for v in values:
+        positions = [i + 1 for i, w in enumerate(ordered) if w == v]
+        out.append(sum(positions) / len(positions))
+    return np.array(out)
 
 
 def chain_covariance(beta1, beta2, s1=1.0, s2=1.0, s3=1.0):

@@ -1,5 +1,9 @@
 """Command line tests: config layering, artifacts, exit codes, reruns."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -89,7 +93,7 @@ def test_search_writes_artifacts(tmp_path):
     assert isinstance(manifest["pi_bic"], int)
     assert manifest["config"]["generations"] == 4
     assert manifest["command"] == "search"
-    assert set(manifest["versions"]) == {"stablesearch", "python", "numpy", "scipy"}
+    assert set(manifest["versions"]) == {"stablesearch", "python", "numpy"}
     header = (out / "edge_stability.csv").read_text().splitlines()[0]
     assert header == "kind,from,to,complexity,probability,imputed"
 
@@ -267,11 +271,14 @@ def test_degenerate_data_exits_data(tmp_path, capsys):
     ("constant column", "column 'C' has zero variance"),
     pytest.param("collinear pair", "numerically singular: columns 'A', 'B' are collinear",
                  id="collinear pair-numerically singular"),
+    ("rounding-level constant", "column 'C' has zero variance"),
 ])
 def test_degenerate_covariance_exits_data(tmp_path, capsys, case, message):
     a, c = np.random.default_rng(0).normal(size=(2, 60))
     if case == "constant column":
         c = np.ones(60)
+    elif case == "rounding-level constant":  # 0.3 and the next double up
+        c = np.where(np.arange(60) % 2, 0.3, 0.30000000000000004)
     rows = np.column_stack([a, 2 * a if case == "collinear pair" else -a + c, c])
     csv = tmp_path / "degenerate.csv"
     csv.write_text("A,B,C\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
@@ -280,6 +287,25 @@ def test_degenerate_covariance_exits_data(tmp_path, capsys, case, message):
     assert rc == EXIT_DATA
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_columns_on_very_different_scales_are_not_singular(tmp_path, capsys):
+    rows = np.random.default_rng(0).normal(size=(200, 3)) * [1e7, 1.0, 1.0]
+    csv = tmp_path / "scaled.csv"
+    csv.write_text("A,B,C\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+    out = tmp_path / "o"
+    rc = main(["search", "--data", str(csv), "--out", str(out), *FAST])
+    assert rc == 0, capsys.readouterr().err
+    assert (out / "effects.csv").is_file()
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, stablesearch.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_duplicate_column_names_exit_data(tmp_path, capsys):

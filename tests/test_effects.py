@@ -55,6 +55,14 @@ def test_backdoor_adjustment_uses_parents_of_source():
     assert causal_effect(dag, cov, 0, 1) == pytest.approx(0.4)
 
 
+def test_effect_free_of_the_adjustment_sets_units():
+    # the confounder z measured in units 1e7 times smaller: same effect
+    weights = {(2, 0): 0.9, (2, 1): -0.6, (0, 1): 0.4}
+    scale = np.array([1.0, 1.0, 1e7])
+    cov = sem_implied_covariance(3, weights, [1.0] * 3) * np.outer(scale, scale)
+    assert causal_effect(Dag(3, frozenset(weights)), cov, 0, 1) == pytest.approx(0.4)
+
+
 def test_two_node_effect_matches_lstsq():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(300)

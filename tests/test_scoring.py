@@ -5,6 +5,7 @@ from oracles import (
     all_dag_arcsets,
     equivalence_class,
     gaussian_deviance,
+    oracle_midranks,
     oracle_sem_params,
     sem_implied_covariance,
 )
@@ -13,6 +14,7 @@ from stablesearch.graphs import Dag, is_acyclic
 from stablesearch.scoring import (
     CONTINUOUS,
     DISCRETE,
+    Column,
     Dataset,
     fit_dag_ml,
     load_dataset,
@@ -78,6 +80,15 @@ def test_sample_covariance_rejects_zero_variance():
     vals = np.column_stack([np.ones(10), np.arange(10.0)])
     with pytest.raises(DegenerateData):
         sample_covariance(Dataset(["a", "b"], vals))
+
+
+def test_sample_covariance_is_free_of_the_columns_units():
+    rng = np.random.default_rng(4)
+    vals = rng.standard_normal((200, 3))
+    scale = np.array([1e7, 1.0, 1e-6])
+    cov = sample_covariance(Dataset(["A", "B", "C"], vals * scale))
+    unscaled = sample_covariance(Dataset(["A", "B", "C"], vals))
+    assert np.allclose(cov, unscaled * np.outer(scale, scale), rtol=1e-9, atol=0)
 
 
 def test_saturated_model_reproduces_sample_covariance():
@@ -210,6 +221,26 @@ def test_load_dataset_and_rank_normalize(tmp_path):
     assert np.array_equal(normed.values[:, 0], data.values[:, 0])
     # ties got the same midrank, hence the same normalized value
     assert col[0] == col[1]
+
+
+def test_rank_normalize_matches_oracle_midranks():
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        n = int(rng.integers(5, 60))
+        discrete = rng.integers(0, int(rng.integers(2, 8)), size=n).astype(float)
+        data = Dataset(
+            [Column("c"), Column("d", DISCRETE)],
+            np.column_stack([rng.standard_normal(n), discrete]),
+        )
+        ranks = oracle_midranks(discrete.tolist())
+        expected = (ranks - ranks.mean()) / ranks.std(ddof=1)
+        assert np.array_equal(rank_normalize(data).values[:, 1], expected)
+
+
+def test_rank_normalize_rejects_an_all_tied_column():
+    data = Dataset([Column("d", DISCRETE)], np.full((12, 1), 4.0))
+    with pytest.raises(DegenerateData, match="discrete column 'd' is constant"):
+        rank_normalize(data)
 
 
 def test_load_dataset_errors(tmp_path):

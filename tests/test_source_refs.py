@@ -6,12 +6,16 @@ script, refers to it: as a name, an attribute, an import, or (in bench,
 whose tracer patches call sites by name) a dotted string constant.
 
 Every module-level import in the package and in the tests is read by its
-module, too.
+module, too, and the third-party modules the package imports are exactly
+the dependencies that pyproject.toml declares.
 """
 
 import ast
 import re
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "stablesearch"
@@ -93,3 +97,19 @@ def test_every_module_level_import_is_read():
         ]
     assert len(paths) > 20  # the scan found the package and the tests
     assert unread == []
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib", reason="tomllib needs Python 3.11")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    names = {re.match(r"[\w-]+", dep).group().replace("-", "_") for dep in declared}
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):  # inside functions too
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"stablesearch"}
+    assert third_party == names

@@ -251,6 +251,10 @@ def test_compute_pi_bic_argmin_and_ties():
     models = with_bics([(0, 10.0), (0, 2.0), (1, 5.0)])
     assert compute_pi_bic(models) == 1
 
+    # every mean infinite: the smallest complexity
+    models = with_bics([(2, np.inf), (1, np.inf), (3, np.inf)])
+    assert compute_pi_bic(models) == 1
+
 
 def sg_from_curves(kind, curves, p=2):
     probs = {k: np.asarray(v, dtype=float) for k, v in curves.items()}
