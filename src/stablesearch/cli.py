@@ -427,7 +427,7 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         return COMMANDS[args.command](cfg)
-    except (ConfigError, InvalidPrior, json.JSONDecodeError) as exc:
+    except (ConfigError, InvalidPrior, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SearchFailed as exc:

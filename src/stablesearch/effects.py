@@ -5,8 +5,9 @@ least-squares regression of y on {x} union pa(x); adjusting for the parents
 of x blocks every back-door path, so the coefficient is computable from a
 covariance matrix alone.  Over a pattern the effect becomes a multiset with
 one value per class member, and over subsampled searches the multisets
-concatenate; the reported estimate is the median.  A chosen pattern's class
-is enumerated once for all paths, with one regression per distinct pa(x).
+concatenate; the reported estimate is the median.  Each distinct chosen
+pattern's class is enumerated once per run, for all paths and all subsets
+that chose it, with one regression per subset and distinct pa(x).
 """
 
 from __future__ import annotations
@@ -54,17 +55,34 @@ def causal_effect(dag: Dag, cov: np.ndarray, x: int, y: int) -> float:
     return float(beta[0])
 
 
-def _class_effects(cpdag, cov, mask, pairs, memo) -> list[list[float]]:
-    """Per (x, y) pair, the effects over the class in enumeration order;
-    ``memo`` maps (x, pa(x), y) to the effect under ``cov``."""
-    values: list[list[float]] = [[] for _ in pairs]
+def _parent_classes(cpdag, mask, sources) -> dict[int, tuple[list[Dag], list[int]]]:
+    """Per source x, one member of the class per distinct pa(x) in
+    first-seen order, and each member's index into that list in enumeration
+    order; the member list itself is not kept."""
+    reps: dict[int, dict] = {x: {} for x in sources}  # pa(x) -> (index, member)
+    index: dict[int, list[int]] = {x: [] for x in sources}
     for dag in enumerate_extensions(cpdag, mask):
         parents = dag.parent_lists()
-        for out, (x, y) in zip(values, pairs):
-            key = (x, tuple(parents[x]), y)
+        for x in sources:
+            seen = reps[x]
+            index[x].append(seen.setdefault(tuple(parents[x]), (len(seen), dag))[0])
+    return {x: ([dag for _, dag in reps[x].values()], index[x]) for x in sources}
+
+
+def _class_effects(classes, cov, pairs, memo) -> list[list[float]]:
+    """Per (x, y) pair, the effects over the class in enumeration order;
+    ``classes`` comes from _parent_classes and ``memo`` maps (x, pa(x), y)
+    to the effect under ``cov``."""
+    values = []
+    for x, y in pairs:
+        members, index = classes[x]
+        per_parents = []
+        for dag in members:
+            key = (x, tuple(dag.parents(x)), y)
             if key not in memo:
                 memo[key] = causal_effect(dag, cov, x, y)
-            out.append(memo[key])
+            per_parents.append(memo[key])
+        values.append([per_parents[i] for i in index])
     return values
 
 
@@ -79,7 +97,7 @@ def ida_multiset(
 
     Order follows the class enumeration, so repeated calls agree exactly.
     """
-    return _class_effects(cpdag, cov, mask, [(x, y)], {})[0]
+    return _class_effects(_parent_classes(cpdag, mask, [x]), cov, [(x, y)], {})[0]
 
 
 def aggregate_effects(
@@ -118,12 +136,16 @@ def aggregate_effects(
     chosen = [(i, m) for i, m in models if m.fit.complexity == target]
 
     pairs = [getattr(key, "key", key) for key in paths]
+    sources = list(dict.fromkeys(x for x, _ in pairs))
     values: list[list[float]] = [[] for _ in pairs]
+    classes: dict[Cpdag, dict] = {}  # per chosen pattern: the mask is fixed per call
     memos: dict[int, dict] = {}  # per subset: its covariance fixes the regressions
     for i, m in chosen if pairs else ():
         if covariances[i] is not None:
+            if m.cpdag not in classes:
+                classes[m.cpdag] = _parent_classes(m.cpdag, mask, sources)
             memo = memos.setdefault(i, {})
-            class_values = _class_effects(m.cpdag, covariances[i], mask, pairs, memo)
+            class_values = _class_effects(classes[m.cpdag], covariances[i], pairs, memo)
             for vals, new in zip(values, class_values):
                 vals.extend(new)
 

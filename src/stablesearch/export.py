@@ -239,7 +239,11 @@ def write_json(path, obj) -> None:
 
 def read_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            exc.reason += f" in {path}"
+            raise
 
 
 def prior_from_dict(obj) -> list[tuple[str, str]]:

@@ -98,7 +98,10 @@ def rank_normalize(data: Dataset) -> Dataset:
 def load_dataset(csv_path, kinds: dict[str, str] | None = None) -> Dataset:
     """Read a header+rows CSV; `kinds` maps column name -> kind (default continuous)."""
     with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
+        try:
+            reader = csv.reader(fh.readlines())
+        except UnicodeDecodeError as exc:
+            raise DegenerateData(f"{csv_path}: {exc}") from None
         try:
             header = next(reader)
         except StopIteration:

@@ -5,13 +5,17 @@ enumeration by trying all orientations, equivalence classes keyed on
 (skeleton, v-structures), reachability by boolean matrix powers, Pareto
 fronts by pairwise comparison, covariance matrices implied by small
 hand-solved models, midranks by averaging tied positions, and the inverse
-of the longitudinal reshape.
+of the longitudinal reshape.  The one exception is the per-member IDA loop,
+which composes the package's own class enumeration and single-DAG effect
+(each tested against the oracles above) without any sharing between members.
 """
 
 import itertools
 
 import numpy as np
 
+from stablesearch.effects import causal_effect
+from stablesearch.graphs import enumerate_extensions
 from stablesearch.longitudinal import LongitudinalDataset
 from stablesearch.scoring import Column, Dataset
 
@@ -155,6 +159,12 @@ def oracle_midranks(values):
         positions = [i + 1 for i, w in enumerate(ordered) if w == v]
         out.append(sum(positions) / len(positions))
     return np.array(out)
+
+
+def oracle_class_effects(cpdag, cov, mask, x, y):
+    """The effect of x on y in every member of the pattern's class, one
+    regression per member, in enumeration order."""
+    return [causal_effect(dag, cov, x, y) for dag in enumerate_extensions(cpdag, mask)]
 
 
 def chain_covariance(beta1, beta2, s1=1.0, s2=1.0, s3=1.0):

@@ -91,3 +91,24 @@ def test_traced_effects_count_classes_and_regressions(tracer):
     assert metrics["effects.extensions"] == 3
     assert metrics["effects.causal_effect.calls"] == 4
     assert metrics["effects.distinct_parent_share"] == 1.0
+
+
+def test_traced_effects_count_one_class_shared_by_two_subsets(tracer):
+    # two subsets chose two members of the 3-chain's class: it is enumerated
+    # once, and each subset regresses each distinct pa(0) under its own cov
+    chain = Dag(3, frozenset({(0, 1), (1, 2)}))
+    reverse = Dag(3, frozenset({(2, 1), (1, 0)}))
+    cpdag = dag_to_cpdag(chain)
+    assert dag_to_cpdag(reverse) == cpdag
+    models = [ParetoModel(d, FitResult(1.0, 2, 1.0), cpdag) for d in (chain, reverse)]
+    rng = np.random.default_rng(0)
+    data = Dataset(["a", "b", "c"], rng.standard_normal((50, 3)))
+    covs = [np.cov(rng.standard_normal((50, 3)), rowvar=False) for _ in range(2)]
+    results = [SubsetResult(i, [m]) for i, m in enumerate(models)]
+    with tracer.Tracer() as t:
+        effects.aggregate_effects(results, covs, 2, [(0, 2), (0, 1)], data)
+    metrics = t.layer_metrics()
+    assert metrics["effects.enumerate_extensions.calls"] == 1
+    assert metrics["effects.extensions"] == 3
+    assert metrics["effects.causal_effect.calls"] == 8
+    assert metrics["effects.distinct_parent_share"] == 1.0

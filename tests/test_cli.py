@@ -423,6 +423,33 @@ def test_malformed_json_exits_data(case, sim_dir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# (command, flag whose file is not UTF-8, exit code)
+NON_UTF8_INPUTS = {
+    "search data": ("search", "--data", EXIT_DATA),
+    "search-longitudinal data": ("search-longitudinal", "--data", EXIT_DATA),
+    "config": ("search", "--config", EXIT_CONFIG),
+    "prior": ("search", "--prior", EXIT_CONFIG),
+    "layout": ("search-longitudinal", "--layout", EXIT_CONFIG),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_UTF8_INPUTS))
+def test_non_utf8_input_exits_without_traceback(case, sim_dir, tmp_path, capsys):
+    command, flag, code = NON_UTF8_INPUTS[case]
+    files = {"--data": sim_dir / "data_00.csv"}
+    if command == "search-longitudinal":
+        files["--layout"] = sim_dir / "layout.json"
+    bad = tmp_path / "utf16.txt"
+    bad.write_bytes(b"\xff\xfeA,B\n1.0,2.0\n")  # a UTF-16 byte-order mark
+    files[flag] = bad
+    args = [arg for item in files.items() for arg in map(str, item)]
+    rc = main([command, *args, "--out", str(tmp_path / "o"), *FAST])
+    err = capsys.readouterr().err
+    assert rc == code
+    assert err.startswith("error: ") and str(bad) in err
+    assert "Traceback" not in err
+
+
 def test_evaluate_layout_mismatch_exits_data(sim_dir, tmp_path, capsys):
     bad = tmp_path / "bad"
     bad.mkdir()

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from oracles import sem_implied_covariance
+from oracles import oracle_class_effects, sem_implied_covariance
 from stablesearch import effects
 from stablesearch.effects import (
     EffectEstimate,
@@ -212,16 +212,16 @@ def per_path_effects(results, covariances, pi_bic, paths, data, mask):
         values = []
         for i, m in chosen:
             if covariances[i] is not None:
-                for dag in enumerate_extensions(m.cpdag, mask):
-                    values.append(causal_effect(dag, covariances[i], x, y))
+                values += oracle_class_effects(m.cpdag, covariances[i], mask, x, y)
         out.append((float(np.median(values)), len(values)))
     return out
 
 
 def random_effects_case(rng, masked):
-    """Four subsets at p = 5..8: subset 0 holds two members of one class,
+    """Five subsets at p = 5..8: subset 0 holds two members of one class,
     subset 1 a model off the chosen complexity too, subset 2 has models but
-    no covariance and subset 3 failed.  Paths share their sources."""
+    no covariance, subset 3 failed and subset 4 chose another member of
+    subset 1's class under its own covariance.  Paths share their sources."""
     p = int(rng.integers(5, 9))
     n_arcs = int(rng.integers(p - 1, 2 * p - 2))
 
@@ -242,18 +242,21 @@ def random_effects_case(rng, masked):
         mask = ConstraintMask(p, forbidden)
     first, second, third = (_model(p, arcs, p, mask=mask) for arcs in arcsets)
     twin = _model(p, enumerate_extensions(first.cpdag, mask)[-1].arcs, p, mask=mask)
+    sibling = _model(p, enumerate_extensions(second.cpdag, mask)[0].arcs, p, mask=mask)
     off = _model(p, sorted(arcsets[1])[1:], p, mask=mask)
     results = [
         _result(0, [first, twin]),
         _result(1, [off, second]),
         _result(2, [third]),
         _result(3, None),
+        _result(4, [sibling]),
     ]
     covs = [np.cov(rng.standard_normal((60, p)), rowvar=False) for _ in range(2)]
     covs += [None, None]
     sources = [int(v) for v in rng.choice(p, 2, replace=False)]
     paths = [(x, y) for x in sources for y in range(p) if y != x][:7]
     data = Dataset([f"v{j}" for j in range(p)], rng.standard_normal((40, p)))
+    covs.append(np.cov(rng.standard_normal((60, p)), rowvar=False))
     return results, covs, n_arcs, paths, data, mask
 
 
@@ -296,8 +299,12 @@ def test_aggregate_enumerates_each_class_once_and_regresses_per_parent_set(monke
         monkeypatch.setattr(effects, "enumerate_extensions", counting_enumerate)
         monkeypatch.setattr(effects, "causal_effect", counting_effect)
         aggregate_effects(results, covs, pi_bic, paths, data, mask)
-        # subset 0 holds two models, subset 1 one; subset 2 has no covariance
-        assert len(enumerated) == sum(covs[i] is not None for i, _ in chosen) == 3
+        # subset 0 holds two members of one class and subset 1 one model
+        # whose class subset 4 shares; subset 2 has no covariance
+        patterns = {m.cpdag for i, m in chosen if covs[i] is not None}
+        assert sum(covs[i] is not None for i, _ in chosen) == 4
+        assert len(enumerated) == len(set(enumerated)) == len(patterns) == 2
+        assert set(enumerated) == patterns
         assert len(regressed) == len(set(regressed))
         assert set(regressed) == expected
 
@@ -305,3 +312,54 @@ def test_aggregate_enumerates_each_class_once_and_regresses_per_parent_set(monke
         assert aggregate_effects(results, covs, pi_bic, [], data, mask) == []
         assert enumerated == []
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_class_values_match_the_per_member_loop_in_order(masked):
+    rng = np.random.default_rng(53 if masked else 51)
+    for _ in range(10):
+        results, covs, _, paths, _, mask = random_effects_case(rng, masked)
+        sources = list(dict.fromkeys(x for x, _ in paths))
+        for r in results:
+            cov = covs[r.index]
+            for m in r.models if cov is not None else ():
+                want = [oracle_class_effects(m.cpdag, cov, mask, *xy) for xy in paths]
+                classes = effects._parent_classes(m.cpdag, mask, sources)
+                assert effects._class_effects(classes, cov, paths, {}) == want
+                for (x, y), values in zip(paths, want):
+                    assert ida_multiset(m.cpdag, cov, mask, x, y) == values
+
+
+def test_subsets_sharing_a_pattern_enumerate_it_once(monkeypatch):
+    # two members of the 3-chain's class, where pa(0) is () or (1,), chosen
+    # by two subsets under different covariances
+    members = enumerate_extensions(dag_to_cpdag(Dag(3, frozenset({(0, 1), (1, 2)}))))
+    results = [_result(0, [_model(3, members[0].arcs, 3)]),
+               _result(1, [_model(3, members[-1].arcs, 3)])]
+    assert results[0].models[0].cpdag == results[1].models[0].cpdag
+    assert results[0].models[0].dag != results[1].models[0].dag
+    rng = np.random.default_rng(59)
+    covs = [np.cov(rng.standard_normal((50, 3)), rowvar=False) for _ in range(2)]
+    data = Dataset(["a", "b", "c"], rng.standard_normal((50, 3)))
+    paths = [(0, 2), (0, 1)]
+    want = per_path_effects(results, covs, 2, paths, data, None)
+    enumerated, regressed = [], []
+
+    def counting_enumerate(cpdag, mask=None):
+        enumerated.append(cpdag)
+        return enumerate_extensions(cpdag, mask)
+
+    def counting_effect(dag, cov, x, y):
+        subset = next(i for i, c in enumerate(covs) if c is cov)
+        regressed.append((subset, x, tuple(dag.parents(x)), y))
+        return causal_effect(dag, cov, x, y)
+
+    monkeypatch.setattr(effects, "enumerate_extensions", counting_enumerate)
+    monkeypatch.setattr(effects, "causal_effect", counting_effect)
+    got = aggregate_effects(results, covs, 2, paths, data)
+    assert len(enumerated) == 1
+    assert sorted(regressed) == sorted(
+        (i, x, pa, y) for i in (0, 1) for pa in ((), (1,)) for x, y in paths
+    )
+    assert [(e.median, e.n_values) for e in got] == want
+    assert [n for _, n in want] == [6, 6]
