@@ -244,6 +244,9 @@ def read_json(path):
         except UnicodeDecodeError as exc:
             exc.reason += f" in {path}"
             raise
+        except json.JSONDecodeError as exc:
+            exc.args = (f"{exc} in {path}",)
+            raise
 
 
 def prior_from_dict(obj) -> list[tuple[str, str]]:

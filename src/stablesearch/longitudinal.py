@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateData, InvalidPrior, ShapeMismatch
+from .errors import InvalidPrior, ShapeMismatch
 from .graphs import ConstraintMask
 from .pipeline import PipelineResult, run_pipeline
 # sample_covariance is not called here: bench/tracer.py wraps
@@ -25,6 +25,7 @@ from .pipeline import PipelineResult, run_pipeline
 from .scoring import Column, Dataset, sample_covariance  # noqa: F401
 from .search import SearchParams
 from .seeding import PIPELINE_LANE, SUBSAMPLE_LANE, derived_rng, derived_seed
+from .stability import subsample_blocks
 
 log = logging.getLogger(__name__)
 
@@ -302,17 +303,7 @@ def subsample_subjects(
     is subject-major, so a draw's blocks in draw order are the reshape of
     the drawn subjects.
     """
-    s = n_subjects
-    if s < 4:
-        raise DegenerateData("need at least 4 subjects to subsample")
-    if n_subsets < 1:
-        raise ValueError("n_subsets must be positive")
-    half = s // 2
-    blocks = np.arange(frame.n_rows).reshape(s, -1)  # row i: subject i's rows
-    return [
-        frame.take_rows(blocks[rng.choice(s, size=half, replace=False)].ravel())
-        for _ in range(n_subsets)
-    ]
+    return subsample_blocks(frame, n_subjects, n_subsets, rng, "subjects")
 
 
 def transition_problem(

@@ -5,10 +5,12 @@ population as one (N, p, p) boolean array of adjacency matrices; forbidden
 cells are never set.  Selection and variation are pure array functions fed
 with evolve()'s draws.  A per-search memo keyed by packed adjacency bits lets
 an individual seen before skip the cycle check, repair and scorer; new ones
-are repaired in index order and scored in one batch.  Ranking sweeps distinct
-points once per generation.  Only draws that are read are made, each at its
-place in the full draw's stream: the init draws blocks cut at each cyclic
-row, and mutation skips the flip cells of offspring that do not mutate.
+are repaired in index order and scored in one batch.  The memo and the
+scorer's per-node caches are plain dicts with one key format, a row's packed
+bits (_packed).  Ranking sweeps distinct points once per generation.  Only
+draws that are read are made, each at its place in the full draw's stream:
+the init draws blocks cut at each cyclic row, and mutation skips the flip
+cells of offspring that do not mutate.
 The returned Pareto set carries the memo's scores; nothing is fitted again.
 """
 
@@ -157,13 +159,20 @@ def _flips(rng: np.random.Generator, do_mut: np.ndarray, p: int, rate: float) ->
     return flip
 
 
+def _packed(bits: np.ndarray) -> list[bytes]:
+    """One bytes per row of a 2-d boolean array: the row's packed bits."""
+    flat = np.ascontiguousarray(np.packbits(bits, axis=1))  # C order for the view
+    return flat.view(f"V{flat.shape[1]}").ravel().tolist()
+
+
 class _Scorer:
     """Chi-square scoring of whole batches, one regression per (node, parents).
 
     The chi-square decomposes over nodes (see scoring), so each column of a
-    batch is one (node, parent set) key.  ln psi is cached per key, NaN when
-    the node's fit degenerates.  ln psi is summed in node order, as
-    scoring.fit_dag_ml sums it, so both give the same chi-square.
+    batch is one (node, parent set) fit.  Each node keeps a dict from the
+    packed bits of its parent column (_packed) to ln psi, NaN when the fit
+    degenerates.  ln psi is summed in node order, as scoring.fit_dag_ml sums
+    it, so both give the same chi-square.
     """
 
     def __init__(self, cov: np.ndarray, n: int):
@@ -173,35 +182,25 @@ class _Scorer:
         self.cov = cov
         self.n = n
         self.logdet_s = logdet
-        p = len(cov)
-        # a key is a column's parent vector and its node's one-hot, padded to
-        # whole 64-bit words, so keys are exact at any p
-        self.node_bits = np.eye(p, 64 * ((2 * p + 63) // 64) - p, dtype=bool)
-        self.log_psi: dict[tuple[int, ...], float] = {}
+        # per node: packed parent column -> ln psi, NaN when the fit degenerates
+        self.log_psi: list[dict[bytes, float]] = [{} for _ in range(len(cov))]
 
     def chi_squares(self, adjs: np.ndarray) -> np.ndarray:
         """Chi-square per matrix of an (N, p, p) batch; +inf for degenerate fits."""
         n_rows, p = adjs.shape[:2]
         cols = adjs.transpose(0, 2, 1).reshape(-1, p)  # row c: parents of node c % p
-        bits = np.concatenate([cols, np.tile(self.node_bits, (n_rows, 1))], axis=1)
-        keys = np.packbits(bits, axis=1).view(np.uint64)
-        order = np.lexsort(keys.T)
-        ordered = keys[order]
-        first = np.ones(len(order), dtype=bool)  # first of its key in sorted order
-        first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        inverse = np.empty(len(order), dtype=np.int64)
-        inverse[order] = np.cumsum(first) - 1
-        logs = []
-        for c, key in zip(order[first].tolist(), map(tuple, ordered[first].tolist())):
-            val = self.log_psi.get(key)
+        logs = np.empty(len(cols))
+        for c, key in enumerate(_packed(cols)):
+            cache = self.log_psi[c % p]
+            val = cache.get(key)
             if val is None:
                 try:
                     val = np.log(node_regression(self.cov, c % p, np.flatnonzero(cols[c])))
                 except DegenerateData:
                     val = np.nan
-                self.log_psi[key] = val
-            logs.append(val)
-        logs = np.array(logs)[inverse].reshape(n_rows, p)
+                cache[key] = val
+            logs[c] = val
+        logs = logs.reshape(n_rows, p)
         total = np.zeros(n_rows)
         for j in range(p):  # node order, as a scalar running sum would add them
             total += logs[:, j]
@@ -260,27 +259,20 @@ def evolve(
     length = p * (p - 1)
     allowed = ~mask.forbidden
     offdiag = ~np.eye(p, dtype=bool)
-    seen: dict[bytes, int] = {}  # packed repaired individual -> its row of table
-    table = np.empty((0, 2))  # (chi_square, complexity) of each individual seen
+    seen: dict[bytes, tuple[float, int]] = {}  # packed individual -> (chi_square, complexity)
 
     def repair(adjs: np.ndarray, rows) -> None:
         for i in rows:
             adjs[i] = arc_matrix(p, repair_arcs(p, set(_arcs(adjs[i])), mask, rng))
 
-    def packed(adjs: np.ndarray) -> list[bytes]:
-        flat = np.packbits(adjs.reshape(len(adjs), -1), axis=1)
-        return flat.view(f"V{flat.shape[1]}").ravel().tolist()  # one bytes per row
-
     def objectives(adjs: np.ndarray, keys: list[bytes]) -> np.ndarray:
         """(chi, k) per acyclic row; each individual new to the search is scored once."""
-        nonlocal table
         fresh = {key: i for i, key in enumerate(keys) if key not in seen}
         if fresh:
             rows = adjs[list(fresh.values())]
-            seen.update(zip(fresh, range(len(table), len(table) + len(fresh))))
-            new_objs = np.column_stack([scorer.chi_squares(rows), rows.sum(axis=(1, 2))])
-            table = np.concatenate([table, new_objs])
-        return table[[seen[key] for key in keys]]
+            chis = scorer.chi_squares(rows).tolist()
+            seen.update(zip(fresh, zip(chis, rows.sum(axis=(1, 2)).tolist())))
+        return np.array([seen[key] for key in keys], dtype=float)
 
     # random sparse initialization in blocks of rows; a cyclic row is redrawn
     # and repaired before any later row is drawn, as a per-row loop does
@@ -298,7 +290,7 @@ def evolve(
         rng.random((cyclic[0] + 1, length))
         repair(block, cyclic[:1])
         start += cyclic[0] + 1
-    objs = objectives(population, packed(population))
+    objs = objectives(population, _packed(population.reshape(pop_n, -1)))
     ranks = _rank_array(objs)
 
     for _ in range(params.generations):
@@ -320,14 +312,14 @@ def evolve(
         )
         # an individual seen before is acyclic and scored; the others are
         # checked, and the cyclic ones repaired in ascending index order
-        keys = packed(offspring)
+        keys = _packed(offspring.reshape(pop_n, -1))
         new = np.flatnonzero([key not in seen for key in keys])
         fresh = offspring[new]
         cyclic = np.flatnonzero(cyclic_rows(fresh))
         if len(cyclic):
             repair(fresh, cyclic)
             offspring[new] = fresh
-            keys = packed(offspring)
+            keys = _packed(offspring.reshape(pop_n, -1))
         off_objs = objectives(offspring, keys)
 
         # elitist (mu + lambda) environmental selection

@@ -66,11 +66,6 @@ class StabilityGraph:
     def max_complexity(self) -> int:
         return len(self.imputed) - 1
 
-    def curve(self, a: int, b: int) -> np.ndarray:
-        if self.kind == EDGE:
-            return self.probabilities[(min(a, b), max(a, b))]
-        return self.probabilities[(a, b)]
-
     def reliability(self, pi_bic: int) -> dict[tuple[int, int], float]:
         """Each structure's peak probability over complexities 0..min(pi_bic, J)."""
         window = slice(0, min(pi_bic, self.max_complexity) + 1)
@@ -92,22 +87,30 @@ class SubsetResult:
         return self.models is None
 
 
-def subsample(data: Dataset, n_subsets: int, rng: np.random.Generator) -> list[Dataset]:
-    """n_subsets subsets of size floor(n/2), rows drawn without replacement."""
-    n = data.n_rows
-    if n < 4:
-        raise DegenerateData("need at least 4 rows to subsample")
-    half = n // 2
-    if half < data.n_cols + 2:
-        raise DegenerateData(
-            f"subset size {half} too small for {data.n_cols} columns"
-        )
+def subsample_blocks(
+    data: Dataset, n_blocks: int, n_subsets: int, rng: np.random.Generator,
+    unit: str = "rows",
+) -> list[Dataset]:
+    """n_subsets subsets, each floor(u/2) of data's u equal row blocks drawn
+    without replacement; a subset holds its blocks in draw order."""
+    if n_blocks < 4:
+        raise DegenerateData(f"need at least 4 {unit} to subsample")
+    half = n_blocks // 2
+    blocks = np.arange(data.n_rows).reshape(n_blocks, -1)  # row i: block i's rows
+    size = half * blocks.shape[1]
+    if size < data.n_cols + 2:
+        raise DegenerateData(f"subset size {size} too small for {data.n_cols} columns")
     if n_subsets < 1:
         raise ValueError("n_subsets must be positive")
     return [
-        data.take_rows(rng.choice(n, size=half, replace=False))
+        data.take_rows(blocks[rng.choice(n_blocks, size=half, replace=False)].ravel())
         for _ in range(n_subsets)
     ]
+
+
+def subsample(data: Dataset, n_subsets: int, rng: np.random.Generator) -> list[Dataset]:
+    """n_subsets subsets of size floor(n/2), rows drawn without replacement."""
+    return subsample_blocks(data, data.n_rows, n_subsets, rng)
 
 
 def cross_sectional_cov(subset: Dataset):

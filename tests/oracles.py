@@ -8,6 +8,7 @@ hand-solved models, midranks by averaging tied positions, and the inverse
 of the longitudinal reshape.  The one exception is the per-member IDA loop,
 which composes the package's own class enumeration and single-DAG effect
 (each tested against the oracles above) without any sharing between members.
+``stability_curve`` is no oracle, only the tests' lookup of one curve.
 """
 
 import itertools
@@ -18,6 +19,14 @@ from stablesearch.effects import causal_effect
 from stablesearch.graphs import enumerate_extensions
 from stablesearch.longitudinal import LongitudinalDataset
 from stablesearch.scoring import Column, Dataset
+from stablesearch.stability import EDGE
+
+
+def stability_curve(sg, a, b):
+    """sg's probability curve for (a, b); an edge's key is its sorted pair."""
+    if sg.kind == EDGE:
+        a, b = min(a, b), max(a, b)
+    return sg.probabilities[(a, b)]
 
 
 def oracle_is_acyclic(n, arcs):

@@ -19,6 +19,7 @@ from oracles import (
     oracle_front_ranks,
     oracle_pareto_front,
     sem_implied_covariance,
+    stability_curve,
 )
 from stablesearch.cli import main as cli_main
 from stablesearch.effects import aggregate_effects, ida_multiset
@@ -312,21 +313,21 @@ def test_criterion_08_stability_boundary_properties():
     mask = ConstraintMask.empty(3)
     edge_sg, path_sg = stability_graphs([_pareto(3, {(0, 1)}, mask)], mask)
     for a, b in itertools.combinations(range(3), 2):
-        if edge_sg.curve(a, b)[-1] != 1.0:
+        if stability_curve(edge_sg, a, b)[-1] != 1.0:
             failures.append(f"edge ({a},{b}) at max != 1")
     for a, b in itertools.permutations(range(3), 2):
-        if path_sg.curve(a, b)[0] != 0.0:
+        if stability_curve(path_sg, a, b)[0] != 0.0:
             failures.append(f"path ({a},{b}) at 0 != 0")
-        if path_sg.curve(a, b)[-1] != 0.0:
+        if stability_curve(path_sg, a, b)[-1] != 0.0:
             failures.append(f"path ({a},{b}) at max != 0 under empty mask")
 
     tmask = transition_mask(("A", "B"))
     edge_sg, path_sg = stability_graphs([_pareto(4, {(0, 2)}, tmask)], tmask)
     for a, b in itertools.combinations(range(4), 2):
-        if edge_sg.curve(a, b)[-1] != 1.0:
+        if stability_curve(edge_sg, a, b)[-1] != 1.0:
             failures.append(f"masked edge ({a},{b}) at max != 1")
     for pair in ((0, 2), (0, 3), (1, 2), (1, 3)):
-        if path_sg.curve(*pair)[-1] != 1.0:
+        if stability_curve(path_sg, *pair)[-1] != 1.0:
             failures.append(f"compelled path {pair} at max != 1")
 
     report(8, "stability boundaries", not failures, "; ".join(failures) or "exact")

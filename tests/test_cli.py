@@ -450,6 +450,34 @@ def test_non_utf8_input_exits_without_traceback(case, sim_dir, tmp_path, capsys)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--config", "--prior", "--layout"])
+def test_malformed_json_input_names_its_file(flag, sim_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"generations": 3,')
+    files = {"--data": sim_dir / "data_00.csv", "--layout": sim_dir / "layout.json"}
+    files[flag] = bad
+    args = [arg for item in files.items() for arg in map(str, item)]
+    rc = main(["search-longitudinal", *args, "--out", str(tmp_path / "o"), *FAST])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert err.startswith("error: ") and str(bad) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("unit", ["subject", "row"])
+def test_too_few_subjects_exit_data_for_either_subsample_unit(unit, tmp_path, capsys):
+    sim = tmp_path / "sim"  # 14 subjects, 4 variables, 2 slices: 8 transition columns
+    args = ["--datasets", "1", "--samples", "14", "--slices", "2", "--seed", "5"]
+    assert main(["simulate", "--out", str(sim), *args]) == 0
+    rc = main(
+        ["search-longitudinal", "--data", str(sim / "data_00.csv"),
+         "--layout", str(sim / "layout.json"), "--subsample-unit", unit,
+         "--out", str(tmp_path / "o"), *FAST]
+    )
+    assert rc == EXIT_DATA
+    assert "subset size 7 too small for 8 columns" in capsys.readouterr().err
+
+
 def test_evaluate_layout_mismatch_exits_data(sim_dir, tmp_path, capsys):
     bad = tmp_path / "bad"
     bad.mkdir()

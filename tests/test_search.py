@@ -238,22 +238,32 @@ def test_batched_scorer_equals_per_row_loop(p, monkeypatch):
     for density in (0.05, 2.0 / p, 0.3):
         adjs = np.stack([random_adj(rng, p, density) for _ in range(30)])
         batches.append(np.concatenate([adjs, adjs[::3]]))  # duplicate rows
+    # the shapes evolve passes: one C-ordered new individual, and rows
+    # fancy-indexed out of a larger population
+    batches.append(np.ascontiguousarray(random_adj(rng, p)[None]))
+    batches.append(np.concatenate(batches[:3])[rng.permutation(120)[:17]])
     # force one key of the first batch infeasible, the node's fit degenerating
     i, j = 1, p - 1
     bad = (j, tuple(np.flatnonzero(batches[0][i, :, j]).tolist()))
     kernel = search.node_regression
+    solves = []
 
     def degenerate_once(cov_, node, parents):
+        solves.append(node)
         if (node, tuple(parents)) == bad:
             raise DegenerateData("forced")
         return kernel(cov_, node, parents)
 
     monkeypatch.setattr(search, "node_regression", degenerate_once)
     scorer = search._Scorer(cov, n)
-    for adjs in batches + batches[:1]:  # the repeat hits the key cache
-        want = [scalar_chi_square(cov, n, adj, {bad}) for adj in adjs]
+    wants = [[scalar_chi_square(cov, n, adj, {bad}) for adj in adjs] for adjs in batches]
+    for adjs, want in zip(batches, wants):
         assert scorer.chi_squares(adjs).tolist() == want
-    assert search.INFEASIBLE in scorer.chi_squares(batches[0]).tolist()
+    solved = len(solves)
+    for adjs, want in zip(batches, wants):  # the repeats hit the key cache
+        assert scorer.chi_squares(adjs).tolist() == want
+    assert len(solves) == solved
+    assert search.INFEASIBLE in wants[0]
 
 
 def test_evolve_scores_each_distinct_individual_once(monkeypatch):

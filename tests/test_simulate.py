@@ -7,6 +7,7 @@ from oracles import (
     equivalence_class,
     oracle_is_acyclic,
     sem_implied_covariance,
+    stability_curve,
     union_orientation,
 )
 from stablesearch.errors import ShapeMismatch
@@ -225,11 +226,11 @@ def test_averaging_scheme():
     a = sg(EDGE, {(0, 1): [0.0, 1.0], (0, 2): [0.0, 0.0], (1, 2): [0.0, 0.0]})
     b = sg(EDGE, {(0, 1): [1.0, 0.0], (0, 2): [0.0, 1.0], (1, 2): [0.0, 0.0]})
     avg = averaging_scheme([a, b])
-    assert list(avg.curve(0, 1)) == [0.5, 0.5]
-    assert list(avg.curve(0, 2)) == [0.0, 0.5]
+    assert list(stability_curve(avg, 0, 1)) == [0.5, 0.5]
+    assert list(stability_curve(avg, 0, 2)) == [0.0, 0.5]
 
     assert averaging_scheme([a]).probabilities.keys() == a.probabilities.keys()
-    assert np.array_equal(averaging_scheme([a]).curve(0, 1), a.curve(0, 1))
+    assert np.array_equal(stability_curve(averaging_scheme([a]), 0, 1), stability_curve(a, 0, 1))
 
     rng = np.random.default_rng(0)
     many = [
@@ -237,8 +238,8 @@ def test_averaging_scheme():
         for _ in range(10)
     ]
     avg = averaging_scheme(many)
-    manual = sum(m.curve(0, 2) for m in many) / 10
-    assert np.allclose(avg.curve(0, 2), manual)
+    manual = sum(stability_curve(m, 0, 2) for m in many) / 10
+    assert np.allclose(stability_curve(avg, 0, 2), manual)
 
     short = sg(EDGE, {(0, 1): [0.0], (0, 2): [0.0], (1, 2): [0.0]})
     with pytest.raises(ShapeMismatch):

@@ -1,9 +1,12 @@
-"""Every top-level function and class in the package has a caller outside tests.
+"""Every top-level function and class in the package, and every public method
+of its classes, has a caller outside tests.
 
 Code that only tests call belongs in tests/oracles.py, or nowhere.  A name
 counts as used when package code other than its own definition, or a bench
 script, refers to it: as a name, an attribute, an import, or (in bench,
-whose tracer patches call sites by name) a dotted string constant.
+whose tracer patches call sites by name) a dotted string constant.  A method
+counts as used only through an attribute (``obj.method``), since a local
+variable may share its name.
 
 Every module-level import in the package and in the tests is read by its
 module, too, and the third-party modules the package imports are exactly
@@ -72,6 +75,36 @@ def test_every_top_level_name_has_a_caller_outside_tests():
         f"{module}:{name}"
         for module, name in defined
         if name not in PUBLIC_API and not has_caller(name)
+    ]
+    assert unused == []
+
+
+def test_every_public_method_has_a_caller_outside_tests():
+    defined = []
+    uses = []  # (defining (class, method) or None, attribute names read there)
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            parts = [(None, node)]
+            if path.parent == PACKAGE and isinstance(node, ast.ClassDef):
+                parts = [
+                    ((node.name, item.name) if isinstance(item, ast.FunctionDef) else None, item)
+                    for item in node.body
+                ]
+                defined += [
+                    (path.name, owner) for owner, _ in parts
+                    if owner and not owner[1].startswith("_")
+                ]
+            for owner, part in parts:
+                attrs = {n.attr for n in ast.walk(part) if isinstance(n, ast.Attribute)}
+                uses.append((owner, attrs))
+    assert len(defined) > 10  # the scan found the methods
+
+    def has_caller(owner):
+        return any(owner[1] in attrs for user, attrs in uses if user != owner)
+
+    unused = [
+        f"{module}:{cls}.{name}" for module, (cls, name) in defined
+        if not has_caller((cls, name))
     ]
     assert unused == []
 

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from oracles import sem_implied_covariance
+from oracles import sem_implied_covariance, stability_curve
 from stablesearch import stability
 from stablesearch.errors import DegenerateData, SearchFailed
 from stablesearch.graphs import ConstraintMask, Dag, dag_to_cpdag
@@ -144,14 +144,14 @@ def test_edge_probabilities_count_cpdags():
         make_model(3, {(0, 2)}, mask),
     ]
     sg = stability_graphs(models, mask)[0]
-    assert sg.curve(0, 1)[1] == pytest.approx(0.75)
-    assert sg.curve(0, 2)[1] == pytest.approx(0.25)
-    assert sg.curve(1, 2)[1] == 0.0
+    assert stability_curve(sg, 0, 1)[1] == pytest.approx(0.75)
+    assert stability_curve(sg, 0, 2)[1] == pytest.approx(0.25)
+    assert stability_curve(sg, 1, 2)[1] == 0.0
     # pinned boundaries: empty pattern at 0, complete pattern at max
-    assert all(sg.curve(a, b)[0] == 0.0 for a, b in [(0, 1), (0, 2), (1, 2)])
-    assert all(sg.curve(a, b)[3] == 1.0 for a, b in [(0, 1), (0, 2), (1, 2)])
+    assert all(stability_curve(sg, a, b)[0] == 0.0 for a, b in [(0, 1), (0, 2), (1, 2)])
+    assert all(stability_curve(sg, a, b)[3] == 1.0 for a, b in [(0, 1), (0, 2), (1, 2)])
     # linear interpolation across the unobserved complexity 2
-    assert sg.curve(0, 1)[2] == pytest.approx((0.75 + 1.0) / 2)
+    assert stability_curve(sg, 0, 1)[2] == pytest.approx((0.75 + 1.0) / 2)
     assert list(sg.imputed) == [True, False, True, True]
 
 
@@ -162,19 +162,19 @@ def test_path_probabilities_use_directed_closure():
         make_model(3, {(0, 2), (1, 2)}, mask),  # collider stays directed
     ]
     sg = stability_graphs(models, mask)[1]
-    assert sg.curve(0, 1)[1] == 0.0
-    assert sg.curve(0, 2)[1] == 0.0
-    assert sg.curve(0, 2)[2] == 1.0
-    assert sg.curve(1, 2)[2] == 1.0
-    assert sg.curve(2, 0)[2] == 0.0
+    assert stability_curve(sg, 0, 1)[1] == 0.0
+    assert stability_curve(sg, 0, 2)[1] == 0.0
+    assert stability_curve(sg, 0, 2)[2] == 1.0
+    assert stability_curve(sg, 1, 2)[2] == 1.0
+    assert stability_curve(sg, 2, 0)[2] == 0.0
     # complexity 0 pins to zero and the empty-mask complete class is undirected
-    assert sg.curve(0, 2)[0] == 0.0
-    assert sg.curve(0, 2)[3] == 0.0
+    assert stability_curve(sg, 0, 2)[0] == 0.0
+    assert stability_curve(sg, 0, 2)[3] == 0.0
 
     # with only the collider observed, complexity 1 is a genuine gap and
     # interpolates between the zero pin and the observed 1.0
     sg = stability_graphs([make_model(3, {(0, 2), (1, 2)}, mask)], mask)[1]
-    assert sg.curve(0, 2)[1] == pytest.approx(0.5)
+    assert stability_curve(sg, 0, 2)[1] == pytest.approx(0.5)
     assert list(sg.imputed) == [True, True, False, True]
 
 
@@ -182,11 +182,11 @@ def test_path_stability_mask_compelled_pair():
     mask = ConstraintMask.empty(2).with_forbidden([(1, 0)])
     models = [make_model(2, {(0, 1)}, mask)]
     sg = stability_graphs(models, mask)[1]
-    assert list(sg.curve(0, 1)) == [0.0, 1.0]
-    assert list(sg.curve(1, 0)) == [0.0, 0.0]
+    assert list(stability_curve(sg, 0, 1)) == [0.0, 1.0]
+    assert list(stability_curve(sg, 1, 0)) == [0.0, 0.0]
 
     edge_sg = stability_graphs(models, mask)[0]
-    assert list(edge_sg.curve(0, 1)) == [0.0, 1.0]
+    assert list(stability_curve(edge_sg, 0, 1)) == [0.0, 1.0]
 
 
 def test_fully_forbidden_pair_pins_and_skips():
@@ -196,9 +196,9 @@ def test_fully_forbidden_pair_pins_and_skips():
     models = [make_model(2, set(), mask)]
     edge_sg, path_sg = stability_graphs(models, mask)
     # edge invariant keeps the pinned 1 at max complexity even here
-    assert list(edge_sg.curve(0, 1)) == [0.0, 1.0]
+    assert list(stability_curve(edge_sg, 0, 1)) == [0.0, 1.0]
     # the densest reachable graph has no arc, so nothing is ever compelled
-    assert list(path_sg.curve(0, 1)) == [0.0, 0.0]
+    assert list(stability_curve(path_sg, 0, 1)) == [0.0, 0.0]
 
 
 def test_forced_cycle_extends_last_anchor():
@@ -207,9 +207,9 @@ def test_forced_cycle_extends_last_anchor():
     assert complete_dag_under(mask) is None
     models = [make_model(3, {(0, 1)}, mask)]
     edge_sg, path_sg = stability_graphs(models, mask)
-    assert list(edge_sg.curve(0, 1)) == [0.0, 1.0, 1.0, 1.0]
+    assert list(stability_curve(edge_sg, 0, 1)) == [0.0, 1.0, 1.0, 1.0]
     # no max-complexity anchor exists, so the path curve extends its last one
-    assert list(path_sg.curve(0, 1)) == [0.0, 1.0, 1.0, 1.0]
+    assert list(stability_curve(path_sg, 0, 1)) == [0.0, 1.0, 1.0, 1.0]
 
 
 def test_complete_dag_under_masks():
