@@ -1,8 +1,9 @@
 """Batch command line: search, simulate, evaluate and export artifacts.
 
 Every command reads its settings from flags, optionally layered over a JSON
-config file, writes its outputs under one directory, and drops a manifest
-recording the effective configuration, the seed and the library versions.
+config file, and writes its outputs under one directory.  main then drops a
+manifest recording the command's own settings at their effective values and
+the library versions.
 With a fixed manifest the outputs are reproducible byte for byte, whatever
 the parallelism degree.
 """
@@ -15,6 +16,8 @@ import logging
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .errors import InvalidPrior, SearchFailed, ShapeMismatch, StableSearchError
@@ -39,7 +42,7 @@ from .longitudinal import (
 )
 from .pipeline import PipelineResult, run_pipeline
 from .scoring import DISCRETE, load_dataset, rank_normalize
-from .search import SearchParams
+from .search import SearchParams, require_number
 from .seeding import PARAMETERIZE_LANE, derived_rng
 from .simulate import (
     default_structure,
@@ -64,13 +67,13 @@ class RunConfig:
     layout: str | None = None
     prior: str | None = None
     out: str = "run"
-    subsets: int | None = None
-    generations: int = 35
-    population: int = 150
-    crossover: float = 0.85
-    mutation: float = 0.07
-    pi_sel: float = 0.6
-    seed: int = 0
+    subsets: int | None = None  # build_config takes it from SUBSETS
+    generations: int = SearchParams.generations
+    population: int = SearchParams.population_size
+    crossover: float = SearchParams.p_crossover
+    mutation: float = SearchParams.p_mutation
+    pi_sel: float = Thresholds.pi_sel
+    seed: int = SearchParams.seed
     parallelism: int = 1
     discrete: tuple = ()
     subsample_unit: str = "subject"
@@ -82,11 +85,11 @@ class RunConfig:
     truth: str | None = None
 
 
-# integer settings and their lower bounds (None: SearchParams checks it)
-INTEGER_SETTINGS = {
-    "subsets": 2, "generations": None, "population": None, "seed": 0,
-    "parallelism": 1, "datasets": 1, "samples": 1, "slices": 2,
-}
+# default subset count of each command that takes --subsets
+SUBSETS = {"search": 50, "search-longitudinal": 100, "evaluate": 50}
+
+# integer settings that no library type checks, and their lower bounds
+INTEGER_SETTINGS = {"subsets": 2, "parallelism": 1, "datasets": 1, "samples": 1, "slices": 2}
 
 
 class ConfigError(Exception):
@@ -96,6 +99,7 @@ class ConfigError(Exception):
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then the config file, then explicit flags."""
     values = {f.name: f.default for f in fields(RunConfig)}
+    values["subsets"] = SUBSETS.get(args.command)
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.is_file():
@@ -114,15 +118,17 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             values[key] = tuple(flag) if isinstance(flag, list) else flag
     cfg = RunConfig(**values)
-    for name in INTEGER_SETTINGS:
-        value = getattr(cfg, name)
-        if value is None and name == "subsets":
-            continue
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{name} must be an integer, not {value!r}")
-        low = INTEGER_SETTINGS[name]
-        if low is not None and value < low:
-            raise ConfigError(f"{name} must be at least {low}")
+    try:
+        for name, low in INTEGER_SETTINGS.items():
+            value = getattr(cfg, name)
+            if name in vars(args):  # the command reads it
+                require_number(name, value, "int")
+                if value < low:
+                    raise ValueError(f"{name} must be at least {low}")
+        search_params(cfg)
+        Thresholds(cfg.pi_sel)
+    except ValueError as exc:
+        raise ConfigError(f"bad settings: {exc}") from None
     for name in ("discrete", "prev_only", "cur_only"):
         value = getattr(cfg, name)
         if not isinstance(value, tuple) or not all(isinstance(v, str) for v in value):
@@ -131,11 +137,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(
             f"subsample_unit must be 'subject' or 'row', not {cfg.subsample_unit!r}"
         )
-    try:
-        search_params(cfg)
-        Thresholds(cfg.pi_sel)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad search settings: {exc}") from None
     if not isinstance(cfg.out, str):
         raise ConfigError(f"out must be a path, not {cfg.out!r}")
     for attr in ("data", "layout", "prior", "truth"):
@@ -161,17 +162,17 @@ def load_prior(cfg: RunConfig) -> list[tuple[str, str]]:
     return prior_from_dict(read_json(cfg.prior))
 
 
-def manifest_dict(command: str, cfg: RunConfig, extra: dict) -> dict:
-    versions = {"stablesearch": __version__, "python": sys.version.split()[0]}
-    import numpy
-
-    versions["numpy"] = numpy.__version__
-    return {
-        "command": command,
-        "config": asdict(cfg),
-        "versions": versions,
-        **extra,
+def write_manifest(args: argparse.Namespace, cfg: RunConfig, extra: dict) -> None:
+    """<out>/manifest.json: the settings the command registers, at their
+    effective values, the library versions and the command's extras."""
+    config = {k: v for k, v in asdict(cfg).items() if k in vars(args)}
+    versions = {
+        "stablesearch": __version__, "python": sys.version.split()[0], "numpy": np.__version__
     }
+    write_json(
+        Path(cfg.out) / "manifest.json",
+        {"command": args.command, "config": config, "versions": versions, **extra},
+    )
 
 
 def write_pipeline_artifacts(out: Path, result: PipelineResult) -> None:
@@ -190,7 +191,8 @@ def write_pipeline_artifacts(out: Path, result: PipelineResult) -> None:
     (out / "graph.dot").write_text(annotated_dot(result.graph))
 
 
-def cmd_search(cfg: RunConfig) -> int:
+# Each command writes its outputs and returns its manifest extras.
+def cmd_search(cfg: RunConfig) -> dict:
     if cfg.data is None:
         raise ConfigError("search needs --data")
     kinds = {name: DISCRETE for name in cfg.discrete}
@@ -201,21 +203,16 @@ def cmd_search(cfg: RunConfig) -> int:
         data,
         mask,
         search_params(cfg),
-        n_subsets=cfg.subsets if cfg.subsets is not None else 50,
+        n_subsets=cfg.subsets,
         pi_sel=cfg.pi_sel,
         parallelism=cfg.parallelism,
     )
-    out = Path(cfg.out)
-    write_pipeline_artifacts(out, result)
-    write_json(
-        out / "manifest.json",
-        manifest_dict("search", cfg, {"pi_bic": result.pi_bic}),
-    )
-    log.info("search finished, pi_bic=%d, outputs in %s", result.pi_bic, out)
-    return 0
+    write_pipeline_artifacts(Path(cfg.out), result)
+    log.info("search finished, pi_bic=%d, outputs in %s", result.pi_bic, cfg.out)
+    return {"pi_bic": result.pi_bic}
 
 
-def cmd_search_longitudinal(cfg: RunConfig) -> int:
+def cmd_search_longitudinal(cfg: RunConfig) -> dict:
     if cfg.data is None or cfg.layout is None:
         raise ConfigError("search-longitudinal needs --data and --layout")
     kinds = {name: DISCRETE for name in cfg.discrete}
@@ -228,7 +225,7 @@ def cmd_search_longitudinal(cfg: RunConfig) -> int:
         search_params(cfg),
         prior,
         pi_sel=cfg.pi_sel,
-        n_subsets=cfg.subsets if cfg.subsets is not None else 100,
+        n_subsets=cfg.subsets,
         parallelism=cfg.parallelism,
         subsample_unit=cfg.subsample_unit,
         prev_only=cfg.prev_only,
@@ -237,25 +234,11 @@ def cmd_search_longitudinal(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     write_pipeline_artifacts(out / "baseline", baseline)
     write_pipeline_artifacts(out / "transition", transition)
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(
-        out / "manifest.json",
-        manifest_dict(
-            "search-longitudinal",
-            cfg,
-            {
-                "pi_bic": {
-                    "baseline": baseline.pi_bic,
-                    "transition": transition.pi_bic,
-                }
-            },
-        ),
-    )
     log.info("longitudinal search finished, outputs in %s", out)
-    return 0
+    return {"pi_bic": {"baseline": baseline.pi_bic, "transition": transition.pi_bic}}
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: RunConfig) -> dict:
     if cfg.truth is not None:
         model = truth_from_dict(read_json(cfg.truth))
     else:
@@ -272,12 +255,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
         )
     write_json(out / "layout.json", layout_to_dict(datasets[0].layout))
     write_json(out / "truth.json", truth_to_dict(model))
-    write_json(out / "manifest.json", manifest_dict("simulate", cfg, {}))
     log.info("wrote %d datasets to %s", len(datasets), out)
-    return 0
+    return {}
 
 
-def cmd_evaluate(cfg: RunConfig) -> int:
+def cmd_evaluate(cfg: RunConfig) -> dict:
     if cfg.data is None:
         raise ConfigError("evaluate needs --data (a simulate output directory)")
     src = Path(cfg.data)
@@ -309,7 +291,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         model,
         search_params(cfg),
         prior=prior,
-        n_subsets=cfg.subsets if cfg.subsets is not None else 50,
+        n_subsets=cfg.subsets,
         parallelism=cfg.parallelism,
     )
     out = Path(cfg.out)
@@ -328,16 +310,13 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         "pi_bics": report.pi_bics,
     }
     write_json(out / "auc_summary.json", summary)
-    write_json(
-        out / "manifest.json", manifest_dict("evaluate", cfg, {"auc": summary})
-    )
     log.info(
         "evaluated %d datasets: edge AUC %.3f, causal AUC %.3f",
         len(datasets),
         report.edge_roc.auc,
         report.causal_roc.auc,
     )
-    return 0
+    return {"auc": summary}
 
 
 # Each command registers only the flags it reads; its --config JSON may set
@@ -369,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stablesearch",
         description="Stability-based causal structure search",
     )
-    parser.add_argument("--log-level", default="INFO")
+    levels = [logging.getLevelName(level) for level in range(0, 60, 10)]
+    parser.add_argument("--log-level", type=str.upper, choices=levels, default="INFO")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -420,13 +400,11 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=getattr(logging, str(args.log_level).upper(), logging.INFO),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
     try:
         cfg = build_config(args)
-        return COMMANDS[args.command](cfg)
+        write_manifest(args, cfg, COMMANDS[args.command](cfg))
+        return 0
     except (ConfigError, InvalidPrior, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

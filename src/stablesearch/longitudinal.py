@@ -210,17 +210,18 @@ def reshape(data: LongitudinalDataset) -> Dataset:
     return Dataset([Column(n, k) for n, k in zip(names, kinds)], out)
 
 
-def _variable_index(variables: tuple[str, ...], name: str) -> int:
+def _variable_index(variables: tuple[str, ...], name: str, setting: str = "prior") -> int:
+    """Index of a slice variable that ``setting`` names, plain or current-slice."""
     if name.endswith(PREV_SUFFIX):
         raise InvalidPrior(
-            f"{name!r} refers to the previous slice; prior knowledge applies "
-            "to intra-slice relations only"
+            f"{setting} entry {name!r} refers to the previous slice; {setting} "
+            "applies within one slice only"
         )
     plain = name[: -len(CUR_SUFFIX)] if name.endswith(CUR_SUFFIX) else name
     try:
         return variables.index(plain)
     except ValueError:
-        raise InvalidPrior(f"prior references unknown variable {name!r}") from None
+        raise InvalidPrior(f"{setting} references unknown variable {name!r}") from None
 
 
 def intra_slice_mask(variables, prior=()) -> ConstraintMask:
@@ -261,9 +262,9 @@ def transition_mask(
                 forbidden.append((other, node))
 
     for name in prev_only:
-        isolate(p + _variable_index(variables, name))
+        isolate(p + _variable_index(variables, name, "prev_only"))
     for name in cur_only:
-        isolate(_variable_index(variables, name))
+        isolate(_variable_index(variables, name, "cur_only"))
     return ConstraintMask.empty(2 * p).with_forbidden(forbidden)
 
 

@@ -16,8 +16,9 @@ The returned Pareto set carries the memo's scores; nothing is fitted again.
 
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,12 +42,27 @@ class SearchParams:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            require_number(f.name, getattr(self, f.name), f.type)
         if not 0 <= self.p_crossover <= 1 or not 0 <= self.p_mutation <= 1:
             raise ValueError("operator probabilities must lie in [0, 1]")
         if self.population_size < 4 or self.population_size % 2:
             raise ValueError("population_size must be even and at least 4")
         if self.generations < 1:
             raise ValueError("generations must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+
+
+def require_number(name: str, value, kind: str) -> None:
+    """Raise ValueError unless value fits kind, a field's annotation text:
+    "int" takes an integer, "float" a real number; a bool is neither."""
+    integer = kind == "int"
+    if isinstance(value, bool) or not isinstance(
+        value, numbers.Integral if integer else numbers.Real
+    ):
+        noun = "an integer" if integer else "a number"
+        raise ValueError(f"{name} must be {noun}, not {value!r}")
 
 
 @dataclass(frozen=True)

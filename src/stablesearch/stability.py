@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .graphs import (
     ConstraintMask, Dag, arc_matrix, dag_to_cpdag, reachability, topological_order,
 )
 from .scoring import Dataset, sample_covariance
-from .search import ParetoModel, SearchParams, evolve
+from .search import ParetoModel, SearchParams, evolve, require_number
 from .seeding import SEARCH_LANE, derived_seed
 
 log = logging.getLogger(__name__)
@@ -34,6 +34,8 @@ class Thresholds:
     pi_bic: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            require_number(f.name, getattr(self, f.name), f.type)
         if not 0 < self.pi_sel <= 1:
             raise ValueError("pi_sel must lie in (0, 1]")
         if self.pi_bic < 0:

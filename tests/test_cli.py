@@ -3,14 +3,17 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from stablesearch.cli import (
+    COMMANDS,
     EXIT_CONFIG,
     EXIT_DATA,
     ConfigError,
+    RunConfig,
     build_config,
     build_parser,
     main,
@@ -46,7 +49,15 @@ def test_config_defaults():
     assert cfg.mutation == 0.07
     assert cfg.pi_sel == 0.6
     assert cfg.parallelism == 1
-    assert cfg.subsets is None
+    assert cfg.subsets == 50
+
+
+def test_every_setting_is_a_flag_and_every_flag_a_setting():
+    registered = set()
+    for command in COMMANDS:
+        registered |= vars(build_parser().parse_args([command])).keys()
+    registered -= {"command", "log_level", "config"}  # not run settings
+    assert {f.name for f in fields(RunConfig)} == registered
 
 
 def test_config_file_then_flags(tmp_path):
@@ -159,6 +170,8 @@ BAD_CONFIGS = {
     ),
     "string seed": ("search", ["--config", '{"seed": "abc"}']),
     "discrete as one string": ("search", ["--config", '{"discrete": "X1_t0"}']),
+    "boolean pi_sel": ("search", ["--config", '{"pi_sel": true}']),
+    "boolean crossover": ("search", ["--config", '{"crossover": true}']),
 }
 
 
@@ -231,6 +244,18 @@ def test_unread_flag_exits_config_without_traceback(
     assert exc.value.code == EXIT_CONFIG
     assert f"unrecognized arguments: {flag} {value}" in err
     assert "Traceback" not in err
+
+
+def test_unknown_log_level_exits_config_without_traceback(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert build_parser().parse_args(["--log-level", "warning", "simulate"]).log_level == "WARNING"
+    with pytest.raises(SystemExit) as exc:
+        main(["--log-level", "LOUD", "simulate"])
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_CONFIG
+    assert "argument --log-level: invalid choice: 'LOUD'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def write_one_variable_panel(tmp_path):
@@ -345,6 +370,32 @@ def test_simulate_outputs(sim_dir):
     # weights land in the documented magnitude band
     for val in truth["baseline_weights"].values():
         assert 0.3 <= abs(val) <= 1.0
+    # the manifest records simulate's own settings only
+    config = read_json(sim_dir / "manifest.json")["config"]
+    assert set(config) == {"datasets", "samples", "slices", "truth", "out", "seed"}
+
+
+@pytest.mark.parametrize("command, subsets", [("search", 50), ("search-longitudinal", 100)])
+def test_manifest_records_the_commands_default_subsets(command, subsets, sim_dir, tmp_path):
+    args = ["--data", str(sim_dir / "data_00.csv")]
+    if command == "search-longitudinal":
+        args += ["--layout", str(sim_dir / "layout.json")]
+    out = tmp_path / "o"
+    tiny = ["--generations", "1", "--population", "4"]
+    assert main([command, *args, "--out", str(out), *tiny]) == 0
+    assert read_json(out / "manifest.json")["config"]["subsets"] == subsets
+
+
+def test_unknown_role_variable_is_named_by_its_setting(sim_dir, tmp_path, capsys):
+    rc = main(
+        ["search-longitudinal", "--data", str(sim_dir / "data_00.csv"),
+         "--layout", str(sim_dir / "layout.json"), "--prev-only", "Z",
+         "--out", str(tmp_path / "o"), *FAST]
+    )
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert err.startswith("error: prev_only references unknown variable 'Z'")
+    assert "Traceback" not in err
 
 
 def test_simulate_truth_reuse(sim_dir, tmp_path):

@@ -412,6 +412,15 @@ def test_search_params_validation():
         SearchParams(population_size=7)
     with pytest.raises(ValueError):
         SearchParams(generations=0)
+    for bad in (
+        {"generations": 2.5},
+        {"population_size": 10.0},
+        {"generations": True},
+        {"p_crossover": True},
+        {"seed": -1},
+    ):
+        with pytest.raises(ValueError):
+            SearchParams(**bad)
 
 
 def test_adjacency_arcs_roundtrip_and_order():
