@@ -7,7 +7,9 @@ covariance matrix alone.  Over a pattern the effect becomes a multiset with
 one value per class member, and over subsampled searches the multisets
 concatenate; the reported estimate is the median.  Each distinct chosen
 pattern's class is enumerated once per run, for all paths and all subsets
-that chose it, with one regression per subset and distinct pa(x).
+that chose it, with one regression per subset and distinct pa(x).  The
+members come as parent bitmasks, and only one member per distinct pa(x)
+is built as a Dag.
 """
 
 from __future__ import annotations
@@ -58,14 +60,17 @@ def causal_effect(dag: Dag, cov: np.ndarray, x: int, y: int) -> float:
 def _parent_classes(cpdag, mask, sources) -> dict[int, tuple[list[Dag], list[int]]]:
     """Per source x, one member of the class per distinct pa(x) in
     first-seen order, and each member's index into that list in enumeration
-    order; the member list itself is not kept."""
-    reps: dict[int, dict] = {x: {} for x in sources}  # pa(x) -> (index, member)
+    order."""
+    n = cpdag.n_nodes
+    reps: dict[int, dict] = {x: {} for x in sources}  # pa(x) bitmask -> (index, Dag)
     index: dict[int, list[int]] = {x: [] for x in sources}
-    for dag in enumerate_extensions(cpdag, mask):
-        parents = dag.parent_lists()
+    for member in enumerate_extensions(cpdag, mask):
         for x in sources:
             seen = reps[x]
-            index[x].append(seen.setdefault(tuple(parents[x]), (len(seen), dag))[0])
+            if member[x] not in seen:
+                arcs = {(a, b) for b, pa in enumerate(member) for a in range(n) if pa >> a & 1}
+                seen[member[x]] = (len(seen), Dag(n, frozenset(arcs), cpdag.labels))
+            index[x].append(seen[member[x]][0])
     return {x: ([dag for _, dag in reps[x].values()], index[x]) for x in sources}
 
 

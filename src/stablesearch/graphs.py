@@ -397,76 +397,67 @@ def dag_to_cpdag(dag: Dag, mask: ConstraintMask | None = None) -> Cpdag:
 
 def enumerate_extensions(
     cpdag: Cpdag, mask: ConstraintMask | None = None, cap: int = 4096
-) -> list[Dag]:
+) -> list[tuple[int, ...]]:
     """All DAGs in the equivalence class the pattern represents.
 
-    Each extension keeps every directed arc, orients every undirected edge,
-    creates no new v-structure, stays acyclic and respects the mask.  Raises
-    NoExtension when none exists and ExtensionCapExceeded when the class is
-    larger than cap.
+    Each member is a tuple of per-node parent bitmasks: bit a of entry b is
+    set when the member has the arc a -> b.  Each extension keeps every
+    directed arc, orients every undirected edge, creates no new v-structure,
+    stays acyclic and respects the mask.  The free edges are oriented in
+    sorted order, (a, b) before (b, a), with the cycle test read off
+    per-node ancestor bitsets.  Raises NoExtension when none exists and
+    ExtensionCapExceeded when the class is larger than cap.
     """
     n = cpdag.n_nodes
-    base = set(cpdag.directed)
     if mask is not None:
-        for a, b in base:
+        for a, b in cpdag.directed:
             if not mask.allows(a, b):
                 raise ConstraintViolation(f"pattern arc {a} -> {b} is forbidden")
-    free = sorted(cpdag.undirected)
-
+    order = topological_order(n, cpdag.directed)
+    if order is None:
+        raise NoExtension("directed part of the pattern is cyclic")
+    choices = [
+        [(u, v) for u, v in ((a, b), (b, a)) if mask is None or mask.allows(u, v)]
+        for a, b in sorted(cpdag.undirected)
+    ]
     # v-structure test needs adjacency of the full skeleton, which extensions share
-    adj = [set() for _ in range(n)]
+    adj = [0] * n
     for a, b in cpdag.skeleton():
-        adj[a].add(b)
-        adj[b].add(a)
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    parents = [0] * n
+    for a, b in cpdag.directed:
+        parents[b] |= 1 << a
+    ancestors = [0] * n
+    for v in order:
+        for a in range(n):
+            if parents[v] >> a & 1:
+                ancestors[v] |= ancestors[a] | 1 << a
 
-    results: list[Dag] = []
-
-    parents: list[set[int]] = [set() for _ in range(n)]
-    for a, b in base:
-        parents[b].add(a)
-
-    def creates_v(a: int, b: int) -> bool:
-        # a -> b joins existing c -> b with c not adjacent to a
-        return any(c != a and c not in adj[a] for c in parents[b])
-
-    def is_ancestor(a: int, b: int) -> bool:
-        # walk up from b; u -> v closes a cycle exactly when v is above u
-        seen = set()
-        frontier = [b]
-        while frontier:
-            for c in parents[frontier.pop()]:
-                if c == a:
-                    return True
-                if c not in seen:
-                    seen.add(c)
-                    frontier.append(c)
-        return False
-
-    current: set[Arc] = set(base)
+    results: list[tuple[int, ...]] = []
 
     def place(k: int) -> None:
-        if k == len(free):
-            results.append(Dag(n, frozenset(current), cpdag.labels))
+        if k == len(choices):
+            results.append(tuple(parents))
             if len(results) > cap:
                 raise ExtensionCapExceeded(
                     f"equivalence class exceeds cap of {cap} members"
                 )
             return
-        a, b = free[k]
-        for u, v in ((a, b), (b, a)):
-            if mask is not None and not mask.allows(u, v):
+        for u, v in choices[k]:
+            # u -> v joins a parent of v not adjacent to u, or closes a cycle
+            if parents[v] & ~adj[u] or ancestors[u] >> v & 1:
                 continue
-            if creates_v(u, v) or is_ancestor(v, u):
-                continue
-            current.add((u, v))
-            parents[v].add(u)
+            saved = ancestors.copy()
+            above = ancestors[u] | 1 << u
+            for w in range(n):  # v and everything below it
+                if w == v or ancestors[w] >> v & 1:
+                    ancestors[w] |= above
+            parents[v] |= 1 << u
             place(k + 1)
-            parents[v].discard(u)
-            current.discard((u, v))
+            parents[v] &= ~(1 << u)
+            ancestors[:] = saved
 
-    # the compelled part itself must be acyclic for any extension to exist
-    if not is_acyclic(n, base):
-        raise NoExtension("directed part of the pattern is cyclic")
     place(0)
     if not results:
         raise NoExtension("pattern admits no consistent acyclic extension")

@@ -4,11 +4,13 @@ Everything here is written independently of the package under test: graph
 enumeration by trying all orientations, equivalence classes keyed on
 (skeleton, v-structures), reachability by boolean matrix powers, Pareto
 fronts by pairwise comparison, covariance matrices implied by small
-hand-solved models, midranks by averaging tied positions, and the inverse
-of the longitudinal reshape.  The one exception is the per-member IDA loop,
-which composes the package's own class enumeration and single-DAG effect
-(each tested against the oracles above) without any sharing between members.
-``stability_curve`` is no oracle, only the tests' lookup of one curve.
+hand-solved models, midranks by averaging tied positions, the inverse of
+the longitudinal reshape, and class enumeration with a Dag per member and
+a walk up the parent sets for each cycle test.  The one exception is the
+per-member IDA loop, which composes the package's own class enumeration and
+single-DAG effect (each tested against the oracles above) without any
+sharing between members.  ``stability_curve`` and ``member_arcs`` are no
+oracles, only the tests' lookups of one curve and of one member's arcs.
 """
 
 import itertools
@@ -16,7 +18,8 @@ import itertools
 import numpy as np
 
 from stablesearch.effects import causal_effect
-from stablesearch.graphs import enumerate_extensions
+from stablesearch.errors import ConstraintViolation, ExtensionCapExceeded, NoExtension
+from stablesearch.graphs import Dag, enumerate_extensions
 from stablesearch.longitudinal import LongitudinalDataset
 from stablesearch.scoring import Column, Dataset
 from stablesearch.stability import EDGE
@@ -170,10 +173,83 @@ def oracle_midranks(values):
     return np.array(out)
 
 
+def member_arcs(member):
+    """The arc set of a class member given as per-node parent bitmasks."""
+    return frozenset(
+        (a, b) for b, pa in enumerate(member) for a in range(len(member)) if pa >> a & 1
+    )
+
+
+def oracle_enumerate_extensions(cpdag, mask=None, cap=4096):
+    """The class as a list of Dags, by the same backtracking over the sorted
+    free edges, (a, b) before (b, a), with sets of parents and a walk up
+    them for each cycle test."""
+    n = cpdag.n_nodes
+    base = set(cpdag.directed)
+    if mask is not None:
+        for a, b in base:
+            if not mask.allows(a, b):
+                raise ConstraintViolation(f"pattern arc {a} -> {b} is forbidden")
+    free = sorted(cpdag.undirected)
+    adj = [set() for _ in range(n)]
+    for a, b in cpdag.skeleton():
+        adj[a].add(b)
+        adj[b].add(a)
+    parents = [set() for _ in range(n)]
+    for a, b in base:
+        parents[b].add(a)
+    results = []
+
+    def creates_v(a, b):
+        return any(c != a and c not in adj[a] for c in parents[b])
+
+    def is_ancestor(a, b):
+        seen = set()
+        frontier = [b]
+        while frontier:
+            for c in parents[frontier.pop()]:
+                if c == a:
+                    return True
+                if c not in seen:
+                    seen.add(c)
+                    frontier.append(c)
+        return False
+
+    current = set(base)
+
+    def place(k):
+        if k == len(free):
+            results.append(Dag(n, frozenset(current), cpdag.labels))
+            if len(results) > cap:
+                raise ExtensionCapExceeded(f"equivalence class exceeds cap of {cap} members")
+            return
+        a, b = free[k]
+        for u, v in ((a, b), (b, a)):
+            if mask is not None and not mask.allows(u, v):
+                continue
+            if creates_v(u, v) or is_ancestor(v, u):
+                continue
+            current.add((u, v))
+            parents[v].add(u)
+            place(k + 1)
+            parents[v].discard(u)
+            current.discard((u, v))
+
+    if not oracle_is_acyclic(n, base):
+        raise NoExtension("directed part of the pattern is cyclic")
+    place(0)
+    if not results:
+        raise NoExtension("pattern admits no consistent acyclic extension")
+    return results
+
+
 def oracle_class_effects(cpdag, cov, mask, x, y):
     """The effect of x on y in every member of the pattern's class, one
     regression per member, in enumeration order."""
-    return [causal_effect(dag, cov, x, y) for dag in enumerate_extensions(cpdag, mask)]
+    return [
+        causal_effect(Dag(cpdag.n_nodes, member_arcs(member)), cov, x, y)
+        for member in enumerate_extensions(cpdag, mask)
+    ]
 
 
 def chain_covariance(beta1, beta2, s1=1.0, s2=1.0, s3=1.0):

@@ -153,31 +153,46 @@ def test_prev_suffix_prior_exits_config(tmp_path, capsys):
     assert "previous slice" in capsys.readouterr().err
 
 
-# (command, extra arguments); an argument starting with "{" is the text of a
-# JSON file that the argument is replaced with
+# (command, extra arguments, expected message); an argument starting with "{"
+# is the text of a JSON file that the argument is replaced with
 BAD_CONFIGS = {
-    "odd population": ("search", ["--population", "7"]),
-    "zero generations": ("search", ["--generations", "0"]),
-    "zero pi-sel": ("search", ["--pi-sel", "0"]),
-    "crossover above one": ("search", ["--crossover", "1.5"]),
-    "malformed config json": ("search", ["--config", '{"generations": 3,']),
-    "malformed prior json": ("search", ["--prior", '{"generations": 3,']),
-    "zero datasets": ("simulate", ["--datasets", "0"]),
-    "zero samples": ("simulate", ["--samples", "0"]),
-    "one slice": ("simulate", ["--slices", "1"]),
-    "unknown subsample unit": (
-        "search-longitudinal", ["--config", '{"subsample_unit": "bogus"}']
+    "odd population": (
+        "search", ["--population", "7"], "population_size must be even and at least 4"
     ),
-    "string seed": ("search", ["--config", '{"seed": "abc"}']),
-    "discrete as one string": ("search", ["--config", '{"discrete": "X1_t0"}']),
-    "boolean pi_sel": ("search", ["--config", '{"pi_sel": true}']),
-    "boolean crossover": ("search", ["--config", '{"crossover": true}']),
+    "zero generations": ("search", ["--generations", "0"], "generations must be positive"),
+    "zero pi-sel": ("search", ["--pi-sel", "0"], "pi_sel must lie in (0, 1]"),
+    "crossover above one": (
+        "search", ["--crossover", "1.5"], "operator probabilities must lie in [0, 1]"
+    ),
+    "malformed config json": (
+        "search", ["--config", '{"generations": 3,'], "Expecting property name"
+    ),
+    "malformed prior json": (
+        "search", ["--prior", '{"generations": 3,'], "Expecting property name"
+    ),
+    "zero datasets": ("simulate", ["--datasets", "0"], "datasets must be at least 1"),
+    "zero samples": ("simulate", ["--samples", "0"], "samples must be at least 1"),
+    "one slice": ("simulate", ["--slices", "1"], "slices must be at least 2"),
+    "unknown subsample unit": (
+        "search-longitudinal", ["--config", '{"subsample_unit": "bogus"}'],
+        "subsample_unit must be 'subject' or 'row', not 'bogus'",
+    ),
+    "string seed": ("search", ["--config", '{"seed": "abc"}'], "seed must be an integer"),
+    "discrete as one string": (
+        "search", ["--config", '{"discrete": "X1_t0"}'], "discrete must be a list of names"
+    ),
+    "boolean pi_sel": (
+        "search", ["--config", '{"pi_sel": true}'], "pi_sel must be a number, not True"
+    ),
+    "boolean crossover": (
+        "search", ["--config", '{"crossover": true}'], "p_crossover must be a number, not True"
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
-def test_bad_config_exits_config_without_traceback(case, tmp_path, capsys):
-    command, args = BAD_CONFIGS[case]
+def test_bad_config_exits_config_without_traceback(case, sim_dir, tmp_path, capsys):
+    command, args, message = BAD_CONFIGS[case]
     extra = []
     for i, arg in enumerate(args):
         if arg.startswith("{"):
@@ -186,13 +201,17 @@ def test_bad_config_exits_config_without_traceback(case, tmp_path, capsys):
             arg = str(path)
         extra.append(arg)
     fast = []  # simulate takes none of the search flags
+    if command != "simulate":
+        fast = FAST[: FAST.index("--seed")]  # a --seed flag would override the config's
     if command == "search":
         extra += ["--data", write_chain_csv(tmp_path / "d.csv")]
-        fast = FAST[: FAST.index("--seed")]  # a --seed flag would override the config's
+    elif command == "search-longitudinal":
+        extra += ["--data", str(sim_dir / "data_00.csv"),
+                  "--layout", str(sim_dir / "layout.json")]
     rc = main([command, "--out", str(tmp_path / "o"), *fast, *extra])
     err = capsys.readouterr().err
     assert rc == EXIT_CONFIG
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
 
 

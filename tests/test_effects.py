@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from oracles import oracle_class_effects, sem_implied_covariance
+from oracles import member_arcs, oracle_class_effects, sem_implied_covariance
 from stablesearch import effects
 from stablesearch.effects import (
     EffectEstimate,
@@ -241,8 +241,8 @@ def random_effects_case(rng, masked):
             forbidden[a, b] = False
         mask = ConstraintMask(p, forbidden)
     first, second, third = (_model(p, arcs, p, mask=mask) for arcs in arcsets)
-    twin = _model(p, enumerate_extensions(first.cpdag, mask)[-1].arcs, p, mask=mask)
-    sibling = _model(p, enumerate_extensions(second.cpdag, mask)[0].arcs, p, mask=mask)
+    twin = _model(p, member_arcs(enumerate_extensions(first.cpdag, mask)[-1]), p, mask=mask)
+    sibling = _model(p, member_arcs(enumerate_extensions(second.cpdag, mask)[0]), p, mask=mask)
     off = _model(p, sorted(arcsets[1])[1:], p, mask=mask)
     results = [
         _result(0, [first, twin]),
@@ -280,9 +280,9 @@ def test_aggregate_enumerates_each_class_once_and_regresses_per_parent_set(monke
             for m in r.models if m.fit.complexity == pi_bic
         ]
         expected = {
-            (i, x, tuple(dag.parents(x)), y)
+            (i, x, tuple(sorted(a for a, b in member_arcs(member) if b == x)), y)
             for i, m in chosen if covs[i] is not None
-            for dag in enumerate_extensions(m.cpdag, mask)
+            for member in enumerate_extensions(m.cpdag, mask)
             for x, y in paths
         }
         subset_of = {id(c): i for i, c in enumerate(covs) if c is not None}
@@ -334,8 +334,8 @@ def test_subsets_sharing_a_pattern_enumerate_it_once(monkeypatch):
     # two members of the 3-chain's class, where pa(0) is () or (1,), chosen
     # by two subsets under different covariances
     members = enumerate_extensions(dag_to_cpdag(Dag(3, frozenset({(0, 1), (1, 2)}))))
-    results = [_result(0, [_model(3, members[0].arcs, 3)]),
-               _result(1, [_model(3, members[-1].arcs, 3)])]
+    results = [_result(0, [_model(3, member_arcs(members[0]), 3)]),
+               _result(1, [_model(3, member_arcs(members[-1]), 3)])]
     assert results[0].models[0].cpdag == results[1].models[0].cpdag
     assert results[0].models[0].dag != results[1].models[0].dag
     rng = np.random.default_rng(59)

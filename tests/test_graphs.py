@@ -8,6 +8,8 @@ from oracles import (
     all_dag_arcsets,
     class_key,
     equivalence_class,
+    member_arcs,
+    oracle_enumerate_extensions,
     oracle_is_acyclic,
     oracle_skeleton,
     oracle_v_structures,
@@ -205,7 +207,7 @@ def test_pattern_describes_its_class_at_larger_p(masked):
                 forbidden[a, b] = False  # the input must stay legal
             mask = ConstraintMask(p, forbidden)
         out = dag_to_cpdag(Dag(p, arcs), mask)
-        members = [d.arcs for d in enumerate_extensions(out, mask)]
+        members = [member_arcs(d) for d in enumerate_extensions(out, mask)]
         skeleton, v_structures = oracle_skeleton(arcs), oracle_v_structures(arcs)
         for m in members:
             assert oracle_skeleton(m) == skeleton
@@ -221,7 +223,7 @@ def test_pattern_describes_its_class_at_larger_p(masked):
         # with the class enumerated from the v-structures alone
         colliders = {(x, c) for a, c, b in v_structures for x in (a, b)}
         loose = Cpdag(p, colliders, skeleton - oracle_skeleton(colliders))
-        whole = [d.arcs for d in enumerate_extensions(loose, mask)]
+        whole = [member_arcs(d) for d in enumerate_extensions(loose, mask)]
         assert sorted(map(sorted, whole)) == sorted(map(sorted, members))
         assert as_pattern(out) == union_orientation(whole)
 
@@ -252,11 +254,11 @@ def test_cyclic_rows_triangle_all_cyclic_and_empty_batches():
 
 def test_enumerate_single_edge_and_directed_only():
     two = enumerate_extensions(Cpdag(2, frozenset(), frozenset({(0, 1)})))
-    assert {d.arcs for d in two} == {frozenset({(0, 1)}), frozenset({(1, 0)})}
+    assert {member_arcs(d) for d in two} == {frozenset({(0, 1)}), frozenset({(1, 0)})}
 
     fixed = Cpdag(3, frozenset({(0, 2), (1, 2)}), frozenset())
     out = enumerate_extensions(fixed)
-    assert len(out) == 1 and out[0].arcs == frozenset({(0, 2), (1, 2)})
+    assert len(out) == 1 and member_arcs(out[0]) == frozenset({(0, 2), (1, 2)})
 
 
 def test_enumerate_path_has_three_members():
@@ -272,13 +274,13 @@ def test_enumerate_path_has_three_members():
 
     path = Cpdag(3, frozenset(), frozenset({(0, 1), (1, 2)}))
     out = enumerate_extensions(path)
-    assert {d.arcs for d in out} == set(legal)
+    assert {member_arcs(d) for d in out} == set(legal)
 
 
 def test_enumerate_is_deterministic():
     pattern = Cpdag(4, frozenset(), frozenset({(0, 1), (1, 2), (2, 3)}))
-    first = [d.arcs for d in enumerate_extensions(pattern)]
-    second = [d.arcs for d in enumerate_extensions(pattern)]
+    first = [member_arcs(d) for d in enumerate_extensions(pattern)]
+    second = [member_arcs(d) for d in enumerate_extensions(pattern)]
     assert first == second
 
 
@@ -298,7 +300,7 @@ def test_enumerate_clique_gives_every_order_once(k):
     # later edges close a cycle only through chains of up to k - 1 arcs
     clique = Cpdag(k, frozenset(), frozenset(itertools.combinations(range(k), 2)))
     out = enumerate_extensions(clique)
-    orders = {tuple(topological_order(k, d.arcs)) for d in out}
+    orders = {tuple(topological_order(k, member_arcs(d))) for d in out}
     assert len(out) == len(orders) == math.factorial(k)
     assert orders == set(itertools.permutations(range(k)))
 
@@ -307,7 +309,84 @@ def test_enumerate_respects_mask():
     pattern = Cpdag(2, frozenset(), frozenset({(0, 1)}))
     mask = ConstraintMask.empty(2).with_forbidden([(1, 0)])
     out = enumerate_extensions(pattern, mask)
-    assert [d.arcs for d in out] == [frozenset({(0, 1)})]
+    assert [member_arcs(d) for d in out] == [frozenset({(0, 1)})]
+
+
+def test_enumerate_cap_is_exact():
+    # a 6-clique has 720 members; a 7-clique's 5,040 pass the default cap
+    six = Cpdag(6, frozenset(), frozenset(itertools.combinations(range(6), 2)))
+    assert len(enumerate_extensions(six, cap=720)) == 720
+    with pytest.raises(ExtensionCapExceeded):
+        enumerate_extensions(six, cap=719)
+    seven = Cpdag(7, frozenset(), frozenset(itertools.combinations(range(7), 2)))
+    with pytest.raises(ExtensionCapExceeded):
+        enumerate_extensions(seven)
+
+
+def outcome(enumerate_class, cpdag, mask):
+    """The members' arc sets in order, or the type of the error raised."""
+    try:
+        return [member_arcs(m) if isinstance(m, tuple) else m.arcs
+                for m in enumerate_class(cpdag, mask)]
+    except (ConstraintViolation, ExtensionCapExceeded, NoExtension) as exc:
+        return type(exc)
+
+
+def random_pattern(rng, p):
+    """A skeleton whose edges are compelled along a random order (so that
+    compelled chains form), rarely against it (so that some compelled parts
+    are cyclic), or left undirected."""
+    order = rng.permutation(p)
+    directed, undirected = set(), set()
+    for i, j in itertools.combinations(range(p), 2):
+        a, b = int(order[i]), int(order[j])
+        r = rng.random()
+        if r < 0.2:
+            directed.add((a, b))
+        elif r < 0.23:
+            directed.add((b, a))
+        elif r < 0.6:
+            undirected.add((min(a, b), max(a, b)))
+    return Cpdag(p, frozenset(directed), frozenset(undirected))
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_enumerate_matches_the_dag_building_oracle_in_order(masked):
+    # random patterns, and the patterns of random dense DAGs for larger classes
+    rng = np.random.default_rng(37 if masked else 35)
+    seen, largest = set(), 0
+    for p in range(3, 9):
+        for _ in range(30):
+            order = rng.permutation(p)
+            upper = np.triu(rng.random((p, p)) < 0.5, k=1)
+            dag = Dag(p, {(int(order[i]), int(order[j])) for i, j in zip(*np.nonzero(upper))})
+            mask = ConstraintMask(p, rng.random((p, p)) < 0.15) if masked else None
+            for pattern in (random_pattern(rng, p), dag_to_cpdag(dag)):
+                want = outcome(oracle_enumerate_extensions, pattern, mask)
+                assert outcome(enumerate_extensions, pattern, mask) == want
+                if isinstance(want, list):
+                    largest = max(largest, len(want))
+                seen.add(want if isinstance(want, type) else min(len(want), 2))
+    expected = {1, 2, NoExtension}  # one member, more, and no member
+    assert seen == (expected | {ConstraintViolation} if masked else expected)
+    assert largest >= 16
+
+
+def test_enumerate_raises_what_the_oracle_raises():
+    cases = [
+        # compelled 0 -> 1 -> 2 -> 0 is cyclic
+        (Cpdag(3, {(0, 1), (1, 2), (2, 0)}, frozenset()), None, NoExtension),
+        (Cpdag(3, {(0, 1)}, {(1, 2)}), ConstraintMask.empty(3).with_forbidden([(0, 1)]),
+         ConstraintViolation),
+        # the 4-cycle skeleton: any orientation makes a collider or a cycle
+        (Cpdag(4, frozenset(), {(0, 1), (1, 2), (2, 3), (0, 3)}), None, NoExtension),
+        # the compelled chain 0 -> 1 -> 2 leaves 0 - 2 only 0 -> 2, which is forbidden
+        (Cpdag(3, {(0, 1), (1, 2)}, {(0, 2)}),
+         ConstraintMask.empty(3).with_forbidden([(0, 2)]), NoExtension),
+    ]
+    for pattern, mask, error in cases:
+        assert outcome(oracle_enumerate_extensions, pattern, mask) is error
+        assert outcome(enumerate_extensions, pattern, mask) is error
 
 
 def test_roundtrip_every_small_dag_is_in_its_own_class():
@@ -315,7 +394,7 @@ def test_roundtrip_every_small_dag_is_in_its_own_class():
         universe = all_dag_arcsets(n)
         for arcs in universe:
             cp = dag_to_cpdag(Dag(n, arcs))
-            members = {d.arcs for d in enumerate_extensions(cp)}
+            members = {member_arcs(d) for d in enumerate_extensions(cp)}
             assert arcs in members
             # the enumerated class is exactly the oracle class
             assert members == set(equivalence_class(n, arcs, universe))
