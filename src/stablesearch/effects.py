@@ -14,7 +14,6 @@ is built as a Dag.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,6 @@ import numpy as np
 from .errors import DegenerateData, EmptyMultiset
 from .graphs import ConstraintMask, Cpdag, Dag, enumerate_extensions
 from .scoring import CONTINUOUS, Dataset, is_singular
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -118,27 +115,15 @@ def aggregate_effects(
     For each path the multisets of every subset's model at the chosen
     complexity are concatenated in subset order, each evaluated against that
     subset's own covariance (``covariances`` is indexed by subset, None for
-    failed subsets).  When no subset produced a model at complexity
-    ``pi_bic`` the nearest populated complexity substitutes, with a warning.
-    Standard deviations for standardization come from the full dataset, and
-    standardized values are reported only when both endpoints are
-    continuous.
+    failed subsets).  A path with no value, as when no subset has a model at
+    complexity ``pi_bic``, raises EmptyMultiset.  Standard deviations for
+    standardization come from the full dataset, and standardized values are
+    reported only when both endpoints are continuous.
     """
     models = [(r.index, m) for r in results if not r.failed for m in r.models]
     if not models:
         raise EmptyMultiset("no models to estimate effects from")
-    populated = sorted({m.fit.complexity for _, m in models})
-    if pi_bic in populated:
-        target = pi_bic
-    else:
-        target = min(populated, key=lambda j: (abs(j - pi_bic), j))
-        log.warning(
-            "no subset produced a complexity-%d model; falling back to the "
-            "nearest populated complexity %d",
-            pi_bic,
-            target,
-        )
-    chosen = [(i, m) for i, m in models if m.fit.complexity == target]
+    chosen = [(i, m) for i, m in models if m.fit.complexity == pi_bic]
 
     pairs = [getattr(key, "key", key) for key in paths]
     sources = list(dict.fromkeys(x for x, _ in pairs))

@@ -18,7 +18,7 @@ class ConstraintViolation(StableSearchError):
 
 
 class ExtensionCapExceeded(StableSearchError):
-    """Equivalence-class enumeration grew past the configured cap."""
+    """Equivalence-class enumeration grew past graphs.EXTENSION_CAP members."""
 
 
 class NoExtension(StableSearchError):

@@ -114,19 +114,14 @@ PALETTE = (
 )
 
 
-def stability_svg(
-    sg: StabilityGraph,
-    pi_sel: float,
-    pi_bic: int,
-    width: int = 720,
-    height: int = 440,
-) -> str:
+def stability_svg(sg: StabilityGraph, pi_sel: float, pi_bic: int) -> str:
     """Self-contained line chart of every stability curve.
 
     The shaded box marks the acceptance region: complexities up to the BIC
     pick, probability at or above the selection threshold.  Curves that
     enter it are colored and labeled, the rest stay gray.
     """
+    width, height = 720, 440
     left, right, top, bottom = 60, 150, 30, 50
     plot_w = width - left - right
     plot_h = height - top - bottom

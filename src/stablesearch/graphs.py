@@ -59,16 +59,6 @@ class ConstraintMask:
             mat[a, b] = True
         return ConstraintMask(self.n_nodes, mat)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ConstraintMask)
-            and self.n_nodes == other.n_nodes
-            and bool(np.array_equal(self.forbidden, other.forbidden))
-        )
-
-    def __hash__(self):
-        return hash((self.n_nodes, self.forbidden.tobytes()))
-
     def __repr__(self):
         k = int(self.forbidden.sum()) - self.n_nodes
         return f"ConstraintMask(n_nodes={self.n_nodes}, extra_forbidden={k})"
@@ -395,8 +385,11 @@ def dag_to_cpdag(dag: Dag, mask: ConstraintMask | None = None) -> Cpdag:
     return Cpdag(dag.n_nodes, frozenset(directed), frozenset(undirected), dag.labels)
 
 
+EXTENSION_CAP = 4096  # the most class members enumerate_extensions returns
+
+
 def enumerate_extensions(
-    cpdag: Cpdag, mask: ConstraintMask | None = None, cap: int = 4096
+    cpdag: Cpdag, mask: ConstraintMask | None = None
 ) -> list[tuple[int, ...]]:
     """All DAGs in the equivalence class the pattern represents.
 
@@ -406,7 +399,7 @@ def enumerate_extensions(
     stays acyclic and respects the mask.  The free edges are oriented in
     sorted order, (a, b) before (b, a), with the cycle test read off
     per-node ancestor bitsets.  Raises NoExtension when none exists and
-    ExtensionCapExceeded when the class is larger than cap.
+    ExtensionCapExceeded when the class is larger than EXTENSION_CAP.
     """
     n = cpdag.n_nodes
     if mask is not None:
@@ -439,9 +432,9 @@ def enumerate_extensions(
     def place(k: int) -> None:
         if k == len(choices):
             results.append(tuple(parents))
-            if len(results) > cap:
+            if len(results) > EXTENSION_CAP:
                 raise ExtensionCapExceeded(
-                    f"equivalence class exceeds cap of {cap} members"
+                    f"equivalence class exceeds cap of {EXTENSION_CAP} members"
                 )
             return
         for u, v in choices[k]:

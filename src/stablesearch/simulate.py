@@ -165,12 +165,9 @@ def generate_data(
         slices[t] = cur
 
     layout = model.layout()
-    wide = np.empty((s, p * T))
-    names = layout.column_names()
-    for j, name in enumerate(names):
-        v, k = name.rsplit("_t", 1)
-        wide[:, j] = slices[int(k)][:, layout.variables.index(v)]
-    return LongitudinalDataset(Dataset(names, wide), layout)
+    # column_names() lists every slice of one variable before the next variable
+    wide = slices.transpose(1, 2, 0).reshape(s, p * T)
+    return LongitudinalDataset(Dataset(layout.column_names(), wide), layout)
 
 
 def simulate_datasets(

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import DegenerateData, SearchFailed, StableSearchError
 from .graphs import (
-    ConstraintMask, Dag, arc_matrix, dag_to_cpdag, reachability, topological_order,
+    ConstraintMask, Dag, arc_matrix, dag_to_cpdag, is_acyclic, reachability,
+    topological_order,
 )
 from .scoring import Dataset, sample_covariance
 from .search import ParetoModel, SearchParams, evolve, require_number
@@ -204,49 +205,14 @@ def complete_dag_under(mask: ConstraintMask) -> Dag | None:
     return Dag(p, arcs)
 
 
-def _tabulate(models, p: int):
-    """One pass over the models: per-complexity counts, edge and path hits."""
-    max_j = p * (p - 1) // 2
-    counts = np.zeros(max_j + 1, dtype=np.int64)
-    edge_hits: dict[tuple[int, int], np.ndarray] = {
-        (a, b): np.zeros(max_j + 1) for a in range(p) for b in range(a + 1, p)
-    }
-    path_hits: dict[tuple[int, int], np.ndarray] = {
-        (a, b): np.zeros(max_j + 1) for a in range(p) for b in range(p) if a != b
-    }
-    for m in models:
-        j = m.fit.complexity
-        counts[j] += 1
-        skel = m.cpdag.skeleton()
-        for pair in skel:
-            edge_hits[pair][j] += 1
-        closure = reachability(arc_matrix(p, m.cpdag.directed))
-        for a, b in zip(*np.nonzero(closure)):
-            path_hits[(int(a), int(b))][j] += 1
-    return counts, edge_hits, path_hits
-
-
-def _finalize_curves(hits, counts, pinned: dict[int, dict]):
-    """Observed ratios + pinned anchors, linear interpolation across gaps.
-
-    Beyond the last anchor the curve extends as a constant.  Returns the
-    curves plus the imputed-complexity flags (True where nothing was
-    observed).
-    """
-    max_j = len(counts) - 1
-    observed = np.flatnonzero(counts > 0)
-    anchors = sorted(set(observed.tolist()) | set(pinned))
-    curves = {}
-    for key, hit in hits.items():
-        ys = []
-        for j in anchors:
-            if counts[j] > 0:
-                ys.append(hit[j] / counts[j])
-            else:
-                ys.append(pinned[j][key])
-        curves[key] = np.interp(np.arange(max_j + 1), anchors, ys)
-    imputed = counts == 0
-    return curves, imputed
+def _curves(hits, counts, keys, pins: dict[int, np.ndarray]):
+    """Per key, the curve through one (p, p) anchor row per anchor: the
+    observed ratio hits[j] / counts[j], else the pinned row; linear
+    interpolation across gaps, constant beyond the last anchor."""
+    anchors = sorted(set(np.flatnonzero(counts).tolist()) | set(pins))
+    rows = np.array([hits[j] / counts[j] if counts[j] else pins[j] for j in anchors])
+    grid = np.arange(len(counts))
+    return {(a, b): np.interp(grid, anchors, rows[:, a, b]) for a, b in keys}
 
 
 def stability_graphs(
@@ -254,10 +220,13 @@ def stability_graphs(
 ) -> tuple[StabilityGraph, StabilityGraph]:
     """Edge- and causal-path-stability graphs in one aggregation pass.
 
-    Boundary complexities are pinned analytically: complexity 0 has only the
-    empty pattern (probability 0 everywhere), and the maximum complexity has
-    the single constrained class of complete DAGs (edge probability 1; path
-    probabilities from that class when the mask admits a complete DAG).
+    Each model adds its skeleton to the edge hit table and the closure of
+    its compelled arcs to the path hit table, both (J+1, p, p), at the row
+    of its complexity.  Boundary complexities are pinned analytically:
+    complexity 0 has only the empty pattern (probability 0 everywhere), and
+    the maximum complexity has the single constrained class of complete DAGs
+    (edge probability 1; path probabilities from that class when the mask
+    admits a complete DAG).
     """
     models = list(models)
     if not models:
@@ -266,22 +235,26 @@ def stability_graphs(
     if labels is None:
         labels = models[0].dag.labels
     max_j = p * (p - 1) // 2
-    counts, edge_hits, path_hits = _tabulate(models, p)
+    counts = np.zeros(max_j + 1, dtype=np.int64)
+    edge_hits = np.zeros((max_j + 1, p, p))
+    path_hits = np.zeros((max_j + 1, p, p))
+    for m in models:
+        j = m.fit.complexity
+        counts[j] += 1
+        edge_hits[j] += arc_matrix(p, m.cpdag.skeleton())
+        path_hits[j] += reachability(arc_matrix(p, m.cpdag.directed))
 
-    edge_pins = {
-        0: {k: 0.0 for k in edge_hits},
-        max_j: {k: 1.0 for k in edge_hits},
-    }
-    path_pins = {0: {k: 0.0 for k in path_hits}}
+    zeros = np.zeros((p, p))
+    edge_pins = {0: zeros, max_j: np.ones((p, p))}
+    path_pins = {0: zeros}
     full = complete_dag_under(mask)
     if full is not None:
-        closure = reachability(arc_matrix(p, dag_to_cpdag(full, mask).directed))
-        path_pins[max_j] = {
-            k: float(closure[k[0], k[1]]) for k in path_hits
-        }
-
-    edge_curves, imputed = _finalize_curves(edge_hits, counts, edge_pins)
-    path_curves, _ = _finalize_curves(path_hits, counts, path_pins)
+        path_pins[max_j] = reachability(arc_matrix(p, dag_to_cpdag(full, mask).directed))
+    edges = [(a, b) for a in range(p) for b in range(a + 1, p)]
+    paths = [(a, b) for a in range(p) for b in range(p) if a != b]
+    edge_curves = _curves(edge_hits, counts, edges, edge_pins)
+    path_curves = _curves(path_hits, counts, paths, path_pins)
+    imputed = counts == 0
     return (
         StabilityGraph(EDGE, labels, edge_curves, imputed),
         StabilityGraph(CAUSAL_PATH, labels, path_curves, imputed.copy()),
@@ -344,43 +317,31 @@ def assemble_graph(
         a, b = min(st.key), max(st.key)
         undirected[(a, b)] = st.reliability
 
-    # an arc x -> y closes a cycle exactly when y already reaches x;
+    def orient(arc, message):
+        # the directed part is acyclic, so only the new arc can close a cycle
+        if is_acyclic(p, [*directed, arc]):
+            directed[arc] = undirected.pop((min(arc), max(arc)))
+        else:
+            log.warning(message, labels[arc[0]], labels[arc[1]])
+
     # arcs the mask forces: pair present, one direction forbidden
     for a, b in sorted(undirected):
         fwd, bwd = mask.allows(a, b), mask.allows(b, a)
-        if fwd and not bwd:
-            arc = (a, b)
-        elif bwd and not fwd:
-            arc = (b, a)
-        else:
-            continue
-        if reachability(arc_matrix(p, directed))[arc[1], arc[0]]:
-            log.warning(
+        if fwd != bwd:
+            orient(
+                (a, b) if fwd else (b, a),
                 "mask-forced arc %s -> %s would close a cycle; edge left undirected",
-                labels[arc[0]], labels[arc[1]],
             )
-            continue
-        directed[arc] = undirected.pop((a, b))
 
-    order = sorted(relevant_paths, key=lambda st: (-st.reliability, st.key))
-    for st in order:
+    for st in sorted(relevant_paths, key=lambda st: (-st.reliability, st.key)):
         a, b = st.key
-        pair = (min(a, b), max(a, b))
         if (b, a) in directed:
             log.warning(
                 "orientation conflict: path %s -> %s contradicts existing arc",
                 labels[a], labels[b],
             )
-            continue
-        if (a, b) in directed or pair not in undirected:
-            continue
-        if reachability(arc_matrix(p, directed))[b, a]:
-            log.warning(
-                "skipping orientation %s -> %s: would close a directed cycle",
-                labels[a], labels[b],
-            )
-            continue
-        directed[(a, b)] = undirected.pop(pair)
+        elif (a, b) not in directed and (min(a, b), max(a, b)) in undirected:
+            orient((a, b), "skipping orientation %s -> %s: would close a directed cycle")
 
     return AnnotatedCausalGraph(p, tuple(labels), directed, undirected, {})
 

@@ -5,12 +5,15 @@ enumeration by trying all orientations, equivalence classes keyed on
 (skeleton, v-structures), reachability by boolean matrix powers, Pareto
 fronts by pairwise comparison, covariance matrices implied by small
 hand-solved models, midranks by averaging tied positions, the inverse of
-the longitudinal reshape, and class enumeration with a Dag per member and
-a walk up the parent sets for each cycle test.  The one exception is the
-per-member IDA loop, which composes the package's own class enumeration and
-single-DAG effect (each tested against the oracles above) without any
-sharing between members.  ``stability_curve`` and ``member_arcs`` are no
-oracles, only the tests' lookups of one curve and of one member's arcs.
+the longitudinal reshape, class enumeration with a Dag per member and a
+walk up the parent sets for each cycle test, and stability curves
+tabulated one structure at a time.  Two exceptions use the package: the
+per-member IDA loop composes its class enumeration and single-DAG effect
+without any sharing between members, and the stability curves take their
+complete-DAG pin from its ``complete_dag_under`` and ``dag_to_cpdag``;
+each of those is tested against the oracles here.  ``stability_curve`` and
+``member_arcs`` are no oracles, only the tests' lookups of one curve and of
+one member's arcs.
 """
 
 import itertools
@@ -19,10 +22,10 @@ import numpy as np
 
 from stablesearch.effects import causal_effect
 from stablesearch.errors import ConstraintViolation, ExtensionCapExceeded, NoExtension
-from stablesearch.graphs import Dag, enumerate_extensions
+from stablesearch.graphs import Dag, dag_to_cpdag, enumerate_extensions
 from stablesearch.longitudinal import LongitudinalDataset
 from stablesearch.scoring import Column, Dataset
-from stablesearch.stability import EDGE
+from stablesearch.stability import EDGE, complete_dag_under
 
 
 def stability_curve(sg, a, b):
@@ -132,6 +135,48 @@ def oracle_reachability(n, arcs):
     for _ in range(n):
         reach = reach | (reach.astype(int) @ adj.astype(int) > 0)
     return reach
+
+
+def oracle_stability_curves(models, mask):
+    """(edge curves, path curves, imputed flags) as stability_graphs builds
+    them, with one hit vector per structure instead of hit matrices.
+
+    Complexity 0 pins every structure to 0; the maximum complexity pins
+    edges to 1 and paths to the complete DAG's closure when the mask admits
+    one.  Each curve runs through the observed ratios and the pins at the
+    complexities nothing was observed at, linear between them and constant
+    beyond the last.
+    """
+    p = mask.n_nodes
+    max_j = p * (p - 1) // 2
+    counts = np.zeros(max_j + 1, dtype=np.int64)
+    edge_hits = {(a, b): np.zeros(max_j + 1) for a in range(p) for b in range(a + 1, p)}
+    path_hits = {(a, b): np.zeros(max_j + 1) for a in range(p) for b in range(p) if a != b}
+    for m in models:
+        j = m.fit.complexity
+        counts[j] += 1
+        for pair in m.cpdag.skeleton():
+            edge_hits[pair][j] += 1
+        closure = oracle_reachability(p, m.cpdag.directed)
+        for a, b in zip(*np.nonzero(closure)):
+            path_hits[(int(a), int(b))][j] += 1
+
+    edge_pins = {0: dict.fromkeys(edge_hits, 0.0), max_j: dict.fromkeys(edge_hits, 1.0)}
+    path_pins = {0: dict.fromkeys(path_hits, 0.0)}
+    full = complete_dag_under(mask)
+    if full is not None:
+        closure = oracle_reachability(p, dag_to_cpdag(full, mask).directed)
+        path_pins[max_j] = {(a, b): float(closure[a, b]) for a, b in path_hits}
+
+    def finalize(hits, pinned):
+        anchors = sorted(set(np.flatnonzero(counts > 0).tolist()) | set(pinned))
+        curves = {}
+        for key, hit in hits.items():
+            ys = [hit[j] / counts[j] if counts[j] > 0 else pinned[j][key] for j in anchors]
+            curves[key] = np.interp(np.arange(max_j + 1), anchors, ys)
+        return curves
+
+    return finalize(edge_hits, edge_pins), finalize(path_hits, path_pins), counts == 0
 
 
 def oracle_dominates(f, g):

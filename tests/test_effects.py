@@ -1,5 +1,3 @@
-import logging
-
 import numpy as np
 import pytest
 
@@ -171,16 +169,14 @@ def test_aggregate_skips_failed_subsets_and_respects_order():
     assert out[0].median == pytest.approx(0.5)
 
 
-def test_aggregate_falls_back_to_nearest_complexity(caplog):
+def test_aggregate_raises_when_no_model_has_complexity_pi_bic():
     cov = sem_implied_covariance(2, {(0, 1): 0.5}, [1.0, 1.0])
     data = Dataset(["a", "b"], np.random.default_rng(2).standard_normal((50, 2)))
     mask = ConstraintMask.empty(2).with_forbidden([(1, 0)])
     results = [_result(0, [_model(2, {(0, 1)}, 2, mask=mask)])]
 
-    with caplog.at_level(logging.WARNING, logger="stablesearch.effects"):
-        out = aggregate_effects(results, [cov], 0, [(0, 1)], data, mask)
-    assert "nearest populated complexity 1" in caplog.text
-    assert out[0].median == pytest.approx(0.5)
+    with pytest.raises(EmptyMultiset, match="no effect values for path 0 -> 1"):
+        aggregate_effects(results, [cov], 0, [(0, 1)], data, mask)
 
 
 def test_aggregate_empty_models_raise():
@@ -204,9 +200,7 @@ def per_path_effects(results, covariances, pi_bic, paths, data, mask):
     """The per-path loop aggregate_effects ran before classes were shared:
     every path re-enumerates every chosen class and regresses per member."""
     models = [(r.index, m) for r in results if not r.failed for m in r.models]
-    populated = sorted({m.fit.complexity for _, m in models})
-    target = min(populated, key=lambda j: (abs(j - pi_bic), j))
-    chosen = [(i, m) for i, m in models if m.fit.complexity == target]
+    chosen = [(i, m) for i, m in models if m.fit.complexity == pi_bic]
     out = []
     for x, y in paths:
         values = []

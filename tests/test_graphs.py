@@ -15,6 +15,7 @@ from oracles import (
     oracle_v_structures,
     union_orientation,
 )
+from stablesearch import graphs
 from stablesearch.errors import (
     ConstraintViolation,
     ExtensionCapExceeded,
@@ -284,10 +285,11 @@ def test_enumerate_is_deterministic():
     assert first == second
 
 
-def test_enumerate_cap_and_empty_class():
+def test_enumerate_cap_and_empty_class(monkeypatch):
     path = Cpdag(3, frozenset(), frozenset({(0, 1), (1, 2)}))
+    monkeypatch.setattr(graphs, "EXTENSION_CAP", 2)
     with pytest.raises(ExtensionCapExceeded):
-        enumerate_extensions(path, cap=2)
+        enumerate_extensions(path)
 
     square = Cpdag(4, frozenset(), frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
     with pytest.raises(NoExtension):
@@ -312,15 +314,18 @@ def test_enumerate_respects_mask():
     assert [member_arcs(d) for d in out] == [frozenset({(0, 1)})]
 
 
-def test_enumerate_cap_is_exact():
+def test_enumerate_cap_is_exact(monkeypatch):
     # a 6-clique has 720 members; a 7-clique's 5,040 pass the default cap
-    six = Cpdag(6, frozenset(), frozenset(itertools.combinations(range(6), 2)))
-    assert len(enumerate_extensions(six, cap=720)) == 720
-    with pytest.raises(ExtensionCapExceeded):
-        enumerate_extensions(six, cap=719)
+    assert graphs.EXTENSION_CAP == 4096
     seven = Cpdag(7, frozenset(), frozenset(itertools.combinations(range(7), 2)))
     with pytest.raises(ExtensionCapExceeded):
         enumerate_extensions(seven)
+    six = Cpdag(6, frozenset(), frozenset(itertools.combinations(range(6), 2)))
+    monkeypatch.setattr(graphs, "EXTENSION_CAP", 720)
+    assert len(enumerate_extensions(six)) == 720
+    monkeypatch.setattr(graphs, "EXTENSION_CAP", 719)
+    with pytest.raises(ExtensionCapExceeded):
+        enumerate_extensions(six)
 
 
 def outcome(enumerate_class, cpdag, mask):

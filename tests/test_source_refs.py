@@ -8,6 +8,9 @@ whose tracer patches call sites by name) a dotted string constant.  A method
 counts as used only through an attribute (``obj.method``), since a local
 variable may share its name.
 
+Every parameter default in the package is overridden by some call in the
+package or in bench; a default that no call overrides is a constant.
+
 Every module-level import in the package and in the tests is read by its
 module, too, and the third-party modules the package imports are exactly
 the dependencies that pyproject.toml declares.
@@ -107,6 +110,61 @@ def test_every_public_method_has_a_caller_outside_tests():
         if not has_caller((cls, name))
     ]
     assert unused == []
+
+
+def defaulted_parameters(tree: ast.AST) -> list[tuple[str, str, int | None]]:
+    """(callee name, parameter, position or None if keyword-only) for every
+    parameter with a default.  A method's positions skip self or cls, and
+    __init__ is called by its class's name."""
+    out = []
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            continue
+        for fn in scope.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            name = scope.name if fn.name == "__init__" else fn.name
+            bound = isinstance(scope, ast.ClassDef) and not any(
+                getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list
+            )
+            args = fn.args.posonlyargs + fn.args.args
+            first = len(args) - len(fn.args.defaults)
+            out += [(name, a.arg, i - bound) for i, a in enumerate(args) if i >= first]
+            out += [
+                (name, a.arg, None)
+                for a, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if default is not None
+            ]
+    return out
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    defined = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        defined += [(path.name, *d) for d in defaulted_parameters(ast.parse(path.read_text()))]
+    calls = [
+        node
+        for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+    ]
+    assert len(defined) > 20  # the scan found the defaults
+
+    def passes(call, name, param, position):
+        if getattr(call.func, "id", getattr(call.func, "attr", None)) != name:
+            return False
+        if any(k.arg in (param, None) for k in call.keywords):  # None: **kwargs
+            return True
+        return position is not None and (
+            len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+        )
+
+    unpassed = [
+        f"{module}:{name}({param}=...)"
+        for module, name, param, position in defined
+        if not any(passes(call, name, param, position) for call in calls)
+    ]
+    assert unpassed == []
 
 
 def test_every_module_level_import_is_read():

@@ -1,9 +1,10 @@
+import itertools
 import logging
 
 import numpy as np
 import pytest
 
-from oracles import sem_implied_covariance, stability_curve
+from oracles import oracle_stability_curves, sem_implied_covariance, stability_curve
 from stablesearch import stability
 from stablesearch.errors import DegenerateData, SearchFailed
 from stablesearch.graphs import ConstraintMask, Dag, dag_to_cpdag
@@ -210,6 +211,69 @@ def test_forced_cycle_extends_last_anchor():
     assert list(stability_curve(edge_sg, 0, 1)) == [0.0, 1.0, 1.0, 1.0]
     # no max-complexity anchor exists, so the path curve extends its last one
     assert list(stability_curve(path_sg, 0, 1)) == [0.0, 1.0, 1.0, 1.0]
+
+
+def assert_matches_oracle(models, mask):
+    """stability_graphs' curves, key order and imputed flags equal the
+    dict-based oracle's, byte for byte."""
+    edge_sg, path_sg = stability_graphs(models, mask)
+    edge_want, path_want, imputed = oracle_stability_curves(models, mask)
+    for sg, want in ((edge_sg, edge_want), (path_sg, path_want)):
+        assert list(sg.probabilities) == list(want)
+        got = [curve.tobytes() for curve in sg.probabilities.values()]
+        assert got == [curve.tobytes() for curve in want.values()]
+        assert sg.imputed.tobytes() == imputed.tobytes()
+
+
+def random_models(rng, p, mask):
+    """1..30 models, each a random DAG the mask allows at a random density."""
+    models = []
+    for _ in range(int(rng.integers(1, 31))):
+        order = [int(v) for v in rng.permutation(p)]
+        rate = rng.random()
+        arcs = {
+            (order[i], order[j]) for i in range(p) for j in range(i + 1, p)
+            if rng.random() < rate and mask.allows(order[i], order[j])
+        }
+        models.append(make_model(p, arcs, mask))
+    return models
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_stability_graphs_match_the_dict_based_oracle(masked):
+    rng = np.random.default_rng(67 if masked else 61)
+    unpinned = no_zero = 0
+    for p in range(3, 9):
+        for _ in range(8):
+            mask = ConstraintMask.empty(p)
+            if masked:
+                mask = ConstraintMask(p, rng.random((p, p)) < 0.3)
+                unpinned += complete_dag_under(mask) is None
+            models = random_models(rng, p, mask)
+            no_zero += all(m.fit.complexity > 0 for m in models)
+            assert_matches_oracle(models, mask)
+    assert no_zero > 0
+    assert unpinned > 0 or not masked
+
+
+@pytest.mark.parametrize("p", range(3, 9))
+def test_stability_graphs_match_the_oracle_at_the_anchor_edge_cases(p):
+    empty = ConstraintMask.empty(p)
+    chain = {(a, a + 1) for a in range(p - 1)}
+    complete = set(itertools.combinations(range(p), 2))
+    # the forced precedences 0 < 1 < 2 < 0 leave no complete DAG to pin paths
+    cyclic = empty.with_forbidden([(1, 0), (2, 1), (0, 2)])
+    assert complete_dag_under(cyclic) is None
+    cases = [
+        ([make_model(p, chain, empty)], empty),  # no model at complexity 0
+        # anchors only at the pinned complexities 0 and max
+        ([make_model(p, set(), empty)], empty),
+        ([make_model(p, complete, empty)], empty),
+        ([make_model(p, set(), empty), make_model(p, complete, empty)], empty),
+        ([make_model(p, chain, cyclic), make_model(p, {(0, 1)}, cyclic)], cyclic),
+    ]
+    for models, mask in cases:
+        assert_matches_oracle(models, mask)
 
 
 def test_complete_dag_under_masks():
