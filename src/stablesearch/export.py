@@ -246,7 +246,7 @@ def read_json(path):
 
 def prior_from_dict(obj) -> list[tuple[str, str]]:
     """Parse ``{"forbidden": [["A", "B"], ...]}`` into name pairs."""
-    if not isinstance(obj, dict) or "forbidden" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("forbidden"), list):
         raise InvalidPrior("prior file needs a 'forbidden' list")
     out = []
     for entry in obj["forbidden"]:

@@ -279,75 +279,55 @@ def _meek_closure(
 ) -> None:
     """Orient undirected edges in place until Meek's rules reach a fixpoint.
 
-    reference_arcs is the DAG the pattern came from; every orientation a
-    sound rule derives must agree with it, so a disagreement means the mask
-    and the pattern are inconsistent.
+    Each pass tests every undirected edge, in sorted order and both ways,
+    against R1-R4; the rules are sound and reach the same maximal pattern in
+    any firing order, background knowledge included (Meek 1995).
+    reference_arcs is the DAG the pattern came from: a derived arc that
+    disagrees with it means the mask and the pattern are inconsistent.
     """
     adj: list[set[int]] = [set() for _ in range(n_nodes)]
-    for a, b in directed:
-        adj[a].add(b)
-        adj[b].add(a)
-    for a, b in undirected:
+    for a, b in (*directed, *undirected):
         adj[a].add(b)
         adj[b].add(a)
 
-    def orient(u: int, v: int) -> None:
-        undirected.discard((min(u, v), max(u, v)))
-        directed.add((u, v))
-        if mask is not None and not mask.allows(u, v):
-            raise ConstraintViolation(
-                f"orientation {u} -> {v} forced by closure but forbidden by mask"
+    def forced(u: int, v: int) -> bool:
+        """Whether one of R1-R4 orients the undirected edge u - v as u -> v."""
+        links = [w for w in adj[u] if (min(u, w), max(u, w)) in undirected]
+        return (
+            # R1: w -> u with w and v non-adjacent
+            any((w, u) in directed and w not in adj[v] for w in adj[u])
+            # R2: u -> w -> v
+            or any((u, w) in directed and (w, v) in directed for w in adj[u])
+            # R3: u - c -> v and u - d -> v with c and d non-adjacent
+            or any(d not in adj[c] for c, d in itertools.combinations(
+                [c for c in links if (c, v) in directed], 2))
+            # R4: u - k -> l -> v with k and v non-adjacent
+            or any(
+                k not in adj[v]
+                and any((k, l) in directed and (l, v) in directed for l in adj[k])
+                for k in links
             )
-        if (u, v) not in reference_arcs:
-            raise ConstraintViolation(
-                f"closure derived {u} -> {v}, which contradicts the source graph"
-            )
+        )
 
     changed = True
     while changed:
         changed = False
-        # R1: a -> b, b - c, a and c non-adjacent  =>  b -> c
-        for a, b in list(directed):
-            for c in list(adj[b]):
-                if c != a and (min(b, c), max(b, c)) in undirected and c not in adj[a]:
-                    orient(b, c)
-                    changed = True
-        # R2: a -> c -> b with a - b  =>  a -> b
-        for a, b in list(undirected):
+        for a, b in sorted(undirected):
             for u, v in ((a, b), (b, a)):
-                if any((u, c) in directed and (c, v) in directed for c in adj[u]):
-                    orient(u, v)
-                    changed = True
-                    break
-        # R3: a - b, a - c, a - d, c -> b, d -> b, c and d non-adjacent  =>  a -> b
-        for a, b in list(undirected):
-            for u, v in ((a, b), (b, a)):
-                into_v = [
-                    c
-                    for c in adj[u]
-                    if (min(u, c), max(u, c)) in undirected and (c, v) in directed
-                ]
-                if any(
-                    d not in adj[c]
-                    for c, d in itertools.combinations(into_v, 2)
-                ):
-                    orient(u, v)
-                    changed = True
-                    break
-        # R4: i - j, i - k, k -> l, l -> j, k and j non-adjacent  =>  i -> j
-        for a, b in list(undirected):
-            for i, j in ((a, b), (b, a)):
-                hit = False
-                for k in adj[i]:
-                    if (min(i, k), max(i, k)) not in undirected or k in adj[j]:
-                        continue
-                    if any((k, l) in directed and (l, j) in directed for l in adj[k]):
-                        hit = True
-                        break
-                if hit:
-                    orient(i, j)
-                    changed = True
-                    break
+                if not forced(u, v):
+                    continue
+                undirected.discard((a, b))
+                directed.add((u, v))
+                if mask is not None and not mask.allows(u, v):
+                    raise ConstraintViolation(
+                        f"orientation {u} -> {v} forced by closure but forbidden by mask"
+                    )
+                if (u, v) not in reference_arcs:
+                    raise ConstraintViolation(
+                        f"closure derived {u} -> {v}, which contradicts the source graph"
+                    )
+                changed = True
+                break
 
 
 def dag_to_cpdag(dag: Dag, mask: ConstraintMask | None = None) -> Cpdag:
@@ -367,20 +347,13 @@ def dag_to_cpdag(dag: Dag, mask: ConstraintMask | None = None) -> Cpdag:
                 raise ConstraintViolation(f"input arc {a} -> {b} is forbidden")
 
     arcs = dag.arcs
-    directed: set[Arc] = set()
-    for c, pa in enumerate(dag.parent_lists()):
-        for a, b in itertools.combinations(pa, 2):
-            if (a, b) not in arcs and (b, a) not in arcs:
-                directed.update(((a, c), (b, c)))
-    undirected: set[tuple[int, int]] = set()
-    for x, y in arcs:
-        if (x, y) in directed:
-            continue
-        if mask is not None and not mask.allows(y, x):
-            directed.add((x, y))
-        else:
-            undirected.add((min(x, y), max(x, y)))
-
+    parents = dag.parent_lists()
+    directed = {
+        (a, c) for a, c in arcs
+        if any(b != a and (a, b) not in arcs and (b, a) not in arcs for b in parents[c])
+        or (mask is not None and not mask.allows(c, a))
+    }
+    undirected = {(min(a, b), max(a, b)) for a, b in arcs - directed}
     _meek_closure(dag.n_nodes, directed, undirected, mask, arcs)
     return Cpdag(dag.n_nodes, frozenset(directed), frozenset(undirected), dag.labels)
 

@@ -23,7 +23,7 @@ from .pipeline import PipelineResult, run_pipeline
 # stablesearch.longitudinal.sample_covariance by name, and
 # tests/test_bench_hooks.py requires that the name resolves
 from .scoring import Column, Dataset, sample_covariance  # noqa: F401
-from .search import SearchParams
+from .search import SearchParams, require_number
 from .seeding import PIPELINE_LANE, SUBSAMPLE_LANE, derived_rng, derived_seed
 from .stability import subsample_blocks
 
@@ -90,9 +90,13 @@ class Layout:
 
 def layout_from_dict(obj: dict) -> Layout:
     try:
+        variables, slices = obj["variables"], obj["slices"]
+        if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+            raise TypeError(f"variables must be a list of names, not {variables!r}")
+        require_number("slices", slices, "int")
         return Layout(
-            tuple(obj["variables"]),
-            int(obj["slices"]),
+            tuple(variables),
+            slices,
             obj.get("column_pattern", "<var>_t<k>"),
             {str(v): tuple(ks) for v, ks in obj.get("presence", {}).items()},
         )
@@ -246,26 +250,14 @@ def transition_mask(
     """
     variables = tuple(variables)
     p = len(variables)
-    forbidden: list[tuple[int, int]] = []
-    for i in range(p):
-        forbidden.extend((i, j) for j in range(p) if j != i)
-    for i in range(p, 2 * p):
-        forbidden.extend((i, j) for j in range(p))
+    forbidden = np.zeros((2 * p, 2 * p), dtype=bool)
+    forbidden[:, :p] = True  # no arc into the prev slice
     for a, b in prior:
-        ia, ib = _variable_index(variables, a), _variable_index(variables, b)
-        forbidden.append((p + ia, p + ib))
-
-    def isolate(node: int):
-        for other in range(2 * p):
-            if other != node:
-                forbidden.append((node, other))
-                forbidden.append((other, node))
-
-    for name in prev_only:
-        isolate(p + _variable_index(variables, name, "prev_only"))
-    for name in cur_only:
-        isolate(_variable_index(variables, name, "cur_only"))
-    return ConstraintMask.empty(2 * p).with_forbidden(forbidden)
+        forbidden[p + _variable_index(variables, a), p + _variable_index(variables, b)] = True
+    isolated = [p + _variable_index(variables, name, "prev_only") for name in prev_only]
+    isolated += [_variable_index(variables, name, "cur_only") for name in cur_only]
+    forbidden[isolated, :] = forbidden[:, isolated] = True
+    return ConstraintMask(2 * p, forbidden)
 
 
 def transition_labels(variables) -> tuple[str, ...]:

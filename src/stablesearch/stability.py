@@ -182,27 +182,12 @@ def complete_dag_under(mask: ConstraintMask) -> Dag | None:
     form a cycle, so no consistent total order exists.
     """
     p = mask.n_nodes
-    forced = set()
-    skipped = set()
-    for a in range(p):
-        for b in range(a + 1, p):
-            fwd, bwd = mask.allows(a, b), mask.allows(b, a)
-            if not fwd and not bwd:
-                skipped.add((a, b))
-            elif not bwd:
-                forced.add((a, b))
-            elif not fwd:
-                forced.add((b, a))
-    order = topological_order(p, forced)
+    allowed = ~mask.forbidden
+    order = topological_order(p, np.argwhere(allowed & ~allowed.T).tolist())
     if order is None:
         return None
-    arcs = frozenset(
-        (order[i], order[j])
-        for i in range(p)
-        for j in range(i + 1, p)
-        if (min(order[i], order[j]), max(order[i], order[j])) not in skipped
-    )
-    return Dag(p, arcs)
+    free = allowed | allowed.T
+    return Dag(p, {(a, b) for i, a in enumerate(order) for b in order[i + 1 :] if free[a, b]})
 
 
 def _curves(hits, counts, keys, pins: dict[int, np.ndarray]):

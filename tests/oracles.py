@@ -6,7 +6,8 @@ enumeration by trying all orientations, equivalence classes keyed on
 fronts by pairwise comparison, covariance matrices implied by small
 hand-solved models, midranks by averaging tied positions, the inverse of
 the longitudinal reshape, class enumeration with a Dag per member and a
-walk up the parent sets for each cycle test, and stability curves
+walk up the parent sets for each cycle test, DAG-to-pattern conversion
+with one pass over the edges per Meek rule, and stability curves
 tabulated one structure at a time.  Two exceptions use the package: the
 per-member IDA loop composes its class enumeration and single-DAG effect
 without any sharing between members, and the stability curves take their
@@ -22,7 +23,7 @@ import numpy as np
 
 from stablesearch.effects import causal_effect
 from stablesearch.errors import ConstraintViolation, ExtensionCapExceeded, NoExtension
-from stablesearch.graphs import Dag, dag_to_cpdag, enumerate_extensions
+from stablesearch.graphs import Cpdag, Dag, dag_to_cpdag, enumerate_extensions
 from stablesearch.longitudinal import LongitudinalDataset
 from stablesearch.scoring import Column, Dataset
 from stablesearch.stability import EDGE, complete_dag_under
@@ -124,6 +125,111 @@ def union_orientation(members):
         else:
             undirected.add((a, b))
     return frozenset(directed), frozenset(undirected)
+
+
+def oracle_meek_closure(n_nodes, directed, undirected, mask, reference_arcs):
+    """Orient undirected edges in place until Meek's rules reach a fixpoint,
+    with one pass over the edges per rule and per round.
+
+    reference_arcs is the DAG the pattern came from; every orientation a
+    sound rule derives must agree with it, so a disagreement means the mask
+    and the pattern are inconsistent.
+    """
+    adj = [set() for _ in range(n_nodes)]
+    for a, b in directed:
+        adj[a].add(b)
+        adj[b].add(a)
+    for a, b in undirected:
+        adj[a].add(b)
+        adj[b].add(a)
+
+    def orient(u, v):
+        undirected.discard((min(u, v), max(u, v)))
+        directed.add((u, v))
+        if mask is not None and not mask.allows(u, v):
+            raise ConstraintViolation(
+                f"orientation {u} -> {v} forced by closure but forbidden by mask"
+            )
+        if (u, v) not in reference_arcs:
+            raise ConstraintViolation(
+                f"closure derived {u} -> {v}, which contradicts the source graph"
+            )
+
+    changed = True
+    while changed:
+        changed = False
+        # R1: a -> b, b - c, a and c non-adjacent  =>  b -> c
+        for a, b in list(directed):
+            for c in list(adj[b]):
+                if c != a and (min(b, c), max(b, c)) in undirected and c not in adj[a]:
+                    orient(b, c)
+                    changed = True
+        # R2: a -> c -> b with a - b  =>  a -> b
+        for a, b in list(undirected):
+            for u, v in ((a, b), (b, a)):
+                if any((u, c) in directed and (c, v) in directed for c in adj[u]):
+                    orient(u, v)
+                    changed = True
+                    break
+        # R3: a - b, a - c, a - d, c -> b, d -> b, c and d non-adjacent  =>  a -> b
+        for a, b in list(undirected):
+            for u, v in ((a, b), (b, a)):
+                into_v = [
+                    c
+                    for c in adj[u]
+                    if (min(u, c), max(u, c)) in undirected and (c, v) in directed
+                ]
+                if any(
+                    d not in adj[c]
+                    for c, d in itertools.combinations(into_v, 2)
+                ):
+                    orient(u, v)
+                    changed = True
+                    break
+        # R4: i - j, i - k, k -> l, l -> j, k and j non-adjacent  =>  i -> j
+        for a, b in list(undirected):
+            for i, j in ((a, b), (b, a)):
+                hit = False
+                for k in adj[i]:
+                    if (min(i, k), max(i, k)) not in undirected or k in adj[j]:
+                        continue
+                    if any((k, l) in directed and (l, j) in directed for l in adj[k]):
+                        hit = True
+                        break
+                if hit:
+                    orient(i, j)
+                    changed = True
+                    break
+
+
+def oracle_dag_to_cpdag(dag, mask=None):
+    """The pattern of the DAG's (mask-constrained) class: v-structures
+    seeded pair by pair over each node's parents, then every arc whose
+    reversal the mask forbids, then the four rule passes."""
+    if mask is not None:
+        if mask.n_nodes != dag.n_nodes:
+            raise ConstraintViolation("mask size does not match graph")
+        for a, b in dag.arcs:
+            if not mask.allows(a, b):
+                raise ConstraintViolation(f"input arc {a} -> {b} is forbidden")
+
+    arcs = dag.arcs
+    directed = set()
+    for c, pa in enumerate(dag.parent_lists()):
+        for a, b in itertools.combinations(pa, 2):
+            if (a, b) not in arcs and (b, a) not in arcs:
+                directed.update(((a, c), (b, c)))
+    undirected = set()
+    for x, y in arcs:
+        if (x, y) in directed:
+            continue
+        if mask is not None and not mask.allows(y, x):
+            directed.add((x, y))
+        else:
+            undirected.add((min(x, y), max(x, y)))
+
+    oracle_meek_closure(dag.n_nodes, directed, undirected, mask, arcs)
+    return Cpdag(dag.n_nodes, frozenset(directed), frozenset(undirected), dag.labels)
 
 
 def oracle_reachability(n, arcs):

@@ -170,6 +170,9 @@ BAD_CONFIGS = {
     "malformed prior json": (
         "search", ["--prior", '{"generations": 3,'], "Expecting property name"
     ),
+    "null prior forbidden": (
+        "search", ["--prior", '{"forbidden": null}'], "prior file needs a 'forbidden' list"
+    ),
     "zero datasets": ("simulate", ["--datasets", "0"], "datasets must be at least 1"),
     "zero samples": ("simulate", ["--samples", "0"], "samples must be at least 1"),
     "one slice": ("simulate", ["--slices", "1"], "slices must be at least 2"),

@@ -235,3 +235,6 @@ def test_prior_dict_parsing():
         prior_from_dict({"forbidden": [["A", "B", "C"]]})
     with pytest.raises(InvalidPrior):
         prior_from_dict({"allowed": []})
+    for forbidden in (5, None):
+        with pytest.raises(InvalidPrior, match="needs a 'forbidden' list"):
+            prior_from_dict({"forbidden": forbidden})

@@ -9,6 +9,7 @@ from oracles import (
     class_key,
     equivalence_class,
     member_arcs,
+    oracle_dag_to_cpdag,
     oracle_enumerate_extensions,
     oracle_is_acyclic,
     oracle_skeleton,
@@ -191,42 +192,73 @@ def test_constrained_pattern_equals_union_over_allowed_members():
         checked += 1
 
 
+def random_dag(rng, p, rate):
+    order = rng.permutation(p)
+    upper = np.triu(rng.random((p, p)) < rate, k=1)
+    return Dag(p, {(int(order[i]), int(order[j])) for i, j in zip(*np.nonzero(upper))})
+
+
+def consistent_mask(rng, dag, rate=0.3):
+    """A random mask that forbids none of the DAG's own arcs."""
+    forbidden = rng.random((dag.n_nodes, dag.n_nodes)) < rate
+    for a, b in dag.arcs:
+        forbidden[a, b] = False
+    return ConstraintMask(dag.n_nodes, forbidden)
+
+
 @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
 def test_pattern_describes_its_class_at_larger_p(masked):
     rng = np.random.default_rng(31 if masked else 29)
-    for _ in range(60):
-        p = int(rng.integers(5, 10))
-        order = rng.permutation(p)
-        upper = np.triu(rng.random((p, p)) < 0.35, k=1)
-        arcs = frozenset(
-            (int(order[i]), int(order[j])) for i, j in zip(*np.nonzero(upper))
-        )
-        mask = None
-        if masked:
-            forbidden = rng.random((p, p)) < 0.3
-            for a, b in arcs:
-                forbidden[a, b] = False  # the input must stay legal
-            mask = ConstraintMask(p, forbidden)
-        out = dag_to_cpdag(Dag(p, arcs), mask)
-        members = [member_arcs(d) for d in enumerate_extensions(out, mask)]
+    checked = 0
+    for _ in range(250):
+        p = int(rng.integers(5, 13))
+        dag = random_dag(rng, p, 0.35)
+        arcs = dag.arcs
+        mask = consistent_mask(rng, dag) if masked else None
+        out = dag_to_cpdag(dag, mask)
         skeleton, v_structures = oracle_skeleton(arcs), oracle_v_structures(arcs)
+        # maximal: no orientation beyond what the whole (masked) class shares,
+        # with the class enumerated from the v-structures alone
+        colliders = {(x, c) for a, c, b in v_structures for x in (a, b)}
+        loose = Cpdag(p, colliders, skeleton - oracle_skeleton(colliders))
+        try:
+            members = [member_arcs(d) for d in enumerate_extensions(out, mask)]
+            whole = [member_arcs(d) for d in enumerate_extensions(loose, mask)]
+        except ExtensionCapExceeded:
+            continue
+        checked += 1
         for m in members:
             assert oracle_skeleton(m) == skeleton
             assert oracle_v_structures(m) == v_structures
             assert mask is None or all(mask.allows(a, b) for a, b in m)
         assert arcs in members
-        for a, b in out.directed:
-            assert all((a, b) in m for m in members)
-        for a, b in out.undirected:
-            assert any((a, b) in m for m in members)
-            assert any((b, a) in m for m in members)
-        # maximal: no orientation beyond what the whole (masked) class shares,
-        # with the class enumerated from the v-structures alone
-        colliders = {(x, c) for a, c, b in v_structures for x in (a, b)}
-        loose = Cpdag(p, colliders, skeleton - oracle_skeleton(colliders))
-        whole = [member_arcs(d) for d in enumerate_extensions(loose, mask)]
+        assert as_pattern(out) == union_orientation(members)
         assert sorted(map(sorted, whole)) == sorted(map(sorted, members))
-        assert as_pattern(out) == union_orientation(whole)
+    assert checked >= 200
+
+
+def conversion_outcome(convert, dag, mask):
+    """The pattern a conversion gives, or the type of the error it raises."""
+    try:
+        return as_pattern(convert(dag, mask))
+    except ConstraintViolation as exc:
+        return type(exc)
+
+
+def test_conversion_matches_the_four_pass_oracle():
+    rng = np.random.default_rng(41)
+    dags = [Dag(n, arcs) for n in range(1, 5) for arcs in all_dag_arcsets(n)]
+    dags += [random_dag(rng, p, rng.uniform(0.1, 0.6)) for p in range(5, 17) for _ in range(40)]
+    kinds = set()
+    for dag in dags:
+        # unmasked, under a consistent mask, and under a mask that may forbid
+        # an input arc
+        for mask in (None, consistent_mask(rng, dag),
+                     ConstraintMask(dag.n_nodes, rng.random((dag.n_nodes,) * 2) < 0.05)):
+            want = conversion_outcome(oracle_dag_to_cpdag, dag, mask)
+            assert conversion_outcome(dag_to_cpdag, dag, mask) == want
+            kinds.add(want if isinstance(want, type) else bool(want[1]))
+    assert kinds == {True, False, ConstraintViolation}
 
 
 @pytest.mark.parametrize("rate", [0.05, 0.3])

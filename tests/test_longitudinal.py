@@ -148,6 +148,13 @@ def test_layout_validation_and_json_roundtrip():
     }
     with pytest.raises(ShapeMismatch):
         layout_from_dict({"variables": ["X"]})
+    for bad, message in [
+        ({"variables": [1, 2], "slices": 3}, "variables must be a list of names"),
+        ({"variables": "AB", "slices": 3}, "variables must be a list of names"),
+        ({"variables": ["A", "B"], "slices": 2.7}, "slices must be an integer"),
+    ]:
+        with pytest.raises(ShapeMismatch, match=f"^bad layout: {message}"):
+            layout_from_dict(bad)
 
 
 def test_transition_mask_allowed_pair_count():
