@@ -7,6 +7,7 @@ LF line endings, so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 
 import numpy as np
 
@@ -25,19 +26,28 @@ def _csv_line(fields) -> str:
     return ",".join(_csv_field(f) for f in fields) + "\n"
 
 
+def _formatted(values: np.ndarray, fmt) -> np.ndarray:
+    """fmt applied once per distinct float, taken by its bits (0.0 and -0.0
+    print differently), as an object array of values' shape."""
+    bits = values.view(np.int64)
+    distinct = np.unique(bits)
+    text = np.array([fmt(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    return text[np.searchsorted(distinct, bits)]
+
+
 def stability_csv(sg: StabilityGraph) -> str:
     """Long-format table: kind, from, to, complexity, probability, imputed."""
-    out = [_csv_line(["kind", "from", "to", "complexity", "probability", "imputed"])]
+    header = _csv_line(["kind", "from", "to", "complexity", "probability", "imputed"])
+    keys, curves = sg.stacked()
     kind = _csv_field(sg.kind)
     labels = [_csv_field(name) for name in sg.labels]
-    flags = ["true" if flag else "false" for flag in sg.imputed]
-    for a, b in sorted(sg.probabilities):
-        head = f"{kind},{labels[a]},{labels[b]},"
-        out.extend(
-            f"{head}{j},{prob!r},{flags[j]}\n"
-            for j, prob in enumerate(sg.probabilities[(a, b)].tolist())
-        )
-    return "".join(out)
+    cells = np.empty(curves.shape + (4,), dtype=object)
+    heads = [f"{kind},{labels[a]},{labels[b]}," for a, b in keys]
+    cells[..., 0] = np.array(heads, dtype=object)[:, None]
+    cells[..., 1] = [f"{j}," for j in range(curves.shape[1])]
+    cells[..., 2] = _formatted(curves, repr)
+    cells[..., 3] = [",true\n" if flag else ",false\n" for flag in sg.imputed]
+    return header + "".join(cells.ravel().tolist())
 
 
 def effects_csv(estimates, labels) -> str:
@@ -73,22 +83,21 @@ def _edge_label(reliability: float, effect: float | None) -> str:
     return text
 
 
+def _dot_id(name: str) -> str:
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def annotated_dot(graph: AnnotatedCausalGraph) -> str:
     """DOT text with reliability/effect labels, e.g. ``label="1/0.71"``."""
+    ids = [_dot_id(name) for name in graph.labels]
     lines = ["digraph G {"]
-    for name in graph.labels:
-        lines.append(f'  "{name}";')
+    lines.extend(f"  {node};" for node in ids)
     for a, b in sorted(graph.directed):
         label = _edge_label(graph.directed[(a, b)], graph.effects.get((a, b)))
-        lines.append(
-            f'  "{graph.labels[a]}" -> "{graph.labels[b]}" [label="{label}"];'
-        )
+        lines.append(f'  {ids[a]} -> {ids[b]} [label="{label}"];')
     for a, b in sorted(graph.undirected):
         label = _edge_label(graph.undirected[(a, b)], None)
-        lines.append(
-            f'  "{graph.labels[a]}" -- "{graph.labels[b]}" '
-            f'[dir=none, label="{label}"];'
-        )
+        lines.append(f'  {ids[a]} -- {ids[b]} [dir=none, label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -106,6 +115,12 @@ def graph_to_dict(graph: AnnotatedCausalGraph) -> dict:
             [a, b, val] for (a, b), val in sorted(graph.effects.items())
         ],
     }
+
+
+def _svg_text(label: str) -> str:
+    # "]" too, as a label ending in "]]" before the ">" separator would
+    # write "]]>", which XML text may not contain
+    return label.replace("&", "&amp;").replace("<", "&lt;").replace("]", "&#93;")
 
 
 PALETTE = (
@@ -185,14 +200,19 @@ def stability_svg(sg: StabilityGraph, pi_sel: float, pi_bic: int) -> str:
         f'y2="{y(pi_sel):.1f}" stroke="#888888" stroke-dasharray="4 3"/>'
     )
 
+    keys, curves = sg.stacked()
+    ys = top + (1.0 - curves) * plot_h  # the same doubles as y(curve)
+    points = np.empty(curves.shape + (2,), dtype=object)
+    points[..., 0] = [f"{' ' if j else ''}{x(j):.1f}," for j in range(max_j + 1)]
+    points[..., 1] = _formatted(ys, "{:.1f}".format)
+    sep = "-" if sg.kind == EDGE else ">"
     color_i = 0
-    labeled_y = []
-    xs = [f"{x(j):.1f}" for j in range(max_j + 1)]
-    for key, reliability in sg.reliability(pi_bic).items():
-        curve = sg.probabilities[key]
-        relevant = reliability >= pi_sel
-        pts = " ".join(f"{xj},{y(v):.1f}" for xj, v in zip(xs, curve.tolist()))
-        if relevant:
+    labeled_y: list[float] = []  # sorted; placed labels lie 12 px or more apart
+    reliability = sg.reliability(pi_bic)
+    rows = points.reshape(len(keys), 2 * (max_j + 1)).tolist()
+    for key, row, label_y in zip(keys, rows, ys[:, -1].tolist()):
+        pts = "".join(row)
+        if reliability[key] >= pi_sel:
             color = PALETTE[color_i % len(PALETTE)]
             color_i += 1
             parts.append(
@@ -200,15 +220,15 @@ def stability_svg(sg: StabilityGraph, pi_sel: float, pi_bic: int) -> str:
                 f'stroke-width="2"/>'
             )
             a, b = key
-            sep = "-" if sg.kind == EDGE else ">"
-            label_y = y(curve[-1])
-            while any(abs(label_y - other) < 12 for other in labeled_y):
+            at = bisect_left(labeled_y, label_y)
+            while any(abs(label_y - o) < 12 for o in labeled_y[max(at - 1, 0) : at + 1]):
                 label_y += 12
-            labeled_y.append(label_y)
+                at = bisect_left(labeled_y, label_y, at)
+            labeled_y.insert(at, label_y)
             parts.append(
                 f'<text x="{left + plot_w + 6}" y="{label_y + 4:.1f}" '
                 f'font-size="11" font-family="sans-serif" fill="{color}">'
-                f"{sg.labels[a]}{sep}{sg.labels[b]}</text>"
+                f"{_svg_text(sg.labels[a])}{sep}{_svg_text(sg.labels[b])}</text>"
             )
         else:
             parts.append(

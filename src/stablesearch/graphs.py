@@ -9,7 +9,6 @@ and enumeration both honour it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -285,28 +284,31 @@ def _meek_closure(
     reference_arcs is the DAG the pattern came from: a derived arc that
     disagrees with it means the mask and the pattern are inconsistent.
     """
-    adj: list[set[int]] = [set() for _ in range(n_nodes)]
-    for a, b in (*directed, *undirected):
-        adj[a].add(b)
-        adj[b].add(a)
+    # per-node bitmasks: undirected neighbours, parents, children, adjacent nodes
+    nodes = range(n_nodes)
+    und, par, ch = ([0] * n_nodes for _ in range(3))
+    for a, b in directed:
+        par[b] |= 1 << a
+        ch[a] |= 1 << b
+    for a, b in undirected:
+        und[a] |= 1 << b
+        und[b] |= 1 << a
+    adj = [und[v] | par[v] | ch[v] for v in nodes]  # orienting keeps adjacency
 
     def forced(u: int, v: int) -> bool:
         """Whether one of R1-R4 orients the undirected edge u - v as u -> v."""
-        links = [w for w in adj[u] if (min(u, w), max(u, w)) in undirected]
-        return (
+        into_v = und[u] & par[v]  # c with u - c -> v
+        apart = und[u] & ~adj[v] & ~(1 << v)  # k with u - k, k and v non-adjacent
+        return bool(
             # R1: w -> u with w and v non-adjacent
-            any((w, u) in directed and w not in adj[v] for w in adj[u])
+            par[u] & ~adj[v]
             # R2: u -> w -> v
-            or any((u, w) in directed and (w, v) in directed for w in adj[u])
-            # R3: u - c -> v and u - d -> v with c and d non-adjacent
-            or any(d not in adj[c] for c, d in itertools.combinations(
-                [c for c in links if (c, v) in directed], 2))
+            or ch[u] & par[v]
+            # R3: u - c -> v and u - d -> v with c and d non-adjacent (two or more c)
+            or into_v & (into_v - 1)
+            and any(into_v >> c & 1 and into_v & ~adj[c] & ~(1 << c) for c in nodes)
             # R4: u - k -> l -> v with k and v non-adjacent
-            or any(
-                k not in adj[v]
-                and any((k, l) in directed and (l, v) in directed for l in adj[k])
-                for k in links
-            )
+            or apart and any(apart >> k & 1 and ch[k] & par[v] for k in nodes)
         )
 
     changed = True
@@ -318,6 +320,10 @@ def _meek_closure(
                     continue
                 undirected.discard((a, b))
                 directed.add((u, v))
+                und[u] &= ~(1 << v)
+                und[v] &= ~(1 << u)
+                ch[u] |= 1 << v
+                par[v] |= 1 << u
                 if mask is not None and not mask.allows(u, v):
                     raise ConstraintViolation(
                         f"orientation {u} -> {v} forced by closure but forbidden by mask"

@@ -61,7 +61,11 @@ class Layout:
         for v, ks in (self.presence or {}).items():
             if v not in presence:
                 raise ShapeMismatch(f"presence lists unknown variable {v!r}")
-            ks = tuple(sorted({int(k) for k in ks}))
+            if not isinstance(ks, (list, tuple)):
+                raise TypeError(f"presence for {v!r} must be a list, not {ks!r}")
+            for k in ks:
+                require_number(f"presence for {v!r}", k, "int")
+            ks = tuple(sorted(set(ks)))
             if not ks or ks[0] < 0 or ks[-1] >= self.slices:
                 raise ShapeMismatch(f"presence for {v!r} is empty or out of range")
             presence[v] = ks
@@ -98,7 +102,7 @@ def layout_from_dict(obj: dict) -> Layout:
             tuple(variables),
             slices,
             obj.get("column_pattern", "<var>_t<k>"),
-            {str(v): tuple(ks) for v, ks in obj.get("presence", {}).items()},
+            {str(v): ks for v, ks in obj.get("presence", {}).items()},
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ShapeMismatch(f"bad layout: {exc}") from exc

@@ -69,13 +69,17 @@ class StabilityGraph:
     def max_complexity(self) -> int:
         return len(self.imputed) - 1
 
+    def stacked(self) -> tuple[list[tuple[int, int]], np.ndarray]:
+        """The sorted keys and their curves as one (keys, J+1) float array."""
+        keys = sorted(self.probabilities)
+        curves = np.array([self.probabilities[k] for k in keys], dtype=float)
+        return keys, curves.reshape(len(keys), len(self.imputed))
+
     def reliability(self, pi_bic: int) -> dict[tuple[int, int], float]:
         """Each structure's peak probability over complexities 0..min(pi_bic, J)."""
-        window = slice(0, min(pi_bic, self.max_complexity) + 1)
-        return {
-            key: float(np.max(self.probabilities[key][window]))
-            for key in sorted(self.probabilities)
-        }
+        keys, curves = self.stacked()
+        window = curves[:, : min(pi_bic, self.max_complexity) + 1]
+        return dict(zip(keys, window.max(axis=1).tolist()))
 
 
 @dataclass

@@ -44,6 +44,10 @@ def test_stability_csv_layout():
     assert len(lines) == 1 + 3 * 3
     assert text.endswith("\n")
     assert "\r" not in text
+    # a graph with no pairs (one node) writes the header alone
+    single = StabilityGraph(EDGE, ("A",), {}, np.array([False, True]))
+    assert stability_csv(single) == lines[0] + "\n"
+    assert "<polyline" not in stability_svg(single, 0.6, 1)
 
 
 def test_stability_csv_key_order_does_not_matter():
@@ -90,18 +94,34 @@ def random_sg(kind, labels, rng, length=13):
     return StabilityGraph(kind, labels, probs, rng.random(length) < 0.4)
 
 
+def grid_sg(kind, labels, rng, length=13):
+    """Curves as stability_graphs builds them: anchors on a k/12 grid,
+    interpolated between, so values repeat within and across curves."""
+    sg = random_sg(kind, labels, rng, length)
+    grid = np.arange(length)
+    probs = {
+        key: np.interp(grid, grid[::3], rng.integers(0, 13, len(grid[::3])) / 12)
+        for key in sg.probabilities
+    }
+    probs[min(probs)][:4] = [-0.0, 0.0, -0.0, 1 / 3][:length]
+    return StabilityGraph(kind, labels, probs, sg.imputed)
+
+
 @pytest.mark.parametrize("kind", [EDGE, CAUSAL_PATH])
 def test_stability_csv_equals_per_field_writer(kind):
-    rng = np.random.default_rng(12)
-    sg = random_sg(kind, ('wei,rd', 'qu"ote', "plain", "X1_t"), rng)
-    assert sg.imputed.any() and not sg.imputed.all()
-    assert stability_csv(sg) == field_per_field_csv(sg)
+    labels = ('wei,rd', 'qu"ote', "plain", "X1_t")
+    for make in (random_sg, grid_sg):
+        sg = make(kind, labels, np.random.default_rng(12))
+        assert sg.imputed.any() and not sg.imputed.all()
+        assert stability_csv(sg) == field_per_field_csv(sg)
+    values = np.concatenate(list(sg.probabilities.values()))
+    assert len(np.unique(values)) < len(values) / 2
+    rows = stability_csv(sg).splitlines()[1:5]
+    assert [row.split(",")[-2] for row in rows] == ["-0.0", "0.0", "-0.0", repr(1 / 3)]
 
 
 @pytest.mark.parametrize("length", [1, 2, 13])
 def test_svg_points_equal_per_point_writer(length):
-    rng = np.random.default_rng(length)
-    sg = random_sg(CAUSAL_PATH, ('wei,rd', 'qu"ote', "plain"), rng, length)
     max_j = length - 1
     # the chart's plot area: 720 x 440 with margins 60, 150, 30 and 50
 
@@ -111,13 +131,46 @@ def test_svg_points_equal_per_point_writer(length):
     def y(v):
         return 30 + (1.0 - v) * 360
 
-    text = stability_svg(sg, pi_sel=0.5, pi_bic=length // 2)
-    got = [line.split('"')[1] for line in text.splitlines() if line.startswith("<polyline")]
-    want = [
-        " ".join(f"{x(j):.1f},{y(v):.1f}" for j, v in enumerate(sg.probabilities[key]))
-        for key in sorted(sg.probabilities)
+    for make in (random_sg, grid_sg):
+        sg = make(CAUSAL_PATH, ('wei,rd', 'qu"ote', "plain"), np.random.default_rng(length), length)
+        text = stability_svg(sg, pi_sel=0.5, pi_bic=length // 2)
+        got = [line.split('"')[1] for line in text.splitlines() if line.startswith("<polyline")]
+        want = [
+            " ".join(f"{x(j):.1f},{y(v):.1f}" for j, v in enumerate(sg.probabilities[key]))
+            for key in sorted(sg.probabilities)
+        ]
+        assert got == want
+
+
+def scanned_label_ys(sg, pi_sel, pi_bic):
+    """Label y's as the chart placed them before its bisect search: each label
+    starts at its curve's end and moves down 12 px while any placed one is
+    nearer than 12."""
+    placed = []
+    for key, reliability in sg.reliability(pi_bic).items():
+        if reliability >= pi_sel:
+            label_y = 30 + (1.0 - sg.probabilities[key][-1]) * 360
+            while any(abs(label_y - other) < 12 for other in placed):
+                label_y += 12
+            placed.append(label_y)
+    return [f"{v + 4:.1f}" for v in placed]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_svg_label_ys_equal_the_scanning_writer(seed):
+    # many relevant curves ending on a few probabilities, so labels pile up
+    rng = np.random.default_rng(seed)
+    sg = grid_sg(CAUSAL_PATH, tuple(f"V{i}" for i in range(9)), rng)
+    for curve in sg.probabilities.values():
+        curve[-1] = rng.choice([1.0, 11 / 12, 0.95, 0.5, 0.49, 0.0])
+        curve[0] = rng.choice([0.7, 1.0])
+    got = [
+        line.split('y="')[1].split('"')[0]
+        for line in stability_svg(sg, 0.6, 0).splitlines()
+        if line.startswith("<text") and 'fill="#' in line
     ]
-    assert got == want
+    assert len(got) > 30
+    assert got == scanned_label_ys(sg, 0.6, 0)
 
 
 def test_effects_csv_rows_sorted_and_none_blank():
@@ -156,6 +209,14 @@ def test_annotated_dot_labels():
     # every node declared even if isolated
     for name in ("A", "B", "C"):
         assert f'"{name}";' in text
+    # a DOT ID escapes its quotes and backslashes
+    graph = make_graph()
+    odd = AnnotatedCausalGraph(3, ('q"t', "R&D", "a\\b"), graph.directed,
+                               graph.undirected, graph.effects)
+    lines = annotated_dot(odd).splitlines()
+    assert lines[1:4] == ['  "q\\"t";', '  "R&D";', '  "a\\\\b";']
+    assert '  "q\\"t" -> "R&D" [label="1/0.71"];' in lines
+    assert '  "q\\"t" -- "a\\\\b" [dir=none, label="0.65"];' in lines
 
 
 def test_annotated_dot_isolated_nodes():
@@ -176,6 +237,13 @@ def test_graph_dict_roundtrip():
 
 
 def test_svg_is_wellformed_and_highlights_relevant():
+    for kind, sep in ((EDGE, "-"), (CAUSAL_PATH, ">")):
+        labels = ("R&D", "x<y", 'q"t', "a>b", "c]]")
+        sg = random_sg(kind, labels, np.random.default_rng(3), length=4)
+        root = ET.fromstring(stability_svg(sg, pi_sel=0.01, pi_bic=3))
+        names = {t.text for t in root.iter("{http://www.w3.org/2000/svg}text")}
+        assert {f"{labels[a]}{sep}{labels[b]}" for a, b in sg.probabilities} <= names
+
     sg = make_sg()
     text = stability_svg(sg, pi_sel=0.6, pi_bic=1)
     root = ET.fromstring(text)

@@ -152,6 +152,12 @@ def test_layout_validation_and_json_roundtrip():
         ({"variables": [1, 2], "slices": 3}, "variables must be a list of names"),
         ({"variables": "AB", "slices": 3}, "variables must be a list of names"),
         ({"variables": ["A", "B"], "slices": 2.7}, "slices must be an integer"),
+        ({"variables": ["A"], "slices": 2, "presence": {"A": [1.9, 0]}},
+         "presence for 'A' must be an integer, not 1.9"),
+        ({"variables": ["A"], "slices": 2, "presence": {"A": "01"}},
+         "presence for 'A' must be a list, not '01'"),
+        ({"variables": ["A"], "slices": 2, "presence": {"A": [True]}},
+         "presence for 'A' must be an integer, not True"),
     ]:
         with pytest.raises(ShapeMismatch, match=f"^bad layout: {message}"):
             layout_from_dict(bad)
