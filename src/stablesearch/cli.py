@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import InvalidPrior, SearchFailed, ShapeMismatch, StableSearchError
+from .errors import InvalidPrior, SearchFailed, ShapeMismatch, StableSearchError, require
 from .export import (
     annotated_dot,
     dataset_csv,
@@ -42,7 +42,7 @@ from .longitudinal import (
 )
 from .pipeline import PipelineResult, run_pipeline
 from .scoring import DISCRETE, load_dataset, rank_normalize
-from .search import SearchParams, require_number
+from .search import SearchParams
 from .seeding import PARAMETERIZE_LANE, derived_rng
 from .simulate import (
     default_structure,
@@ -100,49 +100,40 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then the config file, then explicit flags."""
     values = {f.name: f.default for f in fields(RunConfig)}
     values["subsets"] = SUBSETS.get(args.command)
+    loaded = {}
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         loaded = read_json(path)
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"config file must hold a JSON object: {path}")
-        for key, val in loaded.items():
-            if key not in values:
-                raise ConfigError(f"unknown config key {key!r}")
-            if key not in vars(args):
-                raise ConfigError(f"config key {key!r} is not a {args.command} setting")
-            values[key] = tuple(val) if isinstance(val, list) else val
-    for key in values:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = tuple(flag) if isinstance(flag, list) else flag
-    cfg = RunConfig(**values)
     try:
+        settings = {key + "?": object for key in values if key in vars(args)}  # checked below
+        require(f"config file {args.config}", loaded, settings)
+        values.update(loaded)
+        values.update((k, v) for k, v in vars(args).items() if k in values and v is not None)
+        cfg = RunConfig(**values)
         for name, low in INTEGER_SETTINGS.items():
-            value = getattr(cfg, name)
             if name in vars(args):  # the command reads it
-                require_number(name, value, "int")
-                if value < low:
+                require(name, getattr(cfg, name), int)
+                if getattr(cfg, name) < low:
                     raise ValueError(f"{name} must be at least {low}")
         search_params(cfg)
         Thresholds(cfg.pi_sel)
+        for name in ("discrete", "prev_only", "cur_only"):
+            require(name, getattr(cfg, name), [str])
+        require("out", cfg.out, str)
+        for attr in ("data", "layout", "prior", "truth"):
+            value = getattr(cfg, attr)
+            if value is not None:
+                require(attr, value, str)
+                if not Path(value).exists():
+                    raise ConfigError(f"{attr} path not found: {value}")
     except ValueError as exc:
         raise ConfigError(f"bad settings: {exc}") from None
-    for name in ("discrete", "prev_only", "cur_only"):
-        value = getattr(cfg, name)
-        if not isinstance(value, tuple) or not all(isinstance(v, str) for v in value):
-            raise ConfigError(f"{name} must be a list of names, not {value!r}")
     if cfg.subsample_unit not in ("subject", "row"):
         raise ConfigError(
             f"subsample_unit must be 'subject' or 'row', not {cfg.subsample_unit!r}"
         )
-    if not isinstance(cfg.out, str):
-        raise ConfigError(f"out must be a path, not {cfg.out!r}")
-    for attr in ("data", "layout", "prior", "truth"):
-        value = getattr(cfg, attr)
-        if value is not None and not (isinstance(value, str) and Path(value).exists()):
-            raise ConfigError(f"{attr} path not found: {value}")
     return cfg
 
 

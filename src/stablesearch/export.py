@@ -11,7 +11,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .errors import InvalidPrior
+from .errors import InvalidPrior, require
 from .stability import EDGE, AnnotatedCausalGraph, StabilityGraph
 
 
@@ -266,11 +266,8 @@ def read_json(path):
 
 def prior_from_dict(obj) -> list[tuple[str, str]]:
     """Parse ``{"forbidden": [["A", "B"], ...]}`` into name pairs."""
-    if not isinstance(obj, dict) or not isinstance(obj.get("forbidden"), list):
-        raise InvalidPrior("prior file needs a 'forbidden' list")
-    out = []
-    for entry in obj["forbidden"]:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise InvalidPrior(f"bad prior entry: {entry!r}")
-        out.append((str(entry[0]), str(entry[1])))
-    return out
+    try:
+        require("prior", obj, {"forbidden": [(str, str)]})
+    except ValueError as exc:
+        raise InvalidPrior(f"bad prior: {exc}") from exc
+    return [tuple(entry) for entry in obj["forbidden"]]

@@ -16,14 +16,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidPrior, ShapeMismatch
+from .errors import InvalidPrior, ShapeMismatch, require
 from .graphs import ConstraintMask
 from .pipeline import PipelineResult, run_pipeline
 # sample_covariance is not called here: bench/tracer.py wraps
 # stablesearch.longitudinal.sample_covariance by name, and
 # tests/test_bench_hooks.py requires that the name resolves
 from .scoring import Column, Dataset, sample_covariance  # noqa: F401
-from .search import SearchParams, require_number
+from .search import SearchParams
 from .seeding import PIPELINE_LANE, SUBSAMPLE_LANE, derived_rng, derived_seed
 from .stability import subsample_blocks
 
@@ -61,15 +61,15 @@ class Layout:
         for v, ks in (self.presence or {}).items():
             if v not in presence:
                 raise ShapeMismatch(f"presence lists unknown variable {v!r}")
-            if not isinstance(ks, (list, tuple)):
-                raise TypeError(f"presence for {v!r} must be a list, not {ks!r}")
-            for k in ks:
-                require_number(f"presence for {v!r}", k, "int")
             ks = tuple(sorted(set(ks)))
             if not ks or ks[0] < 0 or ks[-1] >= self.slices:
                 raise ShapeMismatch(f"presence for {v!r} is empty or out of range")
             presence[v] = ks
         object.__setattr__(self, "presence", presence)
+        names = self.column_names()
+        if len(set(names)) < len(names):
+            shared = next(name for name in names if names.count(name) > 1)
+            raise ShapeMismatch(f"layout gives two cells the column name {shared!r}")
 
     def column_name(self, var: str, k: int) -> str:
         return self.column_pattern.replace("<var>", var).replace("<k>", str(k))
@@ -92,19 +92,17 @@ class Layout:
         return min(ks, key=lambda j: (abs(j - k), j))
 
 
-def layout_from_dict(obj: dict) -> Layout:
+# the layout file holds Layout's fields, and may leave out the last two
+LAYOUT_FILE = {
+    "variables": [str], "slices": int, "column_pattern?": str, "presence?": {str: [int]}
+}
+
+
+def layout_from_dict(obj) -> Layout:
     try:
-        variables, slices = obj["variables"], obj["slices"]
-        if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
-            raise TypeError(f"variables must be a list of names, not {variables!r}")
-        require_number("slices", slices, "int")
-        return Layout(
-            tuple(variables),
-            slices,
-            obj.get("column_pattern", "<var>_t<k>"),
-            {str(v): ks for v, ks in obj.get("presence", {}).items()},
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        require("layout", obj, LAYOUT_FILE)
+        return Layout(**obj)
+    except (ShapeMismatch, ValueError) as exc:
         raise ShapeMismatch(f"bad layout: {exc}") from exc
 
 

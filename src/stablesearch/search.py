@@ -16,13 +16,12 @@ The returned Pareto set carries the memo's scores; nothing is fitted again.
 
 from __future__ import annotations
 
-import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateData
+from .errors import DegenerateData, require
 from .graphs import (
     ConstraintMask, Cpdag, Dag, arc_matrix, cyclic_rows, dag_to_cpdag, repair_arcs,
 )
@@ -43,7 +42,7 @@ class SearchParams:
 
     def __post_init__(self):
         for f in fields(self):
-            require_number(f.name, getattr(self, f.name), f.type)
+            require(f.name, getattr(self, f.name), type(f.default))
         if not 0 <= self.p_crossover <= 1 or not 0 <= self.p_mutation <= 1:
             raise ValueError("operator probabilities must lie in [0, 1]")
         if self.population_size < 4 or self.population_size % 2:
@@ -52,17 +51,6 @@ class SearchParams:
             raise ValueError("generations must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-
-
-def require_number(name: str, value, kind: str) -> None:
-    """Raise ValueError unless value fits kind, a field's annotation text:
-    "int" takes an integer, "float" a real number; a bool is neither."""
-    integer = kind == "int"
-    if isinstance(value, bool) or not isinstance(
-        value, numbers.Integral if integer else numbers.Real
-    ):
-        noun = "an integer" if integer else "a number"
-        raise ValueError(f"{name} must be {noun}, not {value!r}")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, require
 from .graphs import (
     ConstraintMask, Cpdag, Dag, arc_matrix, dag_to_cpdag, is_acyclic, reachability,
     topological_order,
@@ -355,24 +355,25 @@ def truth_to_dict(model: GroundTruthModel) -> dict:
     }
 
 
-def truth_from_dict(obj: dict) -> GroundTruthModel:
-    def weights(raw):
-        out = {}
-        for key, w in raw.items():
-            a, b = key.split(",")
-            out[(int(a), int(b))] = float(w)
-        return out
+# the ground-truth file that truth_to_dict writes; weights are keyed "a,b"
+TRUTH_FILE = {
+    "p": int, "slices": int,
+    "baseline_arcs": [(int, int)], "transition_arcs": [(int, int)],
+    "baseline_weights": {str: float}, "transition_weights": {str: float},
+    "baseline_noise": [float], "transition_noise": [float],
+}
 
+
+def truth_from_dict(obj) -> GroundTruthModel:
     try:
-        return GroundTruthModel(
-            int(obj["p"]),
-            int(obj["slices"]),
-            frozenset(tuple(a) for a in obj["baseline_arcs"]),
-            frozenset(tuple(a) for a in obj["transition_arcs"]),
-            weights(obj["baseline_weights"]),
-            weights(obj["transition_weights"]),
-            tuple(obj["baseline_noise"]),
-            tuple(obj["transition_noise"]),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        require("ground truth", obj, TRUTH_FILE)
+    except ValueError as exc:
         raise ShapeMismatch(f"bad ground-truth file: {exc}") from exc
+    arcs, weights, noise = [], [], []
+    for part in ("baseline", "transition"):
+        arcs.append(frozenset(map(tuple, obj[f"{part}_arcs"])))
+        # a weight key that names no arc stays a string, and the model rejects it
+        named = {f"{a},{b}": (a, b) for a, b in arcs[-1]}
+        weights.append({named.get(k, k): float(w) for k, w in obj[f"{part}_weights"].items()})
+        noise.append(tuple(obj[f"{part}_noise"]))
+    return GroundTruthModel(obj["p"], obj["slices"], *arcs, *weights, *noise)

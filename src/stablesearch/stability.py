@@ -14,13 +14,13 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import DegenerateData, SearchFailed, StableSearchError
+from .errors import DegenerateData, SearchFailed, StableSearchError, require
 from .graphs import (
     ConstraintMask, Dag, arc_matrix, dag_to_cpdag, is_acyclic, reachability,
     topological_order,
 )
 from .scoring import Dataset, sample_covariance
-from .search import ParetoModel, SearchParams, evolve, require_number
+from .search import ParetoModel, SearchParams, evolve
 from .seeding import SEARCH_LANE, derived_seed
 
 log = logging.getLogger(__name__)
@@ -36,7 +36,7 @@ class Thresholds:
 
     def __post_init__(self):
         for f in fields(self):
-            require_number(f.name, getattr(self, f.name), f.type)
+            require(f.name, getattr(self, f.name), type(f.default))
         if not 0 < self.pi_sel <= 1:
             raise ValueError("pi_sel must lie in (0, 1]")
         if self.pi_bic < 0:

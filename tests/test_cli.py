@@ -1,6 +1,7 @@
 """Command line tests: config layering, artifacts, exit codes, reruns."""
 
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -69,7 +70,7 @@ def test_config_file_then_flags(tmp_path):
     assert cfg.generations == 5  # flag wins
     assert cfg.population == 34  # file wins over default
     assert cfg.crossover == 0.85  # untouched default
-    assert cfg.discrete == ("A",)
+    assert cfg.discrete == ["A"]
 
 
 def test_config_rejects_junk(tmp_path):
@@ -171,7 +172,7 @@ BAD_CONFIGS = {
         "search", ["--prior", '{"generations": 3,'], "Expecting property name"
     ),
     "null prior forbidden": (
-        "search", ["--prior", '{"forbidden": null}'], "prior file needs a 'forbidden' list"
+        "search", ["--prior", '{"forbidden": null}'], "bad prior: forbidden must be a list, not None"
     ),
     "zero datasets": ("simulate", ["--datasets", "0"], "datasets must be at least 1"),
     "zero samples": ("simulate", ["--samples", "0"], "samples must be at least 1"),
@@ -182,7 +183,7 @@ BAD_CONFIGS = {
     ),
     "string seed": ("search", ["--config", '{"seed": "abc"}'], "seed must be an integer"),
     "discrete as one string": (
-        "search", ["--config", '{"discrete": "X1_t0"}'], "discrete must be a list of names"
+        "search", ["--config", '{"discrete": "X1_t0"}'], "discrete must be a list, not 'X1_t0'"
     ),
     "boolean pi_sel": (
         "search", ["--config", '{"pi_sel": true}'], "pi_sel must be a number, not True"
@@ -468,32 +469,110 @@ def test_evaluate_end_to_end(sim_dir, tmp_path):
     assert rows[-1] == "1.0,1.0"
 
 
-# (command, file, key, value): one key of a simulate output set to a JSON
-# value of the wrong type
-MALFORMED_JSON = {
-    "layout presence as a list": (
-        "search-longitudinal", "layout.json", "presence", [1, 2]
-    ),
-    "truth weights as a list": ("simulate", "truth.json", "baseline_weights", []),
+SETTINGS = [f.name for f in fields(RunConfig)]
+# every field of each JSON input, the fields that may be left out, and the
+# exit code a malformed one gives
+JSON_INPUTS = {
+    "config": (SETTINGS, SETTINGS, EXIT_CONFIG),
+    "prior": (["forbidden"], (), EXIT_CONFIG),
+    "layout": (["variables", "slices", "column_pattern", "presence"],
+               ("column_pattern", "presence"), EXIT_DATA),
+    "truth": (["p", "slices", "baseline_arcs", "transition_arcs", "baseline_weights",
+               "transition_weights", "baseline_noise", "transition_noise"], (), EXIT_DATA),
+}
+# one value of each JSON type; [[]] and {"k": "v"} hold a wrong item for any
+# list or object field
+WRONG_VALUES = {
+    "float": 0.5, "bool": True, "string": "x", "null": None, "list": [[]], "object": {"k": "v"},
+}
+# (input, field): the type of WRONG_VALUES that the field accepts
+FITTING = {
+    ("config", "out"): "string", ("config", "crossover"): "float",
+    ("config", "mutation"): "float", ("config", "pi_sel"): "float",
+    ("config", "prior"): "null", ("config", "truth"): "null",
+}
+DROP = object()  # a field left out of the input
+# nested cases: (input, fields replaced or dropped, text the error holds)
+NESTED_JSON = {
+    "truth p 4.7": ("truth", {"p": 4.7}, "p must be an integer, not 4.7"),
+    "truth p as a string": ("truth", {"p": "4"}, "p must be an integer, not '4'"),
+    "truth slices 3.9": ("truth", {"slices": 3.9}, "slices must be an integer, not 3.9"),
+    "truth string arc": ("truth", {"baseline_arcs": [["1", 0], [3, 2]]},
+                         "baseline_arcs[0][0] must be an integer, not '1'"),
+    "truth string weight": ("truth", {"baseline_weights": {"1,0": "0.5", "3,2": 0.5}},
+                            "baseline_weights['1,0'] must be a number, not '0.5'"),
+    "truth bool weight": ("truth", {"baseline_weights": {"1,0": True, "3,2": 0.5}},
+                          "baseline_weights['1,0'] must be a number, not True"),
+    "truth bool noise": ("truth", {"baseline_noise": [True] * 4},
+                         "baseline_noise[0] must be a number, not True"),
+    "prior non-string entry": ("prior", {"forbidden": [["X1", 5]]},
+                               "forbidden[0][1] must be a string, not 5"),
+    "prior three names": ("prior", {"forbidden": [["X1", "X2", "X3"]]},
+                          "forbidden[0] must be a pair"),
+    "config flag that is no setting": ("config", {"log_level": "DEBUG"},
+                                       "has unknown key 'log_level'"),
+    "layout float slice": ("layout", {"presence": {"X1": [1.9]}},
+                           "presence['X1'][0] must be an integer, not 1.9"),
+    "layout misspelled presence": ("layout", {"presense": {"X1": [0]}},
+                                   "layout has unknown key 'presense'"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
-def test_malformed_json_exits_data(case, sim_dir, tmp_path, capsys):
-    command, name, key, value = MALFORMED_JSON[case]
-    obj = read_json(sim_dir / name)
-    obj[key] = value
-    bad = tmp_path / name
-    write_json(bad, obj)
-    if command == "simulate":
-        args = ["--truth", str(bad), "--datasets", "1", "--samples", "30"]
+def json_input_cases():
+    """Each field of each input replaced by each wrong type, or dropped where
+    it is required, an unknown key, and the nested cases; the error text is
+    the field name, or the whole expected message for a nested case."""
+    cases = {}
+    for name, (keys, optional, _) in JSON_INPUTS.items():
+        for key in keys:
+            for type_name, value in WRONG_VALUES.items():
+                if FITTING.get((name, key)) != type_name:
+                    cases[f"{name} {key} {type_name}"] = (name, {key: value}, key)
+            if key not in optional:
+                cases[f"{name} without {key}"] = (name, {key: DROP}, key)
+        cases[f"{name} unknown key"] = (name, {"bogus": 1}, "bogus")
+    return {**cases, **NESTED_JSON}
+
+
+JSON_INPUT_CASES = json_input_cases()
+SIMULATE_SETTINGS = ("datasets", "samples", "slices", "truth")
+
+
+@pytest.mark.parametrize("case", sorted(JSON_INPUT_CASES))
+def test_malformed_json_input_exits_naming_the_field(case, sim_dir, tmp_path, capsys):
+    name, edits, named = JSON_INPUT_CASES[case]
+    out = str(tmp_path / "o")
+    command = "search-longitudinal"
+    files = {"--data": str(sim_dir / "data_00.csv"), "--layout": str(sim_dir / "layout.json")}
+    if name == "truth" or name == "config" and set(edits) & set(SIMULATE_SETTINGS):
+        command, files = "simulate", {}
+    if name == "config":  # it names every path itself, since a flag would override it
+        base = {"datasets": 1, "samples": 30, "out": out}
+        if command != "simulate":
+            base = {"data": files.pop("--data"), "layout": files.pop("--layout"), "out": out,
+                    "subsets": 6, "generations": 4, "population": 12}
+    elif name == "prior":
+        base = {"forbidden": [["X1", "X2"]]}
     else:
-        args = ["--data", str(sim_dir / "data_00.csv"), "--layout", str(bad), *FAST]
-    rc = main([command, *args, "--out", str(tmp_path / "o")])
+        base = read_json(sim_dir / f"{name}.json")
+    for key, value in edits.items():
+        if value is DROP:
+            del base[key]
+        else:
+            base[key] = value
+    path = tmp_path / f"{name}.json"
+    write_json(path, base)
+    files["--" + name] = str(path)
+    args = [arg for item in files.items() for arg in item]
+    rc = main([command, *args] if name == "config" else [command, *args, "--out", out])
     err = capsys.readouterr().err
-    assert rc == EXIT_DATA
-    assert err.startswith("error: ")
+    assert rc == JSON_INPUTS[name][2]
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    if case in NESTED_JSON:
+        assert named in err
+    else:  # the field is named as a word: "p", "p_crossover", "'bogus'", "--data"
+        assert re.search(rf"(^|[ '_-]){named}(?![a-z])", err[len("error: "):])
 
 
 # (command, flag whose file is not UTF-8, exit code)

@@ -304,5 +304,5 @@ def test_prior_dict_parsing():
     with pytest.raises(InvalidPrior):
         prior_from_dict({"allowed": []})
     for forbidden in (5, None):
-        with pytest.raises(InvalidPrior, match="needs a 'forbidden' list"):
+        with pytest.raises(InvalidPrior, match="^bad prior: forbidden must be a list"):
             prior_from_dict({"forbidden": forbidden})

@@ -149,15 +149,20 @@ def test_layout_validation_and_json_roundtrip():
     with pytest.raises(ShapeMismatch):
         layout_from_dict({"variables": ["X"]})
     for bad, message in [
-        ({"variables": [1, 2], "slices": 3}, "variables must be a list of names"),
-        ({"variables": "AB", "slices": 3}, "variables must be a list of names"),
+        ({"variables": [1, 2], "slices": 3}, r"variables\[0\] must be a string, not 1"),
+        ({"variables": "AB", "slices": 3}, "variables must be a list, not 'AB'"),
         ({"variables": ["A", "B"], "slices": 2.7}, "slices must be an integer"),
         ({"variables": ["A"], "slices": 2, "presence": {"A": [1.9, 0]}},
-         "presence for 'A' must be an integer, not 1.9"),
+         r"presence\['A'\]\[0\] must be an integer, not 1.9"),
         ({"variables": ["A"], "slices": 2, "presence": {"A": "01"}},
-         "presence for 'A' must be a list, not '01'"),
+         r"presence\['A'\] must be a list, not '01'"),
         ({"variables": ["A"], "slices": 2, "presence": {"A": [True]}},
-         "presence for 'A' must be an integer, not True"),
+         r"presence\['A'\]\[0\] must be an integer, not True"),
+        ({"variables": ["A"], "slices": 2, "presense": {"A": [0]}},
+         "layout has unknown key 'presense'"),
+        # A at slices 10 and 11 and A1 at slices 0 and 1 share two column names
+        ({"variables": ["A", "A1"], "slices": 12, "column_pattern": "<var><k>"},
+         "layout gives two cells the column name 'A10'"),
     ]:
         with pytest.raises(ShapeMismatch, match=f"^bad layout: {message}"):
             layout_from_dict(bad)

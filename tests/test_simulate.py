@@ -12,13 +12,17 @@ from oracles import (
 )
 from stablesearch.errors import ShapeMismatch
 from stablesearch.graphs import Cpdag
-from stablesearch.longitudinal import run_longitudinal, transition_mask
+from stablesearch.export import read_json, write_json
+from stablesearch.longitudinal import (
+    LAYOUT_FILE, Layout, layout_from_dict, layout_to_dict, run_longitudinal, transition_mask,
+)
 from stablesearch.scoring import sample_covariance
 from stablesearch.search import SearchParams
 from stablesearch.simulate import (
     EvaluationReport,
     GroundTruthModel,
     RocCurve,
+    TRUTH_FILE,
     averaging_scheme,
     default_structure,
     evaluate_recovery,
@@ -284,3 +288,16 @@ def test_truth_dict_roundtrip():
     assert again == model
     with pytest.raises(ShapeMismatch):
         truth_from_dict({"p": 2})
+
+
+def test_simulate_writers_write_exactly_what_their_readers_declare(tmp_path):
+    """A field that a writer adds but its reader's shape lacks fails here."""
+    model = random_parameterization(default_structure(), np.random.default_rng(2))
+    layout = Layout(model.variables, 3, presence={"X1": [0, 2]})
+    for written, shape, reader, value in [
+        (layout_to_dict(layout), LAYOUT_FILE, layout_from_dict, layout),
+        (truth_to_dict(model), TRUTH_FILE, truth_from_dict, model),
+    ]:
+        assert set(written) == {key.rstrip("?") for key in shape}
+        write_json(tmp_path / "input.json", written)
+        assert reader(read_json(tmp_path / "input.json")) == value
