@@ -88,6 +88,10 @@ class RunConfig:
 # default subset count of each command that takes --subsets
 SUBSETS = {"search": 50, "search-longitudinal": 100, "evaluate": 50}
 
+# the setting behind each SearchParams field
+SEARCH_KEYS = {"generations": "generations", "population_size": "population",
+               "p_crossover": "crossover", "p_mutation": "mutation", "seed": "seed"}
+
 # integer settings that no library type checks, and their lower bounds
 INTEGER_SETTINGS = {"subsets": 2, "parallelism": 1, "datasets": 1, "samples": 1, "slices": 2}
 
@@ -138,13 +142,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def search_params(cfg: RunConfig) -> SearchParams:
-    return SearchParams(
-        generations=cfg.generations,
-        population_size=cfg.population,
-        p_crossover=cfg.crossover,
-        p_mutation=cfg.mutation,
-        seed=cfg.seed,
-    )
+    try:
+        return SearchParams(**{field: getattr(cfg, key) for field, key in SEARCH_KEYS.items()})
+    except ValueError as exc:  # name the setting, not the SearchParams field
+        field, rest = str(exc).split(" ", 1)
+        raise ValueError(f"{SEARCH_KEYS[field]} {rest}") from None
 
 
 def load_prior(cfg: RunConfig) -> list[tuple[str, str]]:

@@ -7,10 +7,7 @@ with evolve()'s draws.  A per-search memo keyed by packed adjacency bits lets
 an individual seen before skip the cycle check, repair and scorer; new ones
 are repaired in index order and scored in one batch.  The memo and the
 scorer's per-node caches are plain dicts with one key format, a row's packed
-bits (_packed).  Ranking sweeps distinct points once per generation.  Only
-draws that are read are made, each at its place in the full draw's stream:
-the init draws blocks cut at each cyclic row, and mutation skips the flip
-cells of offspring that do not mutate.
+bits (_packed).  Ranking sweeps distinct points once per generation.
 The returned Pareto set carries the memo's scores; nothing is fitted again.
 """
 
@@ -34,6 +31,8 @@ INFEASIBLE = float("inf")
 
 @dataclass(frozen=True)
 class SearchParams:
+    """NSGA-II settings; each error message starts with the field it names."""
+
     generations: int = 35
     population_size: int = 150
     p_crossover: float = 0.85
@@ -43,8 +42,9 @@ class SearchParams:
     def __post_init__(self):
         for f in fields(self):
             require(f.name, getattr(self, f.name), type(f.default))
-        if not 0 <= self.p_crossover <= 1 or not 0 <= self.p_mutation <= 1:
-            raise ValueError("operator probabilities must lie in [0, 1]")
+        for name in ("p_crossover", "p_mutation"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in [0, 1]")
         if self.population_size < 4 or self.population_size % 2:
             raise ValueError("population_size must be even and at least 4")
         if self.generations < 1:
@@ -130,37 +130,18 @@ def _tournament(ranks, crowding, cand, coin) -> np.ndarray:
     return np.where(a_better | (tie & coin), a, b)
 
 
-def _vary(pa, pb, apply_cx, mix, do_mut, flip, allowed) -> np.ndarray:
+def _vary(pa, pb, apply_cx, mix, flip, allowed) -> np.ndarray:
     """Uniform crossover of parent pairs, then bit-flip mutation; no repair.
 
     Pair t (rows pa[t], pb[t]) yields offspring 2t and 2t+1, exchanging the
     cells where mix[t] is set if apply_cx[t], else copying the parents.
-    Offspring i then flips its allowed cells where flip[i] is set, if
-    do_mut[i].
+    Offspring i then flips its allowed cells where flip[i] is set.
     """
     swap = (pa ^ pb) & apply_cx[:, None, None] & mix  # the cells the pair exchanges
     out = np.empty((2 * len(pa),) + pa.shape[1:], dtype=bool)
     out[0::2] = pa ^ swap
     out[1::2] = pb ^ swap
-    return out ^ (do_mut[:, None, None] & flip & allowed)
-
-
-def _flips(rng: np.random.Generator, do_mut: np.ndarray, p: int, rate: float) -> np.ndarray:
-    """``rng.random((N, p, p)) < rate`` on the do_mut rows, False elsewhere.
-
-    Only those rows are drawn; the generator ends where the full draw ends.
-    """
-    bitgen = rng.bit_generator
-    buffered = {key: bitgen.state[key] for key in ("has_uint32", "uinteger")}
-    flip = np.zeros((len(do_mut), p, p), dtype=bool)
-    done = 0
-    for i in np.flatnonzero(do_mut).tolist():
-        bitgen.advance((i - done) * p * p)
-        flip[i] = rng.random((p, p)) < rate
-        done = i + 1
-    bitgen.advance((len(do_mut) - done) * p * p)
-    bitgen.state = {**bitgen.state, **buffered}  # advance() drops a buffered half
-    return flip
+    return out ^ (flip & allowed)
 
 
 def _packed(bits: np.ndarray) -> list[bytes]:
@@ -278,22 +259,11 @@ def evolve(
             seen.update(zip(fresh, zip(chis, rows.sum(axis=(1, 2)).tolist())))
         return np.array([seen[key] for key in keys], dtype=float)
 
-    # random sparse initialization in blocks of rows; a cyclic row is redrawn
-    # and repaired before any later row is drawn, as a per-row loop does
+    # random sparse initialization; the cyclic rows are repaired in index order
     population = np.zeros((pop_n, p, p), dtype=bool)
-    start = 0
-    while start < pop_n:
-        state = rng.bit_generator.state
-        block = population[start:]
-        block[:, offdiag] = rng.random((len(block), length)) < 2.0 / length
-        block &= allowed
-        cyclic = np.flatnonzero(cyclic_rows(block))
-        if not len(cyclic):
-            break
-        rng.bit_generator.state = state
-        rng.random((cyclic[0] + 1, length))
-        repair(block, cyclic[:1])
-        start += cyclic[0] + 1
+    population[:, offdiag] = rng.random((pop_n, length)) < 2.0 / length
+    population &= allowed
+    repair(population, np.flatnonzero(cyclic_rows(population)))
     objs = objectives(population, _packed(population.reshape(pop_n, -1)))
     ranks = _rank_array(objs)
 
@@ -309,10 +279,10 @@ def evolve(
         apply_cx = rng.random(half) < params.p_crossover
         mix = rng.random((half, p, p)) < 0.5
         do_mut = rng.random(pop_n) < params.p_mutation
-        flip = _flips(rng, do_mut, p, 1.0 / length)
+        flip = np.zeros((pop_n, p, p), dtype=bool)
+        flip[do_mut] = rng.random((int(do_mut.sum()), p, p)) < 1.0 / length
         offspring = _vary(
-            population[winners[0::2]], population[winners[1::2]],
-            apply_cx, mix, do_mut, flip, allowed,
+            population[winners[0::2]], population[winners[1::2]], apply_cx, mix, flip, allowed
         )
         # an individual seen before is acyclic and scored; the others are
         # checked, and the cyclic ones repaired in ascending index order

@@ -64,10 +64,13 @@ class GroundTruthModel:
             raise ShapeMismatch("baseline arcs contain a cycle")
         if not is_acyclic(2 * p, self.transition_arcs):
             raise ShapeMismatch("transition arcs contain a cycle")
-        if set(self.baseline_weights) != set(self.baseline_arcs) or set(
-            self.transition_weights
-        ) != set(self.transition_arcs):
-            raise ShapeMismatch("weights must cover exactly the arcs")
+        for part in ("baseline", "transition"):
+            arcs, keys = getattr(self, f"{part}_arcs"), set(getattr(self, f"{part}_weights"))
+            if keys - arcs:
+                key = min(map(repr, keys - arcs))
+                raise ShapeMismatch(f"{part}_weights has key {key} that names no arc")
+            if arcs - keys:
+                raise ShapeMismatch(f"{part}_weights has no weight for arc {min(arcs - keys)}")
         if len(self.baseline_noise) != p or len(self.transition_noise) != p:
             raise ShapeMismatch("need one noise scale per variable and part")
         if min(self.baseline_noise + self.transition_noise, default=1.0) <= 0:

@@ -8,11 +8,13 @@ hand-solved models, midranks by averaging tied positions, the inverse of
 the longitudinal reshape, class enumeration with a Dag per member and a
 walk up the parent sets for each cycle test, DAG-to-pattern conversion
 with one pass over the edges per Meek rule, and stability curves
-tabulated one structure at a time.  Two exceptions use the package: the
+tabulated one structure at a time.  Three exceptions use the package: the
 per-member IDA loop composes its class enumeration and single-DAG effect
-without any sharing between members, and the stability curves take their
-complete-DAG pin from its ``complete_dag_under`` and ``dag_to_cpdag``;
-each of those is tested against the oracles here.  ``stability_curve`` and
+without any sharing between members, the stability curves take their
+complete-DAG pin from its ``complete_dag_under`` and ``dag_to_cpdag``, and
+the exact front takes its local scores from ``node_regression`` and builds
+its models with the search's post-filter, so that it bounds the search's
+own score; each of those is tested against the oracles here.  ``stability_curve`` and
 ``member_arcs`` are no oracles, only the tests' lookups of one curve and of
 one member's arcs.
 """
@@ -22,10 +24,13 @@ import itertools
 import numpy as np
 
 from stablesearch.effects import causal_effect
-from stablesearch.errors import ConstraintViolation, ExtensionCapExceeded, NoExtension
-from stablesearch.graphs import Cpdag, Dag, dag_to_cpdag, enumerate_extensions
+from stablesearch.errors import (
+    ConstraintViolation, DegenerateData, ExtensionCapExceeded, NoExtension,
+)
+from stablesearch.graphs import Cpdag, Dag, arc_matrix, dag_to_cpdag, enumerate_extensions
 from stablesearch.longitudinal import LongitudinalDataset
-from stablesearch.scoring import Column, Dataset
+from stablesearch.scoring import Column, Dataset, node_regression
+from stablesearch.search import INFEASIBLE, _pareto_postfilter
 from stablesearch.stability import EDGE, complete_dag_under
 
 
@@ -491,6 +496,82 @@ def oracle_pareto_front(n_nodes, sample_cov, n_obs, forbidden=None):
             front[k] = best[k]
             cur = best[k]
     return front
+
+
+def oracle_exact_front(cov, n, mask):
+    """The exact optimum of the search's score at every complexity.
+
+    Dynamic programming over sink orders (Koivisto & Sood 2004; Silander &
+    Myllymaki 2006) with an arc-count index: F[U][k] is the least sum of
+    ln psi over the DAGs on the node set U with k arcs, reached by adding a
+    sink j with c parents, its best allowed parent set inside U \\ {j}.
+    The local scores are ``ln node_regression``, NaN where the fit
+    degenerates, as the search's scorer keeps them; a degenerate parent set
+    is never chosen.  Each optimum's chi-square is summed again in node
+    order, as the scorer sums it, so a DAG the search finds scores the same.
+
+    Returns ({complexity: least chi-square}, the front as ParetoModels built
+    by the search's own post-filter).
+    """
+    p = len(cov)
+    size = 1 << p
+    popcount = np.array([bin(s).count("1") for s in range(size)])
+    parents_of = [[a for a in range(p) if s >> a & 1] for s in range(size)]
+    log_psi = np.full((p, size), np.nan)
+    for j in range(p):
+        allowed = sum(1 << a for a in range(p) if a != j and not mask.forbidden[a, j])
+        for s in range(size):
+            if s & ~allowed == 0:
+                try:
+                    log_psi[j, s] = np.log(node_regression(cov, j, parents_of[s]))
+                except DegenerateData:
+                    pass
+    # best[j][c][u]: least ln psi of node j over its parent sets of size c
+    # inside u, and arg[j][c][u] that set; one subset-min pass per bit
+    local = np.where(np.isnan(log_psi), np.inf, log_psi)
+    best = np.full((p, p, size), np.inf)
+    arg = np.zeros((p, p, size), dtype=np.int64)
+    for c in range(p):
+        layer = popcount == c
+        best[:, c, layer] = local[:, layer]
+        arg[:, c, layer] = np.flatnonzero(layer)
+    for b in range(p):
+        with_b = np.flatnonzero(np.arange(size) >> b & 1)
+        take = best[:, :, with_b ^ (1 << b)] < best[:, :, with_b]
+        best[:, :, with_b] = np.where(take, best[:, :, with_b ^ (1 << b)], best[:, :, with_b])
+        arg[:, :, with_b] = np.where(take, arg[:, :, with_b ^ (1 << b)], arg[:, :, with_b])
+    top = p * (p - 1) // 2
+    table = np.full((size, top + 1), np.inf)
+    table[0, 0] = 0.0
+    back = {}
+    for u in sorted(range(1, size), key=lambda s: popcount[s]):
+        for j in parents_of[u]:
+            rest = u ^ (1 << j)
+            for c in range(popcount[rest] + 1):
+                cand = table[rest, : top + 1 - c] + best[j, c, rest]
+                better = cand < table[u, c:]
+                table[u, c:][better] = cand[better]
+                for k in np.flatnonzero(better) + c:
+                    back[u, int(k)] = (j, c, rest)
+    logdet_s = np.linalg.slogdet(cov)[1]
+    optimum, adjs, objs, lowest = {}, [], [], INFEASIBLE
+    for k in np.flatnonzero(np.isfinite(table[size - 1])).tolist():
+        arcs, u, left = [], size - 1, k
+        while u:
+            j, c, rest = back[u, left]
+            arcs += [(a, j) for a in parents_of[arg[j, c, rest]]]
+            u, left = rest, left - c
+        adj = arc_matrix(p, arcs)
+        total = 0.0
+        for j in range(p):  # node order, as the scorer adds them
+            total += log_psi[j, int(adj[:, j] @ (1 << np.arange(p)))]
+        optimum[k] = max((n - 1) * (total - logdet_s), 0.0)
+        if optimum[k] < lowest:  # below every lower complexity: on the front
+            lowest = optimum[k]
+            adjs.append(adj)
+            objs.append((lowest, k))
+    front = _pareto_postfilter(np.array(adjs), np.array(objs), mask, n, None)
+    return optimum, front
 
 
 def unreshape(frame, layout):

@@ -158,12 +158,15 @@ def test_prev_suffix_prior_exits_config(tmp_path, capsys):
 # is the text of a JSON file that the argument is replaced with
 BAD_CONFIGS = {
     "odd population": (
-        "search", ["--population", "7"], "population_size must be even and at least 4"
+        "search", ["--population", "7"], "bad settings: population must be even and at least 4"
     ),
     "zero generations": ("search", ["--generations", "0"], "generations must be positive"),
     "zero pi-sel": ("search", ["--pi-sel", "0"], "pi_sel must lie in (0, 1]"),
     "crossover above one": (
-        "search", ["--crossover", "1.5"], "operator probabilities must lie in [0, 1]"
+        "search", ["--crossover", "1.5"], "bad settings: crossover must lie in [0, 1]"
+    ),
+    "mutation below zero": (
+        "search", ["--mutation", "-0.1"], "bad settings: mutation must lie in [0, 1]"
     ),
     "malformed config json": (
         "search", ["--config", '{"generations": 3,'], "Expecting property name"
@@ -189,7 +192,12 @@ BAD_CONFIGS = {
         "search", ["--config", '{"pi_sel": true}'], "pi_sel must be a number, not True"
     ),
     "boolean crossover": (
-        "search", ["--config", '{"crossover": true}'], "p_crossover must be a number, not True"
+        "search", ["--config", '{"crossover": true}'],
+        "bad settings: crossover must be a number, not True",
+    ),
+    "string mutation": (
+        "search", ["--config", '{"mutation": "0.1"}'],
+        "bad settings: mutation must be a number, not '0.1'",
     ),
 }
 
@@ -503,6 +511,10 @@ NESTED_JSON = {
                             "baseline_weights['1,0'] must be a number, not '0.5'"),
     "truth bool weight": ("truth", {"baseline_weights": {"1,0": True, "3,2": 0.5}},
                           "baseline_weights['1,0'] must be a number, not True"),
+    "truth weight for no arc": (
+        "truth", {"baseline_weights": {"1,0": 0.5, "3,2": 0.5, "x,y": 0.5}},
+        "baseline_weights has key 'x,y' that names no arc",
+    ),
     "truth bool noise": ("truth", {"baseline_noise": [True] * 4},
                          "baseline_noise[0] must be a number, not True"),
     "prior non-string entry": ("prior", {"forbidden": [["X1", 5]]},
@@ -571,7 +583,7 @@ def test_malformed_json_input_exits_naming_the_field(case, sim_dir, tmp_path, ca
     assert "Traceback" not in err
     if case in NESTED_JSON:
         assert named in err
-    else:  # the field is named as a word: "p", "p_crossover", "'bogus'", "--data"
+    else:  # the field is named as a word: "p", "crossover", "'bogus'", "--data"
         assert re.search(rf"(^|[ '_-]){named}(?![a-z])", err[len("error: "):])
 
 
