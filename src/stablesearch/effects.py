@@ -5,21 +5,23 @@ least-squares regression of y on {x} union pa(x); adjusting for the parents
 of x blocks every back-door path, so the coefficient is computable from a
 covariance matrix alone.  Over a pattern the effect becomes a multiset with
 one value per class member, and over subsampled searches the multisets
-concatenate; the reported estimate is the median.  Each distinct chosen
-pattern's class is enumerated once per run, for all paths and all subsets
-that chose it, with one regression per subset and distinct pa(x).  The
-members come as parent bitmasks, and only one member per distinct pa(x)
-is built as a Dag.
+concatenate; the reported estimate is the median.  pa(x) depends only on
+x's own undirected component, so a multiset is kept as (effect, member
+count) pairs, one per subset and distinct pa(x).  Per chosen pattern only
+the sources' components are enumerated; the others are counted.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
 from .errors import DegenerateData, EmptyMultiset
 from .graphs import ConstraintMask, Cpdag, Dag, enumerate_extensions
+from .graphs import components, count_orientations, neighbours
 from .scoring import CONTINUOUS, Dataset, is_singular
 
 
@@ -54,38 +56,72 @@ def causal_effect(dag: Dag, cov: np.ndarray, x: int, y: int) -> float:
     return float(beta[0])
 
 
-def _parent_classes(cpdag, mask, sources) -> dict[int, tuple[list[Dag], list[int]]]:
-    """Per source x, one member of the class per distinct pa(x) in
-    first-seen order, and each member's index into that list in enumeration
-    order."""
+def _parent_counts(cpdag, mask, sources) -> dict[int, list[tuple[int, int]]]:
+    """Per source x, each distinct pa(x) bitmask over the class with the
+    number of members that have it, in first-seen order.
+
+    The class is the product of the orientations of the pattern's
+    undirected components, so x's own component is enumerated as a
+    sub-pattern (every directed arc plus its undirected edges), and every
+    other component contributes only its member count.
+    """
     n = cpdag.n_nodes
-    reps: dict[int, dict] = {x: {} for x in sources}  # pa(x) bitmask -> (index, Dag)
-    index: dict[int, list[int]] = {x: [] for x in sources}
-    for member in enumerate_extensions(cpdag, mask):
-        for x in sources:
-            seen = reps[x]
-            if member[x] not in seen:
-                arcs = {(a, b) for b, pa in enumerate(member) for a in range(n) if pa >> a & 1}
-                seen[member[x]] = (len(seen), Dag(n, frozenset(arcs), cpdag.labels))
-            index[x].append(seen[member[x]][0])
-    return {x: ([dag for _, dag in reps[x].values()], index[x]) for x in sources}
+    adj = neighbours(n, cpdag.undirected)
+    comps = components(adj, (1 << n) - 1)
+    members: dict[frozenset, list[tuple[int, ...]]] = {}  # sources without edges share one
+
+    def enumerate_component(comp):
+        edges = frozenset((a, b) for a, b in cpdag.undirected if comp >> a & 1)
+        if edges not in members:
+            sub = Cpdag(n, cpdag.directed, edges, cpdag.labels)
+            members[edges] = enumerate_extensions(sub, mask)
+        return members[edges]
+
+    own = {x: next(comp for comp in comps if comp >> x & 1) for x in sources}
+
+    def size(comp):
+        # A mask can force an arc between two nodes of one component.  Its
+        # orientations are then not free: with 0 -> 7 forced, 3 - 0 - 5 - 7
+        # has 5, as 0 -> 5 <- 7 is no new v-structure, not the path's 4.
+        # Such a component is enumerated, as a source's own component is.
+        if comp in own.values() or any(comp >> a & comp >> b & 1 for a, b in cpdag.directed):
+            return len(enumerate_component(comp))
+        return count_orientations(adj, comp)
+
+    sizes = {comp: size(comp) for comp in comps if comp & (comp - 1)}
+    out = {}
+    for x in sources:
+        rest = prod(k for comp, k in sizes.items() if comp != own[x])
+        tally = Counter(member[x] for member in enumerate_component(own[x]))
+        out[x] = [(pa, k * rest) for pa, k in tally.items()]
+    return out
 
 
-def _class_effects(classes, cov, pairs, memo) -> list[list[float]]:
-    """Per (x, y) pair, the effects over the class in enumeration order;
-    ``classes`` comes from _parent_classes and ``memo`` maps (x, pa(x), y)
-    to the effect under ``cov``."""
-    values = []
-    for x, y in pairs:
-        members, index = classes[x]
-        per_parents = []
-        for dag in members:
-            key = (x, tuple(dag.parents(x)), y)
-            if key not in memo:
-                memo[key] = causal_effect(dag, cov, x, y)
-            per_parents.append(memo[key])
-        values.append([per_parents[i] for i in index])
-    return values
+def _effect_pairs(parent_counts, n, cov, x, y, memo) -> list[tuple[float, int]]:
+    """(effect, member count) per distinct pa(x) of one source; ``memo``
+    maps (x, pa(x), y) to the effect under ``cov``."""
+    out = []
+    for pa, count in parent_counts:
+        if (x, pa, y) not in memo:
+            dag = Dag(n, frozenset((a, x) for a in range(n) if pa >> a & 1))
+            memo[x, pa, y] = causal_effect(dag, cov, x, y)
+        out.append((memo[x, pa, y], count))
+    return out
+
+
+def _median(pairs) -> tuple[float, int]:
+    """np.median of the multiset that repeats each value count times, and
+    its size, without expanding it."""
+    total = sum(count for _, count in pairs)
+    seen, lo = 0, None
+    for value, count in sorted(pairs):
+        seen += count
+        if lo is None and seen > (total - 1) // 2:
+            lo = value
+        if seen > total // 2:
+            break
+    # np.median averages the middle values starting from +0.0
+    return ((0.0 + lo + value) / 2 if total % 2 == 0 else 0.0 + lo), total
 
 
 def ida_multiset(
@@ -97,9 +133,12 @@ def ida_multiset(
 ) -> list[float]:
     """One total-effect value per member DAG of the pattern's class.
 
-    Order follows the class enumeration, so repeated calls agree exactly.
+    Values are grouped by pa(x), in the order each pa(x) is first met, so
+    repeated calls agree exactly.
     """
-    return _class_effects(_parent_classes(cpdag, mask, [x]), cov, [(x, y)], {})[0]
+    counts = _parent_counts(cpdag, mask, [x])[x]
+    pairs = _effect_pairs(counts, cpdag.n_nodes, cov, x, y, {})
+    return [value for value, count in pairs for _ in range(count)]
 
 
 def aggregate_effects(
@@ -127,17 +166,17 @@ def aggregate_effects(
 
     pairs = [getattr(key, "key", key) for key in paths]
     sources = list(dict.fromkeys(x for x, _ in pairs))
-    values: list[list[float]] = [[] for _ in pairs]
+    values: list[list[tuple[float, int]]] = [[] for _ in pairs]
     classes: dict[Cpdag, dict] = {}  # per chosen pattern: the mask is fixed per call
     memos: dict[int, dict] = {}  # per subset: its covariance fixes the regressions
     for i, m in chosen if pairs else ():
         if covariances[i] is not None:
             if m.cpdag not in classes:
-                classes[m.cpdag] = _parent_classes(m.cpdag, mask, sources)
+                classes[m.cpdag] = _parent_counts(m.cpdag, mask, sources)
             memo = memos.setdefault(i, {})
-            class_values = _class_effects(classes[m.cpdag], covariances[i], pairs, memo)
-            for vals, new in zip(values, class_values):
-                vals.extend(new)
+            for (x, y), vals in zip(pairs, values):
+                counts = classes[m.cpdag][x]
+                vals += _effect_pairs(counts, m.cpdag.n_nodes, covariances[i], x, y, memo)
 
     sds = np.std(data.values, axis=0, ddof=1)
     kinds = data.kinds()
@@ -145,9 +184,9 @@ def aggregate_effects(
     for (x, y), vals in zip(pairs, values):
         if not vals:
             raise EmptyMultiset(f"no effect values for path {x} -> {y}")
-        median = float(np.median(vals))
+        median, n_values = _median(vals)
         standardized = None
         if kinds[x] == CONTINUOUS and kinds[y] == CONTINUOUS:
             standardized = median * float(sds[x]) / float(sds[y])
-        out.append(EffectEstimate(x, y, median, standardized, len(vals)))
+        out.append(EffectEstimate(x, y, median, standardized, n_values))
     return out

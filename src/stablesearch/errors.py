@@ -58,7 +58,7 @@ class ConstraintViolation(StableSearchError):
 
 
 class ExtensionCapExceeded(StableSearchError):
-    """Equivalence-class enumeration grew past graphs.EXTENSION_CAP members."""
+    """An enumerated pattern or sub-pattern grew past graphs.EXTENSION_CAP members."""
 
 
 class NoExtension(StableSearchError):

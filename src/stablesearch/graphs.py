@@ -10,6 +10,9 @@ and enumeration both honour it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from math import factorial, prod
+from operator import or_
 
 import numpy as np
 
@@ -234,6 +237,15 @@ def arc_matrix(n_nodes: int, arcs) -> np.ndarray:
     return mat
 
 
+def neighbours(n_nodes: int, edges) -> list[int]:
+    """Per node, the bitmask of its neighbours over the undirected edges."""
+    adj = [0] * n_nodes
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
 def reachability(adj: np.ndarray) -> np.ndarray:
     """reach[a, b] is True when a directed path of length >= 1 leads a -> b.
 
@@ -286,13 +298,11 @@ def _meek_closure(
     """
     # per-node bitmasks: undirected neighbours, parents, children, adjacent nodes
     nodes = range(n_nodes)
-    und, par, ch = ([0] * n_nodes for _ in range(3))
+    und = neighbours(n_nodes, undirected)
+    par, ch = [0] * n_nodes, [0] * n_nodes
     for a, b in directed:
         par[b] |= 1 << a
         ch[a] |= 1 << b
-    for a, b in undirected:
-        und[a] |= 1 << b
-        und[b] |= 1 << a
     adj = [und[v] | par[v] | ch[v] for v in nodes]  # orienting keeps adjacency
 
     def forced(u: int, v: int) -> bool:
@@ -393,10 +403,7 @@ def enumerate_extensions(
         for a, b in sorted(cpdag.undirected)
     ]
     # v-structure test needs adjacency of the full skeleton, which extensions share
-    adj = [0] * n
-    for a, b in cpdag.skeleton():
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
+    adj = neighbours(n, cpdag.skeleton())
     parents = [0] * n
     for a, b in cpdag.directed:
         parents[b] |= 1 << a
@@ -434,3 +441,76 @@ def enumerate_extensions(
     if not results:
         raise NoExtension("pattern admits no consistent acyclic extension")
     return results
+
+
+def components(adj: list[int], nodes: int) -> list[int]:
+    """Connected components, as node bitmasks, of the graph with per-node
+    neighbour bitmasks ``adj`` induced on the bitmask ``nodes``."""
+    out = []
+    while nodes:
+        comp, grown = 0, nodes & -nodes
+        while grown:
+            comp |= grown
+            grown = nodes & ~comp & reduce(or_, (adj[v] for v in range(len(adj)) if comp >> v & 1))
+        out.append(comp)
+        nodes &= ~comp
+    return out
+
+
+def count_orientations(adj: list[int], nodes: int) -> int:
+    """Members of the class of one connected chordal undirected component.
+
+    ``adj`` holds per-node neighbour bitmasks and ``nodes`` the component.
+    Clique-Picking (Wienöbst, Bannach & Liśkiewicz 2021, AAAI): each member
+    puts one maximal clique first.  Over the cliques of a clique tree, add
+    the clique's orderings that start with no separator on its path from
+    the root, times the counts of the components Meek's rules leave
+    undirected once the clique comes first.  With the memo this is
+    polynomial, and a k-clique counts as k! in one step.  A component
+    that is not chordal has no member and raises NoExtension.
+    """
+    n = len(adj)
+    both = frozenset((a, b) for a in range(n) for b in range(n) if adj[a] >> b & 1)
+    memo: dict[int, int] = {}
+
+    def count(nodes: int) -> int:
+        if nodes in memo:
+            return memo[nodes]
+        # maximum cardinality search: each node with its visited neighbours is a clique
+        seen, cliques = 0, []
+        for _ in range(nodes.bit_count()):
+            v = max((u for u in range(n) if (nodes & ~seen) >> u & 1),
+                    key=lambda u: (adj[u] & seen).bit_count())
+            cliques.append(adj[v] & seen | 1 << v)
+            seen |= 1 << v
+        if any(c & ~adj[u] & ~(1 << u) for c in cliques for u in range(n) if c >> u & 1):
+            raise NoExtension("an undirected component is not chordal")
+        cliques = [c for c in dict.fromkeys(cliques) if not any(c & d == c != d for d in cliques)]
+        # Prim's maximum-weight spanning tree of the clique graph is a clique tree
+        parent = {cliques[0]: 0}  # 0: the root has none
+        while len(parent) < len(cliques):
+            c, p = max(((c, p) for c in cliques if c not in parent for p in parent),
+                       key=lambda cp: (cp[0] & cp[1]).bit_count())
+            parent[c] = p
+        memo[nodes] = 0
+        for clique in cliques:
+            # sizes of the separators on the path to the root inside the clique
+            seps, c = set(), clique
+            while parent[c]:
+                if c & parent[c] & ~clique == 0:
+                    seps.add((c & parent[c]).bit_count())
+                c = parent[c]
+            # orderings of each separator, and last of the clique, that start with no smaller one
+            starts: list[tuple[int, int]] = []
+            for s in sorted(seps) + [clique.bit_count()]:
+                starts.append((s, factorial(s) - sum(factorial(s - r) * f for r, f in starts)))
+            rest = nodes & ~clique
+            directed = {(a, b) for a, b in both
+                        if clique >> a & 1 and (rest >> b & 1 or clique >> b & 1 and a < b)}
+            undirected = {(a, b) for a, b in both if a < b and rest >> a & rest >> b & 1}
+            _meek_closure(n, directed, undirected, None, both)
+            left = components(neighbours(n, undirected), rest)
+            memo[nodes] += starts[-1][1] * prod(count(comp) for comp in left)
+        return memo[nodes]
+
+    return count(nodes)

@@ -1,5 +1,6 @@
 """Command line tests: config layering, artifacts, exit codes, reruns."""
 
+import json
 import os
 import re
 import subprocess
@@ -199,28 +200,46 @@ BAD_CONFIGS = {
         "search", ["--config", '{"mutation": "0.1"}'],
         "bad settings: mutation must be a number, not '0.1'",
     ),
+    "fractional population in config": (
+        "search", ["--config", '{"population": 12.5}'],
+        "bad settings: population must be an integer, not 12.5",
+    ),
+    "zero generations in config": (
+        "search", ["--config", '{"generations": 0}'], "bad settings: generations must be positive"
+    ),
+    "one subset in config": (
+        "search", ["--config", '{"subsets": 1}'], "bad settings: subsets must be at least 2"
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
 def test_bad_config_exits_config_without_traceback(case, sim_dir, tmp_path, capsys):
     command, args, message = BAD_CONFIGS[case]
+    fast = {}  # simulate takes none of the search settings
+    if command != "simulate":  # a --seed flag would override the config's
+        fast = {flag[2:]: int(value) for flag, value in zip(FAST[:6:2], FAST[1:6:2])}
     extra = []
     for i, arg in enumerate(args):
         if arg.startswith("{"):
+            if args[i - 1] == "--config" and fast:
+                # flags would override the file's values, so the file carries them
+                try:
+                    arg = json.dumps({**fast, **json.loads(arg)})
+                except json.JSONDecodeError:
+                    pass
+                fast = {}
             path = tmp_path / f"arg{i}.json"
             path.write_text(arg)
             arg = str(path)
         extra.append(arg)
-    fast = []  # simulate takes none of the search flags
-    if command != "simulate":
-        fast = FAST[: FAST.index("--seed")]  # a --seed flag would override the config's
+    flags = [item for key, value in fast.items() for item in (f"--{key}", str(value))]
     if command == "search":
         extra += ["--data", write_chain_csv(tmp_path / "d.csv")]
     elif command == "search-longitudinal":
         extra += ["--data", str(sim_dir / "data_00.csv"),
                   "--layout", str(sim_dir / "layout.json")]
-    rc = main([command, "--out", str(tmp_path / "o"), *fast, *extra])
+    rc = main([command, "--out", str(tmp_path / "o"), *flags, *extra])
     err = capsys.readouterr().err
     assert rc == EXIT_CONFIG
     assert err.startswith("error: ") and message in err
@@ -584,7 +603,7 @@ def test_malformed_json_input_exits_naming_the_field(case, sim_dir, tmp_path, ca
     if case in NESTED_JSON:
         assert named in err
     else:  # the field is named as a word: "p", "crossover", "'bogus'", "--data"
-        assert re.search(rf"(^|[ '_-]){named}(?![a-z])", err[len("error: "):])
+        assert re.search(rf"(^|[ '-]){named}(?![a-z_])", err[len("error: "):])
 
 
 # (command, flag whose file is not UTF-8, exit code)

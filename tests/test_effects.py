@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,11 +12,17 @@ from stablesearch.effects import (
     causal_effect,
     ida_multiset,
 )
-from stablesearch.errors import DegenerateData, EmptyMultiset
+from stablesearch.errors import (
+    DegenerateData,
+    EmptyMultiset,
+    ExtensionCapExceeded,
+    NoExtension,
+)
 from stablesearch.graphs import (
     ConstraintMask,
     Cpdag,
     Dag,
+    count_orientations,
     dag_to_cpdag,
     enumerate_extensions,
 )
@@ -265,6 +274,26 @@ def test_aggregate_matches_per_path_loop_bit_for_bit(masked):
         assert [(e.source, e.target) for e in got] == case[3]
 
 
+def enumerated_subpatterns(cpdag, sources):
+    """The sub-patterns effects enumerates for one pattern: every directed
+    arc plus the undirected edges of one component, for each component that
+    holds a source or an arc between two of its nodes."""
+    comps = []
+    for v in range(cpdag.n_nodes):
+        if not any(v in comp for comp in comps):
+            comp, grown = set(), {v}
+            while grown:
+                comp |= grown
+                grown = {u for e in cpdag.undirected if comp & set(e) for u in e} - comp
+            comps.append(comp)
+    return {
+        Cpdag(cpdag.n_nodes, cpdag.directed,
+              frozenset(e for e in cpdag.undirected if e[0] in comp))
+        for comp in comps
+        if comp & set(sources) or any({a, b} <= comp for a, b in cpdag.directed)
+    }
+
+
 def test_aggregate_enumerates_each_class_once_and_regresses_per_parent_set(monkeypatch):
     rng = np.random.default_rng(47)
     for masked in (False, True):
@@ -294,11 +323,17 @@ def test_aggregate_enumerates_each_class_once_and_regresses_per_parent_set(monke
         monkeypatch.setattr(effects, "causal_effect", counting_effect)
         aggregate_effects(results, covs, pi_bic, paths, data, mask)
         # subset 0 holds two members of one class and subset 1 one model
-        # whose class subset 4 shares; subset 2 has no covariance
+        # whose class subset 4 shares; subset 2 has no covariance.  Each
+        # pattern enumerates its sources' own components once, and a
+        # component with a mask-forced arc inside once, to count it.
         patterns = {m.cpdag for i, m in chosen if covs[i] is not None}
         assert sum(covs[i] is not None for i, _ in chosen) == 4
-        assert len(enumerated) == len(set(enumerated)) == len(patterns) == 2
-        assert set(enumerated) == patterns
+        assert len(patterns) == 2
+        sources = {x for x, _ in paths}
+        assert len(enumerated) == len(set(enumerated))
+        assert set(enumerated) == set().union(
+            *(enumerated_subpatterns(cp, sources) for cp in patterns)
+        )
         assert len(regressed) == len(set(regressed))
         assert set(regressed) == expected
 
@@ -308,8 +343,19 @@ def test_aggregate_enumerates_each_class_once_and_regresses_per_parent_set(monke
         monkeypatch.undo()
 
 
+def grouped_by_parents(cpdag, mask, x, values):
+    """The per-member values regrouped by pa(x), stably, in the order each
+    pa(x) first appears in the whole-class enumeration."""
+    parents = [member[x] for member in enumerate_extensions(cpdag, mask)]
+    first = {pa: i for i, pa in reversed(list(enumerate(parents)))}
+    order = sorted(range(len(values)), key=lambda i: first[parents[i]])
+    return [values[i] for i in order]
+
+
 @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
 def test_class_values_match_the_per_member_loop_in_order(masked):
+    # the per-member values as multisets, and in ida_multiset's order: grouped
+    # by pa(x) in first-seen order, which a source's own component decides
     rng = np.random.default_rng(53 if masked else 51)
     for _ in range(10):
         results, covs, _, paths, _, mask = random_effects_case(rng, masked)
@@ -317,11 +363,14 @@ def test_class_values_match_the_per_member_loop_in_order(masked):
         for r in results:
             cov = covs[r.index]
             for m in r.models if cov is not None else ():
-                want = [oracle_class_effects(m.cpdag, cov, mask, *xy) for xy in paths]
-                classes = effects._parent_classes(m.cpdag, mask, sources)
-                assert effects._class_effects(classes, cov, paths, {}) == want
-                for (x, y), values in zip(paths, want):
-                    assert ida_multiset(m.cpdag, cov, mask, x, y) == values
+                counts = effects._parent_counts(m.cpdag, mask, sources)
+                for x, y in paths:
+                    want = oracle_class_effects(m.cpdag, cov, mask, x, y)
+                    pairs = effects._effect_pairs(counts[x], m.cpdag.n_nodes, cov, x, y, {})
+                    got = [v for v, k in pairs for _ in range(k)]
+                    assert Counter(got) == Counter(want)
+                    assert got == grouped_by_parents(m.cpdag, mask, x, want)
+                    assert ida_multiset(m.cpdag, cov, mask, x, y) == got
 
 
 def test_subsets_sharing_a_pattern_enumerate_it_once(monkeypatch):
@@ -357,3 +406,109 @@ def test_subsets_sharing_a_pattern_enumerate_it_once(monkeypatch):
     )
     assert [(e.median, e.n_values) for e in got] == want
     assert [n for _, n in want] == [6, 6]
+
+
+def class_parent_counts(cpdag, mask, x):
+    return Counter(member[x] for member in enumerate_extensions(cpdag, mask))
+
+
+def test_mask_forced_arc_inside_a_component_is_enumerated_not_counted():
+    # 0 -> 7 is forced by the mask inside the undirected path 3 - 0 - 5 - 7:
+    # 0 -> 5 <- 7 makes no new v-structure since 0 and 7 are adjacent, so
+    # the class has 5 members where the path alone has 4 orientations
+    dag = Dag(8, frozenset({(0, 2), (0, 3), (0, 5), (0, 7), (5, 7), (6, 2), (7, 4)}))
+    mask = ConstraintMask.empty(8).with_forbidden([(7, 0), (4, 7)])
+    cpdag = dag_to_cpdag(dag, mask)
+    assert (0, 7) in cpdag.directed
+    assert cpdag.undirected == {(0, 3), (0, 5), (5, 7)}
+    assert len(enumerate_extensions(cpdag, mask)) == 5
+    adj = [0] * 8
+    for a, b in cpdag.undirected:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    assert count_orientations(adj, 0b10101001) == 4
+    for x in range(8):  # one source at a time, so the path is counted
+        counts = effects._parent_counts(cpdag, mask, [x])[x]
+        assert dict(counts) == class_parent_counts(cpdag, mask, x)
+
+
+def test_factorised_parent_counts_match_the_whole_class():
+    # patterns of random DAGs at p = 3..8, half of them under a mask that
+    # forbids 30% of the cells the DAG leaves free
+    rng = np.random.default_rng(61)
+    checks = forced = 0
+    for case in range(600):
+        p = 3 + case % 6
+        order = rng.permutation(p)
+        upper = np.triu(rng.random((p, p)) < rng.uniform(0.2, 0.8), k=1)
+        arcs = {(int(order[i]), int(order[j])) for i, j in zip(*np.nonzero(upper))}
+        mask = None
+        if case % 2:
+            forbidden = rng.random((p, p)) < 0.3
+            for a, b in arcs:
+                forbidden[a, b] = False
+            mask = ConstraintMask(p, forbidden)
+        cpdag = dag_to_cpdag(Dag(p, frozenset(arcs)), mask)
+        for x in range(p):  # one source at a time: every other component is counted
+            counts = effects._parent_counts(cpdag, mask, [x])[x]
+            assert dict(counts) == class_parent_counts(cpdag, mask, x)
+            checks += 1
+        forced += any(
+            {a, b} <= {v for e in cpdag.undirected for v in e} for a, b in cpdag.directed
+        )
+    assert checks > 3000
+    assert forced > 10
+
+
+def test_a_non_chordal_component_away_from_the_source_has_no_extension():
+    # the undirected 4-cycle 2 - 3 - 4 - 5 admits no orientation, so the
+    # class is empty whether it is enumerated or counted
+    cpdag = Cpdag(6, frozenset({(0, 1)}), frozenset({(2, 3), (3, 4), (4, 5), (2, 5)}))
+    with pytest.raises(NoExtension):
+        enumerate_extensions(cpdag)
+    with pytest.raises(NoExtension):
+        ida_multiset(cpdag, np.eye(6), None, 0, 1)
+
+
+def test_seven_clique_away_from_every_source_yields_effects():
+    # u=0 and w=1 point into c=2, which points into the 7-clique 3..9: the
+    # class has 7! = 5,040 members, past the enumeration cap, but only the
+    # sources' own components are enumerated
+    clique = range(3, 10)
+    arcs = [(0, 2), (1, 2)] + [(2, k) for k in clique]
+    arcs += [(a, b) for a in clique for b in clique if a < b]
+    model = _model(10, arcs, 10)
+    with pytest.raises(ExtensionCapExceeded):
+        enumerate_extensions(model.cpdag)
+    rng = np.random.default_rng(67)
+    data = Dataset([f"v{j}" for j in range(10)], rng.standard_normal((80, 10)))
+    covs = [np.cov(rng.standard_normal((80, 10)), rowvar=False) for _ in range(3)]
+    results = [_result(i, [model]) for i in range(3)]
+    paths = [(0, 2), (2, 5), (1, 9)]
+    out = aggregate_effects(results, covs, len(arcs), paths, data)
+    assert [e.n_values for e in out] == [5040 * 3] * 3
+    for (x, y), est in zip(paths, out):
+        dag = Dag(10, frozenset((a, x) for a, b in arcs if b == x))
+        assert est.median == float(np.median([causal_effect(dag, c, x, y) for c in covs]))
+
+
+@pytest.mark.parametrize("total", ["odd", "even"])
+def test_pair_median_is_np_median_of_the_expanded_list(total):
+    rng = np.random.default_rng(71 if total == "odd" else 73)
+    for _ in range(300):
+        values = rng.choice(
+            np.concatenate([rng.standard_normal(6), [0.0, -0.0, 1e308]]),
+            int(rng.integers(1, 6)),
+        )
+        counts = [int(k) for k in rng.integers(1, 5, len(values))]
+        if (sum(counts) % 2 == 0) != (total == "even"):
+            counts[0] += 1
+        pairs = [(float(v), k) for v, k in zip(values, counts)]
+        expanded = [v for v, k in pairs for _ in range(k)]
+        with np.errstate(over="ignore"):
+            want = float(np.median(expanded))
+        median, n_values = effects._median(pairs)
+        assert n_values == len(expanded)
+        assert repr(median) == repr(want)
+    # counts are Python ints: a 20-clique's class is never expanded
+    assert effects._median([(1.0, math.factorial(20)), (2.0, 1)]) == (1.0, math.factorial(20) + 1)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -435,3 +436,58 @@ def test_roundtrip_every_small_dag_is_in_its_own_class():
             assert arcs in members
             # the enumerated class is exactly the oracle class
             assert members == set(equivalence_class(n, arcs, universe))
+
+
+def random_chordal_component(rng, p):
+    """A connected chordal graph as per-node neighbour bitmasks: each new
+    node joins a clique of the earlier ones, so the insertion order reversed
+    is a perfect elimination order."""
+    adj = [0] * p
+    for v in range(1, p):
+        clique = [int(rng.integers(v))]
+        for w in rng.permutation(v):
+            if w != clique[0] and rng.random() < 0.6 and all(adj[w] >> c & 1 for c in clique):
+                clique.append(int(w))
+        for w in clique:
+            adj[v] |= 1 << w
+            adj[w] |= 1 << v
+    perm = [int(v) for v in rng.permutation(p)]
+    out = [0] * p
+    for a in range(p):
+        for b in range(p):
+            if adj[a] >> b & 1:
+                out[perm[a]] |= 1 << perm[b]
+    return out
+
+
+def test_count_orientations_matches_enumeration_on_chordal_components():
+    rng = np.random.default_rng(79)
+    sizes = set()
+    for case in range(800):
+        p = 1 + case % 8
+        adj = random_chordal_component(rng, p)
+        edges = {(a, b) for a in range(p) for b in range(a + 1, p) if adj[a] >> b & 1}
+        assert graphs.components(adj, (1 << p) - 1) == [(1 << p) - 1]
+        want = len(enumerate_extensions(Cpdag(p, frozenset(), frozenset(edges))))
+        assert graphs.count_orientations(adj, (1 << p) - 1) == want
+        sizes.add(want)
+    assert len(sizes) > 50
+
+
+def test_count_orientations_of_a_component_inside_a_larger_graph():
+    # the path 1 - 3 - 5 has 3 members, whatever the other nodes hold
+    adj = [0b000100, 0b001000, 0b000001, 0b100010, 0, 0b001000]
+    assert graphs.components(adj, 0b111111) == [0b000101, 0b101010, 0b010000]
+    assert graphs.count_orientations(adj, 0b101010) == 3
+    assert graphs.count_orientations(adj, 0b000101) == 2
+
+
+def test_count_orientations_counts_a_12_clique_in_one_step():
+    adj = [0xFFF & ~(1 << v) for v in range(12)]
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        count = graphs.count_orientations(adj, 0xFFF)
+        best = min(best, time.perf_counter() - start)
+    assert count == math.factorial(12)
+    assert best < 0.01
