@@ -253,7 +253,7 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except UnicodeDecodeError as exc:

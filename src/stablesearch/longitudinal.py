@@ -217,13 +217,13 @@ def reshape(data: LongitudinalDataset) -> Dataset:
 
 
 def _variable_index(variables: tuple[str, ...], name: str, setting: str = "prior") -> int:
-    """Index of a slice variable that ``setting`` names, plain or current-slice."""
-    if name.endswith(PREV_SUFFIX):
+    """Index of a slice variable that ``setting`` names: exact name first, then current-slice."""
+    if name not in variables and name.endswith(PREV_SUFFIX):
         raise InvalidPrior(
             f"{setting} entry {name!r} refers to the previous slice; {setting} "
             "applies within one slice only"
         )
-    plain = name[: -len(CUR_SUFFIX)] if name.endswith(CUR_SUFFIX) else name
+    plain = name if name in variables else name.removesuffix(CUR_SUFFIX)
     try:
         return variables.index(plain)
     except ValueError:

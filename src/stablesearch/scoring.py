@@ -97,7 +97,7 @@ def rank_normalize(data: Dataset) -> Dataset:
 
 def load_dataset(csv_path, kinds: dict[str, str] | None = None) -> Dataset:
     """Read a header+rows CSV; `kinds` maps column name -> kind (default continuous)."""
-    with open(csv_path, newline="") as fh:
+    with open(csv_path, newline="", encoding="utf-8-sig") as fh:
         try:
             reader = csv.reader(fh.readlines())
         except UnicodeDecodeError as exc:

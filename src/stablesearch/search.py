@@ -3,12 +3,12 @@
 Objectives are (chi_square, complexity), both minimized.  evolve() holds the
 population as one (N, p, p) boolean array of adjacency matrices; forbidden
 cells are never set.  Selection and variation are pure array functions fed
-with evolve()'s draws.  A per-search memo keyed by packed adjacency bits lets
-an individual seen before skip the cycle check, repair and scorer; new ones
-are repaired in index order and scored in one batch.  The memo and the
-scorer's per-node caches are plain dicts with one key format, a row's packed
-bits (_packed).  Ranking sweeps distinct points once per generation.
-The returned Pareto set carries the memo's scores; nothing is fitted again.
+with evolve()'s draws.  A per-search memo (a plain dict keyed, like the
+scorer's per-node caches, by packed bits: _packed) maps an individual to its
+chi-square, +inf for a degenerate fit; one seen before skips the cycle check,
+repair and scorer, and new ones are repaired in index order and scored in one
+batch.  Each generation ranks the union once and walks its fronts once
+(_survivors).  The returned Pareto set carries the memo's scores.
 """
 
 from __future__ import annotations
@@ -117,6 +117,25 @@ def _crowding_array(objs: np.ndarray) -> np.ndarray:
     return d
 
 
+def _survivors(objs, ranks, k) -> tuple[np.ndarray, np.ndarray]:
+    """The k rows elitist selection keeps, in order, and crowding distances.
+
+    Whole fronts are kept in rank order, then the split front's rows by
+    descending crowding distance (stable).  A kept row's distance is taken
+    within the kept part of its front, in kept order; other rows read NaN.
+    """
+    kept, crowding = [], np.full(len(objs), np.nan)
+    for r in range(int(ranks.max()) + 1):
+        idx = np.flatnonzero(ranks == r)
+        if len(kept) + len(idx) > k:
+            idx = idx[np.argsort(-_crowding_array(objs[idx]), kind="stable")[: k - len(kept)]]
+        crowding[idx] = _crowding_array(objs[idx])
+        kept.extend(idx.tolist())
+        if len(kept) == k:
+            break
+    return np.array(kept), crowding
+
+
 def _tournament(ranks, crowding, cand, coin) -> np.ndarray:
     """Binary tournament winners, one per row of the (N, 2) candidate pairs.
 
@@ -155,7 +174,7 @@ class _Scorer:
 
     The chi-square decomposes over nodes (see scoring), so each column of a
     batch is one (node, parent set) fit.  Each node keeps a dict from the
-    packed bits of its parent column (_packed) to ln psi, NaN when the fit
+    packed bits of its parent column (_packed) to ln psi, +inf when the fit
     degenerates.  ln psi is summed in node order, as scoring.fit_dag_ml sums
     it, so both give the same chi-square.
     """
@@ -167,7 +186,7 @@ class _Scorer:
         self.cov = cov
         self.n = n
         self.logdet_s = logdet
-        # per node: packed parent column -> ln psi, NaN when the fit degenerates
+        # per node: packed parent column -> ln psi, +inf when the fit degenerates
         self.log_psi: list[dict[bytes, float]] = [{} for _ in range(len(cov))]
 
     def chi_squares(self, adjs: np.ndarray) -> np.ndarray:
@@ -182,16 +201,14 @@ class _Scorer:
                 try:
                     val = np.log(node_regression(self.cov, c % p, np.flatnonzero(cols[c])))
                 except DegenerateData:
-                    val = np.nan
+                    val = INFEASIBLE
                 cache[key] = val
             logs[c] = val
         logs = logs.reshape(n_rows, p)
         total = np.zeros(n_rows)
         for j in range(p):  # node order, as a scalar running sum would add them
             total += logs[:, j]
-        chi = np.maximum((self.n - 1) * (total - self.logdet_s), 0.0)
-        chi[np.isnan(total)] = INFEASIBLE
-        return chi
+        return np.maximum((self.n - 1) * (total - self.logdet_s), 0.0)
 
 
 def _arcs(adj: np.ndarray) -> list[tuple[int, int]]:
@@ -244,35 +261,29 @@ def evolve(
     length = p * (p - 1)
     allowed = ~mask.forbidden
     offdiag = ~np.eye(p, dtype=bool)
-    seen: dict[bytes, tuple[float, int]] = {}  # packed individual -> (chi_square, complexity)
+    seen: dict[bytes, float] = {}  # packed individual -> chi_square
 
     def repair(adjs: np.ndarray, rows) -> None:
         for i in rows:
             adjs[i] = arc_matrix(p, repair_arcs(p, set(_arcs(adjs[i])), mask, rng))
 
-    def objectives(adjs: np.ndarray, keys: list[bytes]) -> np.ndarray:
+    def objectives(adjs: np.ndarray) -> np.ndarray:
         """(chi, k) per acyclic row; each individual new to the search is scored once."""
+        keys = _packed(adjs.reshape(len(adjs), -1))
         fresh = {key: i for i, key in enumerate(keys) if key not in seen}
-        if fresh:
-            rows = adjs[list(fresh.values())]
-            chis = scorer.chi_squares(rows).tolist()
-            seen.update(zip(fresh, zip(chis, rows.sum(axis=(1, 2)).tolist())))
-        return np.array([seen[key] for key in keys], dtype=float)
+        seen.update(zip(fresh, scorer.chi_squares(adjs[list(fresh.values())]).tolist()))
+        return np.column_stack(([seen[key] for key in keys], adjs.sum(axis=(1, 2))))
 
     # random sparse initialization; the cyclic rows are repaired in index order
     population = np.zeros((pop_n, p, p), dtype=bool)
     population[:, offdiag] = rng.random((pop_n, length)) < 2.0 / length
     population &= allowed
     repair(population, np.flatnonzero(cyclic_rows(population)))
-    objs = objectives(population, _packed(population.reshape(pop_n, -1)))
+    objs = objectives(population)
     ranks = _rank_array(objs)
+    crowding = _survivors(objs, ranks, pop_n)[1]
 
     for _ in range(params.generations):
-        crowding = np.empty(pop_n)
-        for r in range(int(ranks.max()) + 1):
-            idx = np.flatnonzero(ranks == r)
-            crowding[idx] = _crowding_array(objs[idx])
-
         cand = rng.integers(0, pop_n, size=(pop_n, 2))
         coin = rng.random(pop_n) < 0.5
         winners = _tournament(ranks, crowding, cand, coin)
@@ -286,36 +297,16 @@ def evolve(
         )
         # an individual seen before is acyclic and scored; the others are
         # checked, and the cyclic ones repaired in ascending index order
-        keys = _packed(offspring.reshape(pop_n, -1))
-        new = np.flatnonzero([key not in seen for key in keys])
-        fresh = offspring[new]
-        cyclic = np.flatnonzero(cyclic_rows(fresh))
-        if len(cyclic):
-            repair(fresh, cyclic)
-            offspring[new] = fresh
-            keys = _packed(offspring.reshape(pop_n, -1))
-        off_objs = objectives(offspring, keys)
+        new = np.flatnonzero([key not in seen for key in _packed(offspring.reshape(pop_n, -1))])
+        repair(offspring, new[cyclic_rows(offspring[new])])
 
-        # elitist (mu + lambda) environmental selection
+        # elitist (mu + lambda) environmental selection; a kept front keeps
+        # all its dominators, so its ranks stand
         union = np.concatenate([population, offspring])
-        union_objs = np.vstack([objs, off_objs])
-        union_ranks = _rank_array(union_objs)
-        chosen: list[int] = []
-        for r in range(int(union_ranks.max()) + 1):
-            idx = np.flatnonzero(union_ranks == r)
-            if len(chosen) + len(idx) <= pop_n:
-                chosen.extend(idx.tolist())
-            else:
-                gap = pop_n - len(chosen)
-                crowd = _crowding_array(union_objs[idx])
-                order = np.argsort(-crowd, kind="stable")
-                chosen.extend(idx[order[:gap]].tolist())
-            if len(chosen) == pop_n:
-                break
-        # a kept front keeps all its dominators, so its ranks stand
-        population = union[chosen]
-        objs = union_objs[chosen]
-        ranks = union_ranks[chosen]
+        objs = np.vstack([objs, objectives(offspring)])
+        ranks = _rank_array(objs)
+        kept, crowding = _survivors(objs, ranks, pop_n)
+        population, objs, ranks, crowding = union[kept], objs[kept], ranks[kept], crowding[kept]
 
     front = ranks == 0
     return _pareto_postfilter(population[front], objs[front], mask, n, labels)

@@ -8,7 +8,8 @@ hand-solved models, midranks by averaging tied positions, the inverse of
 the longitudinal reshape, class enumeration with a Dag per member and a
 walk up the parent sets for each cycle test, DAG-to-pattern conversion
 with one pass over the edges per Meek rule, and stability curves
-tabulated one structure at a time.  Three exceptions use the package: the
+tabulated one structure at a time, NSGA-II truncation by pairwise
+fronts and a crowding loop per objective.  Three exceptions use the package: the
 per-member IDA loop composes its class enumeration and single-DAG effect
 without any sharing between members, the stability curves take their
 complete-DAG pin from its ``complete_dag_under`` and ``dag_to_cpdag``, and
@@ -316,6 +317,56 @@ def oracle_front_ranks(points):
         idx = [i for i in idx if i not in front]
         r += 1
     return ranks
+
+
+def oracle_crowding(points):
+    """Crowding distance per point of one front, one objective at a time.
+
+    Each objective's values are sorted stably; the two ends get +inf and each
+    interior point adds its neighbours' gap over the span.  An infeasible
+    chi-square counts as twice the largest finite one plus 1.
+    """
+    d = [0.0] * len(points)
+    if len(points) <= 2:
+        return [np.inf] * len(points)
+    for col in range(2):
+        vals = [float(pt[col]) for pt in points]
+        finite = [v for v in vals if v != np.inf]
+        ceiling = max(finite) * 2 + 1.0 if finite else 1.0
+        vals = [v if v != np.inf else ceiling for v in vals]
+        order = sorted(range(len(vals)), key=vals.__getitem__)
+        d[order[0]] = d[order[-1]] = np.inf
+        span = vals[order[-1]] - vals[order[0]]
+        if span > 0:
+            for prev, i, nxt in zip(order, order[1:], order[2:]):
+                d[i] += (vals[nxt] - vals[prev]) / span
+    return d
+
+
+def oracle_survivors(points, k):
+    """NSGA-II truncation to k points, by oracle ranks and oracle crowding.
+
+    Returns the kept indices (whole fronts in rank order, each in index
+    order, then the split front's points by descending crowding, ties in
+    index order) and each kept point's crowding within the kept part of its
+    front.
+    """
+    ranks = oracle_front_ranks(points)
+    kept = []
+    for r in range(max(ranks) + 1):
+        front = [i for i in range(len(points)) if ranks[i] == r]
+        if len(kept) + len(front) > k:
+            d = oracle_crowding([points[i] for i in front])
+            order = sorted(range(len(front)), key=lambda j: -d[j])
+            front = [front[j] for j in order[: k - len(kept)]]
+        kept += front
+        if len(kept) == k:
+            break
+    crowding = {}
+    for r in set(ranks[i] for i in kept):
+        part = [i for i in kept if ranks[i] == r]
+        crowding.update(zip(part, oracle_crowding([points[i] for i in part])))
+    return kept, [crowding[i] for i in kept]
 
 
 def oracle_midranks(values):

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +61,29 @@ def test_every_setting_is_a_flag_and_every_flag_a_setting():
         registered |= vars(build_parser().parse_args([command])).keys()
     registered -= {"command", "log_level", "config"}  # not run settings
     assert {f.name for f in fields(RunConfig)} == registered
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    groups = {
+        group.lower(): flags.split()
+        for group, flags in re.findall(r"(\w+) flags\s+are\s+`([^`]+)`", section)
+    }
+    common = re.findall(r"Every command also takes `(--[a-z-]+)`", section)
+    documented = {}
+    for command, cells in re.findall(r"^\| `([a-z][a-z-]*)` \| (.+) \|$", section, re.M):
+        flags = set(common)
+        for cell in cells.split(", "):
+            flags.update(cell.strip("`").split() if cell.startswith("`") else groups[cell])
+        documented[command] = flags
+    subparsers = next(a for a in build_parser()._actions if a.choices and "search" in a.choices)
+    registered = {
+        command: {s for action in sp._actions for s in action.option_strings} - {"-h", "--help"}
+        for command, sp in subparsers.choices.items()
+    }
+    assert set(groups) == {"output", "search", "selection"} and common == ["--config"]
+    assert documented == registered
 
 
 def test_config_file_then_flags(tmp_path):
@@ -153,6 +177,20 @@ def test_prev_suffix_prior_exits_config(tmp_path, capsys):
     )
     assert rc == EXIT_CONFIG
     assert "previous slice" in capsys.readouterr().err
+
+
+def test_prior_matches_exact_column_names_before_the_slice_suffixes(tmp_path):
+    csv = tmp_path / "d.csv"
+    write_chain_csv(csv)
+    csv.write_text(csv.read_text().replace("A,B,C", "age,bmi_cur,dose_prev", 1))
+    prior = tmp_path / "prior.json"
+    write_json(prior, {"forbidden": [["age", "bmi_cur"], ["dose_prev", "age"]]})
+    out = tmp_path / "o"
+    rc = main(["search", "--data", str(csv), "--prior", str(prior), "--out", str(out), *FAST])
+    assert rc == 0
+    graph = read_json(out / "graph.json")
+    assert graph["labels"] == ["age", "bmi_cur", "dose_prev"]
+    assert not {(0, 1), (2, 0)} & {(a, b) for a, b, _ in graph["directed"]}
 
 
 # (command, extra arguments, expected message); an argument starting with "{"
@@ -631,6 +669,29 @@ def test_non_utf8_input_exits_without_traceback(case, sim_dir, tmp_path, capsys)
     assert rc == code
     assert err.startswith("error: ") and str(bad) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--data", "--config", "--prior", "--layout"])
+def test_byte_order_mark_inputs_read_as_utf8(flag, sim_dir, tmp_path):
+    # Excel's "CSV UTF-8" and some editors start a file with a UTF-8 byte-order mark
+    files = {
+        "--data": (sim_dir / "data_00.csv").read_bytes(),
+        "--layout": (sim_dir / "layout.json").read_bytes(),
+        "--config": b'{"generations": 4}',
+        "--prior": b'{"forbidden": [["X1", "X2"]]}',
+    }
+    files[flag] = b"\xef\xbb\xbf" + files[flag]
+    args = []
+    for name, body in files.items():
+        (tmp_path / name[2:]).write_bytes(body)
+        args += [name, str(tmp_path / name[2:])]
+    out = tmp_path / "o"
+    discrete = ["X1_t0", "X1_t1", "X1_t2"]
+    rc = main(["search-longitudinal", *args, "--discrete", *discrete, "--out", str(out), *FAST])
+    assert rc == 0
+    assert read_json(out / "manifest.json")["config"]["discrete"] == discrete
+    for path in out.rglob("*.*"):
+        assert "\ufeff" not in path.read_text(), path
 
 
 @pytest.mark.parametrize("flag", ["--config", "--prior", "--layout"])

@@ -214,6 +214,10 @@ def test_prior_slice_rule():
     # the _cur suffix is tolerated since the prior is intra-slice by definition
     mask = transition_mask(("A", "B"), prior=[("A_cur", "B_cur")])
     assert not mask.allows(2, 3)
+    # a variable whose own name ends in a suffix is matched by that name first
+    mask = intra_slice_mask(("A", "A_cur", "B_prev"), [("A_cur", "B_prev"), ("B_prev", "A")])
+    forbidden = {(a, b) for a, b in np.argwhere(mask.forbidden).tolist() if a != b}
+    assert forbidden == {(1, 2), (2, 0)}
 
 
 def test_derive_role_rules_from_presence():

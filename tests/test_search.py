@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from oracles import (
+    oracle_crowding,
     oracle_dominates,
     oracle_exact_front,
     oracle_front_ranks,
     oracle_is_acyclic,
     oracle_pareto_front,
     oracle_reachability,
+    oracle_survivors,
     sem_implied_covariance,
 )
 from stablesearch import search
@@ -19,6 +21,7 @@ from stablesearch.search import (
     _arcs,
     _crowding_array,
     _rank_array,
+    _survivors,
     _tournament,
     _vary,
     evolve,
@@ -107,6 +110,36 @@ def test_crowding_small_fronts_and_hand_example():
     three = crowding([(0.0, 10), (5.0, 5), (10.0, 0)])
     assert three[0] == np.inf and three[2] == np.inf
     assert three[1] == pytest.approx(2.0)
+
+
+def test_crowding_matches_oracle_with_ties_and_infeasible_fits():
+    rng = np.random.default_rng(12)
+    for trial in range(60):
+        m = int(rng.integers(1, 12))
+        chi = rng.integers(0, 5, size=m).astype(float)
+        chi[rng.random(m) < 0.25] = np.inf
+        points = [(c, int(k)) for c, k in zip(chi.tolist(), rng.integers(0, 4, size=m))]
+        assert crowding(points) == oracle_crowding(points)
+
+
+def test_survivors_match_oracle():
+    rng = np.random.default_rng(13)
+    cases = 0
+    for trial in range(60):
+        m = int(rng.integers(4, 40))
+        chi = rng.integers(0, 6, size=m).astype(float)  # few values: many ties
+        chi[rng.random(m) < 0.2] = np.inf
+        points = [(c, int(k)) for c, k in zip(chi.tolist(), rng.integers(0, 6, size=m))]
+        objs, ranks = np.array(points, dtype=float), np.array(oracle_front_ranks(points))
+        filled = np.cumsum(np.bincount(ranks)).tolist()  # a front ends exactly at each
+        for k in {1, int(rng.integers(1, m + 1)), *filled[:2], m}:
+            kept, crowd = _survivors(objs, ranks, k)
+            want_kept, want_crowd = oracle_survivors(points, k)
+            assert kept.tolist() == want_kept
+            assert crowd[kept].tolist() == want_crowd
+            assert np.isnan(np.delete(crowd, kept)).all()
+            cases += k < m and k not in filled  # a split front
+    assert cases > 50
 
 
 def test_tournament_rank_and_crowding_rules():
