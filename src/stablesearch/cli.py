@@ -170,18 +170,20 @@ def write_manifest(args: argparse.Namespace, cfg: RunConfig, extra: dict) -> Non
 
 def write_pipeline_artifacts(out: Path, result: PipelineResult) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    (out / "edge_stability.csv").write_text(stability_csv(result.edge_sg))
-    (out / "causal_stability.csv").write_text(stability_csv(result.path_sg))
+    (out / "edge_stability.csv").write_text(stability_csv(result.edge_sg), encoding="utf-8")
+    (out / "causal_stability.csv").write_text(stability_csv(result.path_sg), encoding="utf-8")
     pi_sel, pi_bic = result.thresholds.pi_sel, result.pi_bic
     (out / "edge_stability.svg").write_text(
-        stability_svg(result.edge_sg, pi_sel, pi_bic)
+        stability_svg(result.edge_sg, pi_sel, pi_bic), encoding="utf-8"
     )
     (out / "causal_stability.svg").write_text(
-        stability_svg(result.path_sg, pi_sel, pi_bic)
+        stability_svg(result.path_sg, pi_sel, pi_bic), encoding="utf-8"
     )
-    (out / "effects.csv").write_text(effects_csv(result.estimates, result.labels))
+    (out / "effects.csv").write_text(
+        effects_csv(result.estimates, result.labels), encoding="utf-8"
+    )
     write_json(out / "graph.json", graph_to_dict(result.graph))
-    (out / "graph.dot").write_text(annotated_dot(result.graph))
+    (out / "graph.dot").write_text(annotated_dot(result.graph), encoding="utf-8")
 
 
 # Each command writes its outputs and returns its manifest extras.
@@ -244,7 +246,7 @@ def cmd_simulate(cfg: RunConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     for d, ld in enumerate(datasets):
         (out / f"data_{d:02d}.csv").write_text(
-            dataset_csv(ld.data.names, ld.data.values)
+            dataset_csv(ld.data.names, ld.data.values), encoding="utf-8"
         )
     write_json(out / "layout.json", layout_to_dict(datasets[0].layout))
     write_json(out / "truth.json", truth_to_dict(model))
@@ -289,8 +291,8 @@ def cmd_evaluate(cfg: RunConfig) -> dict:
     )
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "roc_edge.csv").write_text(roc_csv(report.edge_roc.points))
-    (out / "roc_causal.csv").write_text(roc_csv(report.causal_roc.points))
+    (out / "roc_edge.csv").write_text(roc_csv(report.edge_roc.points), encoding="utf-8")
+    (out / "roc_causal.csv").write_text(roc_csv(report.causal_roc.points), encoding="utf-8")
     summary = {
         "averaging": {
             "edge_auc": report.edge_roc.auc,

@@ -124,23 +124,6 @@ def _median(pairs) -> tuple[float, int]:
     return ((0.0 + lo + value) / 2 if total % 2 == 0 else 0.0 + lo), total
 
 
-def ida_multiset(
-    cpdag: Cpdag,
-    cov: np.ndarray,
-    mask: ConstraintMask | None,
-    x: int,
-    y: int,
-) -> list[float]:
-    """One total-effect value per member DAG of the pattern's class.
-
-    Values are grouped by pa(x), in the order each pa(x) is first met, so
-    repeated calls agree exactly.
-    """
-    counts = _parent_counts(cpdag, mask, [x])[x]
-    pairs = _effect_pairs(counts, cpdag.n_nodes, cov, x, y, {})
-    return [value for value, count in pairs for _ in range(count)]
-
-
 def aggregate_effects(
     results,
     covariances,

@@ -247,7 +247,7 @@ def dataset_csv(names, values) -> str:
 
 
 def write_json(path, obj) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -172,18 +172,16 @@ class Cpdag:
         return frozenset(skel)
 
 
-def repair_arcs(n_nodes: int, arcs, mask: ConstraintMask | None,
-                rng: np.random.Generator) -> frozenset[Arc]:
-    """Make an arbitrary arc set acyclic and mask-consistent.
+def repair_arcs(n_nodes: int, arcs, rng: np.random.Generator) -> frozenset[Arc]:
+    """Make an arc set acyclic by dropping arcs on cycles.
 
-    Forbidden arcs (self-loops without a mask) are dropped outright.  While
-    a cycle remains, one arc on some cycle is removed, chosen uniformly by
-    the supplied generator, so repair is reproducible under a fixed seed.
+    While a cycle remains, one arc on some cycle is removed, chosen uniformly
+    by the supplied generator, so repair is reproducible under a fixed seed.
+    The result is a subset of `arcs`, so it keeps to any mask they keep to.
     """
-    if mask is not None:
-        kept = {(a, b) for a, b in arcs if mask.allows(a, b)}
-    else:
-        kept = {(a, b) for a, b in arcs if a != b}
+    # filled one arc at a time in arcs' order: set(arcs) would copy a set's
+    # table, and kept's order decides which cycle is found, hence the draws
+    kept = {arc for arc in arcs}
     while True:
         cycle = _find_cycle(n_nodes, kept)
         if cycle is None:

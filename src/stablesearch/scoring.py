@@ -1,4 +1,4 @@
-"""Linear-Gaussian SEM scoring: ML fit of a DAG against a sample covariance.
+"""Linear-Gaussian SEM scoring: ML fit of DAGs against a sample covariance.
 
 Maximum likelihood for a linear-Gaussian DAG model decomposes per node into a
 least-squares regression of the node on its parents, solvable from covariance
@@ -7,6 +7,9 @@ j's weights) and residual variances psi, the implied covariance
 Sigma = (I-C)^-1 diag(psi) (I-C)^-T satisfies ln|Sigma| = sum_j ln psi_j and
 tr(S Sigma^-1) = p, so the deviance reduces to
 chi_square = (n-1) * (sum_j ln psi_j - ln|S|) with no matrix inversion.
+Scorer computes it for whole batches of adjacency matrices, as the search
+needs; fit_dag_ml is its call on one DAG.  BIC = chi_square + k ln n for a
+model of k arcs (FitResult.scored).
 """
 
 from __future__ import annotations
@@ -17,12 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateData, ShapeMismatch
-from .graphs import Dag
+from .graphs import Dag, arc_matrix
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
 
 MAX_CONDITION = 1e12
+
+INFEASIBLE = float("inf")  # the chi-square of a degenerate fit
 
 
 @dataclass(frozen=True)
@@ -168,6 +173,11 @@ class FitResult:
     complexity: int
     bic: float
 
+    @classmethod
+    def scored(cls, chi_square: float, complexity: int, n: int) -> "FitResult":
+        """The fit of a model with `complexity` arcs on n rows, with its BIC."""
+        return cls(chi_square, complexity, chi_square + complexity * float(np.log(n)))
+
 
 def node_regression(cov: np.ndarray, j: int, parents) -> float:
     """Residual variance of the least squares of node j on its parents.
@@ -188,17 +198,59 @@ def node_regression(cov: np.ndarray, j: int, parents) -> float:
     return resid
 
 
+class Scorer:
+    """Chi-square scoring of whole batches, one regression per (node, parents).
+
+    The chi-square decomposes over nodes, so each column of a batch is one
+    (node, parent set) fit.  Each node keeps a dict from the packed bits of
+    its parent column (_packed) to ln psi, +inf when the fit degenerates.
+    """
+
+    def __init__(self, cov: np.ndarray, n: int):
+        sign, logdet = np.linalg.slogdet(cov)
+        if sign <= 0:
+            raise DegenerateData("covariance is not positive definite")
+        self.cov = cov
+        self.n = n
+        self.logdet_s = logdet
+        # per node: packed parent column -> ln psi, +inf when the fit degenerates
+        self.log_psi: list[dict[bytes, float]] = [{} for _ in range(len(cov))]
+
+    def chi_squares(self, adjs: np.ndarray) -> np.ndarray:
+        """Chi-square per matrix of an (N, p, p) batch; +inf for degenerate fits."""
+        n_rows, p = adjs.shape[:2]
+        cols = adjs.transpose(0, 2, 1).reshape(-1, p)  # row c: parents of node c % p
+        logs = np.empty(len(cols))
+        for c, key in enumerate(_packed(cols)):
+            cache = self.log_psi[c % p]
+            val = cache.get(key)
+            if val is None:
+                try:
+                    val = np.log(node_regression(self.cov, c % p, np.flatnonzero(cols[c])))
+                except DegenerateData:
+                    val = INFEASIBLE
+                cache[key] = val
+            logs[c] = val
+        logs = logs.reshape(n_rows, p)
+        total = np.zeros(n_rows)
+        for j in range(p):  # node order, as a scalar running sum would add them
+            total += logs[:, j]
+        return np.maximum((self.n - 1) * (total - self.logdet_s), 0.0)
+
+
+def _packed(bits: np.ndarray) -> list[bytes]:
+    """One bytes per row of a 2-d boolean array: the row's packed bits."""
+    flat = np.ascontiguousarray(np.packbits(bits, axis=1))  # C order for the view
+    return flat.view(f"V{flat.shape[1]}").ravel().tolist()
+
+
 def fit_dag_ml(dag: Dag, cov: np.ndarray, n: int) -> FitResult:
-    """ML fit of the DAG against covariance `cov` computed from n rows."""
+    """ML fit of the DAG against covariance `cov` computed from n rows: the
+    scorer's chi-square of its one adjacency matrix."""
     p = cov.shape[0]
     if dag.n_nodes != p:
         raise ShapeMismatch(f"dag has {dag.n_nodes} nodes, covariance is {p}x{p}")
-    sign, logdet_s = np.linalg.slogdet(cov)
-    if sign <= 0:
-        raise DegenerateData("sample covariance is not positive definite")
-    total = 0.0
-    for j, pa in enumerate(dag.parent_lists()):  # node order, as the search's scorer adds
-        total += np.log(node_regression(cov, j, pa))
-    k = len(dag.arcs)
-    chi2 = float(max((n - 1) * (total - logdet_s), 0.0))
-    return FitResult(chi_square=chi2, complexity=k, bic=chi2 + k * float(np.log(n)))
+    chi = Scorer(cov, n).chi_squares(arc_matrix(p, dag.arcs)[None]).item()
+    if chi == INFEASIBLE:
+        raise DegenerateData("a node's regression on its parents is degenerate")
+    return FitResult.scored(chi, len(dag.arcs), n)

@@ -3,8 +3,10 @@
 Objectives are (chi_square, complexity), both minimized.  evolve() holds the
 population as one (N, p, p) boolean array of adjacency matrices; forbidden
 cells are never set.  Selection and variation are pure array functions fed
-with evolve()'s draws.  A per-search memo (a plain dict keyed, like the
-scorer's per-node caches, by packed bits: _packed) maps an individual to its
+with evolve()'s draws.  Chi-squares come from scoring.Scorer, the package's
+one chi-square (scoring.fit_dag_ml is its call on one DAG), and BICs from
+FitResult.scored.  A per-search memo (a plain dict keyed, like the scorer's
+per-node caches, by packed bits: scoring._packed) maps an individual to its
 chi-square, +inf for a degenerate fit; one seen before skips the cycle check,
 repair and scorer, and new ones are repaired in index order and scored in one
 batch.  Each generation ranks the union once and walks its fronts once
@@ -24,9 +26,7 @@ from .graphs import (
 )
 # fit_dag_ml is not called here: bench/tracer.py wraps
 # stablesearch.search.fit_dag_ml by name
-from .scoring import FitResult, fit_dag_ml, node_regression  # noqa: F401
-
-INFEASIBLE = float("inf")
+from .scoring import INFEASIBLE, FitResult, Scorer, _packed, fit_dag_ml  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -163,54 +163,6 @@ def _vary(pa, pb, apply_cx, mix, flip, allowed) -> np.ndarray:
     return out ^ (flip & allowed)
 
 
-def _packed(bits: np.ndarray) -> list[bytes]:
-    """One bytes per row of a 2-d boolean array: the row's packed bits."""
-    flat = np.ascontiguousarray(np.packbits(bits, axis=1))  # C order for the view
-    return flat.view(f"V{flat.shape[1]}").ravel().tolist()
-
-
-class _Scorer:
-    """Chi-square scoring of whole batches, one regression per (node, parents).
-
-    The chi-square decomposes over nodes (see scoring), so each column of a
-    batch is one (node, parent set) fit.  Each node keeps a dict from the
-    packed bits of its parent column (_packed) to ln psi, +inf when the fit
-    degenerates.  ln psi is summed in node order, as scoring.fit_dag_ml sums
-    it, so both give the same chi-square.
-    """
-
-    def __init__(self, cov: np.ndarray, n: int):
-        sign, logdet = np.linalg.slogdet(cov)
-        if sign <= 0:
-            raise DegenerateData("covariance is not positive definite")
-        self.cov = cov
-        self.n = n
-        self.logdet_s = logdet
-        # per node: packed parent column -> ln psi, +inf when the fit degenerates
-        self.log_psi: list[dict[bytes, float]] = [{} for _ in range(len(cov))]
-
-    def chi_squares(self, adjs: np.ndarray) -> np.ndarray:
-        """Chi-square per matrix of an (N, p, p) batch; +inf for degenerate fits."""
-        n_rows, p = adjs.shape[:2]
-        cols = adjs.transpose(0, 2, 1).reshape(-1, p)  # row c: parents of node c % p
-        logs = np.empty(len(cols))
-        for c, key in enumerate(_packed(cols)):
-            cache = self.log_psi[c % p]
-            val = cache.get(key)
-            if val is None:
-                try:
-                    val = np.log(node_regression(self.cov, c % p, np.flatnonzero(cols[c])))
-                except DegenerateData:
-                    val = INFEASIBLE
-                cache[key] = val
-            logs[c] = val
-        logs = logs.reshape(n_rows, p)
-        total = np.zeros(n_rows)
-        for j in range(p):  # node order, as a scalar running sum would add them
-            total += logs[:, j]
-        return np.maximum((self.n - 1) * (total - self.logdet_s), 0.0)
-
-
 def _arcs(adj: np.ndarray) -> list[tuple[int, int]]:
     """The set cells of an adjacency matrix as (tail, head) arcs, row-major."""
     return [(a, b) for a, b in np.argwhere(adj).tolist()]
@@ -234,8 +186,7 @@ def _pareto_postfilter(
     out: list[ParetoModel] = []
     for k, (chi, arcs) in sorted(best.items()):
         dag = Dag(mask.n_nodes, frozenset(arcs), labels)
-        fit = FitResult(chi, k, chi + k * float(np.log(n)))
-        out.append(ParetoModel(dag, fit, dag_to_cpdag(dag, mask)))
+        out.append(ParetoModel(dag, FitResult.scored(chi, k, n), dag_to_cpdag(dag, mask)))
     return out
 
 
@@ -255,7 +206,7 @@ def evolve(
     if mask.n_nodes != p or cov.shape != (p, p):
         raise DegenerateData("covariance, mask and p disagree on dimensions")
     rng = np.random.default_rng(params.seed)
-    scorer = _Scorer(cov, n)
+    scorer = Scorer(cov, n)
     pop_n = params.population_size
     half = pop_n // 2
     length = p * (p - 1)
@@ -265,7 +216,7 @@ def evolve(
 
     def repair(adjs: np.ndarray, rows) -> None:
         for i in rows:
-            adjs[i] = arc_matrix(p, repair_arcs(p, set(_arcs(adjs[i])), mask, rng))
+            adjs[i] = arc_matrix(p, repair_arcs(p, set(_arcs(adjs[i])), rng))
 
     def objectives(adjs: np.ndarray) -> np.ndarray:
         """(chi, k) per acyclic row; each individual new to the search is scored once."""

@@ -1,10 +1,11 @@
-"""The benchmark's trace mode wraps package attributes by name.
+"""The benchmark reaches into the package by name.
 
 ``bench/tracer.py`` replaces module attributes that the package looks up at
 call time and reads counters off the arguments of ``evolve`` and of the
-effects call sites.  A refactor under ``src/`` that renames or moves one of
-them breaks ``bench/run.py --trace 1`` without failing any package test;
-these tests catch that.
+effects call sites.  ``bench/workloads.py`` builds its inputs from package
+functions and types, called positionally.  A refactor under ``src/`` that
+renames, moves or reshapes one of them breaks ``bench/run.py`` without
+failing any package test; these tests catch that.
 """
 
 import importlib
@@ -21,15 +22,28 @@ from stablesearch.scoring import Dataset, FitResult
 from stablesearch.search import ParetoModel
 from stablesearch.stability import SubsetResult
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_bench("tracer")
+
+
+def test_effects_dense_workload_runs_and_checks(tmp_path):
+    # its set-up scores the Pareto sets with scoring.fit_dag_ml and builds
+    # SubsetResult, aggregate_effects' inputs and PipelineResult positionally
+    workload = load_bench("workloads").EffectsDense(1, tmp_path)
+    workload.setup()
+    workload.run(tmp_path / "out", 1, 0)
+    assert workload.check(tmp_path / "out", 0) == (1.0, 1.0)
 
 
 def test_every_call_site_resolves(tracer):

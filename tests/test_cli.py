@@ -421,6 +421,28 @@ def test_cli_import_leaves_scipy_out():
     assert done.stdout.strip() == "False"
 
 
+def test_artifacts_are_utf8_whatever_the_locale(tmp_path):
+    csv = write_chain_csv(tmp_path / "d.csv")
+    text = Path(csv).read_text(encoding="utf-8")
+    Path(csv).write_text(text.replace("A,", "Größe,", 1), encoding="utf-8")
+    runs = {}
+    for name, locale in (("ascii", {"LC_ALL": "C", "PYTHONUTF8": "0"}),
+                         ("utf8", {"LC_ALL": "C.UTF-8"})):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "PYTHONCOERCECLOCALE": "0", **locale}
+        (tmp_path / name).mkdir()
+        done = subprocess.run(
+            [sys.executable, "-m", "stablesearch.cli", "search", "--data", csv,
+             "--out", "run", *FAST],
+            cwd=tmp_path / name, env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        out = tmp_path / name / "run"
+        runs[name] = {str(f.relative_to(out)): f.read_bytes() for f in out.rglob("*")}
+    assert "Größe".encode() in runs["utf8"]["graph.dot"]
+    assert runs["ascii"] == runs["utf8"]
+
+
 def test_duplicate_column_names_exit_data(tmp_path, capsys):
     csv = tmp_path / "dup.csv"
     rows = np.random.default_rng(0).normal(size=(40, 4))

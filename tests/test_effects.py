@@ -6,12 +6,7 @@ import pytest
 
 from oracles import member_arcs, oracle_class_effects, sem_implied_covariance
 from stablesearch import effects
-from stablesearch.effects import (
-    EffectEstimate,
-    aggregate_effects,
-    causal_effect,
-    ida_multiset,
-)
+from stablesearch.effects import EffectEstimate, aggregate_effects, causal_effect
 from stablesearch.errors import (
     DegenerateData,
     EmptyMultiset,
@@ -102,34 +97,44 @@ def test_singular_regressors_raise():
         causal_effect(dag, cov, 0, 2)
 
 
+def class_effect(cpdag, cov, mask, x, y) -> EffectEstimate:
+    """The estimate of x -> y over one subset whose one model has pattern
+    cpdag: its median and n_values read the class's effect multiset.
+    aggregate_effects reads only a model's pattern and complexity."""
+    p, k = cpdag.n_nodes, len(cpdag.directed) + len(cpdag.undirected)
+    model = ParetoModel(Dag(p, frozenset()), FitResult(1.0, k, 1.0), cpdag)
+    data = Dataset(range(p), np.random.default_rng(0).standard_normal((20, p)))
+    return aggregate_effects([SubsetResult(0, [model])], [cov], k, [(x, y)], data, mask)[0]
+
+
 def test_ida_singleton_class_has_one_value():
     cov = sem_implied_covariance(3, {(0, 2): 1.0, (1, 2): 1.0}, [1.0] * 3)
     collider = Dag(3, frozenset({(0, 2), (1, 2)}))
     cpdag = dag_to_cpdag(collider)
     assert cpdag.undirected == frozenset()
-    values = ida_multiset(cpdag, cov, None, 0, 2)
-    assert len(values) == 1
-    assert values[0] == pytest.approx(causal_effect(collider, cov, 0, 2))
+    est = class_effect(cpdag, cov, None, 0, 2)
+    assert est.n_values == 1
+    assert est.median == pytest.approx(causal_effect(collider, cov, 0, 2))
 
 
 def test_ida_undirected_pair_yields_slope_and_zero():
     cov = sem_implied_covariance(2, {(0, 1): 0.7}, [1.0, 1.0])
     cpdag = Cpdag(2, frozenset(), frozenset({(0, 1)}))
-    values = ida_multiset(cpdag, cov, None, 0, 1)
+    est = class_effect(cpdag, cov, None, 0, 1)
     # one orientation regresses y on x, the other makes y a parent of x
-    assert sorted(values) == pytest.approx(sorted([cov[0, 1] / cov[0, 0], 0.0]))
+    assert est.n_values == 2
+    assert est.median == pytest.approx((cov[0, 1] / cov[0, 0] + 0.0) / 2)
 
 
 def test_ida_class_size_matches_member_count():
     chain = Dag(3, frozenset({(0, 1), (1, 2)}))
     cov = sem_implied_covariance(3, {(0, 1): 1.0, (1, 2): 1.0}, [1.0] * 3)
     cpdag = dag_to_cpdag(chain)
-    values = ida_multiset(cpdag, cov, None, 0, 2)
-    assert len(values) == 3  # chain class has three members
+    assert class_effect(cpdag, cov, None, 0, 2).n_values == 3  # three members
 
     mask = ConstraintMask.empty(3).with_forbidden([(1, 0)])
     constrained = dag_to_cpdag(chain, mask)
-    assert len(ida_multiset(constrained, cov, mask, 0, 2)) < 3
+    assert class_effect(constrained, cov, mask, 0, 2).n_values < 3
 
 
 def _result(index, models):
@@ -354,8 +359,9 @@ def grouped_by_parents(cpdag, mask, x, values):
 
 @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
 def test_class_values_match_the_per_member_loop_in_order(masked):
-    # the per-member values as multisets, and in ida_multiset's order: grouped
-    # by pa(x) in first-seen order, which a source's own component decides
+    # the per-member values as multisets, and in the order aggregate_effects
+    # pools them: grouped by pa(x) in first-seen order, which a source's own
+    # component decides
     rng = np.random.default_rng(53 if masked else 51)
     for _ in range(10):
         results, covs, _, paths, _, mask = random_effects_case(rng, masked)
@@ -370,7 +376,6 @@ def test_class_values_match_the_per_member_loop_in_order(masked):
                     got = [v for v, k in pairs for _ in range(k)]
                     assert Counter(got) == Counter(want)
                     assert got == grouped_by_parents(m.cpdag, mask, x, want)
-                    assert ida_multiset(m.cpdag, cov, mask, x, y) == got
 
 
 def test_subsets_sharing_a_pattern_enumerate_it_once(monkeypatch):
@@ -467,7 +472,7 @@ def test_a_non_chordal_component_away_from_the_source_has_no_extension():
     with pytest.raises(NoExtension):
         enumerate_extensions(cpdag)
     with pytest.raises(NoExtension):
-        ida_multiset(cpdag, np.eye(6), None, 0, 1)
+        class_effect(cpdag, np.eye(6), None, 0, 1)
 
 
 def test_seven_clique_away_from_every_source_yields_effects():

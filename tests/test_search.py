@@ -12,7 +12,7 @@ from oracles import (
     oracle_survivors,
     sem_implied_covariance,
 )
-from stablesearch import search
+from stablesearch import scoring, search
 from stablesearch.errors import DegenerateData
 from stablesearch.graphs import ConstraintMask, Dag, arc_matrix, reachability, repair_arcs
 from stablesearch.scoring import Dataset, sample_covariance
@@ -261,7 +261,7 @@ def test_batched_scorer_equals_per_row_loop(p, monkeypatch):
     # force one key of the first batch infeasible, the node's fit degenerating
     i, j = 1, p - 1
     bad = (j, tuple(np.flatnonzero(batches[0][i, :, j]).tolist()))
-    kernel = search.node_regression
+    kernel = scoring.node_regression
     solves = []
 
     def degenerate_once(cov_, node, parents):
@@ -270,8 +270,8 @@ def test_batched_scorer_equals_per_row_loop(p, monkeypatch):
             raise DegenerateData("forced")
         return kernel(cov_, node, parents)
 
-    monkeypatch.setattr(search, "node_regression", degenerate_once)
-    scorer = search._Scorer(cov, n)
+    monkeypatch.setattr(scoring, "node_regression", degenerate_once)
+    scorer = scoring.Scorer(cov, n)
     wants = [[scalar_chi_square(cov, n, adj, {bad}) for adj in adjs] for adjs in batches]
     for adjs, want in zip(batches, wants):
         assert scorer.chi_squares(adjs).tolist() == want
@@ -284,7 +284,7 @@ def test_batched_scorer_equals_per_row_loop(p, monkeypatch):
 
 def test_evolve_scores_each_distinct_individual_once(monkeypatch):
     scored, covs, varied, ranked = [], [], [], []
-    chi_squares, vary = search._Scorer.chi_squares, search._vary
+    chi_squares, vary = scoring.Scorer.chi_squares, search._vary
 
     def recorded(self, adjs):
         scored.extend(adj.tobytes() for adj in adjs)
@@ -294,15 +294,15 @@ def test_evolve_scores_each_distinct_individual_once(monkeypatch):
     # node 4 without parents degenerates: a common infeasible key, so
     # infeasible individuals are bred again
     bad = (4, ())
-    kernel = search.node_regression
+    kernel = scoring.node_regression
 
     def degenerate(cov_, node, parents):
         if (node, tuple(parents)) == bad:
             raise DegenerateData("forced")
         return kernel(cov_, node, parents)
 
-    monkeypatch.setattr(search._Scorer, "chi_squares", recorded)
-    monkeypatch.setattr(search, "node_regression", degenerate)
+    monkeypatch.setattr(scoring.Scorer, "chi_squares", recorded)
+    monkeypatch.setattr(scoring, "node_regression", degenerate)
     monkeypatch.setattr(search, "_vary", lambda *args: varied.append(vary(*args)) or varied[-1])
     monkeypatch.setattr(search, "_rank_array", lambda objs: ranked.append(objs) or _rank_array(objs))
     golden_run("cross")
@@ -441,7 +441,7 @@ def test_evolve_never_beats_the_exact_front(p, masked):
 
         chis = [m.fit.chi_square for m in front]
         assert chis == sorted(chis, reverse=True) and len(set(chis)) == len(chis)
-        scorer = search._Scorer(cov, n)
+        scorer = scoring.Scorer(cov, n)
         for m in front:
             assert all(mask.allows(a, b) for a, b in m.dag.arcs)
             adj = arc_matrix(p, m.dag.arcs)[None]
@@ -554,7 +554,7 @@ def test_evolve_drops_infeasible_front_rows(monkeypatch):
     # node 4 without parents degenerates, so the empty model is infeasible
     # and, with nothing of complexity 0 to dominate it, stays in front 0
     bad = (4, ())
-    kernel = search.node_regression
+    kernel = scoring.node_regression
 
     def degenerate(cov_, node, parents):
         if (node, tuple(parents)) == bad:
@@ -568,25 +568,11 @@ def test_evolve_drops_infeasible_front_rows(monkeypatch):
         fronts.append(front_objs)
         return postfilter(front_adj, front_objs, *args)
 
-    monkeypatch.setattr(search, "node_regression", degenerate)
+    monkeypatch.setattr(scoring, "node_regression", degenerate)
     monkeypatch.setattr(search, "_pareto_postfilter", recorded)
     models = golden_run("cross")
     assert search.INFEASIBLE in fronts[0][:, 0]
     assert models and all(np.isfinite(m.fit.chi_square) for m in models)
-
-
-@pytest.mark.parametrize("p", [3, 8, 12, 16])
-def test_fit_dag_ml_scores_exactly_as_the_search(p):
-    rng = np.random.default_rng(p)
-    n = 3 * p + 20
-    cov = sample_covariance(Dataset(range(p), rng.standard_normal((n, p))))
-    scorer = search._Scorer(cov, n)
-    for density in (2.0 / p, 0.3, 0.6):
-        for _ in range(30):
-            order = rng.permutation(p)
-            adj = np.triu(rng.random((p, p)) < density, 1)[order][:, order]
-            fit = search.fit_dag_ml(Dag(p, frozenset(_arcs(adj))), cov, n)
-            assert fit.chi_square == scorer.chi_squares(adj[None])[0]
 
 
 # repair_arcs calls of the golden runs: one per cyclic initial individual
@@ -598,10 +584,10 @@ GOLDEN_REPAIRS = {"cross": 18, "dense": 25, "masked": 2}
 def test_evolve_repairs_only_cyclic_offspring(kind, monkeypatch):
     calls = []
 
-    def counted(n_nodes, arcs, mask, rng):
+    def counted(n_nodes, arcs, rng):
         calls.append(sorted(arcs))
         assert not oracle_is_acyclic(n_nodes, arcs)
-        return repair_arcs(n_nodes, arcs, mask, rng)
+        return repair_arcs(n_nodes, arcs, rng)
 
     monkeypatch.setattr(search, "repair_arcs", counted)
     golden_run(kind)

@@ -26,9 +26,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "stablesearch"
 
-# public API with no caller inside the package
-PUBLIC_API = {"ida_multiset"}
-
 # imports their module never reads, each kept on purpose
 KEPT_IMPORTS = {
     # bench/tracer.py wraps stablesearch.longitudinal.sample_covariance by name
@@ -74,11 +71,7 @@ def test_every_top_level_name_has_a_caller_outside_tests():
     def has_caller(name):
         return any(name in names for owner, names in uses if owner != name)
 
-    unused = [
-        f"{module}:{name}"
-        for module, name in defined
-        if name not in PUBLIC_API and not has_caller(name)
-    ]
+    unused = [f"{module}:{name}" for module, name in defined if not has_caller(name)]
     assert unused == []
 
 
