@@ -240,10 +240,9 @@ def stability_svg(sg: StabilityGraph, pi_sel: float, pi_bic: int) -> str:
 
 
 def dataset_csv(names, values) -> str:
-    out = [_csv_line(names)]
-    for row in values:
-        out.append(_csv_line([repr(float(v)) for v in row]))
-    return "".join(out)
+    # a float's repr holds no comma, quote or newline, so no cell needs quoting
+    rows = np.asarray(values, dtype=float).tolist()
+    return _csv_line(names) + "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def write_json(path, obj) -> None:

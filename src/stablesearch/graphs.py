@@ -172,31 +172,27 @@ class Cpdag:
         return frozenset(skel)
 
 
-def repair_arcs(n_nodes: int, arcs, rng: np.random.Generator) -> frozenset[Arc]:
-    """Make an arc set acyclic by dropping arcs on cycles.
+def repair_arcs(adj: np.ndarray, rng: np.random.Generator) -> None:
+    """Make a boolean adjacency matrix acyclic in place by clearing arcs on cycles.
 
-    While a cycle remains, one arc on some cycle is removed, chosen uniformly
-    by the supplied generator, so repair is reproducible under a fixed seed.
-    The result is a subset of `arcs`, so it keeps to any mask they keep to.
+    While a cycle remains, one arc of the cycle _find_cycle returns is
+    cleared, chosen uniformly by the supplied generator, so the result
+    depends only on the matrix and the generator's state.  Only set cells
+    are cleared, so the matrix keeps to any mask it kept to.
     """
-    # filled one arc at a time in arcs' order: set(arcs) would copy a set's
-    # table, and kept's order decides which cycle is found, hence the draws
-    kept = {arc for arc in arcs}
-    while True:
-        cycle = _find_cycle(n_nodes, kept)
-        if cycle is None:
-            return frozenset(kept)
-        drop = cycle[int(rng.integers(len(cycle)))]
-        kept.discard(drop)
+    while (cycle := _find_cycle(adj)) is not None:
+        adj[cycle[int(rng.integers(len(cycle)))]] = False
 
 
-def _find_cycle(n_nodes: int, arcs) -> list[Arc] | None:
-    """Return the arcs of one directed cycle, or None if acyclic."""
+def _find_cycle(adj: np.ndarray) -> list[Arc] | None:
+    """Return the arcs of one directed cycle of a boolean adjacency matrix,
+    or None if it is acyclic: the first cycle a depth-first search from
+    node 0 meets, visiting each node's children in ascending order."""
+    n_nodes = len(adj)
     children: list[list[int]] = [[] for _ in range(n_nodes)]
-    for a, b in arcs:
+    for a, b in np.argwhere(adj).tolist():
         children[a].append(b)
     color = [0] * n_nodes  # 0 unvisited, 1 on stack, 2 done
-    parent_arc: dict[int, int] = {}
 
     for start in range(n_nodes):
         if color[start] != 0:

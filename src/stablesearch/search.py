@@ -21,9 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DegenerateData, require
-from .graphs import (
-    ConstraintMask, Cpdag, Dag, arc_matrix, cyclic_rows, dag_to_cpdag, repair_arcs,
-)
+from .graphs import ConstraintMask, Cpdag, Dag, cyclic_rows, dag_to_cpdag, repair_arcs
 # fit_dag_ml is not called here: bench/tracer.py wraps
 # stablesearch.search.fit_dag_ml by name
 from .scoring import INFEASIBLE, FitResult, Scorer, _packed, fit_dag_ml  # noqa: F401
@@ -214,10 +212,6 @@ def evolve(
     offdiag = ~np.eye(p, dtype=bool)
     seen: dict[bytes, float] = {}  # packed individual -> chi_square
 
-    def repair(adjs: np.ndarray, rows) -> None:
-        for i in rows:
-            adjs[i] = arc_matrix(p, repair_arcs(p, set(_arcs(adjs[i])), rng))
-
     def objectives(adjs: np.ndarray) -> np.ndarray:
         """(chi, k) per acyclic row; each individual new to the search is scored once."""
         keys = _packed(adjs.reshape(len(adjs), -1))
@@ -229,7 +223,8 @@ def evolve(
     population = np.zeros((pop_n, p, p), dtype=bool)
     population[:, offdiag] = rng.random((pop_n, length)) < 2.0 / length
     population &= allowed
-    repair(population, np.flatnonzero(cyclic_rows(population)))
+    for i in np.flatnonzero(cyclic_rows(population)):
+        repair_arcs(population[i], rng)
     objs = objectives(population)
     ranks = _rank_array(objs)
     crowding = _survivors(objs, ranks, pop_n)[1]
@@ -249,7 +244,8 @@ def evolve(
         # an individual seen before is acyclic and scored; the others are
         # checked, and the cyclic ones repaired in ascending index order
         new = np.flatnonzero([key not in seen for key in _packed(offspring.reshape(pop_n, -1))])
-        repair(offspring, new[cyclic_rows(offspring[new])])
+        for i in new[cyclic_rows(offspring[new])]:
+            repair_arcs(offspring[i], rng)
 
         # elitist (mu + lambda) environmental selection; a kept front keeps
         # all its dominators, so its ranks stand

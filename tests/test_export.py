@@ -9,6 +9,7 @@ import pytest
 from stablesearch.effects import EffectEstimate
 from stablesearch.errors import InvalidPrior
 from stablesearch.export import (
+    _csv_line,
     annotated_dot,
     dataset_csv,
     effects_csv,
@@ -283,6 +284,26 @@ def test_dataset_csv_roundtrip(tmp_path):
     assert data.names == ("A", "B", "C")
     # repr() floats survive the trip exactly
     assert np.array_equal(data.values, values)
+
+
+def per_field_dataset_csv(names, values):
+    """Reference writer: every cell through the quoting check."""
+    out = [_csv_line(names)]
+    for row in values:
+        out.append(_csv_line([repr(float(v)) for v in row]))
+    return "".join(out)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 5])
+def test_dataset_csv_matches_the_per_field_writer(rows):
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-7, 1e16, 1e20, -1e20, 0.1]
+    values = np.resize(np.array(special), (rows, len(special)))
+    if rows:
+        values[-1] = np.random.default_rng(rows).normal(size=len(special)) * 1e9
+    names = [f"c{j}" for j in range(len(special) - 1)] + ['odd, "name"']
+    text = dataset_csv(names, values)
+    assert text == per_field_dataset_csv(names, values)
+    assert text.count("\n") == rows + 1
 
 
 def test_json_helpers(tmp_path):

@@ -68,21 +68,46 @@ def test_mask_diagonal_and_immutability():
     assert mask.allows(0, 1)  # original untouched
 
 
+def arc_set(adj):
+    return frozenset(map(tuple, np.argwhere(adj).tolist()))
+
+
 def test_repair_two_cycle_reaches_both_outcomes():
     seen = set()
     for seed in range(40):
         rng = np.random.default_rng(seed)
-        arcs = repair_arcs(2, {(0, 1), (1, 0)}, rng)
+        adj = arc_matrix(2, {(0, 1), (1, 0)})
+        repair_arcs(adj, rng)
+        arcs = arc_set(adj)
         assert arcs in (frozenset({(0, 1)}), frozenset({(1, 0)}))
         seen.add(arcs)
     assert len(seen) == 2
+
+
+def test_repair_cuts_one_arc_of_each_disjoint_cycle():
+    seen = set()
+    for seed in range(40):
+        adj = arc_matrix(4, {(0, 1), (1, 0), (2, 3), (3, 2)})
+        fortran = np.asfortranarray(adj)
+        rng, rng_f = np.random.default_rng(seed), np.random.default_rng(seed)
+        repair_arcs(adj, rng)
+        repair_arcs(fortran, rng_f)
+        arcs = arc_set(adj)
+        assert len(arcs & {(0, 1), (1, 0)}) == 1 and len(arcs & {(2, 3), (3, 2)}) == 1
+        # the cut depends on the matrix's cells, not on its memory layout
+        assert np.array_equal(fortran, adj)
+        assert rng_f.bit_generator.state == rng.bit_generator.state
+        seen.add(arcs)
+    assert len(seen) == 4
 
 
 def test_repair_keeps_valid_dag_intact():
     rng = np.random.default_rng(7)
     universe = all_dag_arcsets(4)
     for arcs in universe[::17]:
-        assert repair_arcs(4, arcs, rng) == arcs
+        adj = arc_matrix(4, arcs)
+        repair_arcs(adj, rng)
+        assert arc_set(adj) == arcs
 
 
 def test_repair_always_returns_mask_respecting_dag():
@@ -98,7 +123,9 @@ def test_repair_always_returns_mask_respecting_dag():
         forbidden = rng.random((n, n)) < 0.2
         mask = ConstraintMask(n, forbidden)
         raw = {arc for arc in raw if mask.allows(*arc)}  # the search holds no other cells
-        arcs = repair_arcs(n, raw, rng)
+        adj = arc_matrix(n, raw)
+        repair_arcs(adj, rng)
+        arcs = arc_set(adj)
         assert is_acyclic(n, arcs)
         assert all(mask.allows(a, b) for a, b in arcs)
         assert arcs <= raw

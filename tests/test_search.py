@@ -584,10 +584,11 @@ GOLDEN_REPAIRS = {"cross": 18, "dense": 25, "masked": 2}
 def test_evolve_repairs_only_cyclic_offspring(kind, monkeypatch):
     calls = []
 
-    def counted(n_nodes, arcs, rng):
-        calls.append(sorted(arcs))
-        assert not oracle_is_acyclic(n_nodes, arcs)
-        return repair_arcs(n_nodes, arcs, rng)
+    def counted(adj, rng):
+        calls.append(_arcs(adj))
+        assert not oracle_is_acyclic(len(adj), calls[-1])
+        repair_arcs(adj, rng)
+        assert oracle_is_acyclic(len(adj), _arcs(adj))
 
     monkeypatch.setattr(search, "repair_arcs", counted)
     golden_run(kind)

@@ -14,6 +14,9 @@ package or in bench; a default that no call overrides is a constant.
 Every module-level import in the package and in the tests is read by its
 module, too, and the third-party modules the package imports are exactly
 the dependencies that pyproject.toml declares.
+
+Every local name a package function assigns is read by that function or a
+function nested in it; a name starting with ``_`` is exempt.
 """
 
 import ast
@@ -180,6 +183,33 @@ def test_every_module_level_import_is_read():
             if name not in read and f"{path.stem}.{name}" not in KEPT_IMPORTS
         ]
     assert len(paths) > 20  # the scan found the package and the tests
+    assert unread == []
+
+
+def outermost_functions(node: ast.AST):
+    """The functions and lambdas under node that no other function encloses."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+        else:
+            yield from outermost_functions(child)
+
+
+def test_every_assigned_local_is_read():
+    unread = []
+    functions = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in outermost_functions(ast.parse(path.read_text())):
+            functions += 1
+            # nested functions are walked with their encloser: a closure reads its names
+            names = [node for node in ast.walk(fn) if isinstance(node, ast.Name)]
+            read = {node.id for node in names if isinstance(node.ctx, ast.Load)}
+            unread += sorted({
+                f"{path.stem}.{getattr(fn, 'name', 'lambda')}:{node.id}" for node in names
+                if isinstance(node.ctx, ast.Store) and node.id not in read
+                and not node.id.startswith("_")
+            })
+    assert functions > 100  # the scan found the package's functions
     assert unread == []
 
 
