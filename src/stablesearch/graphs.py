@@ -121,14 +121,6 @@ class Dag:
     def parents(self, v: int) -> list[int]:
         return sorted(a for a, b in self.arcs if b == v)
 
-    def parent_lists(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for a, b in self.arcs:
-            out[b].append(a)
-        for lst in out:
-            lst.sort()
-        return out
-
 
 @dataclass(frozen=True)
 class Cpdag:
@@ -275,28 +267,24 @@ def cyclic_rows(adjs: np.ndarray) -> np.ndarray:
         indeg -= np.matmul(src[:, None, :].astype(np.int64), a)[:, 0, :]
 
 
-def _meek_closure(
-    n_nodes: int,
-    directed: set[Arc],
-    undirected: set[tuple[int, int]],
-    mask: ConstraintMask | None,
-    reference_arcs: frozenset[Arc],
-) -> None:
+def _bits(word: int):
+    """The node ids whose bits are set in word, lowest first."""
+    while word:
+        low = word & -word
+        yield low.bit_length() - 1
+        word ^= low
+
+
+def _meek_closure(und: list[int], par: list[int], ch: list[int]) -> None:
     """Orient undirected edges in place until Meek's rules reach a fixpoint.
 
-    Each pass tests every undirected edge, in sorted order and both ways,
-    against R1-R4; the rules are sound and reach the same maximal pattern in
-    any firing order, background knowledge included (Meek 1995).
-    reference_arcs is the DAG the pattern came from: a derived arc that
-    disagrees with it means the mask and the pattern are inconsistent.
+    und, par and ch hold per-node bitmasks of the undirected neighbours,
+    parents and children.  Each pass tests every undirected edge (a, b),
+    a < b, in ascending order and both ways, against R1-R4; the rules are
+    sound and reach the same maximal pattern in any firing order, background
+    knowledge included (Meek 1995).
     """
-    # per-node bitmasks: undirected neighbours, parents, children, adjacent nodes
-    nodes = range(n_nodes)
-    und = neighbours(n_nodes, undirected)
-    par, ch = [0] * n_nodes, [0] * n_nodes
-    for a, b in directed:
-        par[b] |= 1 << a
-        ch[a] |= 1 << b
+    nodes = range(len(und))
     adj = [und[v] | par[v] | ch[v] for v in nodes]  # orienting keeps adjacency
 
     def forced(u: int, v: int) -> bool:
@@ -318,26 +306,17 @@ def _meek_closure(
     changed = True
     while changed:
         changed = False
-        for a, b in sorted(undirected):
-            for u, v in ((a, b), (b, a)):
-                if not forced(u, v):
-                    continue
-                undirected.discard((a, b))
-                directed.add((u, v))
-                und[u] &= ~(1 << v)
-                und[v] &= ~(1 << u)
-                ch[u] |= 1 << v
-                par[v] |= 1 << u
-                if mask is not None and not mask.allows(u, v):
-                    raise ConstraintViolation(
-                        f"orientation {u} -> {v} forced by closure but forbidden by mask"
-                    )
-                if (u, v) not in reference_arcs:
-                    raise ConstraintViolation(
-                        f"closure derived {u} -> {v}, which contradicts the source graph"
-                    )
-                changed = True
-                break
+        for a in nodes:
+            for b in _bits(und[a] & -(2 << a)):  # the undirected neighbours above a
+                for u, v in ((a, b), (b, a)):
+                    if not forced(u, v):
+                        continue
+                    und[u] &= ~(1 << v)
+                    und[v] &= ~(1 << u)
+                    ch[u] |= 1 << v
+                    par[v] |= 1 << u
+                    changed = True
+                    break
 
 
 def dag_to_cpdag(dag: Dag, mask: ConstraintMask | None = None) -> Cpdag:
@@ -347,25 +326,36 @@ def dag_to_cpdag(dag: Dag, mask: ConstraintMask | None = None) -> Cpdag:
     directed, and so does every arc whose reversal the mask forbids; Meek's
     rules R1-R4 then orient the rest to the maximally oriented pattern.
     Without a mask this is the ordinary CPDAG.  Raises ConstraintViolation
-    when the DAG itself breaks the mask.
+    when the DAG itself breaks the mask, or when the pattern orients an arc
+    against the DAG.
     """
+    n = dag.n_nodes
     if mask is not None:
-        if mask.n_nodes != dag.n_nodes:
+        if mask.n_nodes != n:
             raise ConstraintViolation("mask size does not match graph")
         for a, b in dag.arcs:
             if not mask.allows(a, b):
                 raise ConstraintViolation(f"input arc {a} -> {b} is forbidden")
 
-    arcs = dag.arcs
-    parents = dag.parent_lists()
-    directed = {
-        (a, c) for a, c in arcs
-        if any(b != a and (a, b) not in arcs and (b, a) not in arcs for b in parents[c])
-        or (mask is not None and not mask.allows(c, a))
-    }
-    undirected = {(min(a, b), max(a, b)) for a, b in arcs - directed}
-    _meek_closure(dag.n_nodes, directed, undirected, mask, arcs)
-    return Cpdag(dag.n_nodes, frozenset(directed), frozenset(undirected), dag.labels)
+    adj, dag_par = neighbours(n, dag.arcs), [0] * n
+    for a, c in dag.arcs:
+        dag_par[c] |= 1 << a
+    und, par, ch = [0] * n, [0] * n, [0] * n
+    for a, c in dag.arcs:
+        # compelled: c has another parent not adjacent to a, or the mask forbids c -> a
+        if dag_par[c] & ~adj[a] & ~(1 << a) or mask is not None and not mask.allows(c, a):
+            par[c] |= 1 << a
+            ch[a] |= 1 << c
+        else:
+            und[a] |= 1 << c
+            und[c] |= 1 << a
+    _meek_closure(und, par, ch)
+    directed = frozenset((a, c) for c in range(n) for a in _bits(par[c]))
+    if not directed <= dag.arcs:
+        a, c = min(directed - dag.arcs)
+        raise ConstraintViolation(f"closure derived {a} -> {c}, against the source DAG")
+    undirected = frozenset((a, b) for a in range(n) for b in _bits(und[a] & -(2 << a)))
+    return Cpdag(n, directed, undirected, dag.labels)
 
 
 EXTENSION_CAP = 4096  # the most class members enumerate_extensions returns
@@ -403,9 +393,8 @@ def enumerate_extensions(
         parents[b] |= 1 << a
     ancestors = [0] * n
     for v in order:
-        for a in range(n):
-            if parents[v] >> a & 1:
-                ancestors[v] |= ancestors[a] | 1 << a
+        for a in _bits(parents[v]):
+            ancestors[v] |= ancestors[a] | 1 << a
 
     results: list[tuple[int, ...]] = []
 
@@ -445,7 +434,7 @@ def components(adj: list[int], nodes: int) -> list[int]:
         comp, grown = 0, nodes & -nodes
         while grown:
             comp |= grown
-            grown = nodes & ~comp & reduce(or_, (adj[v] for v in range(len(adj)) if comp >> v & 1))
+            grown = nodes & ~comp & reduce(or_, (adj[v] for v in _bits(grown)))
         out.append(comp)
         nodes &= ~comp
     return out
@@ -464,7 +453,6 @@ def count_orientations(adj: list[int], nodes: int) -> int:
     that is not chordal has no member and raises NoExtension.
     """
     n = len(adj)
-    both = frozenset((a, b) for a in range(n) for b in range(n) if adj[a] >> b & 1)
     memo: dict[int, int] = {}
 
     def count(nodes: int) -> int:
@@ -473,11 +461,10 @@ def count_orientations(adj: list[int], nodes: int) -> int:
         # maximum cardinality search: each node with its visited neighbours is a clique
         seen, cliques = 0, []
         for _ in range(nodes.bit_count()):
-            v = max((u for u in range(n) if (nodes & ~seen) >> u & 1),
-                    key=lambda u: (adj[u] & seen).bit_count())
+            v = max(_bits(nodes & ~seen), key=lambda u: (adj[u] & seen).bit_count())
             cliques.append(adj[v] & seen | 1 << v)
             seen |= 1 << v
-        if any(c & ~adj[u] & ~(1 << u) for c in cliques for u in range(n) if c >> u & 1):
+        if any(c & ~adj[u] & ~(1 << u) for c in cliques for u in _bits(c)):
             raise NoExtension("an undirected component is not chordal")
         cliques = [c for c in dict.fromkeys(cliques) if not any(c & d == c != d for d in cliques)]
         # Prim's maximum-weight spanning tree of the clique graph is a clique tree
@@ -498,13 +485,15 @@ def count_orientations(adj: list[int], nodes: int) -> int:
             starts: list[tuple[int, int]] = []
             for s in sorted(seps) + [clique.bit_count()]:
                 starts.append((s, factorial(s) - sum(factorial(s - r) * f for r, f in starts)))
+            # the clique first, in ascending order, over the component's own edges
             rest = nodes & ~clique
-            directed = {(a, b) for a, b in both
-                        if clique >> a & 1 and (rest >> b & 1 or clique >> b & 1 and a < b)}
-            undirected = {(a, b) for a, b in both if a < b and rest >> a & rest >> b & 1}
-            _meek_closure(n, directed, undirected, None, both)
-            left = components(neighbours(n, undirected), rest)
-            memo[nodes] += starts[-1][1] * prod(count(comp) for comp in left)
+            und, par, ch = [0] * n, [0] * n, [0] * n
+            for v in _bits(clique):
+                par[v], ch[v] = clique & ((1 << v) - 1), clique & -(2 << v) | adj[v] & rest
+            for v in _bits(rest):
+                und[v], par[v] = adj[v] & rest, adj[v] & clique
+            _meek_closure(und, par, ch)
+            memo[nodes] += starts[-1][1] * prod(count(comp) for comp in components(und, rest))
         return memo[nodes]
 
     return count(nodes)

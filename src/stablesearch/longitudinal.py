@@ -6,7 +6,7 @@ problems: a baseline model over the first slice, and a stationary transition
 model over 2p nodes [previous slice, current slice] fed with the reshaped
 matrix that stacks every consecutive slice pair of every subject.  The
 transition constraints are structural: nothing inside the previous slice,
-nothing backward in time.
+nothing backward in time; a node they leave no arc is left out.
 """
 
 from __future__ import annotations
@@ -308,10 +308,12 @@ def transition_problem(
     """Set up the transition model's search: (frame, mask, subsets).
 
     The mask adds the role rules that follow from the layout's presence to
-    ``prev_only`` and ``cur_only``.  The frame is the reshaped data.  With
-    ``subsample_unit`` "subject", the subsets are whole-subject draws of the
-    frame's rows seeded from ``params``; with "row", subsets is None and the
-    pipeline subsamples the frame's rows.
+    ``prev_only`` and ``cur_only``.  The frame is the reshaped data; it and
+    the mask leave out each node the mask allows no arc, such as the unused
+    side of a role-restricted variable.  With ``subsample_unit`` "subject",
+    the subsets are whole-subject draws of the frame's rows seeded from
+    ``params``; with "row", subsets is None and the pipeline subsamples the
+    frame's rows.
     """
     if subsample_unit not in ("subject", "row"):
         raise ValueError("subsample_unit must be 'subject' or 'row'")
@@ -320,6 +322,11 @@ def transition_problem(
     cur_only = tuple(dict.fromkeys((*auto_cur, *cur_only)))
     mask = transition_mask(data.layout.variables, prior, prev_only, cur_only)
     frame = reshape(data)
+    keep = ~(mask.forbidden.all(axis=0) & mask.forbidden.all(axis=1))
+    if not keep.all():
+        columns = [c for c, kept in zip(frame.columns, keep) if kept]
+        frame = Dataset(columns, np.ascontiguousarray(frame.values[:, keep]))
+        mask = ConstraintMask(len(columns), mask.forbidden[np.ix_(keep, keep)])
     if subsample_unit == "row":
         return frame, mask, None
     rng = derived_rng(params.seed, SUBSAMPLE_LANE, 0)

@@ -318,6 +318,8 @@ def evaluate_recovery(
         frame, tmask, subsets = transition_problem(
             ld, t_params, n_subsets, prior
         )
+        if frame.n_cols < 2 * model.p:
+            raise ShapeMismatch("presence leaves ground-truth nodes out of the transition model")
         _, edge_sg, path_sg, pi_bic = search_stability(
             frame, tmask, t_params, n_subsets, parallelism, subsets
         )

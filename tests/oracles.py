@@ -221,8 +221,8 @@ def oracle_dag_to_cpdag(dag, mask=None):
 
     arcs = dag.arcs
     directed = set()
-    for c, pa in enumerate(dag.parent_lists()):
-        for a, b in itertools.combinations(pa, 2):
+    for c in range(dag.n_nodes):
+        for a, b in itertools.combinations(dag.parents(c), 2):
             if (a, b) not in arcs and (b, a) not in arcs:
                 directed.update(((a, c), (b, c)))
     undirected = set()

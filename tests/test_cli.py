@@ -15,6 +15,7 @@ from stablesearch.cli import (
     COMMANDS,
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_SEARCH,
     ConfigError,
     RunConfig,
     build_config,
@@ -373,6 +374,46 @@ def test_single_variable_data_exits_data(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def assert_one_error_line(err, message):
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+
+
+def test_failed_subset_searches_exit_search(tmp_path, capsys):
+    # C is nonzero in one row only: every subset without that row has a
+    # constant column, and those searches fail
+    rows = np.random.default_rng(0).normal(size=(40, 3))
+    rows[:, 2] = 0.0
+    rows[7, 2] = 1.0
+    csv = tmp_path / "spike.csv"
+    csv.write_text("A,B,C\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+    rc = main(["search", "--data", str(csv), "--out", str(tmp_path / "o"), "--subsets", "10",
+               "--generations", "4", "--population", "12", "--seed", "3"])
+    assert rc == EXIT_SEARCH
+    assert_one_error_line(capsys.readouterr().err, "of 10 subset searches failed")
+
+
+def test_output_under_a_regular_file_exits_config(tmp_path, capsys):
+    csv = write_chain_csv(tmp_path / "d.csv")
+    (tmp_path / "file").write_text("x")
+    rc = main(["search", "--data", csv, "--out", str(tmp_path / "file" / "o"), *FAST])
+    assert rc == EXIT_CONFIG
+    assert_one_error_line(capsys.readouterr().err, "Not a directory")
+
+
+def test_search_without_data_exits_config(tmp_path, capsys):
+    rc = main(["search", "--out", str(tmp_path / "o"), *FAST])
+    assert rc == EXIT_CONFIG
+    assert_one_error_line(capsys.readouterr().err, "error: search needs --data")
+
+
+def test_discrete_unknown_column_exits_data(tmp_path, capsys):
+    csv = write_chain_csv(tmp_path / "d.csv")
+    rc = main(["search", "--data", csv, "--discrete", "Z", "--out", str(tmp_path / "o"), *FAST])
+    assert rc == EXIT_DATA
+    assert_one_error_line(capsys.readouterr().err, "kind declared for unknown columns ['Z']")
+
+
 def test_degenerate_data_exits_data(tmp_path, capsys):
     csv = write_chain_csv(tmp_path / "tiny.csv", n=4)
     rc = main(["search", "--data", csv, "--out", str(tmp_path / "o"), *FAST])
@@ -536,6 +577,28 @@ def test_search_longitudinal_end_to_end(sim_dir, tmp_path):
     assert "X1_prev" in trans_csv and "X1_cur" in trans_csv
 
 
+def test_variables_observed_at_one_slice_enter_on_their_one_side(tmp_path):
+    # B is observed only at slice 0 and C only at slice 2: B can only act as a
+    # cause in the previous slice, C only as an effect in the current one
+    rng = np.random.default_rng(6)
+    a = np.cumsum(rng.normal(size=(80, 3)), axis=1)
+    b = rng.normal(size=80)
+    c = 0.8 * a[:, 2] + rng.normal(size=80)
+    csv = tmp_path / "panel.csv"
+    rows = np.column_stack([a, b, c]).tolist()
+    csv.write_text("\n".join(["A_t0,A_t1,A_t2,B_t0,C_t2", *(",".join(map(repr, r)) for r in rows)]))
+    layout = tmp_path / "layout.json"
+    write_json(layout, {"variables": ["A", "B", "C"], "slices": 3,
+                        "presence": {"B": [0], "C": [2]}})
+    out = tmp_path / "o"
+    rc = main(["search-longitudinal", "--data", str(csv), "--layout", str(layout),
+               "--out", str(out), *FAST])
+    assert rc == 0
+    assert read_json(out / "baseline" / "graph.json")["labels"] == ["A", "B"]
+    labels = read_json(out / "transition" / "graph.json")["labels"]
+    assert labels == ["A_prev", "B_prev", "A_cur", "C_cur"]
+
+
 def test_evaluate_end_to_end(sim_dir, tmp_path):
     out = tmp_path / "eval"
     rc = main(
@@ -596,6 +659,21 @@ NESTED_JSON = {
     ),
     "truth bool noise": ("truth", {"baseline_noise": [True] * 4},
                          "baseline_noise[0] must be a number, not True"),
+    "truth baseline arc out of range": ("truth", {"baseline_arcs": [[1, 0], [9, 2]]},
+                                        "baseline arcs out of range"),
+    "truth transition arc into the previous slice": (
+        "truth", {"transition_arcs": [[4, 0]]},
+        "transition arcs may not point into the previous slice",
+    ),
+    "truth cyclic transition pair": ("truth", {"transition_arcs": [[4, 5], [5, 4]]},
+                                     "transition arcs contain a cycle"),
+    "truth baseline self-loop": ("truth", {"baseline_arcs": [[1, 1]]},
+                                 "baseline arcs contain a cycle"),
+    "truth too few noise scales": ("truth", {"baseline_noise": [1.0] * 3},
+                                   "need one noise scale per variable and part"),
+    "truth non-positive noise scale": ("truth", {"transition_noise": [1.0, 0.0, 1.0, 1.0]},
+                                       "noise scales must be positive"),
+    "truth slices 1": ("truth", {"slices": 1}, "a longitudinal model needs at least two slices"),
     "prior non-string entry": ("prior", {"forbidden": [["X1", 5]]},
                                "forbidden[0][1] must be a string, not 5"),
     "prior three names": ("prior", {"forbidden": [["X1", "X2", "X3"]]},
@@ -756,6 +834,34 @@ def test_evaluate_layout_mismatch_exits_data(sim_dir, tmp_path, capsys):
     rc = main(["evaluate", "--data", str(bad), "--out", str(tmp_path / "o")])
     assert rc == EXIT_DATA
     assert "does not match the ground truth" in capsys.readouterr().err
+
+
+def copy_sim_dir(sim_dir, dest, data=True):
+    """A copy of the simulate output's truth and layout, and its data files if asked."""
+    dest.mkdir()
+    for f in ["truth.json", "layout.json", *(f.name for f in sim_dir.glob("data_*.csv") if data)]:
+        (dest / f).write_bytes((sim_dir / f).read_bytes())
+    return dest
+
+
+def test_evaluate_layout_slices_mismatch_exits_data(sim_dir, tmp_path, capsys):
+    bad = copy_sim_dir(sim_dir, tmp_path / "bad")
+    layout = read_json(bad / "layout.json")
+    layout["slices"] = 4
+    write_json(bad / "layout.json", layout)
+    rc = main(["evaluate", "--data", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_DATA
+    assert_one_error_line(
+        capsys.readouterr().err,
+        "layout (4 variables, 4 slices) does not match the ground truth (4 variables, 3 slices)",
+    )
+
+
+def test_evaluate_without_data_files_exits_config(sim_dir, tmp_path, capsys):
+    empty = copy_sim_dir(sim_dir, tmp_path / "empty", data=False)
+    rc = main(["evaluate", "--data", str(empty), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert_one_error_line(capsys.readouterr().err, f"no data_*.csv files in {empty}")
 
 
 def test_effects_and_export_dot_print(tmp_path, capsys):

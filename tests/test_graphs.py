@@ -172,6 +172,30 @@ def test_conversion_rejects_forbidden_input_arc():
         dag_to_cpdag(Dag(2, frozenset({(0, 1)})), mask)
 
 
+def test_conversion_rejects_a_closure_that_contradicts_the_dag(monkeypatch):
+    def against(und, par, ch):
+        # orient the undirected edge 0 - 1 as 1 -> 0, against the DAG's 0 -> 1
+        und[0] &= ~0b10
+        und[1] &= ~0b01
+        ch[1] |= 0b01
+        par[0] |= 0b10
+
+    monkeypatch.setattr(graphs, "_meek_closure", against)
+    with pytest.raises(ConstraintViolation, match="derived 1 -> 0, against the source DAG"):
+        dag_to_cpdag(Dag(2, frozenset({(0, 1)})))
+
+
+def test_meek_closure_orients_a_bare_pattern():
+    # 0 -> 2 <- 1 with 2 - 3 and 3 - 4: R1 orients 2 -> 3, then 3 -> 4
+    und = [0, 0, 0b01000, 0b10100, 0b01000]
+    par = [0, 0, 0b00011, 0, 0]
+    ch = [0b00100, 0b00100, 0, 0, 0]
+    graphs._meek_closure(und, par, ch)
+    assert und == [0] * 5
+    assert par == [0, 0, 0b00011, 0b00100, 0b01000]
+    assert ch == [0b00100, 0b00100, 0b01000, 0b10000, 0]
+
+
 def test_equivalence_partition_matches_oracle_on_three_nodes():
     universe = all_dag_arcsets(3)
     assert len(universe) == 25

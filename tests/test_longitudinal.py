@@ -22,6 +22,7 @@ from stablesearch.longitudinal import (
 )
 from stablesearch.scoring import Column, Dataset, sample_covariance
 from stablesearch.search import SearchParams
+from stablesearch.seeding import SUBSAMPLE_LANE, derived_rng
 
 
 def make_long(s, p, T, rng=None, scramble=False):
@@ -230,6 +231,31 @@ def test_derive_role_rules_from_presence():
     assert prev_only == ("treat",)
     # cens is observed at prev positions 1 and 2, so nothing is automatic
     assert cur_only == ()
+    # observed at the last slice only, late can only act on the current side
+    assert derive_role_rules(Layout(("x", "late"), 3, presence={"late": [2]})) == ((), ("late",))
+
+
+def test_transition_problem_leaves_out_nodes_the_mask_isolates():
+    # B is observed only at slice 0 and C only at the last slice, so B_cur
+    # and C_prev would repeat B_prev and C_cur
+    layout = Layout(("A", "B", "C"), 3, presence={"B": [0], "C": [2]})
+    names = layout.column_names()
+    values = np.random.default_rng(5).standard_normal((12, len(names)))
+    ld = LongitudinalDataset(Dataset(names, values), layout)
+    full = reshape(ld)
+    frame, mask, subsets = transition_problem(ld, SearchParams(seed=1), 2, prior=[("C", "A")])
+    assert frame.names == ("A_prev", "B_prev", "A_cur", "C_cur")
+    assert frame.values.flags.c_contiguous
+    assert np.array_equal(frame.values, full.values[:, [0, 1, 3, 5]])
+    # the subject draws of the full frame, restricted to the kept columns
+    rng = derived_rng(1, SUBSAMPLE_LANE, 0)
+    for sub, ref in zip(subsets, subsample_subjects(full, 12, 2, rng), strict=True):
+        assert sub.columns == frame.columns
+        assert np.array_equal(sub.values, ref.values[:, [0, 1, 3, 5]])
+    # every kept node keeps its arcs: prev to cur, and cur to cur unless the prior forbids it
+    allowed = {(a, b) for a in range(4) for b in range(4) if mask.allows(a, b)}
+    assert allowed == {(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
+
 
 
 def test_subsample_subjects_draws_half():

@@ -10,13 +10,15 @@ from oracles import (
     stability_curve,
     union_orientation,
 )
+from stablesearch import simulate
 from stablesearch.errors import ShapeMismatch
 from stablesearch.graphs import Cpdag
 from stablesearch.export import read_json, write_json
 from stablesearch.longitudinal import (
-    LAYOUT_FILE, Layout, layout_from_dict, layout_to_dict, run_longitudinal, transition_mask,
+    LAYOUT_FILE, Layout, LongitudinalDataset, layout_from_dict, layout_to_dict, run_longitudinal,
+    transition_mask,
 )
-from stablesearch.scoring import sample_covariance
+from stablesearch.scoring import Dataset, sample_covariance
 from stablesearch.search import SearchParams
 from stablesearch.simulate import (
     EvaluationReport,
@@ -280,6 +282,18 @@ def test_evaluate_recovery_agrees_with_run_longitudinal():
     assert report.pi_bics[1] == pi_bic
     assert report.edge_aucs[1] == roc_and_auc(transition.edge_sg, truth, pi_bic, tmask).auc
     assert report.causal_aucs[1] == roc_and_auc(transition.path_sg, truth, pi_bic, tmask).auc
+
+
+def test_evaluate_recovery_rejects_a_layout_that_drops_transition_nodes(monkeypatch):
+    model = random_parameterization(default_structure(), np.random.default_rng(3))
+    [ld] = simulate_datasets(model, 1, 40, seed=5)
+    # X1 observed only at slice 0 leaves X1_cur out of the transition model
+    layout = Layout(model.variables, 3, presence={"X1": [0]})
+    keep = [ld.column(v, k) for v in layout.variables for k in layout.presence[v]]
+    data = Dataset([ld.data.columns[j] for j in keep], ld.data.values[:, keep])
+    monkeypatch.setattr(simulate, "search_stability", None)  # fails before any search
+    with pytest.raises(ShapeMismatch, match="presence leaves ground-truth nodes out"):
+        evaluate_recovery([LongitudinalDataset(data, layout)], model, SearchParams())
 
 
 def test_truth_dict_roundtrip():

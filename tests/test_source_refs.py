@@ -15,8 +15,9 @@ Every module-level import in the package and in the tests is read by its
 module, too, and the third-party modules the package imports are exactly
 the dependencies that pyproject.toml declares.
 
-Every local name a package function assigns is read by that function or a
-function nested in it; a name starting with ``_`` is exempt.
+Every local name a package function assigns, and every parameter it takes,
+is read by that function or a function nested in it; a name starting with
+``_`` is exempt.
 """
 
 import ast
@@ -208,6 +209,26 @@ def test_every_assigned_local_is_read():
                 f"{path.stem}.{getattr(fn, 'name', 'lambda')}:{node.id}" for node in names
                 if isinstance(node.ctx, ast.Store) and node.id not in read
                 and not node.id.startswith("_")
+            })
+    assert functions > 100  # the scan found the package's functions
+    assert unread == []
+
+
+def test_every_parameter_is_read():
+    unread = []
+    functions = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in outermost_functions(ast.parse(path.read_text())):
+            functions += 1
+            # nested functions and lambdas are walked with their encloser
+            read = {
+                node.id for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            params = [node.arg for node in ast.walk(fn) if isinstance(node, ast.arg)]
+            unread += sorted({
+                f"{path.stem}.{getattr(fn, 'name', 'lambda')}:{name}" for name in params
+                if name not in read and not name.startswith("_")
             })
     assert functions > 100  # the scan found the package's functions
     assert unread == []
