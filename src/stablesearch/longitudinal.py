@@ -189,27 +189,14 @@ def reshape(data: LongitudinalDataset) -> Dataset:
     Row r holds subject r // (T-1) at the slice pair t = r % (T-1).
 
     A variable unobserved at a needed slice is filled from its nearest
-    observed slice.  A forward fill gets a warning: it only makes sense for
-    variables the transition mask isolates on that side.
+    observed slice.
     """
     lay = data.layout
     s, p, T = data.n_subjects, data.p, lay.slices
     values = data.data.values
     out = np.empty((s * (T - 1), 2 * p))
-    warned = set()
     for t in range(T - 1):
-        idx = []
-        for side, k in ((PREV_SUFFIX, t), (CUR_SUFFIX, t + 1)):
-            for v in lay.variables:
-                j = lay.fill_slice(v, k)
-                if j > k and (v, side) not in warned:
-                    warned.add((v, side))
-                    log.warning(
-                        "variable %r is unobserved at slice %d; the %s side "
-                        "borrows slice %d",
-                        v, k, side.lstrip("_"), j,
-                    )
-                idx.append(data.column(v, j))
+        idx = [data.column(v, lay.fill_slice(v, k)) for k in (t, t + 1) for v in lay.variables]
         out[t :: T - 1] = values[:, idx]
     kinds = [data.kind_of(v) for v in lay.variables] * 2
     names = transition_labels(lay.variables)
@@ -310,10 +297,11 @@ def transition_problem(
     The mask adds the role rules that follow from the layout's presence to
     ``prev_only`` and ``cur_only``.  The frame is the reshaped data; it and
     the mask leave out each node the mask allows no arc, such as the unused
-    side of a role-restricted variable.  With ``subsample_unit`` "subject",
-    the subsets are whole-subject draws of the frame's rows seeded from
-    ``params``; with "row", subsets is None and the pipeline subsamples the
-    frame's rows.
+    side of a role-restricted variable.  Each kept node that is filled from a
+    later slice, at some slice its variable is unobserved, gets one warning.
+    With ``subsample_unit`` "subject", the subsets are whole-subject draws of
+    the frame's rows seeded from ``params``; with "row", subsets is None and
+    the pipeline subsamples the frame's rows.
     """
     if subsample_unit not in ("subject", "row"):
         raise ValueError("subsample_unit must be 'subject' or 'row'")
@@ -323,9 +311,19 @@ def transition_problem(
     mask = transition_mask(data.layout.variables, prior, prev_only, cur_only)
     frame = reshape(data)
     keep = ~(mask.forbidden.all(axis=0) & mask.forbidden.all(axis=1))
+    lay, p = data.layout, data.p
+    for i in np.flatnonzero(keep):
+        v, side = lay.variables[i % p], i // p  # prev reads slices 0..T-2, cur 1..T-1
+        needed = range(side, side + lay.slices - 1)
+        late = [(k, j) for k in needed if (j := lay.fill_slice(v, k)) > k]
+        if late:
+            log.warning(
+                "transition node %r reads a later slice: %r is unobserved at slice %d "
+                "and is filled from slice %d", frame.names[i], v, *late[0],
+            )
     if not keep.all():
         columns = [c for c, kept in zip(frame.columns, keep) if kept]
-        frame = Dataset(columns, np.ascontiguousarray(frame.values[:, keep]))
+        frame = Dataset(columns, frame.values[:, keep])
         mask = ConstraintMask(len(columns), mask.forbidden[np.ix_(keep, keep)])
     if subsample_unit == "row":
         return frame, mask, None

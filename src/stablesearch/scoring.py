@@ -46,7 +46,7 @@ class Dataset:
     __slots__ = ("columns", "values")
 
     def __init__(self, columns, values):
-        values = np.array(values, dtype=float)
+        values = np.array(values, dtype=float, order="C")
         if values.ndim != 2:
             raise ShapeMismatch("values must be a 2-d matrix")
         cols = tuple(c if isinstance(c, Column) else Column(str(c)) for c in columns)
@@ -185,14 +185,14 @@ def node_regression(cov: np.ndarray, j: int, parents) -> float:
     Raises DegenerateData when the parent block is singular or the residual
     variance is not positive.
     """
-    if len(parents) == 0:
-        return float(cov[j, j])
-    rhs = cov[parents, j]
-    try:
-        b = np.linalg.solve(cov[parents][:, parents], rhs)
-    except np.linalg.LinAlgError:
-        raise DegenerateData(f"singular parent block for node {j}") from None
-    resid = float(cov[j, j] - rhs @ b)
+    resid = float(cov[j, j])
+    if len(parents):
+        rhs = cov[parents, j]
+        try:
+            b = np.linalg.solve(cov[parents][:, parents], rhs)
+        except np.linalg.LinAlgError:
+            raise DegenerateData(f"singular parent block for node {j}") from None
+        resid = float(cov[j, j] - rhs @ b)
     if resid <= 0 or not np.isfinite(resid):
         raise DegenerateData(f"non-positive residual variance at node {j}")
     return resid

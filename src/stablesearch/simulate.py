@@ -51,30 +51,33 @@ class GroundTruthModel:
         p = self.p
         if self.n_slices < 2:
             raise ShapeMismatch("a longitudinal model needs at least two slices")
-        if any(not (0 <= a < p and 0 <= b < p) for a, b in self.baseline_arcs):
-            raise ShapeMismatch("baseline arcs out of range")
-        for a, b in self.transition_arcs:
-            if not (0 <= a < 2 * p and 0 <= b < 2 * p):
-                raise ShapeMismatch("transition arcs out of range")
-            if b < p:
-                raise ShapeMismatch(
-                    "transition arcs may not point into the previous slice"
-                )
-        if not is_acyclic(p, self.baseline_arcs):
-            raise ShapeMismatch("baseline arcs contain a cycle")
-        if not is_acyclic(2 * p, self.transition_arcs):
-            raise ShapeMismatch("transition arcs contain a cycle")
-        for part in ("baseline", "transition"):
-            arcs, keys = getattr(self, f"{part}_arcs"), set(getattr(self, f"{part}_weights"))
+        for part, n, arcs, weights, noise in self.parts():
+            if any(not (0 <= a < n and 0 <= b < n) for a, b in arcs):
+                raise ShapeMismatch(f"{part} arcs out of range")
+            if n > p and any(b < p for _, b in arcs):
+                raise ShapeMismatch("transition arcs may not point into the previous slice")
+            if not is_acyclic(n, arcs):
+                raise ShapeMismatch(f"{part} arcs contain a cycle")
+            keys = set(weights)
             if keys - arcs:
                 key = min(map(repr, keys - arcs))
                 raise ShapeMismatch(f"{part}_weights has key {key} that names no arc")
             if arcs - keys:
                 raise ShapeMismatch(f"{part}_weights has no weight for arc {min(arcs - keys)}")
-        if len(self.baseline_noise) != p or len(self.transition_noise) != p:
-            raise ShapeMismatch("need one noise scale per variable and part")
-        if min(self.baseline_noise + self.transition_noise, default=1.0) <= 0:
-            raise ShapeMismatch("noise scales must be positive")
+            if len(noise) != p:
+                raise ShapeMismatch("need one noise scale per variable and part")
+            if min(noise, default=1.0) <= 0:
+                raise ShapeMismatch("noise scales must be positive")
+
+    def parts(self):
+        """(name, node count, arcs, weights, noise) of the baseline, over p
+        nodes, and of the transition, over 2p nodes with the previous slice
+        first; the noise scales are those of the part's last p nodes."""
+        return (
+            ("baseline", self.p, self.baseline_arcs, self.baseline_weights, self.baseline_noise),
+            ("transition", 2 * self.p, self.transition_arcs, self.transition_weights,
+             self.transition_noise),
+        )
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -132,40 +135,38 @@ def random_parameterization(
     )
 
 
+def sample_sem(values: np.ndarray, first: int, weights: dict, noise, rng) -> None:
+    """Fill columns first.. of ``values`` in place from a linear-Gaussian SEM.
+
+    ``weights`` maps each arc (u, v) to its weight; no arc points below
+    ``first``.  Nodes are drawn in topological order, each as its noise scale
+    (``noise[v - first]``) times one standard normal draw plus its parents'
+    terms in sorted-arc order.
+    """
+    n_rows, n_nodes = values.shape
+    parents = {v: [] for v in range(n_nodes)}
+    for (u, v), w in sorted(weights.items()):
+        parents[v].append((u, w))
+    for v in topological_order(n_nodes, weights):
+        if v < first:
+            continue
+        total = noise[v - first] * rng.standard_normal(n_rows)
+        for u, w in parents[v]:
+            total = total + w * values[:, u]
+        values[:, v] = total
+
+
 def generate_data(
     model: GroundTruthModel, s: int, rng: np.random.Generator
 ) -> LongitudinalDataset:
     """Sample s subjects slice-recursively from the generating SEM."""
     p, T = model.p, model.n_slices
-    base_parents = {v: [] for v in range(p)}
-    for (u, v), w in sorted(model.baseline_weights.items()):
-        base_parents[v].append((u, w))
-    cur_parents = {v: [] for v in range(p)}
-    intra = set()
-    for (u, c), w in sorted(model.transition_weights.items()):
-        cur_parents[c - p].append((u, w))
-        if u >= p:
-            intra.add((u - p, c - p))
-
-    base_order = topological_order(p, model.baseline_arcs)
-    cur_order = topological_order(p, intra)
-
     slices = np.empty((T, s, p))
-    x0 = np.zeros((s, p))
-    for v in base_order:
-        total = model.baseline_noise[v] * rng.standard_normal(s)
-        for u, w in base_parents[v]:
-            total = total + w * x0[:, u]
-        x0[:, v] = total
-    slices[0] = x0
+    sample_sem(slices[0], 0, model.baseline_weights, model.baseline_noise, rng)
     for t in range(1, T):
-        prev, cur = slices[t - 1], np.zeros((s, p))
-        for v in cur_order:
-            total = model.transition_noise[v] * rng.standard_normal(s)
-            for u, w in cur_parents[v]:
-                total = total + w * (prev[:, u] if u < p else cur[:, u - p])
-            cur[:, v] = total
-        slices[t] = cur
+        pair = np.hstack([slices[t - 1], np.zeros((s, p))])
+        sample_sem(pair, p, model.transition_weights, model.transition_noise, rng)
+        slices[t] = pair[:, p:]
 
     layout = model.layout()
     # column_names() lists every slice of one variable before the next variable
@@ -343,21 +344,12 @@ def evaluate_recovery(
 
 
 def truth_to_dict(model: GroundTruthModel) -> dict:
-    return {
-        "p": model.p,
-        "slices": model.n_slices,
-        "baseline_arcs": sorted(map(list, model.baseline_arcs)),
-        "transition_arcs": sorted(map(list, model.transition_arcs)),
-        "baseline_weights": {
-            f"{a},{b}": w for (a, b), w in sorted(model.baseline_weights.items())
-        },
-        "transition_weights": {
-            f"{a},{b}": w
-            for (a, b), w in sorted(model.transition_weights.items())
-        },
-        "baseline_noise": list(model.baseline_noise),
-        "transition_noise": list(model.transition_noise),
-    }
+    out = {"p": model.p, "slices": model.n_slices}
+    for part, _, arcs, weights, noise in model.parts():
+        out[f"{part}_arcs"] = sorted(map(list, arcs))
+        out[f"{part}_weights"] = {f"{a},{b}": w for (a, b), w in sorted(weights.items())}
+        out[f"{part}_noise"] = list(noise)
+    return out
 
 
 # the ground-truth file that truth_to_dict writes; weights are keyed "a,b"

@@ -5,7 +5,8 @@ enumeration by trying all orientations, equivalence classes keyed on
 (skeleton, v-structures), reachability by boolean matrix powers, Pareto
 fronts by pairwise comparison, covariance matrices implied by small
 hand-solved models, midranks by averaging tied positions, the inverse of
-the longitudinal reshape, class enumeration with a Dag per member and a
+the longitudinal reshape, a ground-truth sampler written out once per
+model part, class enumeration with a Dag per member and a
 walk up the parent sets for each cycle test, DAG-to-pattern conversion
 with one pass over the edges per Meek rule, and stability curves
 tabulated one structure at a time, NSGA-II truncation by pairwise
@@ -641,3 +642,50 @@ def unreshape(frame, layout):
             cols.append(Column(layout.column_name(v, k), kind))
             stacked.append(col)
     return LongitudinalDataset(Dataset(cols, np.column_stack(stacked)), layout)
+
+
+def oracle_generate_data(model, s, rng):
+    """Wide data matrix of the ground-truth SEM, sampled with one hand-written
+    loop for the baseline and one for each later slice.
+
+    Nodes are drawn in the order of ``graphs.topological_order``'s rule (the
+    smallest ready node first), each as its noise scale times one standard
+    normal draw plus its parents' terms in sorted-arc order.
+    """
+    p, T = model.p, model.n_slices
+
+    def smallest_first(arcs):
+        order, left = [], set(range(p))
+        while left:
+            v = min(u for u in left if not any(b == u and a in left for a, b in arcs))
+            order.append(v)
+            left.remove(v)
+        return order
+
+    base_parents = {v: [] for v in range(p)}
+    for (u, v), w in sorted(model.baseline_weights.items()):
+        base_parents[v].append((u, w))
+    cur_parents = {v: [] for v in range(p)}
+    intra = set()
+    for (u, c), w in sorted(model.transition_weights.items()):
+        cur_parents[c - p].append((u, w))
+        if u >= p:
+            intra.add((u - p, c - p))
+    slices = np.empty((T, s, p))
+    x0 = np.zeros((s, p))
+    for v in smallest_first(model.baseline_arcs):
+        total = model.baseline_noise[v] * rng.standard_normal(s)
+        for u, w in base_parents[v]:
+            total = total + w * x0[:, u]
+        x0[:, v] = total
+    slices[0] = x0
+    for t in range(1, T):
+        prev, cur = slices[t - 1], np.zeros((s, p))
+        for v in smallest_first(intra):
+            total = model.transition_noise[v] * rng.standard_normal(s)
+            for u, w in cur_parents[v]:
+                total = total + w * (prev[:, u] if u < p else cur[:, u - p])
+            cur[:, v] = total
+        slices[t] = cur
+    # variable-major columns, every slice of one variable before the next
+    return slices.transpose(1, 2, 0).reshape(s, p * T)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stablesearch import effects
+from stablesearch import effects, simulate
 from stablesearch.graphs import Dag, dag_to_cpdag
 from stablesearch.scoring import Dataset, FitResult
 from stablesearch.search import ParetoModel
@@ -44,6 +44,23 @@ def test_effects_dense_workload_runs_and_checks(tmp_path):
     workload.setup()
     workload.run(tmp_path / "out", 1, 0)
     assert workload.check(tmp_path / "out", 0) == (1.0, 1.0)
+
+
+def test_simulate_sampler_matches_the_bench_sampler():
+    # the bench's sample_sem draws nodes 0..p-1 in turn, each a unit-noise
+    # draw plus its parents' terms over arcs sorted upward
+    sample_sem = load_bench("workloads").sample_sem
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        p, n = int(rng.integers(1, 9)), int(rng.integers(1, 20))
+        arcs = sorted((a, b) for a in range(p) for b in range(a + 1, p) if rng.random() < 0.4)
+        weights = rng.uniform(-1.0, 1.0, size=len(arcs))
+        seed = int(rng.integers(1 << 30))
+        expected = sample_sem(arcs, weights, p, n, np.random.default_rng(seed))
+        values = np.zeros((n, p))
+        simulate.sample_sem(values, 0, dict(zip(arcs, weights)), (1.0,) * p,
+                            np.random.default_rng(seed))
+        assert values.tobytes() == expected.tobytes()
 
 
 def test_every_call_site_resolves(tracer):

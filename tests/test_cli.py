@@ -661,6 +661,8 @@ NESTED_JSON = {
                          "baseline_noise[0] must be a number, not True"),
     "truth baseline arc out of range": ("truth", {"baseline_arcs": [[1, 0], [9, 2]]},
                                         "baseline arcs out of range"),
+    "truth transition arc out of range": ("truth", {"transition_arcs": [[0, 4], [0, 8]]},
+                                          "transition arcs out of range"),
     "truth transition arc into the previous slice": (
         "truth", {"transition_arcs": [[4, 0]]},
         "transition arcs may not point into the previous slice",
@@ -680,6 +682,7 @@ NESTED_JSON = {
                           "forbidden[0] must be a pair"),
     "config flag that is no setting": ("config", {"log_level": "DEBUG"},
                                        "has unknown key 'log_level'"),
+    "layout slices 0": ("layout", {"slices": 0}, "layout needs at least one time slice"),
     "layout float slice": ("layout", {"presence": {"X1": [1.9]}},
                            "presence['X1'][0] must be an integer, not 1.9"),
     "layout misspelled presence": ("layout", {"presense": {"X1": [0]}},
@@ -862,6 +865,60 @@ def test_evaluate_without_data_files_exits_config(sim_dir, tmp_path, capsys):
     rc = main(["evaluate", "--data", str(empty), "--out", str(tmp_path / "o")])
     assert rc == EXIT_CONFIG
     assert_one_error_line(capsys.readouterr().err, f"no data_*.csv files in {empty}")
+
+
+def test_evaluate_without_a_simulate_directory_exits_config(sim_dir, tmp_path, capsys):
+    no_truth = copy_sim_dir(sim_dir, tmp_path / "no_truth")
+    (no_truth / "truth.json").unlink()
+    csv = sim_dir / "data_00.csv"
+    for data, message in [
+        ([], "evaluate needs --data (a simulate output directory)"),
+        (["--data", str(csv)], f"not a directory: {csv}"),
+        (["--data", str(no_truth)], f"missing ground truth: {no_truth / 'truth.json'}"),
+    ]:
+        rc = main(["evaluate", *data, "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert_one_error_line(capsys.readouterr().err, message)
+
+
+def test_missing_config_file_exits_config(tmp_path, capsys):
+    missing = tmp_path / "none.json"
+    rc = main(["search", "--config", str(missing), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert_one_error_line(capsys.readouterr().err, f"config file not found: {missing}")
+
+
+def test_header_only_csv_exits_data(tmp_path, capsys):
+    csv = tmp_path / "header.csv"
+    csv.write_text("A,B,C\n")
+    rc = main(["search", "--data", str(csv), "--out", str(tmp_path / "o"), *FAST])
+    assert rc == EXIT_DATA
+    assert_one_error_line(capsys.readouterr().err, f"{csv}: no data rows")
+
+
+def test_blank_csv_lines_are_skipped(tmp_path):
+    plain = write_chain_csv(tmp_path / "plain.csv")
+    lines = Path(plain).read_text().splitlines()
+    gappy = tmp_path / "gappy.csv"
+    gappy.write_text("\n".join([lines[0], "", *lines[1:50], "", "", *lines[50:], ""]) + "\n")
+    for csv in (plain, gappy):
+        assert main(["search", "--data", str(csv), "--out", str(tmp_path / Path(csv).stem),
+                     *FAST]) == 0
+    for name in ("edge_stability.csv", "graph.json"):
+        assert (tmp_path / "gappy" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+def test_layout_that_observes_nothing_at_slice_0_exits_data(tmp_path, capsys):
+    rows = np.random.default_rng(1).normal(size=(30, 4)).tolist()
+    csv = tmp_path / "late.csv"
+    csv.write_text("\n".join(["A_t1,A_t2,B_t1,B_t2", *(",".join(map(repr, r)) for r in rows)]))
+    layout = tmp_path / "layout.json"
+    write_json(layout, {"variables": ["A", "B"], "slices": 3,
+                        "presence": {"A": [1, 2], "B": [1, 2]}})
+    rc = main(["search-longitudinal", "--data", str(csv), "--layout", str(layout),
+               "--out", str(tmp_path / "o"), *FAST])
+    assert rc == EXIT_DATA
+    assert_one_error_line(capsys.readouterr().err, "no variable is observed at the first slice")
 
 
 def test_effects_and_export_dot_print(tmp_path, capsys):

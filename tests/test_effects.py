@@ -517,3 +517,9 @@ def test_pair_median_is_np_median_of_the_expanded_list(total):
         assert repr(median) == repr(want)
     # counts are Python ints: a 20-clique's class is never expanded
     assert effects._median([(1.0, math.factorial(20)), (2.0, 1)]) == (1.0, math.factorial(20) + 1)
+
+
+def test_causal_effect_rejects_a_source_that_is_its_target():
+    dag = Dag(2, frozenset({(0, 1)}))
+    with pytest.raises(ValueError, match="source and target must differ"):
+        causal_effect(dag, np.eye(2), 1, 1)

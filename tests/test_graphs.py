@@ -537,3 +537,20 @@ def test_count_orientations_counts_a_12_clique_in_one_step():
         best = min(best, time.perf_counter() - start)
     assert count == math.factorial(12)
     assert best < 0.01
+
+
+def test_graph_types_reject_bad_input():
+    with pytest.raises(ConstraintViolation, match=r"mask shape \(2, 2\) does not match n_nodes=3"):
+        ConstraintMask(3, np.zeros((2, 2), dtype=bool))
+    with pytest.raises(ValueError, match="label count does not match n_nodes"):
+        Dag(2, frozenset(), ("a",))
+    with pytest.raises(ValueError, match="label count does not match n_nodes"):
+        Cpdag(2, frozenset(), frozenset(), ("a", "b", "c"))
+    with pytest.raises(ValueError, match=r"bad arc \(0, 3\)"):
+        Cpdag(3, frozenset({(0, 3)}), frozenset())
+    with pytest.raises(ValueError, match=r"bad undirected edge \(1, 1\)"):
+        Cpdag(3, frozenset(), frozenset({(1, 1)}))
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) is both directed and undirected"):
+        Cpdag(3, frozenset({(1, 0)}), frozenset({(0, 1)}))
+    with pytest.raises(ConstraintViolation, match="mask size does not match graph"):
+        dag_to_cpdag(Dag(3, frozenset({(0, 1)})), ConstraintMask.empty(4))

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,28 @@ def test_transition_problem_leaves_out_nodes_the_mask_isolates():
     allowed = {(a, b) for a in range(4) for b in range(4) if mask.allows(a, b)}
     assert allowed == {(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
 
+
+
+def test_transition_problem_warns_once_per_kept_node_read_from_a_later_slice(caplog):
+    # C_prev would borrow slice 2 too, but the mask isolates it and it is left out
+    layout = Layout(("A", "B", "C"), 3, presence={"B": [0], "C": [2]})
+    names = layout.column_names()
+    values = np.random.default_rng(5).standard_normal((12, len(names)))
+    ld = LongitudinalDataset(Dataset(names, values), layout)
+    with caplog.at_level(logging.WARNING, logger="stablesearch.longitudinal"):
+        transition_problem(ld, SearchParams(seed=1), 2)
+    assert [r.getMessage() for r in caplog.records] == [
+        "transition node 'C_cur' reads a later slice: 'C' is unobserved at slice 1 "
+        "and is filled from slice 2"
+    ]
+
+
+def test_datasets_hold_their_values_in_c_order():
+    layout = Layout(("A", "B"), 2)
+    values = np.asfortranarray(np.random.default_rng(2).standard_normal((10, 4)))
+    ld = LongitudinalDataset(Dataset(layout.column_names(), values), layout)
+    assert ld.data.values.flags.c_contiguous
+    assert baseline_slice(ld).values.flags.c_contiguous
 
 
 def test_subsample_subjects_draws_half():

@@ -10,7 +10,8 @@ from oracles import (
     sem_implied_covariance,
 )
 from stablesearch.errors import DegenerateData, ShapeMismatch
-from stablesearch.graphs import Dag, is_acyclic
+from stablesearch.search import SearchParams, evolve
+from stablesearch.graphs import ConstraintMask, Dag, is_acyclic
 from stablesearch.scoring import (
     CONTINUOUS,
     DISCRETE,
@@ -18,6 +19,7 @@ from stablesearch.scoring import (
     Dataset,
     fit_dag_ml,
     load_dataset,
+    node_regression,
     rank_normalize,
     sample_covariance,
 )
@@ -204,6 +206,43 @@ def test_degenerate_parent_block_raises():
     cov = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(DegenerateData):
         fit_dag_ml(Dag(2, frozenset({(0, 1)})), cov, 50)
+
+
+def test_node_regression_rejects_a_singular_parent_block():
+    cov = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(DegenerateData, match="singular parent block for node 2"):
+        node_regression(cov, 2, [0, 1])
+
+
+def test_node_regression_rejects_a_negative_residual():
+    # positive determinant (5), yet node 1 on parent 0 leaves 1 - 2 * 2 = -3
+    cov = np.array([[1.0, 2.0, 2.0], [2.0, 1.0, 2.0], [2.0, 2.0, 1.0]])
+    assert np.linalg.det(cov) > 0
+    with pytest.raises(DegenerateData, match="non-positive residual variance at node 1"):
+        node_regression(cov, 1, [0])
+
+
+def test_a_negative_variance_is_degenerate_without_parents():
+    # the determinant is positive, so only the node's own check can catch it
+    cov = np.diag([-1.0, -1.0, 1.0])
+    with pytest.raises(DegenerateData, match="non-positive residual variance at node 0"):
+        node_regression(cov, 0, [])
+    with pytest.raises(DegenerateData):
+        fit_dag_ml(Dag(3, frozenset()), cov, 10)
+    models = evolve(cov, 10, 3, ConstraintMask.empty(3), SearchParams(seed=1))
+    assert all(np.isfinite(m.fit.chi_square) for m in models)
+
+
+def test_fit_dag_ml_rejects_a_dag_of_another_size():
+    with pytest.raises(ShapeMismatch, match="dag has 2 nodes, covariance is 3x3"):
+        fit_dag_ml(Dag(2, frozenset()), np.eye(3), 10)
+
+
+def test_column_and_dataset_reject_bad_input():
+    with pytest.raises(ValueError, match="unknown column kind 'ordinal'"):
+        Column("a", "ordinal")
+    with pytest.raises(ShapeMismatch, match="values must be a 2-d matrix"):
+        Dataset(["a"], [1.0, 2.0, 3.0])
 
 
 def test_load_dataset_and_rank_normalize(tmp_path):

@@ -593,3 +593,11 @@ def test_evolve_repairs_only_cyclic_offspring(kind, monkeypatch):
     monkeypatch.setattr(search, "repair_arcs", counted)
     golden_run(kind)
     assert len(calls) == GOLDEN_REPAIRS[kind]
+
+
+def test_evolve_rejects_dimensions_that_disagree():
+    params = SearchParams(population_size=4, generations=1, seed=0)
+    with pytest.raises(DegenerateData, match="covariance, mask and p disagree on dimensions"):
+        evolve(np.eye(3), 50, 3, ConstraintMask.empty(4), params)
+    with pytest.raises(DegenerateData, match="covariance, mask and p disagree on dimensions"):
+        evolve(np.eye(4), 50, 3, ConstraintMask.empty(3), params)

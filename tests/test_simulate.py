@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     equivalence_class,
+    oracle_generate_data,
     oracle_is_acyclic,
     sem_implied_covariance,
     stability_curve,
@@ -102,6 +103,40 @@ def test_generate_data_shape_and_determinism():
     assert np.array_equal(
         sets[1].data.values, simulate_datasets(model, 3, 50, seed=9)[1].data.values
     )
+
+
+def random_truth(rng):
+    """A model over p = 2..6 variables with arcs in random causal orders,
+    intra-slice transition arcs included, built from shuffled arc lists, and
+    noise scales other than 1."""
+    p = int(rng.integers(2, 7))
+
+    def arcs_along(order, rate, shift=0):
+        pairs = [(order[i], order[j]) for i in range(p) for j in range(i + 1, p)]
+        return [(a + shift, b + shift) for a, b in pairs if rng.random() < rate]
+
+    baseline = arcs_along(rng.permutation(p), 0.5)
+    transition = [(a, p + b) for a in range(p) for b in range(p) if rng.random() < 0.4]
+    transition += arcs_along(rng.permutation(p), 0.5, shift=p)
+    parts = []
+    for arcs in (baseline, transition):
+        arcs = [arcs[i] for i in rng.permutation(len(arcs))]
+        weights = {a: float(rng.uniform(-1.0, 1.0)) for a in arcs}
+        parts.append((frozenset(arcs), weights, tuple(rng.uniform(0.3, 2.0, size=p))))
+    (b_arcs, b_w, b_noise), (t_arcs, t_w, t_noise) = parts
+    return GroundTruthModel(p, int(rng.integers(2, 5)), b_arcs, t_arcs, b_w, t_w, b_noise, t_noise)
+
+
+def test_generate_data_matches_the_two_loop_sampler():
+    rng = np.random.default_rng(30)
+    models = [random_parameterization(default_structure(T), np.random.default_rng(T))
+              for T in (2, 3, 5)]
+    models += [random_truth(rng) for _ in range(200)]
+    assert sum(any(a >= m.p for a, _ in m.transition_arcs) for m in models) > 150
+    for i, model in enumerate(models):
+        values = generate_data(model, 7, np.random.default_rng(i)).data.values
+        reference = oracle_generate_data(model, 7, np.random.default_rng(i))
+        assert values.tobytes() == reference.tobytes(), i
 
 
 def test_pure_noise_columns_are_independent():
@@ -315,3 +350,8 @@ def test_simulate_writers_write_exactly_what_their_readers_declare(tmp_path):
         assert set(written) == {key.rstrip("?") for key in shape}
         write_json(tmp_path / "input.json", written)
         assert reader(read_json(tmp_path / "input.json")) == value
+
+
+def test_evaluate_recovery_rejects_no_datasets():
+    with pytest.raises(ShapeMismatch, match="no datasets to evaluate"):
+        evaluate_recovery([], default_structure(), SearchParams(seed=0))

@@ -13,7 +13,8 @@ package or in bench; a default that no call overrides is a constant.
 
 Every module-level import in the package and in the tests is read by its
 module, too, and the third-party modules the package imports are exactly
-the dependencies that pyproject.toml declares.
+the dependencies that pyproject.toml declares.  An import kept unread on
+purpose must be a call site that bench/tracer.py patches.
 
 Every local name a package function assigns, and every parameter it takes,
 is read by that function or a function nested in it; a name starting with
@@ -185,6 +186,16 @@ def test_every_module_level_import_is_read():
         ]
     assert len(paths) > 20  # the scan found the package and the tests
     assert unread == []
+
+
+def test_kept_imports_are_tracer_call_sites():
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    sites = next(
+        ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["CALL_SITES"]
+    )
+    patched = {f"{module.removeprefix('stablesearch.')}.{attr}" for module, attr, _ in sites}
+    assert KEPT_IMPORTS <= patched
 
 
 def outermost_functions(node: ast.AST):

@@ -24,6 +24,7 @@ from stablesearch.stability import (
     run_searches,
     stability_graphs,
     subsample,
+    subsample_blocks,
 )
 
 
@@ -438,3 +439,18 @@ def test_end_to_end_stability_on_chain_data():
     got = relevant_structures(edge_sg, path_sg, Thresholds(0.6, pi_bic))
     edge_keys = {s.key for s in got if s.kind == EDGE}
     assert {(0, 1), (1, 2)} <= edge_keys
+
+
+def test_stability_stages_reject_empty_or_bad_input():
+    with pytest.raises(ValueError, match="pi_bic must be nonnegative"):
+        Thresholds(pi_bic=-1)
+    data = chain_dataset(np.random.default_rng(0), rows=40)
+    with pytest.raises(ValueError, match="n_subsets must be positive"):
+        subsample_blocks(data, 40, 0, np.random.default_rng(0))
+    params = SearchParams(population_size=4, generations=1, seed=0)
+    with pytest.raises(SearchFailed, match="no subsets to search"):
+        run_searches([], ConstraintMask.empty(3), params)
+    with pytest.raises(SearchFailed, match="no models to aggregate"):
+        stability_graphs([], ConstraintMask.empty(3))
+    with pytest.raises(SearchFailed, match="no models, pi_bic undefined"):
+        compute_pi_bic([])
