@@ -227,25 +227,18 @@ def intra_slice_mask(variables, prior=()) -> ConstraintMask:
     return ConstraintMask.empty(len(variables)).with_forbidden(pairs)
 
 
-def transition_mask(
-    variables, prior=(), prev_only=(), cur_only=()
-) -> ConstraintMask:
+def transition_mask(variables, prior=()) -> ConstraintMask:
     """Mask over the 2p transition nodes, prev block first.
 
-    Forbidden: every arc among prev nodes, every arc from a cur node back to
-    a prev node, the prior's intra-slice arcs among the cur nodes, and every
-    arc touching the unused side of a variable restricted to one role
-    (``prev_only`` / ``cur_only``).
+    Forbidden: every arc into a prev node (among prev nodes, or from a cur
+    node back in time), and among the cur nodes the prior's intra-slice arcs,
+    as ``intra_slice_mask`` forbids them.
     """
-    variables = tuple(variables)
-    p = len(variables)
+    cur = intra_slice_mask(variables, prior).forbidden
+    p = len(cur)
     forbidden = np.zeros((2 * p, 2 * p), dtype=bool)
     forbidden[:, :p] = True  # no arc into the prev slice
-    for a, b in prior:
-        forbidden[p + _variable_index(variables, a), p + _variable_index(variables, b)] = True
-    isolated = [p + _variable_index(variables, name, "prev_only") for name in prev_only]
-    isolated += [_variable_index(variables, name, "cur_only") for name in cur_only]
-    forbidden[isolated, :] = forbidden[:, isolated] = True
+    forbidden[p:, p:] = cur
     return ConstraintMask(2 * p, forbidden)
 
 
@@ -254,24 +247,6 @@ def transition_labels(variables) -> tuple[str, ...]:
     return tuple(v + PREV_SUFFIX for v in variables) + tuple(
         v + CUR_SUFFIX for v in variables
     )
-
-
-def derive_role_rules(layout: Layout) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Role restrictions that follow from presence alone.
-
-    A variable never observed at any current-slice position can only act on
-    the prev side, and vice versa.  Anything subtler stays the caller's
-    responsibility.
-    """
-    T = layout.slices
-    prev_only, cur_only = [], []
-    for v in layout.variables:
-        ks = set(layout.presence[v])
-        if not ks & set(range(1, T)):
-            prev_only.append(v)
-        if not ks & set(range(T - 1)):
-            cur_only.append(v)
-    return tuple(prev_only), tuple(cur_only)
 
 
 def subsample_subjects(
@@ -294,37 +269,39 @@ def transition_problem(
 ):
     """Set up the transition model's search: (frame, mask, subsets).
 
-    The mask adds the role rules that follow from the layout's presence to
-    ``prev_only`` and ``cur_only``.  The frame is the reshaped data; it and
-    the mask leave out each node the mask allows no arc, such as the unused
-    side of a role-restricted variable.  Each kept node that is filled from a
-    later slice, at some slice its variable is unobserved, gets one warning.
-    With ``subsample_unit`` "subject", the subsets are whole-subject draws of
-    the frame's rows seeded from ``params``; with "row", subsets is None and
-    the pipeline subsamples the frame's rows.
+    One pass over the 2p nodes decides which enter.  A node is left out when
+    its side reads no observed slice of its variable, when ``prev_only`` or
+    ``cur_only`` pins its variable to the other side, or when, after those,
+    ``transition_mask`` leaves it no arc.  The frame (the reshaped data) and
+    the mask are cut to the kept nodes once.  Each kept node that is filled
+    from a later slice, at some slice its variable is unobserved, gets one
+    warning.  With ``subsample_unit`` "subject", the subsets are
+    whole-subject draws of the frame's rows seeded from ``params``; with
+    "row", subsets is None and the pipeline subsamples the frame's rows.
     """
     if subsample_unit not in ("subject", "row"):
         raise ValueError("subsample_unit must be 'subject' or 'row'")
-    auto_prev, auto_cur = derive_role_rules(data.layout)
-    prev_only = tuple(dict.fromkeys((*auto_prev, *prev_only)))
-    cur_only = tuple(dict.fromkeys((*auto_cur, *cur_only)))
-    mask = transition_mask(data.layout.variables, prior, prev_only, cur_only)
-    frame = reshape(data)
-    keep = ~(mask.forbidden.all(axis=0) & mask.forbidden.all(axis=1))
     lay, p = data.layout, data.p
-    for i in np.flatnonzero(keep):
+    forbidden = np.array(transition_mask(lay.variables, prior).forbidden)
+    pinned = {p + _variable_index(lay.variables, v, "prev_only") for v in prev_only}
+    pinned |= {_variable_index(lay.variables, v, "cur_only") for v in cur_only}
+    fills = []  # per node, the (slice, slice read) pairs of its side
+    for i in range(2 * p):
         v, side = lay.variables[i % p], i // p  # prev reads slices 0..T-2, cur 1..T-1
-        needed = range(side, side + lay.slices - 1)
-        late = [(k, j) for k in needed if (j := lay.fill_slice(v, k)) > k]
+        fills.append([(k, lay.fill_slice(v, k)) for k in range(side, side + lay.slices - 1)])
+        if i in pinned or all(j != k for k, j in fills[i]):
+            forbidden[i, :] = forbidden[:, i] = True
+    keep = np.flatnonzero(~(forbidden.all(axis=0) & forbidden.all(axis=1)))
+    frame = reshape(data)
+    for i in keep:
+        late = [(k, j) for k, j in fills[i] if j > k]
         if late:
             log.warning(
                 "transition node %r reads a later slice: %r is unobserved at slice %d "
-                "and is filled from slice %d", frame.names[i], v, *late[0],
+                "and is filled from slice %d", frame.names[i], lay.variables[i % p], *late[0],
             )
-    if not keep.all():
-        columns = [c for c, kept in zip(frame.columns, keep) if kept]
-        frame = Dataset(columns, frame.values[:, keep])
-        mask = ConstraintMask(len(columns), mask.forbidden[np.ix_(keep, keep)])
+    frame = Dataset([frame.columns[i] for i in keep], frame.values[:, keep])
+    mask = ConstraintMask(len(keep), forbidden[np.ix_(keep, keep)])
     if subsample_unit == "row":
         return frame, mask, None
     rng = derived_rng(params.seed, SUBSAMPLE_LANE, 0)

@@ -141,14 +141,18 @@ def is_singular(block: np.ndarray) -> bool:
 def sample_covariance(data: Dataset) -> np.ndarray:
     """Unbiased (n-1 divisor) sample covariance of the dataset.
 
-    Fewer than p+2 rows, columns constant up to rounding and numerically
-    singular matrices raise DegenerateData; a singular one names its
-    collinear columns.
+    Fewer than p+2 rows, a column whose products overflow, columns constant
+    up to rounding and numerically singular matrices raise DegenerateData;
+    a singular one names its collinear columns.
     """
     n, p = data.values.shape
     if n < p + 2:
         raise DegenerateData(f"need at least p+2={p + 2} rows, got {n}")
-    cov = np.atleast_2d(np.cov(data.values, rowvar=False, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = np.atleast_2d(np.cov(data.values, rowvar=False, ddof=1))
+    if not np.isfinite(cov).all():
+        bad = data.columns[int(np.argmin(np.isfinite(cov).all(axis=0)))].name
+        raise DegenerateData(f"column {bad!r} overflows the sample covariance")
     cov = (cov + cov.T) / 2.0
     sd = np.sqrt(np.diag(cov))
     # a spread at rounding level of the column's magnitude is no variance

@@ -443,6 +443,22 @@ def test_degenerate_covariance_exits_data(tmp_path, capsys, case, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["search", "search-longitudinal"])
+def test_a_column_that_overflows_the_covariance_exits_data(command, tmp_path, capsys):
+    header = {"search": "A,B,C", "search-longitudinal": "A_t0,A_t1,B_t0,B_t1"}[command]
+    rows = np.random.default_rng(0).normal(size=(60, header.count(",") + 1))
+    rows[:, 0] *= 1e200
+    csv = tmp_path / "overflow.csv"
+    csv.write_text(header + "\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+    args = ["--data", str(csv)]
+    if command == "search-longitudinal":
+        write_json(tmp_path / "layout.json", {"variables": ["A", "B"], "slices": 2})
+        args += ["--layout", str(tmp_path / "layout.json")]
+    rc = main([command, *args, "--out", str(tmp_path / "o"), *FAST])
+    assert rc == EXIT_DATA
+    assert_one_error_line(capsys.readouterr().err, "column 'A' overflows the sample covariance")
+
+
 def test_columns_on_very_different_scales_are_not_singular(tmp_path, capsys):
     rows = np.random.default_rng(0).normal(size=(200, 3)) * [1e7, 1.0, 1.0]
     csv = tmp_path / "scaled.csv"

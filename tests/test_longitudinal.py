@@ -11,7 +11,6 @@ from stablesearch.longitudinal import (
     Layout,
     LongitudinalDataset,
     baseline_slice,
-    derive_role_rules,
     intra_slice_mask,
     layout_from_dict,
     layout_to_dict,
@@ -189,22 +188,36 @@ def test_transition_mask_allowed_pair_count():
     assert transition_labels(("A", "B")) == ("A_prev", "B_prev", "A_cur", "B_cur")
 
 
+def long_data(layout, rows=12, seed=5):
+    names = layout.column_names()
+    values = np.random.default_rng(seed).standard_normal((rows, len(names)))
+    return LongitudinalDataset(Dataset(names, values), layout)
+
+
+def kept_arcs(mask):
+    n = mask.n_nodes
+    return {(a, b) for a in range(n) for b in range(n) if mask.allows(a, b)}
+
+
 def test_transition_mask_prior_and_roles():
     mask = transition_mask(("A", "B", "C"), prior=[("A", "B"), ("A", "C")])
     p = 3
     assert not mask.allows(p + 0, p + 1)
     assert not mask.allows(p + 0, p + 2)
     assert mask.allows(p + 1, p + 0)
+    # the cur block is the intra-slice mask of the same prior
+    intra = intra_slice_mask(("A", "B", "C"), [("A", "B"), ("A", "C")])
+    assert np.array_equal(mask.forbidden[p:, p:], intra.forbidden)
 
-    mask = transition_mask(("A", "B"), prev_only=("A",), cur_only=("B",))
-    a_cur, b_prev = 2, 1
-    for other in range(4):
-        if other != a_cur:
-            assert not mask.allows(a_cur, other) and not mask.allows(other, a_cur)
-        if other != b_prev:
-            assert not mask.allows(b_prev, other) and not mask.allows(other, b_prev)
+    # prev_only A leaves A_cur out, cur_only B leaves B_prev out
+    ld = long_data(Layout(("A", "B"), 3))
+    frame, mask, _ = transition_problem(
+        ld, SearchParams(seed=1), 2, prev_only=("A",), cur_only=("B",)
+    )
+    assert frame.names == ("A_prev", "B_cur")
+    assert np.array_equal(frame.values, reshape(ld).values[:, [0, 3]])
     # the active sides still interact
-    assert mask.allows(0, 3)
+    assert kept_arcs(mask) == {(0, 1)}
 
 
 def test_prior_slice_rule():
@@ -223,27 +236,43 @@ def test_prior_slice_rule():
     assert forbidden == {(1, 2), (2, 0)}
 
 
-def test_derive_role_rules_from_presence():
+def test_transition_problem_leaves_out_sides_that_read_no_observed_slice():
     layout = Layout(
         ("treat", "x", "cens"),
         4,
         presence={"treat": [0], "cens": [1, 2, 3]},
     )
-    prev_only, cur_only = derive_role_rules(layout)
-    assert prev_only == ("treat",)
-    # cens is observed at prev positions 1 and 2, so nothing is automatic
-    assert cur_only == ()
-    # observed at the last slice only, late can only act on the current side
-    assert derive_role_rules(Layout(("x", "late"), 3, presence={"late": [2]})) == ((), ("late",))
+    frame, mask, _ = transition_problem(long_data(layout), SearchParams(seed=1), 2)
+    # treat is observed at no cur position; cens is observed at prev
+    # positions 1 and 2, so both of its sides enter
+    assert frame.names == ("treat_prev", "x_prev", "cens_prev", "x_cur", "cens_cur")
+    assert kept_arcs(mask) == {
+        (a, b) for a in range(3) for b in (3, 4)
+    } | {(3, 4), (4, 3)}
+    # observed at the last slice only, late enters on the current side only
+    layout = Layout(("x", "late"), 3, presence={"late": [2]})
+    frame, mask, _ = transition_problem(long_data(layout), SearchParams(seed=1), 2)
+    assert frame.names == ("x_prev", "x_cur", "late_cur")
+    assert kept_arcs(mask) == {(0, 1), (0, 2), (1, 2), (2, 1)}
+
+
+@pytest.mark.parametrize("prior, prev_only, cur_only, message", [
+    ([("A", "Z")], ("Z",), (), "prior references unknown variable 'Z'"),
+    ([("A_prev", "B")], (), (), "prior entry 'A_prev' refers to the previous slice"),
+    ((), ("Z",), ("Y",), "prev_only references unknown variable 'Z'"),
+    ((), ("A",), ("Y",), "cur_only references unknown variable 'Y'"),
+    ((), ("A_prev",), (), "prev_only entry 'A_prev' refers to the previous slice"),
+])
+def test_transition_problem_names_the_bad_setting(prior, prev_only, cur_only, message):
+    ld = long_data(Layout(("A", "B"), 3))
+    with pytest.raises(InvalidPrior, match=f"^{message}"):
+        transition_problem(ld, SearchParams(seed=1), 2, prior, "subject", prev_only, cur_only)
 
 
 def test_transition_problem_leaves_out_nodes_the_mask_isolates():
     # B is observed only at slice 0 and C only at the last slice, so B_cur
     # and C_prev would repeat B_prev and C_cur
-    layout = Layout(("A", "B", "C"), 3, presence={"B": [0], "C": [2]})
-    names = layout.column_names()
-    values = np.random.default_rng(5).standard_normal((12, len(names)))
-    ld = LongitudinalDataset(Dataset(names, values), layout)
+    ld = long_data(Layout(("A", "B", "C"), 3, presence={"B": [0], "C": [2]}))
     full = reshape(ld)
     frame, mask, subsets = transition_problem(ld, SearchParams(seed=1), 2, prior=[("C", "A")])
     assert frame.names == ("A_prev", "B_prev", "A_cur", "C_cur")
@@ -255,17 +284,13 @@ def test_transition_problem_leaves_out_nodes_the_mask_isolates():
         assert sub.columns == frame.columns
         assert np.array_equal(sub.values, ref.values[:, [0, 1, 3, 5]])
     # every kept node keeps its arcs: prev to cur, and cur to cur unless the prior forbids it
-    allowed = {(a, b) for a in range(4) for b in range(4) if mask.allows(a, b)}
-    assert allowed == {(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
+    assert kept_arcs(mask) == {(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
 
 
 
 def test_transition_problem_warns_once_per_kept_node_read_from_a_later_slice(caplog):
     # C_prev would borrow slice 2 too, but the mask isolates it and it is left out
-    layout = Layout(("A", "B", "C"), 3, presence={"B": [0], "C": [2]})
-    names = layout.column_names()
-    values = np.random.default_rng(5).standard_normal((12, len(names)))
-    ld = LongitudinalDataset(Dataset(names, values), layout)
+    ld = long_data(Layout(("A", "B", "C"), 3, presence={"B": [0], "C": [2]}))
     with caplog.at_level(logging.WARNING, logger="stablesearch.longitudinal"):
         transition_problem(ld, SearchParams(seed=1), 2)
     assert [r.getMessage() for r in caplog.records] == [

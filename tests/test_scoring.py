@@ -84,6 +84,15 @@ def test_sample_covariance_rejects_zero_variance():
         sample_covariance(Dataset(["a", "b"], vals))
 
 
+@pytest.mark.parametrize("scaled", [[0], [1], [1, 2]])
+def test_sample_covariance_names_a_column_that_overflows(scaled):
+    vals = np.random.default_rng(6).standard_normal((60, 3))
+    vals[:, scaled] *= 1e200  # finite values whose squares are not
+    first = "ABC"[scaled[0]]
+    with pytest.raises(DegenerateData, match=f"^column '{first}' overflows the sample covariance"):
+        sample_covariance(Dataset(["A", "B", "C"], vals))
+
+
 def test_sample_covariance_is_free_of_the_columns_units():
     rng = np.random.default_rng(4)
     vals = rng.standard_normal((200, 3))
@@ -203,9 +212,12 @@ def test_fit_matches_known_generating_model():
 
 
 def test_degenerate_parent_block_raises():
-    cov = np.array([[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(DegenerateData):
-        fit_dag_ml(Dag(2, frozenset({(0, 1)})), cov, 50)
+    # the permutation swapping nodes 0 <-> 2 and 1 <-> 3 has determinant +1,
+    # so the scorer accepts it, but node 2's parent block {0, 1} is zero
+    cov = np.eye(4)[[2, 3, 0, 1]]
+    assert np.linalg.slogdet(cov)[0] == 1
+    with pytest.raises(DegenerateData, match="a node's regression on its parents is degenerate"):
+        fit_dag_ml(Dag(4, frozenset({(0, 2), (1, 2)})), cov, 50)
 
 
 def test_node_regression_rejects_a_singular_parent_block():

@@ -19,9 +19,15 @@ purpose must be a call site that bench/tracer.py patches.
 Every local name a package function assigns, and every parameter it takes,
 is read by that function or a function nested in it; a name starting with
 ``_`` is exempt.
+
+Every signature that README.md quotes in backticks, such as
+``fit_dag_ml(dag, cov, n)``, lists the package function's parameters in
+order.
 """
 
 import ast
+import importlib
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -259,3 +265,29 @@ def test_third_party_imports_are_the_declared_dependencies():
                 imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - {"stablesearch"}
     assert third_party == names
+
+
+def package_objects(dotted: str) -> list:
+    """The package functions and classes ``dotted`` names, each defined in its module."""
+    parts = dotted.removeprefix("stablesearch.").split(".")
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"stablesearch.{path.stem}")
+        obj = module
+        for part in parts[1:] if parts[0] == path.stem else parts:
+            obj = getattr(obj, part, None)
+        if obj is not None and getattr(obj, "__module__", None) == module.__name__:
+            found.append(obj)
+    return found
+
+
+def test_readme_signatures_match_the_package():
+    readme = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    quoted = re.findall(r"`([\w.]+)\(([\w\s,]*)\)`", readme)
+    names = {dotted.rsplit(".", 1)[-1] for dotted, _ in quoted}
+    assert {"run_pipeline", "run_longitudinal", "sample_sem", "_meek_closure",
+            "fit_dag_ml", "require"} <= names
+    for dotted, params in quoted:
+        (obj,) = package_objects(dotted)
+        actual = [name for name in inspect.signature(obj).parameters if name != "self"]
+        assert re.findall(r"\w+", params) == actual, dotted
