@@ -7,9 +7,9 @@ j's weights) and residual variances psi, the implied covariance
 Sigma = (I-C)^-1 diag(psi) (I-C)^-T satisfies ln|Sigma| = sum_j ln psi_j and
 tr(S Sigma^-1) = p, so the deviance reduces to
 chi_square = (n-1) * (sum_j ln psi_j - ln|S|) with no matrix inversion.
-Scorer computes it for whole batches of adjacency matrices, as the search
-needs; fit_dag_ml is its call on one DAG.  BIC = chi_square + k ln n for a
-model of k arcs (FitResult.scored).
+Scorer computes it for whole batches of adjacency matrices, reading fits on at
+most one parent from a closed-form table (small_fits) and solving only the rest;
+fit_dag_ml is its call on one DAG.  FitResult.scored adds BIC's k ln n for k arcs.
 """
 
 from __future__ import annotations
@@ -202,12 +202,25 @@ def node_regression(cov: np.ndarray, j: int, parents) -> float:
     return resid
 
 
-class Scorer:
-    """Chi-square scoring of whole batches, one regression per (node, parents).
+def small_fits(cov: np.ndarray) -> np.ndarray:
+    """ln psi of node j on parent a at [a, j], on no parent at [p, j]; +inf on
+    the diagonal and where node_regression raises.  A 1x1 solve is one
+    division and a one-element dot one product: the same floats it gives."""
+    var = np.diag(cov)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        resid = np.vstack([var - cov * (cov / var[:, None]), var])
+        table = np.where((resid > 0) & np.isfinite(resid), np.log(resid), INFEASIBLE)
+    np.fill_diagonal(table, INFEASIBLE)
+    return table
 
-    The chi-square decomposes over nodes, so each column of a batch is one
-    (node, parent set) fit.  Each node keeps a dict from the packed bits of
-    its parent column (_packed) to ln psi, +inf when the fit degenerates.
+
+class Scorer:
+    """Chi-square scoring of whole batches, one ln psi per (node, parents).
+
+    The chi-square decomposes over nodes: a fit on at most one parent is read
+    from the small_fits table, others from a per-node dict keyed by the parent
+    column's packed bits (_packed), each missing key solved once (+inf if it
+    degenerates).  The positive-definiteness check reads only the determinant's sign.
     """
 
     def __init__(self, cov: np.ndarray, n: int):
@@ -217,25 +230,25 @@ class Scorer:
         self.cov = cov
         self.n = n
         self.logdet_s = logdet
-        # per node: packed parent column -> ln psi, +inf when the fit degenerates
+        self.small_fits = small_fits(cov)
+        # per node: packed column of 2+ parents -> ln psi, +inf when the fit degenerates
         self.log_psi: list[dict[bytes, float]] = [{} for _ in range(len(cov))]
 
     def chi_squares(self, adjs: np.ndarray) -> np.ndarray:
         """Chi-square per matrix of an (N, p, p) batch; +inf for degenerate fits."""
         n_rows, p = adjs.shape[:2]
-        cols = adjs.transpose(0, 2, 1).reshape(-1, p)  # row c: parents of node c % p
-        logs = np.empty(len(cols))
-        for c, key in enumerate(_packed(cols)):
-            cache = self.log_psi[c % p]
-            val = cache.get(key)
+        in_degree = adjs.sum(axis=1)  # [r, j]: parents of node j in matrix r
+        logs = self.small_fits[np.where(in_degree == 0, p, adjs.argmax(axis=1)), np.arange(p)]
+        rows, nodes = np.nonzero(in_degree >= 2)  # the fits the table cannot score
+        for r, j, key in zip(rows.tolist(), nodes.tolist(), _packed(adjs[rows, :, nodes])):
+            val = self.log_psi[j].get(key)
             if val is None:
                 try:
-                    val = np.log(node_regression(self.cov, c % p, np.flatnonzero(cols[c])))
+                    val = np.log(node_regression(self.cov, j, np.flatnonzero(adjs[r, :, j])))
                 except DegenerateData:
                     val = INFEASIBLE
-                cache[key] = val
-            logs[c] = val
-        logs = logs.reshape(n_rows, p)
+                self.log_psi[j][key] = val
+            logs[r, j] = val
         total = np.zeros(n_rows)
         for j in range(p):  # node order, as a scalar running sum would add them
             total += logs[:, j]

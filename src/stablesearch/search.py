@@ -7,10 +7,11 @@ with evolve()'s draws.  Chi-squares come from scoring.Scorer, the package's
 one chi-square (scoring.fit_dag_ml is its call on one DAG), and BICs from
 FitResult.scored.  A per-search memo (a plain dict keyed, like the scorer's
 per-node caches, by packed bits: scoring._packed) maps an individual to its
-chi-square, +inf for a degenerate fit; one seen before skips the cycle check,
-repair and scorer, and new ones are repaired in index order and scored in one
-batch.  Each generation ranks the union once and walks its fronts once
-(_survivors).  The returned Pareto set carries the memo's scores.
+chi-square, +inf for a degenerate fit.  Each offspring batch is packed once;
+a row seen before skips the cycle check, repair and scorer, a repaired row is
+repacked, and new ones go to the scorer in one batch, if there are any.
+Each generation ranks the union once and walks its fronts once (_survivors).
+The returned Pareto set carries the memo's scores.
 """
 
 from __future__ import annotations
@@ -212,11 +213,11 @@ def evolve(
     offdiag = ~np.eye(p, dtype=bool)
     seen: dict[bytes, float] = {}  # packed individual -> chi_square
 
-    def objectives(adjs: np.ndarray) -> np.ndarray:
-        """(chi, k) per acyclic row; each individual new to the search is scored once."""
-        keys = _packed(adjs.reshape(len(adjs), -1))
+    def objectives(adjs: np.ndarray, keys: list[bytes]) -> np.ndarray:
+        """(chi, k) per acyclic row, given their packed bits; new ones are scored once."""
         fresh = {key: i for i, key in enumerate(keys) if key not in seen}
-        seen.update(zip(fresh, scorer.chi_squares(adjs[list(fresh.values())]).tolist()))
+        if fresh:
+            seen.update(zip(fresh, scorer.chi_squares(adjs[list(fresh.values())]).tolist()))
         return np.column_stack(([seen[key] for key in keys], adjs.sum(axis=(1, 2))))
 
     # random sparse initialization; the cyclic rows are repaired in index order
@@ -225,7 +226,7 @@ def evolve(
     population &= allowed
     for i in np.flatnonzero(cyclic_rows(population)):
         repair_arcs(population[i], rng)
-    objs = objectives(population)
+    objs = objectives(population, _packed(population.reshape(pop_n, -1)))
     ranks = _rank_array(objs)
     crowding = _survivors(objs, ranks, pop_n)[1]
 
@@ -243,14 +244,16 @@ def evolve(
         )
         # an individual seen before is acyclic and scored; the others are
         # checked, and the cyclic ones repaired in ascending index order
-        new = np.flatnonzero([key not in seen for key in _packed(offspring.reshape(pop_n, -1))])
+        keys = _packed(offspring.reshape(pop_n, -1))
+        new = np.flatnonzero([key not in seen for key in keys])
         for i in new[cyclic_rows(offspring[new])]:
             repair_arcs(offspring[i], rng)
+            keys[i] = _packed(offspring[i].reshape(1, -1))[0]
 
         # elitist (mu + lambda) environmental selection; a kept front keeps
         # all its dominators, so its ranks stand
         union = np.concatenate([population, offspring])
-        objs = np.vstack([objs, objectives(offspring)])
+        objs = np.vstack([objs, objectives(offspring, keys)])
         ranks = _rank_array(objs)
         kept, crowding = _survivors(objs, ranks, pop_n)
         population, objs, ranks, crowding = union[kept], objs[kept], ranks[kept], crowding[kept]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from oracles import (
     oracle_sem_params,
     sem_implied_covariance,
 )
+from stablesearch import scoring
 from stablesearch.errors import DegenerateData, ShapeMismatch
 from stablesearch.search import SearchParams, evolve
 from stablesearch.graphs import ConstraintMask, Dag, is_acyclic
@@ -22,6 +25,7 @@ from stablesearch.scoring import (
     node_regression,
     rank_normalize,
     sample_covariance,
+    small_fits,
 )
 
 
@@ -232,6 +236,77 @@ def test_node_regression_rejects_a_negative_residual():
     assert np.linalg.det(cov) > 0
     with pytest.raises(DegenerateData, match="non-positive residual variance at node 1"):
         node_regression(cov, 1, [0])
+
+
+def small_fit_covariances():
+    """Random and near-collinear covariances for p = 2..18, and degenerate ones:
+    the zero-diagonal permutation, a negative residual, negative variances."""
+    rng = np.random.default_rng(32)
+    covs = []
+    for p in range(2, 19):
+        for collinear in (False, True):
+            x = rng.standard_normal((p + 12, p)) * rng.uniform(0.01, 100.0, p)
+            if collinear:
+                x[:, -1] = x[:, 0] * rng.uniform(-3, 3) + 1e-7 * rng.standard_normal(len(x))
+            covs.append(np.cov(x, rowvar=False))
+    covs.append(np.eye(4)[[2, 3, 0, 1]])
+    covs.append(np.array([[1.0, 2.0, 2.0], [2.0, 1.0, 2.0], [2.0, 2.0, 1.0]]))
+    covs.append(np.diag([-1.0, -1.0, 1.0]))
+    return covs
+
+
+def test_small_fits_equal_node_regression_bit_for_bit():
+    infeasible = 0
+    for cov in small_fit_covariances():
+        p = len(cov)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = small_fits(cov)
+        assert table.shape == (p + 1, p)
+        assert np.all(table[np.arange(p), np.arange(p)] == np.inf)
+        for j in range(p):
+            for row in [a for a in range(p) if a != j] + [p]:
+                try:
+                    want = np.log(node_regression(cov, j, [row] if row < p else []))
+                except DegenerateData:
+                    want = np.inf
+                    infeasible += 1
+                assert table[row, j].tobytes() == np.float64(want).tobytes(), (p, row, j)
+    assert infeasible > 0
+
+
+def test_scorer_solves_only_new_fits_on_two_or_more_parents(monkeypatch):
+    rng = np.random.default_rng(5)
+    p = 6
+    cov = sample_covariance(Dataset(range(p), rng.standard_normal((60, p))))
+    want = fit_dag_ml(Dag(p, frozenset({(0, 2), (1, 2)})), cov, 60).chi_square
+    solves = []
+    kernel = scoring.node_regression
+
+    def counted(cov, j, parents):
+        solves.append((j, tuple(parents)))
+        return kernel(cov, j, parents)
+
+    monkeypatch.setattr(scoring, "node_regression", counted)
+    scorer = scoring.Scorer(cov, 60)
+    small = np.zeros((3, p, p), dtype=bool)
+    small[0, [0, 1, 2], [1, 2, 3]] = True  # a path: one parent each
+    small[1, [5, 5, 5], [0, 1, 2]] = True  # a fan-out from node 5
+    assert np.isfinite(scorer.chi_squares(small)).all()
+    assert solves == []
+
+    collider = np.zeros((3, p, p), dtype=bool)
+    collider[:, [0, 1], 2] = True  # node 2 on parents {0, 1}, in every row
+    collider[1, 4, 3] = True
+    got = scorer.chi_squares(collider)
+    assert solves == [(2, (0, 1))]
+    assert got[0] == got[2] == want
+
+    empty = np.zeros((0, p, p), dtype=bool)
+    assert scorer.chi_squares(empty).shape == (0,)
+    for batch in (small, collider, empty):  # a second pass solves nothing
+        scorer.chi_squares(batch)
+    assert solves == [(2, (0, 1))]
 
 
 def test_a_negative_variance_is_degenerate_without_parents():

@@ -245,6 +245,30 @@ def scalar_chi_square(cov, n, adj, infeasible=frozenset()):
     return max((n - 1) * (total - logdet_s), 0.0)
 
 
+def force_degenerate(monkeypatch, bad, solves=None):
+    """Make the fit of key bad = (node, parents) degenerate on the path that
+    scores it: the small_fits table for at most one parent, node_regression
+    for more.  solves, if given, records the node of each solve."""
+    node, parents = bad
+    small_fits, kernel = scoring.small_fits, scoring.node_regression
+
+    def table(cov):
+        fits = small_fits(cov)
+        if len(parents) <= 1:
+            fits[parents[0] if parents else len(cov), node] = np.inf
+        return fits
+
+    def degenerate(cov, j, pa):
+        if solves is not None:
+            solves.append(j)
+        if (j, tuple(pa)) == bad:
+            raise DegenerateData("forced")
+        return kernel(cov, j, pa)
+
+    monkeypatch.setattr(scoring, "small_fits", table)
+    monkeypatch.setattr(scoring, "node_regression", degenerate)
+
+
 @pytest.mark.parametrize("p", [5, 8, 16, 70])
 def test_batched_scorer_equals_per_row_loop(p, monkeypatch):
     rng = np.random.default_rng(p)
@@ -261,16 +285,8 @@ def test_batched_scorer_equals_per_row_loop(p, monkeypatch):
     # force one key of the first batch infeasible, the node's fit degenerating
     i, j = 1, p - 1
     bad = (j, tuple(np.flatnonzero(batches[0][i, :, j]).tolist()))
-    kernel = scoring.node_regression
     solves = []
-
-    def degenerate_once(cov_, node, parents):
-        solves.append(node)
-        if (node, tuple(parents)) == bad:
-            raise DegenerateData("forced")
-        return kernel(cov_, node, parents)
-
-    monkeypatch.setattr(scoring, "node_regression", degenerate_once)
+    force_degenerate(monkeypatch, bad, solves)
     scorer = scoring.Scorer(cov, n)
     wants = [[scalar_chi_square(cov, n, adj, {bad}) for adj in adjs] for adjs in batches]
     for adjs, want in zip(batches, wants):
@@ -294,15 +310,8 @@ def test_evolve_scores_each_distinct_individual_once(monkeypatch):
     # node 4 without parents degenerates: a common infeasible key, so
     # infeasible individuals are bred again
     bad = (4, ())
-    kernel = scoring.node_regression
-
-    def degenerate(cov_, node, parents):
-        if (node, tuple(parents)) == bad:
-            raise DegenerateData("forced")
-        return kernel(cov_, node, parents)
-
+    force_degenerate(monkeypatch, bad)
     monkeypatch.setattr(scoring.Scorer, "chi_squares", recorded)
-    monkeypatch.setattr(scoring, "node_regression", degenerate)
     monkeypatch.setattr(search, "_vary", lambda *args: varied.append(vary(*args)) or varied[-1])
     monkeypatch.setattr(search, "_rank_array", lambda objs: ranked.append(objs) or _rank_array(objs))
     golden_run("cross")
@@ -553,14 +562,7 @@ def test_evolve_matches_recorded_runs(kind, monkeypatch):
 def test_evolve_drops_infeasible_front_rows(monkeypatch):
     # node 4 without parents degenerates, so the empty model is infeasible
     # and, with nothing of complexity 0 to dominate it, stays in front 0
-    bad = (4, ())
-    kernel = scoring.node_regression
-
-    def degenerate(cov_, node, parents):
-        if (node, tuple(parents)) == bad:
-            raise DegenerateData("forced")
-        return kernel(cov_, node, parents)
-
+    force_degenerate(monkeypatch, (4, ()))
     fronts = []
     postfilter = search._pareto_postfilter
 
@@ -568,7 +570,6 @@ def test_evolve_drops_infeasible_front_rows(monkeypatch):
         fronts.append(front_objs)
         return postfilter(front_adj, front_objs, *args)
 
-    monkeypatch.setattr(scoring, "node_regression", degenerate)
     monkeypatch.setattr(search, "_pareto_postfilter", recorded)
     models = golden_run("cross")
     assert search.INFEASIBLE in fronts[0][:, 0]
