@@ -271,20 +271,25 @@ def transition_problem(
 
     One pass over the 2p nodes decides which enter.  A node is left out when
     its side reads no observed slice of its variable, when ``prev_only`` or
-    ``cur_only`` pins its variable to the other side, or when, after those,
-    ``transition_mask`` leaves it no arc.  The frame (the reshaped data) and
-    the mask are cut to the kept nodes once.  Each kept node that is filled
-    from a later slice, at some slice its variable is unobserved, gets one
-    warning.  With ``subsample_unit`` "subject", the subsets are
-    whole-subject draws of the frame's rows seeded from ``params``; with
-    "row", subsets is None and the pipeline subsamples the frame's rows.
+    ``cur_only`` pins its variable to the other side (a variable in both is
+    an error), or when, after those, ``transition_mask`` leaves it no arc.
+    The frame (the reshaped data) and the mask are cut to the kept nodes
+    once.  Each kept node that is filled from a later slice, at some slice
+    its variable is unobserved, gets one warning.  With ``subsample_unit``
+    "subject", the subsets are whole-subject draws of the frame's rows
+    seeded from ``params``; with "row", subsets is None and the pipeline
+    subsamples the frame's rows.
     """
     if subsample_unit not in ("subject", "row"):
         raise ValueError("subsample_unit must be 'subject' or 'row'")
     lay, p = data.layout, data.p
     forbidden = np.array(transition_mask(lay.variables, prior).forbidden)
-    pinned = {p + _variable_index(lay.variables, v, "prev_only") for v in prev_only}
-    pinned |= {_variable_index(lay.variables, v, "cur_only") for v in cur_only}
+    prev = {_variable_index(lay.variables, v, "prev_only") for v in prev_only}
+    cur = {_variable_index(lay.variables, v, "cur_only") for v in cur_only}
+    if prev & cur:
+        v = lay.variables[min(prev & cur)]
+        raise InvalidPrior(f"variable {v!r} is in both prev_only and cur_only")
+    pinned = {p + i for i in prev} | cur
     fills = []  # per node, the (slice, slice read) pairs of its side
     for i in range(2 * p):
         v, side = lay.variables[i % p], i // p  # prev reads slices 0..T-2, cur 1..T-1

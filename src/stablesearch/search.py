@@ -7,9 +7,10 @@ with evolve()'s draws.  Chi-squares come from scoring.Scorer, the package's
 one chi-square (scoring.fit_dag_ml is its call on one DAG), and BICs from
 FitResult.scored.  A per-search memo (a plain dict keyed, like the scorer's
 per-node caches, by packed bits: scoring._packed) maps an individual to its
-chi-square, +inf for a degenerate fit.  Each offspring batch is packed once;
-a row seen before skips the cycle check, repair and scorer, a repaired row is
-repacked, and new ones go to the scorer in one batch, if there are any.
+chi-square, +inf for a degenerate fit.  One step settles every drawn batch,
+the initial population as each offspring batch: it is packed once, a row seen
+before skips the cycle check, repair and scorer, a repaired row is repacked,
+and new ones go to the scorer in one batch, if there are any.
 Each generation ranks the union once and walks its fronts once (_survivors).
 The returned Pareto set carries the memo's scores.
 """
@@ -213,20 +214,23 @@ def evolve(
     offdiag = ~np.eye(p, dtype=bool)
     seen: dict[bytes, float] = {}  # packed individual -> chi_square
 
-    def objectives(adjs: np.ndarray, keys: list[bytes]) -> np.ndarray:
-        """(chi, k) per acyclic row, given their packed bits; new ones are scored once."""
+    def settle(adjs: np.ndarray) -> np.ndarray:
+        """Repair a drawn batch in place (cyclic new rows in index order); its (chi, k) rows."""
+        keys = _packed(adjs.reshape(len(adjs), -1))
+        new = np.flatnonzero([key not in seen for key in keys])
+        for i in new[cyclic_rows(adjs[new])]:
+            repair_arcs(adjs[i], rng)
+            keys[i] = _packed(adjs[i].reshape(1, -1))[0]
         fresh = {key: i for i, key in enumerate(keys) if key not in seen}
         if fresh:
             seen.update(zip(fresh, scorer.chi_squares(adjs[list(fresh.values())]).tolist()))
         return np.column_stack(([seen[key] for key in keys], adjs.sum(axis=(1, 2))))
 
-    # random sparse initialization; the cyclic rows are repaired in index order
+    # random sparse initialization
     population = np.zeros((pop_n, p, p), dtype=bool)
     population[:, offdiag] = rng.random((pop_n, length)) < 2.0 / length
     population &= allowed
-    for i in np.flatnonzero(cyclic_rows(population)):
-        repair_arcs(population[i], rng)
-    objs = objectives(population, _packed(population.reshape(pop_n, -1)))
+    objs = settle(population)
     ranks = _rank_array(objs)
     crowding = _survivors(objs, ranks, pop_n)[1]
 
@@ -242,18 +246,11 @@ def evolve(
         offspring = _vary(
             population[winners[0::2]], population[winners[1::2]], apply_cx, mix, flip, allowed
         )
-        # an individual seen before is acyclic and scored; the others are
-        # checked, and the cyclic ones repaired in ascending index order
-        keys = _packed(offspring.reshape(pop_n, -1))
-        new = np.flatnonzero([key not in seen for key in keys])
-        for i in new[cyclic_rows(offspring[new])]:
-            repair_arcs(offspring[i], rng)
-            keys[i] = _packed(offspring[i].reshape(1, -1))[0]
-
         # elitist (mu + lambda) environmental selection; a kept front keeps
-        # all its dominators, so its ranks stand
+        # all its dominators, so its ranks stand.  settle repairs in place,
+        # so it runs before the union copies the offspring.
+        objs = np.vstack([objs, settle(offspring)])
         union = np.concatenate([population, offspring])
-        objs = np.vstack([objs, objectives(offspring, keys)])
         ranks = _rank_array(objs)
         kept, crowding = _survivors(objs, ranks, pop_n)
         population, objs, ranks, crowding = union[kept], objs[kept], ranks[kept], crowding[kept]

@@ -292,11 +292,13 @@ def assemble_graph(
     mask: ConstraintMask,
     labels: tuple[str, ...],
 ) -> AnnotatedCausalGraph:
-    """Summary-graph assembly: edges first, mask-forced orientations second,
-    then relevant causal paths orient their endpoints' edges where possible.
+    """Summary-graph assembly: relevant edges, then one orientation pass.
 
-    Orientations that would close a directed cycle, or contradict an earlier
-    orientation, are logged and skipped; the directed part stays acyclic.
+    The mask-forced arcs (pair present, one direction forbidden) in pair
+    order, then the relevant paths by descending reliability, then key,
+    orient their edges in turn.  A candidate whose pair is oriented or no
+    relevant edge is skipped; one that contradicts an oriented arc, that the
+    mask forbids, or that would close a directed cycle is logged and skipped.
     """
     p = mask.n_nodes
     undirected: dict[tuple[int, int], float] = {}
@@ -306,31 +308,26 @@ def assemble_graph(
         a, b = min(st.key), max(st.key)
         undirected[(a, b)] = st.reliability
 
-    def orient(arc, message):
-        # the directed part is acyclic, so only the new arc can close a cycle
-        if is_acyclic(p, [*directed, arc]):
-            directed[arc] = undirected.pop((min(arc), max(arc)))
-        else:
-            log.warning(message, labels[arc[0]], labels[arc[1]])
-
-    # arcs the mask forces: pair present, one direction forbidden
-    for a, b in sorted(undirected):
-        fwd, bwd = mask.allows(a, b), mask.allows(b, a)
-        if fwd != bwd:
-            orient(
-                (a, b) if fwd else (b, a),
-                "mask-forced arc %s -> %s would close a cycle; edge left undirected",
-            )
-
-    for st in sorted(relevant_paths, key=lambda st: (-st.reliability, st.key)):
-        a, b = st.key
+    forced = [
+        (a, b) if mask.allows(a, b) else (b, a)
+        for a, b in sorted(undirected) if mask.allows(a, b) != mask.allows(b, a)
+    ]
+    paths = sorted(relevant_paths, key=lambda st: (-st.reliability, st.key))
+    for a, b in forced + [st.key for st in paths]:
+        pair = (min(a, b), max(a, b))
         if (b, a) in directed:
-            log.warning(
-                "orientation conflict: path %s -> %s contradicts existing arc",
-                labels[a], labels[b],
-            )
-        elif (a, b) not in directed and (min(a, b), max(a, b)) in undirected:
-            orient((a, b), "skipping orientation %s -> %s: would close a directed cycle")
+            skip = "orientation conflict: path %s -> %s contradicts existing arc"
+        elif pair not in undirected:
+            continue
+        elif not mask.allows(a, b):
+            skip = "skipping orientation %s -> %s: the prior forbids it"
+        # the directed part is acyclic, so only the new arc can close a cycle
+        elif not is_acyclic(p, [*directed, (a, b)]):
+            skip = "skipping orientation %s -> %s: would close a directed cycle"
+        else:
+            directed[(a, b)] = undirected.pop(pair)
+            continue
+        log.warning(skip, labels[a], labels[b])
 
     return AnnotatedCausalGraph(p, tuple(labels), directed, undirected, {})
 

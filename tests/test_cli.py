@@ -565,6 +565,19 @@ def test_unknown_role_variable_is_named_by_its_setting(sim_dir, tmp_path, capsys
     assert "Traceback" not in err
 
 
+
+def test_variable_pinned_to_both_sides_exits_2(sim_dir, tmp_path, capsys):
+    rc = main(
+        ["search-longitudinal", "--data", str(sim_dir / "data_00.csv"),
+         "--layout", str(sim_dir / "layout.json"), "--prev-only", "X1",
+         "--cur-only", "X1", "--out", str(tmp_path / "o"), *FAST]
+    )
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert err.startswith("error: variable 'X1' is in both prev_only and cur_only")
+    assert "Traceback" not in err
+
+
 def test_simulate_truth_reuse(sim_dir, tmp_path):
     out = tmp_path / "again"
     rc = main(

@@ -262,6 +262,7 @@ def test_transition_problem_leaves_out_sides_that_read_no_observed_slice():
     ((), ("Z",), ("Y",), "prev_only references unknown variable 'Z'"),
     ((), ("A",), ("Y",), "cur_only references unknown variable 'Y'"),
     ((), ("A_prev",), (), "prev_only entry 'A_prev' refers to the previous slice"),
+    ((), ("A",), ("A_cur",), "variable 'A' is in both prev_only and cur_only"),
 ])
 def test_transition_problem_names_the_bad_setting(prior, prev_only, cur_only, message):
     ld = long_data(Layout(("A", "B"), 3))

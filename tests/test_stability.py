@@ -7,7 +7,7 @@ import pytest
 from oracles import oracle_stability_curves, sem_implied_covariance, stability_curve
 from stablesearch import stability
 from stablesearch.errors import DegenerateData, SearchFailed
-from stablesearch.graphs import ConstraintMask, Dag, dag_to_cpdag
+from stablesearch.graphs import ConstraintMask, Dag, dag_to_cpdag, topological_order
 from stablesearch.scoring import Dataset, FitResult, sample_covariance
 from stablesearch.search import ParetoModel, SearchParams
 from stablesearch.stability import (
@@ -419,6 +419,49 @@ def test_assemble_graph_conflict_and_cycles(caplog):
     assert (0, 2) in g.undirected
     assert any("conflict" in r.message for r in caplog.records)
     assert any("cycle" in r.message for r in caplog.records)
+
+
+
+def test_assemble_graph_never_orients_an_arc_the_mask_forbids(caplog):
+    # the prior forbids B -> A, C -> B and A -> C, so the mask forces the
+    # cycle A -> B -> C -> A; B -> C is skipped, and the path C ~> B may not
+    # orient the edge B - C against the prior
+    labels = ("A", "B", "C")
+    mask = ConstraintMask.empty(3).with_forbidden([(1, 0), (2, 1), (0, 2)])
+    edges = [RelevantStructure(EDGE, key, 0.9) for key in [(0, 1), (1, 2), (0, 2)]]
+    paths = [RelevantStructure(CAUSAL_PATH, (2, 1), 0.8)]
+    with caplog.at_level(logging.WARNING, logger="stablesearch.stability"):
+        g = assemble_graph(edges, paths, mask, labels)
+    assert g.directed == {(0, 1): 0.9, (2, 0): 0.9}
+    assert g.undirected == {(1, 2): 0.9}
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipping orientation B -> C: would close a directed cycle",
+        "skipping orientation C -> B: the prior forbids it",
+    ]
+
+
+def test_assemble_graph_keeps_the_mask_acyclicity_and_the_relevant_edges():
+    rng = np.random.default_rng(33)
+    for _ in range(300):
+        p = int(rng.integers(3, 7))
+        mask = ConstraintMask(p, rng.random((p, p)) < 0.3)
+        pairs = [(a, b) for a in range(p) for b in range(a + 1, p)]
+        edges = [
+            RelevantStructure(EDGE, key, float(rng.random()))
+            for key in pairs if rng.random() < 0.6
+        ]
+        paths = [
+            RelevantStructure(CAUSAL_PATH, (a, b), round(float(rng.random()), 1))
+            for a in range(p) for b in range(p) if a != b and rng.random() < 0.4
+        ]
+        g = assemble_graph(edges, paths, mask, tuple("ABCDEF"[:p]))
+        assert topological_order(p, list(g.directed)) is not None
+        assert all(mask.allows(a, b) for a, b in g.directed)
+        # each relevant edge appears once, directed or not, with its reliability
+        oriented = {(min(arc), max(arc)): r for arc, r in g.directed.items()}
+        assert len(oriented) == len(g.directed)
+        assert not oriented.keys() & g.undirected.keys()
+        assert oriented | g.undirected == {st.key: st.reliability for st in edges}
 
 
 def test_end_to_end_stability_on_chain_data():
