@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidPrior, ShapeMismatch, require
 from .graphs import ConstraintMask
-from .pipeline import PipelineResult, run_pipeline
+from .pipeline import PipelineResult, run_pipelines
 # sample_covariance is not called here: bench/tracer.py wraps
 # stablesearch.longitudinal.sample_covariance by name, and
 # tests/test_bench_hooks.py requires that the name resolves
@@ -328,7 +328,7 @@ def run_longitudinal(
 
     The baseline model searches the first slice under the prior's
     intra-slice mask; the transition model searches the reshaped slice pairs
-    under the structural mask (see ``transition_problem``).  ``prior`` lists
+    under the structural mask (see ``transition_problem``), both in one map.  ``prior`` lists
     forbidden intra-slice arcs by variable name and applies to both parts.
     ``subsample_unit`` is "subject" (draw whole subjects' reshaped rows) or
     "row" (subsample the reshaped rows directly).
@@ -339,11 +339,9 @@ def run_longitudinal(
     )
     base = baseline_slice(data)
     base_params = replace(params, seed=derived_seed(params.seed, PIPELINE_LANE, 0))
-    baseline = run_pipeline(
-        base, intra_slice_mask(base.names, prior), base_params, n_subsets, pi_sel,
-        parallelism,
-    )
-    transition = run_pipeline(
-        frame, mask, t_params, n_subsets, pi_sel, parallelism, subsets
+    baseline, transition = run_pipelines(
+        [(base, intra_slice_mask(base.names, prior), base_params, None),
+         (frame, mask, t_params, subsets)],
+        n_subsets, pi_sel, parallelism,
     )
     return baseline, transition

@@ -1,11 +1,12 @@
-"""End-to-end stability selection on one search problem.
+"""End-to-end stability selection on one or more search problems.
 
 Composition of the pieces: subsample the data, run one evolutionary search
 per subset, aggregate Pareto models into stability curves, pick the BIC
 complexity, collect the relevant structures, assemble the summary graph and
 annotate it with median causal effects.  This is the only module that
-chains the stages; the longitudinal models and the recovery evaluation call
-``run_pipeline`` or its searched half, ``search_stability``.
+chains the stages.  A run's models (the longitudinal baseline and transition
+models, or every replicate dataset of the recovery evaluation) share one
+``run_searches`` call, hence at most one process pool.
 """
 
 from __future__ import annotations
@@ -52,32 +53,67 @@ class PipelineResult:
     subset_results: list[SubsetResult]
 
 
+# one model to search: (data, mask, params, subsets); subsets None draws row subsets of data
+Model = tuple[Dataset, ConstraintMask, SearchParams, list[Dataset] | None]
+
+
 def search_stability(
-    data: Dataset,
-    mask: ConstraintMask,
-    params: SearchParams,
-    n_subsets: int = 50,
-    parallelism: int = 1,
-    subsets: list[Dataset] | None = None,
-) -> tuple[list[SubsetResult], StabilityGraph, StabilityGraph, int]:
+    models: list[Model], n_subsets: int, parallelism: int
+) -> list[tuple[list[SubsetResult], StabilityGraph, StabilityGraph, int]]:
     """Subsample, search every subset, pool the Pareto models, pick pi_bic.
 
-    Returns (subset results, edge curves, causal-path curves, pi_bic); the
-    curves are labelled with ``data.names``.  ``subsets`` overrides the
-    default row subsampling of ``data`` (the transition model draws whole
-    subjects' row blocks); each subset is searched on its sample covariance.
-    Raises DegenerateData for fewer than two variables or a degenerate covariance.
+    Each model's data is checked and its subsets drawn (``n_subsets`` rows
+    of data, or the given subsets: the transition model's whole subjects),
+    then one ``run_searches`` call searches every model's subsets.  Returns,
+    per model, (subset results, edge curves, causal-path curves, pi_bic),
+    the curves labelled with ``data.names``.  Raises DegenerateData for
+    fewer than two variables or a degenerate covariance.
     """
-    if data.n_cols < 2:
-        raise DegenerateData("need at least two variables")
-    sample_covariance(data)
-    if subsets is None:
-        rng = derived_rng(params.seed, SUBSAMPLE_LANE, 0)
-        subsets = subsample(data, n_subsets, rng)
-    results = run_searches(subsets, mask, params, parallelism)
-    models = collect_models(results)
-    edge_sg, path_sg = stability_graphs(models, mask, data.names)
-    return results, edge_sg, path_sg, compute_pi_bic(models)
+    problems = []
+    for data, mask, params, subsets in models:
+        if data.n_cols < 2:
+            raise DegenerateData("need at least two variables")
+        sample_covariance(data)
+        if subsets is None:
+            subsets = subsample(data, n_subsets, derived_rng(params.seed, SUBSAMPLE_LANE, 0))
+        problems.append((subsets, mask, params))
+    results = run_searches(problems, parallelism)
+    out = []
+    for (data, mask, _, _), (subsets, _, _) in zip(models, problems):
+        own, results = results[: len(subsets)], results[len(subsets) :]
+        pooled = collect_models(own)
+        edge_sg, path_sg = stability_graphs(pooled, mask, data.names)
+        out.append((own, edge_sg, path_sg, compute_pi_bic(pooled)))
+    return out
+
+
+def run_pipelines(
+    models: list[Model], n_subsets: int, pi_sel: float, parallelism: int
+) -> list[PipelineResult]:
+    """``search_stability``, then each model's thresholds, summary graph and
+    effects; a model's data names its nodes and is what its effects are
+    estimated on."""
+    out = []
+    searched = search_stability(models, n_subsets, parallelism)
+    for (data, mask, _, _), (results, edge_sg, path_sg, pi_bic) in zip(models, searched):
+        thresholds = Thresholds(pi_sel, pi_bic)
+        relevant = relevant_structures(edge_sg, path_sg, thresholds)
+        edges = [st for st in relevant if st.kind == EDGE]
+        paths = [st for st in relevant if st.kind == CAUSAL_PATH]
+        graph = assemble_graph(edges, paths, mask, data.names)
+
+        estimates: list[EffectEstimate] = []
+        if paths:
+            covariances = [r.cov for r in results]
+            estimates = aggregate_effects(
+                results, covariances, pi_bic, paths, data, mask
+            )
+            graph = annotate_effects(graph, estimates)
+        out.append(PipelineResult(
+            data.names, edge_sg, path_sg, pi_bic, thresholds, relevant, graph,
+            estimates, results,
+        ))
+    return out
 
 
 def run_pipeline(
@@ -87,31 +123,6 @@ def run_pipeline(
     n_subsets: int = 50,
     pi_sel: float = 0.6,
     parallelism: int = 1,
-    subsets: list[Dataset] | None = None,
 ) -> PipelineResult:
-    """Subsample, search, aggregate, threshold, assemble, estimate.
-
-    The first four stages are ``search_stability``, with the same
-    arguments.  ``data`` names the nodes and is the data the effects are
-    estimated on.
-    """
-    results, edge_sg, path_sg, pi_bic = search_stability(
-        data, mask, params, n_subsets, parallelism, subsets
-    )
-    thresholds = Thresholds(pi_sel, pi_bic)
-    relevant = relevant_structures(edge_sg, path_sg, thresholds)
-    edges = [st for st in relevant if st.kind == EDGE]
-    paths = [st for st in relevant if st.kind == CAUSAL_PATH]
-    graph = assemble_graph(edges, paths, mask, data.names)
-
-    estimates: list[EffectEstimate] = []
-    if paths:
-        covariances = [r.cov for r in results]
-        estimates = aggregate_effects(
-            results, covariances, pi_bic, paths, data, mask
-        )
-        graph = annotate_effects(graph, estimates)
-    return PipelineResult(
-        data.names, edge_sg, path_sg, pi_bic, thresholds, relevant, graph,
-        estimates, results,
-    )
+    """``run_pipelines`` on the one model (data, mask, params, None)."""
+    return run_pipelines([(data, mask, params, None)], n_subsets, pi_sel, parallelism)[0]

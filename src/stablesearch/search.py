@@ -175,12 +175,15 @@ def _pareto_postfilter(
     """Front 0's best model per complexity, with the scores the search ranked.
 
     Per complexity the lowest (chi-square, row-major arcs) is kept; infeasible
-    rows are dropped.  The same constrained CPDAG implies the same skeleton,
-    hence the same complexity, so this also deduplicates by CPDAG.
+    rows are dropped, and copies of a row (same memo scores) are compared
+    once.  The same constrained CPDAG implies the same skeleton, hence the
+    same complexity, so this also deduplicates by CPDAG.
     """
+    rows = {key: i for i, key in enumerate(_packed(front_adj.reshape(len(front_adj), -1)))}
     best: dict[int, tuple[float, list[tuple[int, int]]]] = {}
-    for adj, (chi, k) in zip(front_adj, front_objs.tolist()):
-        k, model = int(k), (chi, _arcs(adj))
+    for i in rows.values():
+        chi, k = front_objs[i].tolist()
+        k, model = int(k), (chi, _arcs(front_adj[i]))
         if chi != INFEASIBLE and (k not in best or model < best[k]):
             best[k] = model
     out: list[ParetoModel] = []

@@ -303,15 +303,15 @@ def evaluate_recovery(
 
     Each dataset runs the transition model's subject-level subsampling and
     searches (``transition_problem`` and ``search_stability``, as in
-    ``run_longitudinal``), seeded from the dataset index; no summary graph
-    or effects are computed.  The averaging scheme pools the stability
-    curves before the ROC sweep, with the BIC complexity fixed at the median
-    of the per-dataset values; the individual scheme keeps one ROC per
-    dataset.
+    ``run_longitudinal``), seeded from the dataset index; one map searches
+    every dataset's subsets.  No summary graph or effects are computed.
+    The averaging scheme pools the stability curves before the ROC sweep,
+    with the BIC complexity fixed at the median of the per-dataset values;
+    the individual scheme keeps one ROC per dataset.
     """
     if not datasets:
         raise ShapeMismatch("no datasets to evaluate")
-    edge_sgs, path_sgs, pi_bics = [], [], []
+    models = []
     for d, ld in enumerate(datasets):
         t_params = replace(
             params, seed=derived_seed(params.seed, PIPELINE_LANE, d)
@@ -321,12 +321,10 @@ def evaluate_recovery(
         )
         if frame.n_cols < 2 * model.p:
             raise ShapeMismatch("presence leaves ground-truth nodes out of the transition model")
-        _, edge_sg, path_sg, pi_bic = search_stability(
-            frame, tmask, t_params, n_subsets, parallelism, subsets
-        )
-        edge_sgs.append(edge_sg)
-        path_sgs.append(path_sg)
-        pi_bics.append(pi_bic)
+        models.append((frame, tmask, t_params, subsets))
+    searched = search_stability(models, n_subsets, parallelism)
+    _, edge_sgs, path_sgs, pi_bics = map(list, zip(*searched))
+    for d, pi_bic in enumerate(pi_bics):
         log.info("dataset %d searched, pi_bic=%d", d, pi_bic)
 
     # the datasets share the model's layout, so their masks agree

@@ -139,20 +139,21 @@ def _search_one(task):
 
 
 def run_searches(
-    subsets: list[Dataset],
-    mask: ConstraintMask,
-    params: SearchParams,
+    problems: list[tuple[list[Dataset], ConstraintMask, SearchParams]],
     parallelism: int = 1,
 ) -> list[SubsetResult]:
-    """One evolve() per subset with an index-derived seed.
+    """One evolve() per subset of every (subsets, mask, params) problem, all
+    through one map, so a run starts at most one process pool.
 
-    Results are ordered by subset index whatever the parallelism degree, and
-    the derived seeds depend only on (params.seed, index), so outputs are
-    reproducible bit for bit.  Fails when more than 10% of subsets fail.
+    Results come back flat, by problem, then subset index, whatever the
+    parallelism degree; each derived seed depends only on (the problem's
+    params.seed, the subset index), so outputs are reproducible bit for bit.
+    Fails when more than 10% of one problem's subsets fail, in problem order.
     """
-    if not subsets:
+    tasks = [(i, s, mask, params) for subsets, mask, params in problems
+             for i, s in enumerate(subsets)]
+    if not all(subsets for subsets, _, _ in problems):
         raise SearchFailed("no subsets to search")
-    tasks = [(i, s, mask, params) for i, s in enumerate(subsets)]
     workers = min(parallelism, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -160,13 +161,14 @@ def run_searches(
     else:
         results = [_search_one(t) for t in tasks]
 
-    failures = [r for r in results if r.failed]
-    for r in failures:
-        log.warning("subset %d failed: %s", r.index, r.error)
-    if len(failures) > 0.1 * len(subsets):
-        raise SearchFailed(
-            f"{len(failures)} of {len(subsets)} subset searches failed"
-        )
+    start = 0
+    for subsets, _, _ in problems:
+        failures = [r for r in results[start : start + len(subsets)] if r.failed]
+        start += len(subsets)
+        for r in failures:
+            log.warning("subset %d failed: %s", r.index, r.error)
+        if len(failures) > 0.1 * len(subsets):
+            raise SearchFailed(f"{len(failures)} of {len(subsets)} subset searches failed")
     return results
 
 
@@ -214,8 +216,9 @@ def stability_graphs(
     of its complexity.  Boundary complexities are pinned analytically:
     complexity 0 has only the empty pattern (probability 0 everywhere), and
     the maximum complexity has the single constrained class of complete DAGs
-    (edge probability 1; path probabilities from that class when the mask
-    admits a complete DAG).
+    (edge probability 1 on every pair the mask allows in some direction, 0
+    on a pair it forbids both ways; path probabilities from that class when
+    the mask admits a complete DAG).
     """
     models = list(models)
     if not models:
@@ -234,7 +237,8 @@ def stability_graphs(
         path_hits[j] += reachability(arc_matrix(p, m.cpdag.directed))
 
     zeros = np.zeros((p, p))
-    edge_pins = {0: zeros, max_j: np.ones((p, p))}
+    allowed = ~mask.forbidden
+    edge_pins = {0: zeros, max_j: (allowed | allowed.T).astype(float)}
     path_pins = {0: zeros}
     full = complete_dag_under(mask)
     if full is not None:

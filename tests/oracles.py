@@ -255,10 +255,10 @@ def oracle_stability_curves(models, mask):
     them, with one hit vector per structure instead of hit matrices.
 
     Complexity 0 pins every structure to 0; the maximum complexity pins
-    edges to 1 and paths to the complete DAG's closure when the mask admits
-    one.  Each curve runs through the observed ratios and the pins at the
-    complexities nothing was observed at, linear between them and constant
-    beyond the last.
+    edges to 1 (0 on a pair the mask forbids both ways) and paths to the
+    complete DAG's closure when the mask admits one.  Each curve runs
+    through the observed ratios and the pins at the complexities nothing
+    was observed at, linear between them and constant beyond the last.
     """
     p = mask.n_nodes
     max_j = p * (p - 1) // 2
@@ -274,7 +274,10 @@ def oracle_stability_curves(models, mask):
         for a, b in zip(*np.nonzero(closure)):
             path_hits[(int(a), int(b))][j] += 1
 
-    edge_pins = {0: dict.fromkeys(edge_hits, 0.0), max_j: dict.fromkeys(edge_hits, 1.0)}
+    edge_pins = {
+        0: dict.fromkeys(edge_hits, 0.0),
+        max_j: {(a, b): float(mask.allows(a, b) or mask.allows(b, a)) for a, b in edge_hits},
+    }
     path_pins = {0: dict.fromkeys(path_hits, 0.0)}
     full = complete_dag_under(mask)
     if full is not None:

@@ -321,11 +321,13 @@ def test_criterion_08_stability_boundary_properties():
         if stability_curve(path_sg, a, b)[-1] != 0.0:
             failures.append(f"path ({a},{b}) at max != 0 under empty mask")
 
+    # a pair the mask forbids both ways (A_prev, B_prev) is in no allowed DAG
     tmask = transition_mask(("A", "B"))
     edge_sg, path_sg = stability_graphs([_pareto(4, {(0, 2)}, tmask)], tmask)
     for a, b in itertools.combinations(range(4), 2):
-        if stability_curve(edge_sg, a, b)[-1] != 1.0:
-            failures.append(f"masked edge ({a},{b}) at max != 1")
+        want = float(tmask.allows(a, b) or tmask.allows(b, a))
+        if stability_curve(edge_sg, a, b)[-1] != want:
+            failures.append(f"masked edge ({a},{b}) at max != {want}")
     for pair in ((0, 2), (0, 3), (1, 2), (1, 3)):
         if stability_curve(path_sg, *pair)[-1] != 1.0:
             failures.append(f"compelled path {pair} at max != 1")

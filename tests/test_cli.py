@@ -606,6 +606,41 @@ def test_search_longitudinal_end_to_end(sim_dir, tmp_path):
     assert "X1_prev" in trans_csv and "X1_cur" in trans_csv
 
 
+def test_search_longitudinal_rerun_and_parallelism_byte_identical(sim_dir, tmp_path):
+    outs = [tmp_path / f"run{i}" for i in range(3)]
+    for out, parallelism in zip(outs, ("1", "1", "2")):
+        rc = main(
+            ["search-longitudinal", "--data", str(sim_dir / "data_00.csv"),
+             "--layout", str(sim_dir / "layout.json"), "--out", str(out), *FAST,
+             "--parallelism", parallelism]
+        )
+        assert rc == 0
+    # the manifest records the parallelism and the output path
+    files = sorted(
+        f.relative_to(outs[0]) for f in outs[0].rglob("*")
+        if f.is_file() and f.name != "manifest.json"
+    )
+    assert len(files) == 14  # seven per model
+    for name in files:
+        first = (outs[0] / name).read_bytes()
+        assert (outs[1] / name).read_bytes() == first, name
+        assert (outs[2] / name).read_bytes() == first, name
+
+
+@pytest.mark.parametrize("command", ["search", "search-longitudinal", "evaluate"])
+def test_a_run_starts_at_most_one_pool(command, sim_dir, tmp_path, in_process_pool):
+    data = {
+        "search": ["--data", write_chain_csv(tmp_path / "d.csv")],
+        "search-longitudinal": ["--data", str(sim_dir / "data_00.csv"),
+                                "--layout", str(sim_dir / "layout.json")],
+        "evaluate": ["--data", str(sim_dir)],
+    }[command]
+    rc = main([command, *data, "--out", str(tmp_path / "o"), *FAST, "--parallelism", "64"])
+    assert rc == 0
+    # search: 6 subsets; search-longitudinal: 2 models x 6; evaluate: 2 datasets x 6
+    assert in_process_pool == [{"search": 6}.get(command, 12)]
+
+
 def test_variables_observed_at_one_slice_enter_on_their_one_side(tmp_path):
     # B is observed only at slice 0 and C only at slice 2: B can only act as a
     # cause in the previous slice, C only as an effect in the current one

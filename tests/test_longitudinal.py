@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import unreshape
-from stablesearch import longitudinal
+from stablesearch import longitudinal, pipeline
 from stablesearch.errors import DegenerateData, InvalidPrior, ShapeMismatch
 from stablesearch.graphs import is_acyclic
 from stablesearch.longitudinal import (
@@ -430,11 +430,24 @@ def test_run_longitudinal_row_unit_switch():
         run_longitudinal(ld, params, subsample_unit="bogus")
 
 
+def test_run_longitudinal_starts_one_pool_for_both_models(in_process_pool):
+    ld = make_long(40, 2, 3)
+    params = SearchParams(generations=3, population_size=8, seed=1)
+    baseline, transition = run_longitudinal(ld, params, n_subsets=5, parallelism=4)
+    assert in_process_pool == [4]
+    assert [r.index for r in baseline.subset_results] == list(range(5))
+    assert [r.index for r in transition.subset_results] == list(range(5))
+    serial = run_longitudinal(ld, params, n_subsets=5)
+    assert in_process_pool == [4]
+    for got, want in zip((baseline, transition), serial):
+        assert got.graph == want.graph and got.pi_bic == want.pi_bic
+
+
 def test_run_longitudinal_rejects_unknown_unit_before_searching(monkeypatch):
     def no_search(*args, **kwargs):
-        raise AssertionError("a pipeline ran")
+        raise AssertionError("a search ran")
 
-    monkeypatch.setattr(longitudinal, "run_pipeline", no_search)
+    monkeypatch.setattr(pipeline, "run_searches", no_search)
     params = SearchParams(generations=3, population_size=8, seed=1)
     with pytest.raises(ValueError, match="subsample_unit"):
         run_longitudinal(make_long(40, 2, 3), params, subsample_unit="bogus")

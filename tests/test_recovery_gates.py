@@ -76,7 +76,9 @@ def test_selection_on_the_exact_front_recovers_the_truth(monkeypatch):
     for seed in SELECTION_SEEDS:
         dag, data = random_sem(6, seed)
         mask = ConstraintMask.empty(6)
-        _, edge_sg, path_sg, pi_bic = search_stability(data, mask, SearchParams(seed=seed), 12)
+        ((_, edge_sg, path_sg, pi_bic),) = search_stability(
+            [(data, mask, SearchParams(seed=seed), None)], 12, 1
+        )
         truth = dag_to_cpdag(dag)
         edge.append(roc_and_auc(edge_sg, truth, pi_bic).auc)
         causal.append(roc_and_auc(path_sg, truth, pi_bic).auc)

@@ -576,6 +576,40 @@ def test_evolve_drops_infeasible_front_rows(monkeypatch):
     assert models and all(np.isfinite(m.fit.chi_square) for m in models)
 
 
+def per_row_postfilter(front_adj, front_objs):
+    """The post-filter's pick compared row by row, copies included:
+    (complexity, chi-square, row-major arcs) per complexity."""
+    best = {}
+    for adj, (chi, k) in zip(front_adj, front_objs.tolist()):
+        k, model = int(k), (chi, _arcs(adj))
+        if chi != search.INFEASIBLE and (k not in best or model < best[k]):
+            best[k] = model
+    return [(k, chi, arcs) for k, (chi, arcs) in sorted(best.items())]
+
+
+def test_pareto_postfilter_matches_the_per_row_loop():
+    rng = np.random.default_rng(34)
+    copies = 0
+    for _ in range(200):
+        p = int(rng.integers(2, 7))
+        order = rng.permutation(p)
+        upper = np.triu(rng.random((int(rng.integers(1, 9)), p, p)) < 0.4, 1)
+        # acyclic under a random order; one score per distinct row, as in the memo
+        distinct = np.unique(upper[:, order][:, :, order], axis=0)
+        # few chi-square values, so equal scores tie-break on the arcs
+        chis = rng.choice([0.5, 1.0, 2.0, search.INFEASIBLE], size=len(distinct))
+        pick = rng.integers(0, len(distinct), size=int(rng.integers(1, 40)))
+        copies += len(pick) > len(set(pick.tolist()))
+        front_adj = distinct[pick]
+        front_objs = np.column_stack((chis[pick], front_adj.sum(axis=(1, 2))))
+        models = search._pareto_postfilter(
+            front_adj, front_objs, ConstraintMask.empty(p), 100, None
+        )
+        got = [(m.fit.complexity, m.fit.chi_square, sorted(m.dag.arcs)) for m in models]
+        assert got == per_row_postfilter(front_adj, front_objs)
+    assert copies > 100
+
+
 # repair_arcs calls of the golden runs: one per cyclic initial individual
 # and one per cyclic offspring new to the search
 GOLDEN_REPAIRS = {"cross": 18, "dense": 25, "masked": 2}

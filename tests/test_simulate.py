@@ -319,6 +319,18 @@ def test_evaluate_recovery_agrees_with_run_longitudinal():
     assert report.causal_aucs[1] == roc_and_auc(transition.path_sg, truth, pi_bic, tmask).auc
 
 
+def test_evaluate_recovery_starts_one_pool_for_every_dataset(in_process_pool):
+    model = random_parameterization(default_structure(), np.random.default_rng(3))
+    datasets = simulate_datasets(model, 2, 60, seed=5)
+    params = SearchParams(generations=3, population_size=10, seed=9)
+    report = evaluate_recovery(datasets, model, params, n_subsets=3, parallelism=8)
+    assert in_process_pool == [6]  # min(parallelism, 2 datasets x 3 subsets)
+    serial = evaluate_recovery(datasets, model, params, n_subsets=3)
+    assert in_process_pool == [6]
+    assert report.pi_bics == serial.pi_bics
+    assert report.edge_aucs == serial.edge_aucs and report.causal_aucs == serial.causal_aucs
+
+
 def test_evaluate_recovery_rejects_a_layout_that_drops_transition_nodes(monkeypatch):
     model = random_parameterization(default_structure(), np.random.default_rng(3))
     [ld] = simulate_datasets(model, 1, 40, seed=5)

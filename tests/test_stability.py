@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from oracles import oracle_stability_curves, sem_implied_covariance, stability_curve
-from stablesearch import stability
 from stablesearch.errors import DegenerateData, SearchFailed
 from stablesearch.graphs import ConstraintMask, Dag, dag_to_cpdag, topological_order
 from stablesearch.scoring import Dataset, FitResult, sample_covariance
@@ -74,8 +73,8 @@ def test_run_searches_deterministic_across_parallelism():
     mask = ConstraintMask.empty(3)
     params = SearchParams(generations=6, population_size=12, seed=11)
 
-    serial = run_searches(subsets, mask, params)
-    parallel = run_searches(subsets, mask, params, parallelism=2)
+    serial = run_searches([(subsets, mask, params)])
+    parallel = run_searches([(subsets, mask, params)], parallelism=2)
     assert len(serial) == len(parallel) == 4
     for a, b in zip(serial, parallel):
         assert a.index == b.index and not a.failed and not b.failed
@@ -85,56 +84,71 @@ def test_run_searches_deterministic_across_parallelism():
         ]
 
 
-def test_run_searches_caps_pool_at_subset_count(monkeypatch):
-    created = []
-
-    class InProcessPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
-
-        def __init__(self, max_workers):
-            created.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(stability, "ProcessPoolExecutor", InProcessPool)
+def test_run_searches_caps_pool_at_subset_count(in_process_pool):
     rng = np.random.default_rng(3)
     subsets = subsample(chain_dataset(rng, rows=120), 3, np.random.default_rng(7))
     mask = ConstraintMask.empty(3)
     params = SearchParams(generations=2, population_size=8, seed=11)
 
-    results = run_searches(subsets, mask, params, parallelism=64)
-    assert created == [3]
+    results = run_searches([(subsets, mask, params)], parallelism=64)
+    assert in_process_pool == [3]
     for r, s in zip(results, subsets):
         assert np.array_equal(r.cov, sample_covariance(s))
-    run_searches(subsets[:1], mask, params, parallelism=64)
-    assert created == [3]  # one subset runs in-process
+    run_searches([(subsets[:1], mask, params)], parallelism=64)
+    assert in_process_pool == [3]  # one subset runs in-process
+
+
+def good_and_bad_subsets():
+    """A chain dataset, and a copy whose constant column makes its sample
+    covariance degenerate, so a search of it fails."""
+    good = chain_dataset(np.random.default_rng(4), rows=80)
+    bad_vals = np.array(good.values, copy=True)
+    bad_vals[:, 0] = 1.0
+    return good, Dataset(good.columns, bad_vals)
 
 
 def test_run_searches_failure_budget():
-    rng = np.random.default_rng(4)
-    good = chain_dataset(rng, rows=80)
-    # a constant column makes sample_covariance degenerate for that subset
-    bad_vals = np.array(good.values, copy=True)
-    bad_vals[:, 0] = 1.0
-    bad = Dataset(good.columns, bad_vals)
+    good, bad = good_and_bad_subsets()
     mask = ConstraintMask.empty(3)
     params = SearchParams(generations=4, population_size=8, seed=0)
 
-    results = run_searches([good] * 9 + [bad], mask, params)
+    results = run_searches([([good] * 9 + [bad], mask, params)])
     assert sum(r.failed for r in results) == 1
     assert results[9].failed and "DegenerateData" in results[9].error
     assert results[9].cov is None
     assert len(collect_models(results)) > 0
 
     with pytest.raises(SearchFailed):
-        run_searches([good] * 8 + [bad] * 2, mask, params)
+        run_searches([([good] * 8 + [bad] * 2, mask, params)])
+
+
+def test_run_searches_maps_every_problem_once_and_budgets_each(in_process_pool):
+    good, bad = good_and_bad_subsets()
+    mask = ConstraintMask.empty(3)
+    first = SearchParams(generations=4, population_size=8, seed=0)
+    second = SearchParams(generations=4, population_size=8, seed=5)
+
+    # each problem's seeds come from its own params and subset indices
+    subsets = subsample(good, 3, np.random.default_rng(1))
+    joint = run_searches([(subsets, mask, first), (subsets[::-1], mask, second)], 2)
+    alone = run_searches([(subsets, mask, first)]) + run_searches([(subsets[::-1], mask, second)])
+    assert in_process_pool == [2]
+    assert [r.index for r in joint] == [0, 1, 2, 0, 1, 2]
+    assert [[m.dag.arcs for m in r.models] for r in joint] == [
+        [m.dag.arcs for m in r.models] for r in alone
+    ]
+
+    # 1 failure of 6 is over the budget, though 1 of the map's 12 would not be
+    with pytest.raises(SearchFailed, match="^1 of 6 subset searches failed$"):
+        run_searches([([good] * 5 + [bad], mask, first), ([good] * 6, mask, second)], 2)
+    # the second problem's failures do not count against the first
+    results = run_searches(
+        [([good] * 9 + [bad], mask, first), ([bad] + [good] * 9, mask, second)], 2
+    )
+    assert [r.index for r in results if r.failed] == [9, 0]
+    with pytest.raises(SearchFailed, match="^2 of 10 subset searches failed$"):
+        run_searches([([good] * 10, mask, first), ([bad] * 2 + [good] * 8, mask, second)], 2)
+    assert in_process_pool == [2] * 4  # one pool per call
 
 
 def test_edge_probabilities_count_cpdags():
@@ -197,10 +211,24 @@ def test_fully_forbidden_pair_pins_and_skips():
     assert dense is not None and dense.arcs == frozenset()
     models = [make_model(2, set(), mask)]
     edge_sg, path_sg = stability_graphs(models, mask)
-    # edge invariant keeps the pinned 1 at max complexity even here
-    assert list(stability_curve(edge_sg, 0, 1)) == [0.0, 1.0]
+    # no allowed DAG holds the pair, so its edge curve is pinned to 0 at max too
+    assert list(stability_curve(edge_sg, 0, 1)) == [0.0, 0.0]
     # the densest reachable graph has no arc, so nothing is ever compelled
     assert list(stability_curve(path_sg, 0, 1)) == [0.0, 0.0]
+
+
+def test_edge_curve_of_a_pair_forbidden_both_ways_stays_zero():
+    # A-C forbidden both ways; models at complexities 0, 1 and 2 of max 3
+    mask = ConstraintMask.empty(3).with_forbidden([(0, 2), (2, 0)])
+    models = [
+        make_model(3, set(), mask),
+        make_model(3, {(0, 1)}, mask),
+        make_model(3, {(0, 1), (1, 2)}, mask),
+    ]
+    edge_sg = stability_graphs(models, mask)[0]
+    assert list(stability_curve(edge_sg, 0, 2)) == [0.0, 0.0, 0.0, 0.0]
+    assert list(stability_curve(edge_sg, 0, 1)) == [0.0, 1.0, 1.0, 1.0]
+    assert list(stability_curve(edge_sg, 1, 2)) == [0.0, 0.0, 1.0, 1.0]
 
 
 def test_forced_cycle_extends_last_anchor():
@@ -469,7 +497,7 @@ def test_end_to_end_stability_on_chain_data():
     mask = ConstraintMask.empty(3)
     subsets = subsample(data, 12, np.random.default_rng(42))
     params = SearchParams(generations=12, population_size=24, seed=5)
-    results = run_searches(subsets, mask, params)
+    results = run_searches([(subsets, mask, params)])
     models = collect_models(results)
     edge_sg, path_sg = stability_graphs(models, mask, data.names)
 
@@ -492,7 +520,7 @@ def test_stability_stages_reject_empty_or_bad_input():
         subsample_blocks(data, 40, 0, np.random.default_rng(0))
     params = SearchParams(population_size=4, generations=1, seed=0)
     with pytest.raises(SearchFailed, match="no subsets to search"):
-        run_searches([], ConstraintMask.empty(3), params)
+        run_searches([([], ConstraintMask.empty(3), params)])
     with pytest.raises(SearchFailed, match="no models to aggregate"):
         stability_graphs([], ConstraintMask.empty(3))
     with pytest.raises(SearchFailed, match="no models, pi_bic undefined"):
