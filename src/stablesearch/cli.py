@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import InvalidPrior, SearchFailed, ShapeMismatch, StableSearchError, require
+from .errors import InvalidPrior, SearchFailed, StableSearchError, require
 from .export import (
     annotated_dot,
     dataset_csv,
@@ -28,7 +28,6 @@ from .export import (
     graph_to_dict,
     prior_from_dict,
     read_json,
-    roc_csv,
     stability_csv,
     stability_svg,
     write_json,
@@ -265,15 +264,7 @@ def cmd_evaluate(cfg: RunConfig) -> dict:
         raise ConfigError(f"missing ground truth: {truth_path}")
     model = truth_from_dict(read_json(truth_path))
     layout = layout_from_dict(read_json(src / "layout.json"))
-    if (
-        tuple(layout.variables) != model.variables
-        or layout.slices != model.n_slices
-    ):
-        raise ShapeMismatch(
-            f"layout ({len(layout.variables)} variables, {layout.slices} "
-            f"slices) does not match the ground truth ({model.p} variables, "
-            f"{model.n_slices} slices)"
-        )
+    model.check_layout(layout)
     files = sorted(src.glob("data_*.csv"))
     if not files:
         raise ConfigError(f"no data_*.csv files in {src}")
@@ -291,8 +282,8 @@ def cmd_evaluate(cfg: RunConfig) -> dict:
     )
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "roc_edge.csv").write_text(roc_csv(report.edge_roc.points), encoding="utf-8")
-    (out / "roc_causal.csv").write_text(roc_csv(report.causal_roc.points), encoding="utf-8")
+    for name, roc in (("roc_edge.csv", report.edge_roc), ("roc_causal.csv", report.causal_roc)):
+        (out / name).write_text(dataset_csv(("fpr", "tpr"), roc.points), encoding="utf-8")
     summary = {
         "averaging": {
             "edge_auc": report.edge_roc.auc,

@@ -73,7 +73,7 @@ def _parent_counts(cpdag, mask, sources) -> dict[int, list[tuple[int, int]]]:
     def enumerate_component(comp):
         edges = frozenset((a, b) for a, b in cpdag.undirected if comp >> a & 1)
         if edges not in members:
-            sub = Cpdag(n, cpdag.directed, edges, cpdag.labels)
+            sub = Cpdag(n, cpdag.directed, edges)
             members[edges] = enumerate_extensions(sub, mask)
         return members[edges]
 

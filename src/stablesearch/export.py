@@ -69,13 +69,6 @@ def effects_csv(estimates, labels) -> str:
     return "".join(out)
 
 
-def roc_csv(points) -> str:
-    out = [_csv_line(["fpr", "tpr"])]
-    for fpr, tpr in points:
-        out.append(_csv_line([repr(float(fpr)), repr(float(tpr))]))
-    return "".join(out)
-
-
 def _edge_label(reliability: float, effect: float | None) -> str:
     text = f"{reliability:g}"
     if effect is not None:

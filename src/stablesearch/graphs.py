@@ -4,7 +4,8 @@ A DAG on p nodes is stored as a frozenset of (tail, head) arcs over integer
 node ids 0..p-1.  The completed partially directed version (CPDAG) keeps the
 arcs every covariance-equivalent DAG shares and leaves the rest undirected.
 A ConstraintMask records arcs that background knowledge forbids; conversion
-and enumeration both honour it.
+and enumeration both honour it.  Nodes are positional: their names travel
+with the data and the outputs, not with the graphs.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ import numpy as np
 from .errors import ConstraintViolation, ExtensionCapExceeded, NoExtension
 
 Arc = tuple[int, int]
-
-
-def _default_labels(n_nodes: int) -> tuple[str, ...]:
-    return tuple(f"X{i + 1}" for i in range(n_nodes))
 
 
 class ConstraintMask:
@@ -99,16 +96,17 @@ def is_acyclic(n_nodes: int, arcs) -> bool:
 
 @dataclass(frozen=True)
 class Dag:
-    """Immutable directed acyclic graph over nodes 0..n_nodes-1."""
+    """Immutable directed acyclic graph over nodes 0..n_nodes-1.
+
+    labels, when given, must name every node; no stage reads them.
+    """
 
     n_nodes: int
     arcs: frozenset[Arc]
-    labels: tuple[str, ...] = field(default=None, compare=False)  # type: ignore[assignment]
+    labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.labels is None:
-            object.__setattr__(self, "labels", _default_labels(self.n_nodes))
-        if len(self.labels) != self.n_nodes:
+        if self.labels is not None and len(self.labels) != self.n_nodes:
             raise ValueError("label count does not match n_nodes")
         if not isinstance(self.arcs, frozenset):
             object.__setattr__(self, "arcs", frozenset(self.arcs))
@@ -132,13 +130,8 @@ class Cpdag:
     n_nodes: int
     directed: frozenset[Arc]
     undirected: frozenset[tuple[int, int]]
-    labels: tuple[str, ...] = field(default=None, compare=False)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.labels is None:
-            object.__setattr__(self, "labels", _default_labels(self.n_nodes))
-        if len(self.labels) != self.n_nodes:
-            raise ValueError("label count does not match n_nodes")
         if not isinstance(self.directed, frozenset):
             object.__setattr__(self, "directed", frozenset(self.directed))
         if not isinstance(self.undirected, frozenset):
@@ -355,7 +348,7 @@ def dag_to_cpdag(dag: Dag, mask: ConstraintMask | None = None) -> Cpdag:
         a, c = min(directed - dag.arcs)
         raise ConstraintViolation(f"closure derived {a} -> {c}, against the source DAG")
     undirected = frozenset((a, b) for a in range(n) for b in _bits(und[a] & -(2 << a)))
-    return Cpdag(n, directed, undirected, dag.labels)
+    return Cpdag(n, directed, undirected)
 
 
 EXTENSION_CAP = 4096  # the most class members enumerate_extensions returns

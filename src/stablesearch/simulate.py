@@ -86,6 +86,16 @@ class GroundTruthModel:
     def layout(self) -> Layout:
         return Layout(self.variables, self.n_slices)
 
+    def check_layout(self, layout: Layout) -> None:
+        """Raise ShapeMismatch unless layout lists the model's variables, in
+        order, over its number of slices: the truth's node ids index them."""
+        if (layout.variables, layout.slices) != (self.variables, self.n_slices):
+            raise ShapeMismatch(
+                f"layout ({len(layout.variables)} variables, {layout.slices} "
+                f"slices) does not match the ground truth ({self.p} variables, "
+                f"{self.n_slices} slices)"
+            )
+
 
 def default_structure(n_slices: int = 3) -> GroundTruthModel:
     """The four-variable demo structure used by the simulation commands.
@@ -307,12 +317,15 @@ def evaluate_recovery(
     every dataset's subsets.  No summary graph or effects are computed.
     The averaging scheme pools the stability curves before the ROC sweep,
     with the BIC complexity fixed at the median of the per-dataset values;
-    the individual scheme keeps one ROC per dataset.
+    the individual scheme keeps one ROC per dataset.  A dataset whose layout
+    is not the model's (``GroundTruthModel.check_layout``) raises
+    ShapeMismatch before any search.
     """
     if not datasets:
         raise ShapeMismatch("no datasets to evaluate")
     models = []
     for d, ld in enumerate(datasets):
+        model.check_layout(ld.layout)
         t_params = replace(
             params, seed=derived_seed(params.seed, PIPELINE_LANE, d)
         )

@@ -207,7 +207,7 @@ def _curves(hits, counts, keys, pins: dict[int, np.ndarray]):
 
 
 def stability_graphs(
-    models, mask: ConstraintMask, labels: tuple[str, ...] | None = None
+    models, mask: ConstraintMask, labels: tuple[str, ...]
 ) -> tuple[StabilityGraph, StabilityGraph]:
     """Edge- and causal-path-stability graphs in one aggregation pass.
 
@@ -224,8 +224,6 @@ def stability_graphs(
     if not models:
         raise SearchFailed("no models to aggregate")
     p = mask.n_nodes
-    if labels is None:
-        labels = models[0].dag.labels
     max_j = p * (p - 1) // 2
     counts = np.zeros(max_j + 1, dtype=np.int64)
     edge_hits = np.zeros((max_j + 1, p, p))
@@ -283,7 +281,6 @@ def relevant_structures(
 class AnnotatedCausalGraph:
     """Final summary graph: reliability on every edge, effects on directed ones."""
 
-    n_nodes: int
     labels: tuple[str, ...]
     directed: dict[tuple[int, int], float]
     undirected: dict[tuple[int, int], float]
@@ -333,7 +330,7 @@ def assemble_graph(
             continue
         log.warning(skip, labels[a], labels[b])
 
-    return AnnotatedCausalGraph(p, tuple(labels), directed, undirected, {})
+    return AnnotatedCausalGraph(tuple(labels), directed, undirected, {})
 
 
 def annotate_effects(
@@ -346,6 +343,4 @@ def annotate_effects(
         if key in graph.directed:
             value = est.standardized if est.standardized is not None else est.median
             effects[key] = value
-    return AnnotatedCausalGraph(
-        graph.n_nodes, graph.labels, graph.directed, graph.undirected, effects
-    )
+    return replace(graph, effects=effects)

@@ -236,7 +236,7 @@ def oracle_dag_to_cpdag(dag, mask=None):
             undirected.add((min(x, y), max(x, y)))
 
     oracle_meek_closure(dag.n_nodes, directed, undirected, mask, arcs)
-    return Cpdag(dag.n_nodes, frozenset(directed), frozenset(undirected), dag.labels)
+    return Cpdag(dag.n_nodes, frozenset(directed), frozenset(undirected))
 
 
 def oracle_reachability(n, arcs):
@@ -430,7 +430,7 @@ def oracle_enumerate_extensions(cpdag, mask=None, cap=4096):
 
     def place(k):
         if k == len(free):
-            results.append(Dag(n, frozenset(current), cpdag.labels))
+            results.append(Dag(n, frozenset(current)))
             if len(results) > cap:
                 raise ExtensionCapExceeded(f"equivalence class exceeds cap of {cap} members")
             return

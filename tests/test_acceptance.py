@@ -311,7 +311,7 @@ def test_criterion_08_stability_boundary_properties():
     failures = []
 
     mask = ConstraintMask.empty(3)
-    edge_sg, path_sg = stability_graphs([_pareto(3, {(0, 1)}, mask)], mask)
+    edge_sg, path_sg = stability_graphs([_pareto(3, {(0, 1)}, mask)], mask, ("A", "B", "C"))
     for a, b in itertools.combinations(range(3), 2):
         if stability_curve(edge_sg, a, b)[-1] != 1.0:
             failures.append(f"edge ({a},{b}) at max != 1")
@@ -323,7 +323,9 @@ def test_criterion_08_stability_boundary_properties():
 
     # a pair the mask forbids both ways (A_prev, B_prev) is in no allowed DAG
     tmask = transition_mask(("A", "B"))
-    edge_sg, path_sg = stability_graphs([_pareto(4, {(0, 2)}, tmask)], tmask)
+    edge_sg, path_sg = stability_graphs(
+        [_pareto(4, {(0, 2)}, tmask)], tmask, ("A_prev", "B_prev", "A_cur", "B_cur")
+    )
     for a, b in itertools.combinations(range(4), 2):
         want = float(tmask.allows(a, b) or tmask.allows(b, a))
         if stability_curve(edge_sg, a, b)[-1] != want:

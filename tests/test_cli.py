@@ -607,24 +607,28 @@ def test_search_longitudinal_end_to_end(sim_dir, tmp_path):
 
 
 def test_search_longitudinal_rerun_and_parallelism_byte_identical(sim_dir, tmp_path):
-    outs = [tmp_path / f"run{i}" for i in range(3)]
-    for out, parallelism in zip(outs, ("1", "1", "2")):
-        rc = main(
-            ["search-longitudinal", "--data", str(sim_dir / "data_00.csv"),
-             "--layout", str(sim_dir / "layout.json"), "--out", str(out), *FAST,
-             "--parallelism", parallelism]
+    """A rerun, and one at --parallelism 2, write the same bytes: the
+    search-longitudinal and evaluate artifacts, on the simulate output."""
+    runs = {
+        "search-longitudinal": (["--data", str(sim_dir / "data_00.csv"),
+                                 "--layout", str(sim_dir / "layout.json")], 14),  # 7 per model
+        "evaluate": (["--data", str(sim_dir)], 3),  # two ROC CSVs and auc_summary.json
+    }
+    for command, (data, n_files) in runs.items():
+        outs = [tmp_path / command / f"run{i}" for i in range(3)]
+        for out, parallelism in zip(outs, ("1", "1", "2")):
+            rc = main([command, *data, "--out", str(out), *FAST, "--parallelism", parallelism])
+            assert rc == 0
+        # the manifest records the parallelism and the output path
+        files = sorted(
+            f.relative_to(outs[0]) for f in outs[0].rglob("*")
+            if f.is_file() and f.name != "manifest.json"
         )
-        assert rc == 0
-    # the manifest records the parallelism and the output path
-    files = sorted(
-        f.relative_to(outs[0]) for f in outs[0].rglob("*")
-        if f.is_file() and f.name != "manifest.json"
-    )
-    assert len(files) == 14  # seven per model
-    for name in files:
-        first = (outs[0] / name).read_bytes()
-        assert (outs[1] / name).read_bytes() == first, name
-        assert (outs[2] / name).read_bytes() == first, name
+        assert len(files) == n_files, command
+        for name in files:
+            first = (outs[0] / name).read_bytes()
+            assert (outs[1] / name).read_bytes() == first, name
+            assert (outs[2] / name).read_bytes() == first, name
 
 
 @pytest.mark.parametrize("command", ["search", "search-longitudinal", "evaluate"])

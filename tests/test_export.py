@@ -16,7 +16,6 @@ from stablesearch.export import (
     graph_to_dict,
     prior_from_dict,
     read_json,
-    roc_csv,
     stability_csv,
     stability_svg,
     write_json,
@@ -186,13 +185,13 @@ def test_effects_csv_rows_sorted_and_none_blank():
 
 
 def test_roc_csv():
-    text = roc_csv([(0.0, 0.0), (0.25, 1.0), (1.0, 1.0)])
+    # evaluate writes its ROC points with the dataset writer
+    text = dataset_csv(("fpr", "tpr"), ((0.0, 0.0), (0.25, 1.0), (1.0, 1.0)))
     assert text == "fpr,tpr\n0.0,0.0\n0.25,1.0\n1.0,1.0\n"
 
 
 def make_graph():
     return AnnotatedCausalGraph(
-        3,
         ("A", "B", "C"),
         {(0, 1): 1.0, (1, 2): 0.8},
         {(0, 2): 0.65},
@@ -212,7 +211,7 @@ def test_annotated_dot_labels():
         assert f'"{name}";' in text
     # a DOT ID escapes its quotes and backslashes
     graph = make_graph()
-    odd = AnnotatedCausalGraph(3, ('q"t', "R&D", "a\\b"), graph.directed,
+    odd = AnnotatedCausalGraph(('q"t', "R&D", "a\\b"), graph.directed,
                                graph.undirected, graph.effects)
     lines = annotated_dot(odd).splitlines()
     assert lines[1:4] == ['  "q\\"t";', '  "R&D";', '  "a\\\\b";']
@@ -221,7 +220,7 @@ def test_annotated_dot_labels():
 
 
 def test_annotated_dot_isolated_nodes():
-    graph = AnnotatedCausalGraph(2, ("X1", "X2"), {}, {}, {})
+    graph = AnnotatedCausalGraph(("X1", "X2"), {}, {}, {})
     text = annotated_dot(graph)
     assert '"X1";' in text and '"X2";' in text
     assert "->" not in text and "--" not in text

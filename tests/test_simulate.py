@@ -343,6 +343,17 @@ def test_evaluate_recovery_rejects_a_layout_that_drops_transition_nodes(monkeypa
         evaluate_recovery([LongitudinalDataset(data, layout)], model, SearchParams())
 
 
+def test_evaluate_recovery_rejects_a_layout_that_is_not_the_truths(monkeypatch):
+    model = random_parameterization(default_structure(), np.random.default_rng(3))
+    good, ld = simulate_datasets(model, 2, 40, seed=5)
+    # the same columns, with the variables listed in another order
+    reordered = LongitudinalDataset(ld.data, Layout(("X2", "X1", "X4", "X3"), 3))
+    monkeypatch.setattr(simulate, "search_stability", None)  # fails before any search
+    message = r"layout \(4 variables, 3 slices\) does not match the ground truth"
+    with pytest.raises(ShapeMismatch, match=message):
+        evaluate_recovery([good, reordered], model, SearchParams())
+
+
 def test_truth_dict_roundtrip():
     model = random_parameterization(default_structure(), np.random.default_rng(2))
     again = truth_from_dict(truth_to_dict(model))

@@ -22,7 +22,7 @@ is read by that function or a function nested in it; a name starting with
 
 Every signature that README.md quotes in backticks, such as
 ``fit_dag_ml(dag, cov, n)``, lists the package function's parameters in
-order.
+order, and README.md's "Library use" example runs.
 """
 
 import ast
@@ -32,7 +32,10 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from stablesearch.export import dataset_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "stablesearch"
@@ -291,3 +294,18 @@ def test_readme_signatures_match_the_package():
         (obj,) = package_objects(dotted)
         actual = [name for name in inspect.signature(obj).parameters if name != "self"]
         assert re.findall(r"\w+", params) == actual, dotted
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text()
+    (example,) = re.findall(r"## Library use\n\n```python\n(.*?)```", readme, flags=re.S)
+    # the data.csv it reads: a three-variable chain
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal((200, 3))
+    values[:, 1] += 0.8 * values[:, 0]
+    values[:, 2] += 0.7 * values[:, 1]
+    (tmp_path / "data.csv").write_text(dataset_csv(("A", "B", "C"), values))
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example, "README.md", "exec"), {})
+    pi_bic, relevant = capsys.readouterr().out.split(" ", 1)
+    assert 0 <= int(pi_bic) <= 3 and relevant.startswith("[")

@@ -159,7 +159,7 @@ def test_edge_probabilities_count_cpdags():
         make_model(3, {(1, 0)}, mask),  # same class as 0->1
         make_model(3, {(0, 2)}, mask),
     ]
-    sg = stability_graphs(models, mask)[0]
+    sg = stability_graphs(models, mask, ("A", "B", "C"))[0]
     assert stability_curve(sg, 0, 1)[1] == pytest.approx(0.75)
     assert stability_curve(sg, 0, 2)[1] == pytest.approx(0.25)
     assert stability_curve(sg, 1, 2)[1] == 0.0
@@ -177,7 +177,7 @@ def test_path_probabilities_use_directed_closure():
         make_model(3, {(0, 1)}, mask),          # class is undirected: no path
         make_model(3, {(0, 2), (1, 2)}, mask),  # collider stays directed
     ]
-    sg = stability_graphs(models, mask)[1]
+    sg = stability_graphs(models, mask, ("A", "B", "C"))[1]
     assert stability_curve(sg, 0, 1)[1] == 0.0
     assert stability_curve(sg, 0, 2)[1] == 0.0
     assert stability_curve(sg, 0, 2)[2] == 1.0
@@ -189,7 +189,7 @@ def test_path_probabilities_use_directed_closure():
 
     # with only the collider observed, complexity 1 is a genuine gap and
     # interpolates between the zero pin and the observed 1.0
-    sg = stability_graphs([make_model(3, {(0, 2), (1, 2)}, mask)], mask)[1]
+    sg = stability_graphs([make_model(3, {(0, 2), (1, 2)}, mask)], mask, ("A", "B", "C"))[1]
     assert stability_curve(sg, 0, 2)[1] == pytest.approx(0.5)
     assert list(sg.imputed) == [True, True, False, True]
 
@@ -197,11 +197,11 @@ def test_path_probabilities_use_directed_closure():
 def test_path_stability_mask_compelled_pair():
     mask = ConstraintMask.empty(2).with_forbidden([(1, 0)])
     models = [make_model(2, {(0, 1)}, mask)]
-    sg = stability_graphs(models, mask)[1]
+    sg = stability_graphs(models, mask, ("A", "B"))[1]
     assert list(stability_curve(sg, 0, 1)) == [0.0, 1.0]
     assert list(stability_curve(sg, 1, 0)) == [0.0, 0.0]
 
-    edge_sg = stability_graphs(models, mask)[0]
+    edge_sg = stability_graphs(models, mask, ("A", "B"))[0]
     assert list(stability_curve(edge_sg, 0, 1)) == [0.0, 1.0]
 
 
@@ -210,7 +210,7 @@ def test_fully_forbidden_pair_pins_and_skips():
     dense = complete_dag_under(mask)
     assert dense is not None and dense.arcs == frozenset()
     models = [make_model(2, set(), mask)]
-    edge_sg, path_sg = stability_graphs(models, mask)
+    edge_sg, path_sg = stability_graphs(models, mask, ("A", "B"))
     # no allowed DAG holds the pair, so its edge curve is pinned to 0 at max too
     assert list(stability_curve(edge_sg, 0, 1)) == [0.0, 0.0]
     # the densest reachable graph has no arc, so nothing is ever compelled
@@ -225,7 +225,7 @@ def test_edge_curve_of_a_pair_forbidden_both_ways_stays_zero():
         make_model(3, {(0, 1)}, mask),
         make_model(3, {(0, 1), (1, 2)}, mask),
     ]
-    edge_sg = stability_graphs(models, mask)[0]
+    edge_sg = stability_graphs(models, mask, ("A", "B", "C"))[0]
     assert list(stability_curve(edge_sg, 0, 2)) == [0.0, 0.0, 0.0, 0.0]
     assert list(stability_curve(edge_sg, 0, 1)) == [0.0, 1.0, 1.0, 1.0]
     assert list(stability_curve(edge_sg, 1, 2)) == [0.0, 0.0, 1.0, 1.0]
@@ -236,7 +236,7 @@ def test_forced_cycle_extends_last_anchor():
     mask = ConstraintMask.empty(3).with_forbidden([(1, 0), (2, 1), (0, 2)])
     assert complete_dag_under(mask) is None
     models = [make_model(3, {(0, 1)}, mask)]
-    edge_sg, path_sg = stability_graphs(models, mask)
+    edge_sg, path_sg = stability_graphs(models, mask, ("A", "B", "C"))
     assert list(stability_curve(edge_sg, 0, 1)) == [0.0, 1.0, 1.0, 1.0]
     # no max-complexity anchor exists, so the path curve extends its last one
     assert list(stability_curve(path_sg, 0, 1)) == [0.0, 1.0, 1.0, 1.0]
@@ -245,7 +245,7 @@ def test_forced_cycle_extends_last_anchor():
 def assert_matches_oracle(models, mask):
     """stability_graphs' curves, key order and imputed flags equal the
     dict-based oracle's, byte for byte."""
-    edge_sg, path_sg = stability_graphs(models, mask)
+    edge_sg, path_sg = stability_graphs(models, mask, tuple(map(str, range(mask.n_nodes))))
     edge_want, path_want, imputed = oracle_stability_curves(models, mask)
     for sg, want in ((edge_sg, edge_want), (path_sg, path_want)):
         assert list(sg.probabilities) == list(want)
@@ -522,6 +522,6 @@ def test_stability_stages_reject_empty_or_bad_input():
     with pytest.raises(SearchFailed, match="no subsets to search"):
         run_searches([([], ConstraintMask.empty(3), params)])
     with pytest.raises(SearchFailed, match="no models to aggregate"):
-        stability_graphs([], ConstraintMask.empty(3))
+        stability_graphs([], ConstraintMask.empty(3), ("A", "B", "C"))
     with pytest.raises(SearchFailed, match="no models, pi_bic undefined"):
         compute_pi_bic([])
