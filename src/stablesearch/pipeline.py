@@ -1,9 +1,10 @@
 """End-to-end stability selection on one or more search problems.
 
-Composition of the pieces: subsample the data, run one evolutionary search
-per subset, aggregate Pareto models into stability curves, pick the BIC
-complexity, collect the relevant structures, assemble the summary graph and
-annotate it with median causal effects.  This is the only module that
+Composition of the pieces: subsample the data, search each subset (its
+exact Pareto front when the problem is small, else NSGA-II), aggregate
+Pareto models into stability curves, pick the BIC complexity, collect the
+relevant structures, assemble the summary graph and annotate it with
+median causal effects.  This is the only module that
 chains the stages.  A run's models (the longitudinal baseline and transition
 models, or every replicate dataset of the recovery evaluation) share one
 ``run_searches`` call, hence at most one process pool.

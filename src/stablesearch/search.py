@@ -1,4 +1,4 @@
-"""NSGA-II search over constrained DAG structures.
+"""Pareto search over constrained DAG structures: NSGA-II, or the exact front.
 
 Objectives are (chi_square, complexity), both minimized.  evolve() holds the
 population as one (N, p, p) boolean array of adjacency matrices; forbidden
@@ -13,6 +13,11 @@ before skips the cycle check, repair and scorer, a repaired row is repacked,
 and new ones go to the scorer in one batch, if there are any.
 Each generation ranks the union once and walks its fronts once (_survivors).
 The returned Pareto set carries the memo's scores.
+
+exact_front() solves a small problem exactly instead: at most EXACT_NODES
+nodes may take a parent, none from more than EXACT_NODES - 1 candidates (no
+bigger than an unmasked 8-node problem).  There the dynamic program costs
+less than evolve() at the SearchParams defaults; past it, it soon costs more.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ from .graphs import ConstraintMask, Cpdag, Dag, cyclic_rows, dag_to_cpdag, repai
 # fit_dag_ml is not called here: bench/tracer.py wraps
 # stablesearch.search.fit_dag_ml by name
 from .scoring import INFEASIBLE, FitResult, Scorer, _packed, fit_dag_ml  # noqa: F401
+
+EXACT_NODES = 8  # the size limit of exact_front, as the module docstring states
 
 
 @dataclass(frozen=True)
@@ -260,3 +267,108 @@ def evolve(
 
     front = ranks == 0
     return _pareto_postfilter(population[front], objs[front], mask, n, labels)
+
+
+def exact_front(
+    cov: np.ndarray, n: int, mask: ConstraintMask, labels: tuple[str, ...] | None
+) -> list[ParetoModel]:
+    """The exact Pareto front, by dynamic programming over sink orders.
+
+    An arc-count index (Koivisto & Sood 2004, JMLR 5; Silander & Myllymaki
+    2006, UAI): table[U, k] is the least sum of ln psi over the nodes in U,
+    with k arcs, reached by adding a sink t whose best c parents lie in the
+    roots and U \\ {t}.  Roots (the nodes no arc may enter) come first in
+    every order, so U runs over the other, free, nodes only.  The table is
+    filled one popcount layer at a time, every (sink, parent count) of a
+    layer in one min-plus step; a degenerate parent set scores +inf and is
+    never chosen.  Each optimum is scored again by the Scorer, so a DAG that
+    evolve also finds gets the same chi-square, and a complexity is on the
+    front when its chi-square is below that of every lower one.
+    """
+    p = mask.n_nodes
+    if cov.shape != (p, p):
+        raise DegenerateData("covariance and mask disagree on dimensions")
+    scorer = Scorer(cov, n)
+    allowed = ~mask.forbidden
+    free = np.flatnonzero(allowed.any(axis=0))
+    f, d = len(free), int(allowed.sum(axis=0).max())
+    # cand[t, b]: free node t's b-th candidate parent, valid for b < n_cand[t];
+    # a parent set of t is a mask s over those d positions
+    n_cand = allowed[:, free].sum(axis=0)
+    cand = np.argsort(~allowed[:, free].T, axis=1, kind="stable")[:, :d]
+    subsets = np.arange(1 << d)
+    bits = (subsets[:, None] >> np.arange(d) & 1).astype(bool)
+    size = bits.sum(axis=1)
+    local = np.full((f, 1 << d), INFEASIBLE)
+    local[:, 0] = scorer.small_fits[p, free]
+    local[:, 1 << np.arange(d)] = np.where(
+        np.arange(d) < n_cand[:, None], scorer.small_fits[cand, free[:, None]], INFEASIBLE
+    )
+    valid = subsets < (1 << n_cand[:, None])  # [t, s]: s holds real candidates only
+    for c in range(2, d + 1):
+        ts, ss = np.nonzero(valid & (size == c))
+        local[ts, ss] = _log_psi(cov, free[ts], cand[ts][bits[ss]].reshape(-1, c))
+    # best[t, c, s]: least ln psi of t over its c-parent sets inside s, arg that set
+    best = np.where(size == np.arange(d + 1)[:, None], local[:, None, :], INFEASIBLE)
+    arg = np.broadcast_to(subsets, best.shape).copy()
+    for b in range(d):
+        has = subsets[bits[:, b]]
+        take = best[..., has ^ 1 << b] < best[..., has]
+        best[..., has] = np.where(take, best[..., has ^ 1 << b], best[..., has])
+        arg[..., has] = np.where(take, arg[..., has ^ 1 << b], arg[..., has])
+    # within[U, t]: the mask of t's candidates that the roots and U hold;
+    # position[a, j] is the bit of candidate a among node j's candidates
+    states = np.arange(1 << f)
+    in_u = (states[:, None] >> np.arange(f) & 1).astype(bool)
+    held = np.ones((len(states), p), dtype=np.int64)
+    held[:, free] = in_u
+    position = allowed * (1 << np.cumsum(allowed, axis=0) >> 1)
+    within = held @ position[:, free]
+    best_in = best[np.arange(f)[:, None], :, within.T]  # [t, U, c]
+    top = int(np.triu(allowed | allowed.T, 1).sum())
+    table = np.full((len(states), top + 2), INFEASIBLE)  # column top + 1 stays +inf
+    table[0, 0] = 0.0
+    back = np.zeros((2, len(states), top + 1), dtype=np.int64)  # (sink, parent count)
+    k_less_c = np.arange(top + 1) - np.arange(d + 1)[:, None]  # [c, k]
+    shift = np.where(k_less_c >= 0, k_less_c, top + 1)
+    for layer in range(1, f + 1):
+        us = states[in_u.sum(axis=1) == layer]
+        rows, ts = np.nonzero(in_u[us])  # each U's sinks, U-major
+        rest = us[rows] ^ 1 << ts
+        steps = table[rest][:, shift] + best_in[ts, rest][:, :, None]
+        steps = steps.reshape(len(us), layer * (d + 1), top + 1)
+        pick = steps.argmin(axis=1)
+        table[us, : top + 1] = np.take_along_axis(steps, pick[:, None], axis=1)[:, 0]
+        back[0, us] = ts.reshape(len(us), layer)[np.arange(len(us))[:, None], pick // (d + 1)]
+        back[1, us] = pick % (d + 1)
+    # walk every finite complexity's optimum back from the full set at once
+    ks = np.flatnonzero(np.isfinite(table[-1, : top + 1]))
+    adjs = np.zeros((len(ks), p, p), dtype=bool)
+    u, left = np.full(len(ks), len(states) - 1), ks
+    for _ in range(f):
+        t, c = back[:, u, left]
+        u = u ^ 1 << t
+        rows, b = np.nonzero(bits[arg[t, c, within[u, t]]])
+        adjs[rows, cand[t[rows], b], free[t[rows]]] = True
+        left = left - c
+    objs = np.column_stack((scorer.chi_squares(adjs), ks))
+    lowest = np.concatenate(([INFEASIBLE], np.minimum.accumulate(objs[:-1, 0])))
+    front = objs[:, 0] < lowest
+    return _pareto_postfilter(adjs[front], objs[front], mask, n, labels)
+
+
+def _log_psi(cov: np.ndarray, heads: np.ndarray, parents: np.ndarray) -> np.ndarray:
+    """ln psi of node heads[i] on the parents in row i, by one stacked solve;
+    +inf where node_regression would raise.  A singular block fails the whole
+    stack, so a failed stack is solved again row by row."""
+    rhs = cov[parents, heads[:, None]]
+    try:
+        coef = np.linalg.solve(cov[parents[:, :, None], parents[:, None, :]], rhs[..., None])
+    except np.linalg.LinAlgError:
+        if len(heads) == 1:
+            return np.array([INFEASIBLE])
+        return np.concatenate([_log_psi(cov, heads[i : i + 1], parents[i : i + 1])
+                               for i in range(len(heads))])
+    resid = cov[heads, heads] - np.einsum("ic,ic->i", rhs, coef[..., 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((resid > 0) & np.isfinite(resid), np.log(resid), INFEASIBLE)

@@ -88,12 +88,17 @@ class GroundTruthModel:
 
     def check_layout(self, layout: Layout) -> None:
         """Raise ShapeMismatch unless layout lists the model's variables, in
-        order, over its number of slices: the truth's node ids index them."""
+        order, over its number of slices: the truth's node ids index them.
+        The message names both variable lists when they differ."""
         if (layout.variables, layout.slices) != (self.variables, self.n_slices):
+            names = ""
+            if layout.variables != self.variables:
+                names = (f": the layout lists {', '.join(layout.variables)}, "
+                         f"the truth {', '.join(self.variables)}")
             raise ShapeMismatch(
                 f"layout ({len(layout.variables)} variables, {layout.slices} "
                 f"slices) does not match the ground truth ({self.p} variables, "
-                f"{self.n_slices} slices)"
+                f"{self.n_slices} slices){names}"
             )
 
 

@@ -20,7 +20,7 @@ from .graphs import (
     topological_order,
 )
 from .scoring import Dataset, sample_covariance
-from .search import ParetoModel, SearchParams, evolve
+from .search import EXACT_NODES, ParetoModel, SearchParams, evolve, exact_front
 from .seeding import SEARCH_LANE, derived_seed
 
 log = logging.getLogger(__name__)
@@ -129,10 +129,14 @@ def _search_one(task):
     index, subset, mask, params = task
     try:
         cov, n_eff, labels = cross_sectional_cov(subset)
-        seed_i = derived_seed(params.seed, SEARCH_LANE, index)
-        models = evolve(
-            cov, n_eff, mask.n_nodes, mask, replace(params, seed=seed_i), labels
-        )
+        candidates = (~mask.forbidden).sum(axis=0)  # per node, the parents it may take
+        if (candidates > 0).sum() <= EXACT_NODES and candidates.max() < EXACT_NODES:
+            models = exact_front(cov, n_eff, mask, labels)
+        else:
+            seed_i = derived_seed(params.seed, SEARCH_LANE, index)
+            models = evolve(
+                cov, n_eff, mask.n_nodes, mask, replace(params, seed=seed_i), labels
+            )
         return SubsetResult(index, models, cov=cov)
     except StableSearchError as exc:
         return SubsetResult(index, None, f"{type(exc).__name__}: {exc}")
@@ -142,8 +146,10 @@ def run_searches(
     problems: list[tuple[list[Dataset], ConstraintMask, SearchParams]],
     parallelism: int = 1,
 ) -> list[SubsetResult]:
-    """One evolve() per subset of every (subsets, mask, params) problem, all
-    through one map, so a run starts at most one process pool.
+    """One search per subset of every (subsets, mask, params) problem, all
+    through one map, so a run starts at most one process pool.  A problem
+    within search.EXACT_NODES gets its exact front (exact_front), others
+    an evolve() run.
 
     Results come back flat, by problem, then subset index, whatever the
     parallelism degree; each derived seed depends only on (the problem's

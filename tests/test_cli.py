@@ -904,7 +904,11 @@ def test_evaluate_layout_mismatch_exits_data(sim_dir, tmp_path, capsys):
     write_json(bad / "layout.json", layout)
     rc = main(["evaluate", "--data", str(bad), "--out", str(tmp_path / "o")])
     assert rc == EXIT_DATA
-    assert "does not match the ground truth" in capsys.readouterr().err
+    assert_one_error_line(
+        capsys.readouterr().err,
+        "layout (3 variables, 3 slices) does not match the ground truth (4 variables, "
+        "3 slices): the layout lists X1, X2, X3, the truth X1, X2, X3, X4",
+    )
 
 
 def copy_sim_dir(sim_dir, dest, data=True):

@@ -5,8 +5,10 @@ workload draws them (a random causal order, 1.25 arcs per node, weights of
 magnitude 0.3-1.0 with random signs, unit noise, n=800), small enough for
 ``oracles.oracle_exact_front`` to give the search's exact optimum.
 
-- The selection gate replaces every search by the exact front, so its AUCs
-  measure only the stability selection and the ROC sweep.
+- The selection gate runs the pipeline at p=6, where every subset search
+  is solved exactly (``search.exact_front``, checked against the oracle in
+  tests/test_search.py), so its AUCs measure only the stability selection
+  and the ROC sweep.
 - The search gate runs ``evolve`` at the ``SearchParams`` defaults and
   bounds its front gap against the exact front.
 
@@ -18,7 +20,6 @@ import numpy as np
 import pytest
 
 from oracles import oracle_exact_front
-from stablesearch import stability
 from stablesearch.graphs import ConstraintMask, Dag, dag_to_cpdag
 from stablesearch.pipeline import search_stability
 from stablesearch.scoring import Dataset, sample_covariance
@@ -61,17 +62,15 @@ def front_gap(models, optimum: dict, n: int) -> float:
 
 SELECTION_SEEDS = tuple(range(1, 11))
 # (median, lowest) over the seeds; measured 1.000 / 0.750 edge and
-# 0.951 / 0.817 causal.  The lowest cases miss true edges even at the
-# full data's exact BIC optimum: weak or cancelling weights, not selection.
+# 0.951 / 0.817 causal through search.exact_front, the same values the
+# oracle's front gave in its place.  The lowest cases miss true edges even
+# at the full data's exact BIC optimum: weak or cancelling weights, not
+# selection.
 EDGE_AUC_FLOOR = (0.95, 0.70)
 CAUSAL_AUC_FLOOR = (0.90, 0.75)
 
 
-def test_selection_on_the_exact_front_recovers_the_truth(monkeypatch):
-    monkeypatch.setattr(
-        stability, "evolve",
-        lambda cov, n, p, mask, params, labels: oracle_exact_front(cov, n, mask)[1],
-    )
+def test_selection_on_the_exact_front_recovers_the_truth():
     edge, causal = [], []
     for seed in SELECTION_SEEDS:
         dag, data = random_sem(6, seed)

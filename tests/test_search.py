@@ -15,6 +15,7 @@ from oracles import (
 from stablesearch import scoring, search
 from stablesearch.errors import DegenerateData
 from stablesearch.graphs import ConstraintMask, Dag, arc_matrix, reachability, repair_arcs
+from stablesearch.longitudinal import transition_mask
 from stablesearch.scoring import Dataset, sample_covariance
 from stablesearch.search import (
     SearchParams,
@@ -25,7 +26,9 @@ from stablesearch.search import (
     _tournament,
     _vary,
     evolve,
+    exact_front,
 )
+from stablesearch.stability import complete_dag_under
 
 
 def ranks(points):
@@ -636,3 +639,98 @@ def test_evolve_rejects_dimensions_that_disagree():
         evolve(np.eye(3), 50, 3, ConstraintMask.empty(4), params)
     with pytest.raises(DegenerateData, match="covariance, mask and p disagree on dimensions"):
         evolve(np.eye(4), 50, 3, ConstraintMask.empty(3), params)
+
+
+def random_problem(rng, p, kind, rows=200):
+    """(covariance, rows, mask) of a random SEM; the mask is empty, random, or
+    root-heavy: arcs into about half the nodes forbidden, as in a transition
+    model's prev slice, plus a few random ones."""
+    order = rng.permutation(p).tolist()
+    arcs = {
+        (order[a], order[b]): float(rng.choice([-1, 1]) * rng.uniform(0.3, 1.0))
+        for a in range(p) for b in range(a + 1, p) if rng.random() < 0.4
+    }
+    data = dataset_from_model(p, arcs, rng, rows)
+    forbidden = np.zeros((p, p), dtype=bool)
+    if kind == "random":
+        forbidden = rng.random((p, p)) < 0.3
+    elif kind == "roots":
+        forbidden = rng.random((p, p)) < 0.2
+        forbidden[:, rng.random(p) < 0.5] = True
+    return sample_covariance(data), rows, ConstraintMask(p, forbidden)
+
+
+@pytest.mark.parametrize("kind", ["unmasked", "random", "roots"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+def test_exact_front_matches_the_oracle(p, kind):
+    rng = np.random.default_rng(60 + p)
+    for _ in range(4):
+        cov, n, mask = random_problem(rng, p, kind)
+        _, want = oracle_exact_front(cov, n, mask)
+        got = exact_front(cov, n, mask, None)
+        assert [m.fit.complexity for m in got] == [m.fit.complexity for m in want]
+        scorer = scoring.Scorer(cov, n)
+        for g, w in zip(got, want):
+            # a Markov-equivalent tie may pick another DAG of the same score,
+            # up to rounding; the complete DAG's chi-square is 0 up to rounding
+            assert g.fit.chi_square == pytest.approx(w.fit.chi_square, rel=1e-9, abs=1e-9)
+            assert all(mask.allows(a, b) for a, b in g.dag.arcs)
+            assert g.fit.complexity == len(g.dag.arcs)
+            assert scorer.chi_squares(arc_matrix(p, g.dag.arcs)[None])[0] == g.fit.chi_square
+
+
+def test_exact_front_with_no_allowed_arc_is_the_empty_dag():
+    cov, n, _ = random_problem(np.random.default_rng(5), 4, "unmasked")
+    mask = ConstraintMask(4, np.ones((4, 4), dtype=bool))
+    (model,) = exact_front(cov, n, mask, ("a", "b", "c", "d"))
+    assert model.dag.arcs == frozenset() and model.dag.labels == ("a", "b", "c", "d")
+    assert model.fit.chi_square == scoring.Scorer(cov, n).chi_squares(np.zeros((1, 4, 4), bool))[0]
+
+
+def test_exact_front_never_chooses_a_degenerate_parent_block():
+    # two copies of a 3-node block whose nodes 0 and 1 are exactly collinear:
+    # the determinant is positive, so the scorer accepts the covariance, but
+    # an arc between 0 and 1, or both as parents of one node, degenerates
+    block = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.0], [0.5, 0.0, 1.0]])
+    cov = np.kron(np.eye(2), block)
+    mask = ConstraintMask.empty(6)
+    with pytest.raises(DegenerateData):
+        scoring.node_regression(cov, 2, [0, 1])
+    _, want = oracle_exact_front(cov, 50, mask)
+    got = exact_front(cov, 50, mask, None)
+    assert [(m.fit.complexity, m.fit.chi_square) for m in got] == [
+        (m.fit.complexity, m.fit.chi_square) for m in want
+    ]
+    assert len(got) >= 2
+    for m in got:
+        adj = arc_matrix(6, m.dag.arcs)
+        assert not (adj[[0, 1], [1, 0]].any() or adj[[3, 4], [4, 3]].any())
+        assert not (adj[0] & adj[1]).any() and not (adj[3] & adj[4]).any()
+        assert np.isfinite(m.fit.chi_square)
+
+
+def test_exact_front_reaches_the_complete_dag():
+    """When the mask forbids no pair both ways, other than pairs of roots
+    (the masks that priors and the transition model make), the complete DAGs
+    under it fit best, so the front reaches them and pi_bic is not capped."""
+    rng = np.random.default_rng(8)
+    masks = [ConstraintMask.empty(p) for p in (2, 5, 8)] + [
+        transition_mask(["A", "B", "C", "D"][:v], prior) for v, prior in
+        ((2, ()), (3, (("A", "B"),)), (4, (("A", "B"), ("C", "D"))))
+    ]
+    for _ in range(8):
+        p = int(rng.integers(3, 7))
+        forbidden = rng.random((p, p)) < 0.4
+        mask = ConstraintMask(p, forbidden & ~np.triu(forbidden.T, 1))
+        if complete_dag_under(mask) is not None:
+            masks.append(mask)
+    assert len(masks) > 8
+    for mask in masks:
+        cov, n, _ = random_problem(rng, mask.n_nodes, "unmasked")
+        models = exact_front(cov, n, mask, None)
+        assert models[-1].fit.complexity == len(complete_dag_under(mask).arcs)
+
+
+def test_exact_front_rejects_dimensions_that_disagree():
+    with pytest.raises(DegenerateData, match="covariance and mask disagree on dimensions"):
+        exact_front(np.eye(3), 50, ConstraintMask.empty(4), None)

@@ -349,7 +349,9 @@ def test_evaluate_recovery_rejects_a_layout_that_is_not_the_truths(monkeypatch):
     # the same columns, with the variables listed in another order
     reordered = LongitudinalDataset(ld.data, Layout(("X2", "X1", "X4", "X3"), 3))
     monkeypatch.setattr(simulate, "search_stability", None)  # fails before any search
-    message = r"layout \(4 variables, 3 slices\) does not match the ground truth"
+    message = (r"layout \(4 variables, 3 slices\) does not match the ground truth "
+               r"\(4 variables, 3 slices\): the layout lists X2, X1, X4, X3, "
+               r"the truth X1, X2, X3, X4$")
     with pytest.raises(ShapeMismatch, match=message):
         evaluate_recovery([good, reordered], model, SearchParams())
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_stability_curves, sem_implied_covariance, stability_curve
+from stablesearch import stability
 from stablesearch.errors import DegenerateData, SearchFailed
 from stablesearch.graphs import ConstraintMask, Dag, dag_to_cpdag, topological_order
 from stablesearch.scoring import Dataset, FitResult, sample_covariance
@@ -66,11 +67,20 @@ def test_subsample_rejects_too_small():
         subsample(data, 2, np.random.default_rng(0))
 
 
-def test_run_searches_deterministic_across_parallelism():
+def random_dataset(rng, p, rows):
+    """Rows of a random linear SEM on p variables, in causal order."""
+    weights = np.triu(rng.uniform(-1, 1, (p, p)) * (rng.random((p, p)) < 0.3), 1)
+    return Dataset([f"X{i + 1}" for i in range(p)],
+                   rng.standard_normal((rows, p)) @ np.linalg.inv(np.eye(p) - weights))
+
+
+# p=3 is solved exactly; p=10 is past search.EXACT_NODES, so evolve runs
+@pytest.mark.parametrize("p", [3, 10])
+def test_run_searches_deterministic_across_parallelism(p):
     rng = np.random.default_rng(3)
-    data = chain_dataset(rng, rows=120)
+    data = chain_dataset(rng, rows=120) if p == 3 else random_dataset(rng, p, 120)
     subsets = subsample(data, 4, np.random.default_rng(7))
-    mask = ConstraintMask.empty(3)
+    mask = ConstraintMask.empty(p)
     params = SearchParams(generations=6, population_size=12, seed=11)
 
     serial = run_searches([(subsets, mask, params)])
@@ -82,6 +92,35 @@ def test_run_searches_deterministic_across_parallelism():
         assert [m.fit.chi_square for m in a.models] == [
             m.fit.chi_square for m in b.models
         ]
+
+
+def refuse(name):
+    def call(*args):
+        raise AssertionError(f"{name} must not run here")
+    return call
+
+
+# (nodes, forbidden arcs, exact): at the limit, 8 nodes take a parent from 7
+# candidates each; one node past it, 9 nodes do; one candidate past it, 8
+# nodes (all but the root 0) take a parent from 8 candidates
+DISPATCH = {
+    "at the limit": (8, [], True),
+    "transition model of 4 variables": (8, [(a, b) for a in range(8) for b in range(4)], True),
+    "one node past": (9, [(a, (a + 1) % 9) for a in range(9)], False),
+    "one candidate past": (9, [(a, 0) for a in range(1, 9)], False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DISPATCH))
+def test_search_dispatch_at_the_exact_front_limit(case, monkeypatch):
+    p, arcs, exact = DISPATCH[case]
+    mask = ConstraintMask.empty(p).with_forbidden(arcs)
+    subsets = [random_dataset(np.random.default_rng(4), p, 60)]
+    params = SearchParams(generations=2, population_size=8, seed=1)
+    skipped = "evolve" if exact else "exact_front"
+    monkeypatch.setattr(stability, skipped, refuse(skipped))
+    (result,) = run_searches([(subsets, mask, params)])
+    assert not result.failed and result.models
 
 
 def test_run_searches_caps_pool_at_subset_count(in_process_pool):
