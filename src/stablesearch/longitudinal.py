@@ -275,10 +275,11 @@ def transition_problem(
     an error), or when, after those, ``transition_mask`` leaves it no arc.
     The frame (the reshaped data) and the mask are cut to the kept nodes
     once.  Each kept node that is filled from a later slice, at some slice
-    its variable is unobserved, gets one warning.  With ``subsample_unit``
-    "subject", the subsets are whole-subject draws of the frame's rows
-    seeded from ``params``; with "row", subsets is None and the pipeline
-    subsamples the frame's rows.
+    its variable is unobserved, gets one warning, and so does each kept cur
+    node filled from an earlier one (it may repeat its prev node's values).
+    With ``subsample_unit`` "subject", the subsets are whole-subject draws
+    of the frame's rows seeded from ``params``; with "row", subsets is None
+    and the pipeline subsamples the frame's rows.
     """
     if subsample_unit not in ("subject", "row"):
         raise ValueError("subsample_unit must be 'subject' or 'row'")
@@ -300,11 +301,14 @@ def transition_problem(
     frame = reshape(data)
     for i in keep:
         late = [(k, j) for k, j in fills[i] if j > k]
-        if late:
-            log.warning(
-                "transition node %r reads a later slice: %r is unobserved at slice %d "
-                "and is filled from slice %d", frame.names[i], lay.variables[i % p], *late[0],
-            )
+        early = [(k, j) for k, j in fills[i] if j < k and i >= p]
+        for when, reads in (("a later", late), ("an earlier", early)):
+            if reads:
+                log.warning(
+                    "transition node %r reads %s slice: %r is unobserved at slice %d "
+                    "and is filled from slice %d", frame.names[i], when, lay.variables[i % p],
+                    *reads[0],
+                )
     frame = Dataset([frame.columns[i] for i in keep], frame.values[:, keep])
     mask = ConstraintMask(len(keep), forbidden[np.ix_(keep, keep)])
     if subsample_unit == "row":

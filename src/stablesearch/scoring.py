@@ -8,8 +8,10 @@ Sigma = (I-C)^-1 diag(psi) (I-C)^-T satisfies ln|Sigma| = sum_j ln psi_j and
 tr(S Sigma^-1) = p, so the deviance reduces to
 chi_square = (n-1) * (sum_j ln psi_j - ln|S|) with no matrix inversion.
 Scorer computes it for whole batches of adjacency matrices, reading fits on at
-most one parent from a closed-form table (small_fits) and solving only the rest;
-fit_dag_ml is its call on one DAG.  FitResult.scored adds BIC's k ln n for k arcs.
+most one parent from a closed-form table (small_fits) and the rest from log_psi,
+the one ln psi kernel (a stacked solve per parent count, which exact_front's
+local scores share); fit_dag_ml is its call on one DAG.  FitResult.scored adds
+BIC's k ln n for k arcs.
 """
 
 from __future__ import annotations
@@ -183,29 +185,28 @@ class FitResult:
         return cls(chi_square, complexity, chi_square + complexity * float(np.log(n)))
 
 
-def node_regression(cov: np.ndarray, j: int, parents) -> float:
-    """Residual variance of the least squares of node j on its parents.
-
-    Raises DegenerateData when the parent block is singular or the residual
-    variance is not positive.
-    """
-    resid = float(cov[j, j])
-    if len(parents):
-        rhs = cov[parents, j]
-        try:
-            b = np.linalg.solve(cov[parents][:, parents], rhs)
-        except np.linalg.LinAlgError:
-            raise DegenerateData(f"singular parent block for node {j}") from None
-        resid = float(cov[j, j] - rhs @ b)
-    if resid <= 0 or not np.isfinite(resid):
-        raise DegenerateData(f"non-positive residual variance at node {j}")
-    return resid
+def log_psi(cov: np.ndarray, heads: np.ndarray, parents: np.ndarray) -> np.ndarray:
+    """ln psi, the residual variance of node heads[i] regressed on the parents
+    in row i of the (m, c) array, by one stacked solve; +inf where the parent
+    block is singular or the residual is not positive and finite.  A singular
+    block fails the whole stack, so a failed stack is solved again row by row."""
+    rhs = cov[parents, heads[:, None]]
+    try:
+        coef = np.linalg.solve(cov[parents[:, :, None], parents[:, None, :]], rhs[..., None])
+    except np.linalg.LinAlgError:
+        if len(heads) == 1:
+            return np.array([INFEASIBLE])
+        return np.concatenate([log_psi(cov, heads[i : i + 1], parents[i : i + 1])
+                               for i in range(len(heads))])
+    resid = cov[heads, heads] - (rhs[:, None, :] @ coef)[:, 0, 0]  # rounds as rhs @ b does
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((resid > 0) & np.isfinite(resid), np.log(resid), INFEASIBLE)
 
 
 def small_fits(cov: np.ndarray) -> np.ndarray:
     """ln psi of node j on parent a at [a, j], on no parent at [p, j]; +inf on
-    the diagonal and where node_regression raises.  A 1x1 solve is one
-    division and a one-element dot one product: the same floats it gives."""
+    the diagonal and where the fit degenerates.  A 1x1 solve is one division
+    and a one-element dot one product: the same floats a solve gives."""
     var = np.diag(cov)
     with np.errstate(divide="ignore", invalid="ignore"):
         resid = np.vstack([var - cov * (cov / var[:, None]), var])
@@ -219,8 +220,9 @@ class Scorer:
 
     The chi-square decomposes over nodes: a fit on at most one parent is read
     from the small_fits table, others from a per-node dict keyed by the parent
-    column's packed bits (_packed), each missing key solved once (+inf if it
-    degenerates).  The positive-definiteness check reads only the determinant's sign.
+    column's packed bits (_packed).  A call's missing keys are scored by
+    log_psi, one stacked solve per parent count.  The positive-definiteness
+    check reads only the determinant's sign.
     """
 
     def __init__(self, cov: np.ndarray, n: int):
@@ -232,7 +234,7 @@ class Scorer:
         self.logdet_s = logdet
         self.small_fits = small_fits(cov)
         # per node: packed column of 2+ parents -> ln psi, +inf when the fit degenerates
-        self.log_psi: list[dict[bytes, float]] = [{} for _ in range(len(cov))]
+        self.fits: list[dict[bytes, float]] = [{} for _ in range(len(cov))]
 
     def chi_squares(self, adjs: np.ndarray) -> np.ndarray:
         """Chi-square per matrix of an (N, p, p) batch; +inf for degenerate fits."""
@@ -240,15 +242,19 @@ class Scorer:
         in_degree = adjs.sum(axis=1)  # [r, j]: parents of node j in matrix r
         logs = self.small_fits[np.where(in_degree == 0, p, adjs.argmax(axis=1)), np.arange(p)]
         rows, nodes = np.nonzero(in_degree >= 2)  # the fits the table cannot score
-        for r, j, key in zip(rows.tolist(), nodes.tolist(), _packed(adjs[rows, :, nodes])):
-            val = self.log_psi[j].get(key)
-            if val is None:
-                try:
-                    val = np.log(node_regression(self.cov, j, np.flatnonzero(adjs[r, :, j])))
-                except DegenerateData:
-                    val = INFEASIBLE
-                self.log_psi[j][key] = val
-            logs[r, j] = val
+        heads, keys, fits = nodes.tolist(), _packed(adjs[rows, :, nodes]), self.fits
+        vals = [fits[j].get(key) for j, key in zip(heads, keys)]
+        if None in vals:  # new keys: one kernel call per parent count, each key once
+            new = {(heads[i], keys[i]): i for i, val in enumerate(vals) if val is None}
+            first = np.fromiter(new.values(), np.int64, len(new))
+            counts = in_degree[rows[first], nodes[first]]
+            for c in sorted(set(counts.tolist())):  # not np.unique: its first call takes ~12 ms
+                at = first[counts == c]
+                parents = np.nonzero(adjs[rows[at], :, nodes[at]])[1].reshape(-1, c)
+                for i, val in zip(at.tolist(), log_psi(self.cov, nodes[at], parents).tolist()):
+                    fits[heads[i]][keys[i]] = val
+            vals = [fits[j][key] for j, key in zip(heads, keys)]
+        logs[rows, nodes] = vals
         total = np.zeros(n_rows)
         for j in range(p):  # node order, as a scalar running sum would add them
             total += logs[:, j]

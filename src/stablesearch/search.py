@@ -18,6 +18,7 @@ exact_front() solves a small problem exactly instead: at most EXACT_NODES
 nodes may take a parent, none from more than EXACT_NODES - 1 candidates (no
 bigger than an unmasked 8-node problem).  There the dynamic program costs
 less than evolve() at the SearchParams defaults; past it, it soon costs more.
+Its local scores are the Scorer's bits: small_fits and scoring.log_psi.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import DegenerateData, require
 from .graphs import ConstraintMask, Cpdag, Dag, cyclic_rows, dag_to_cpdag, repair_arcs
 # fit_dag_ml is not called here: bench/tracer.py wraps
 # stablesearch.search.fit_dag_ml by name
-from .scoring import INFEASIBLE, FitResult, Scorer, _packed, fit_dag_ml  # noqa: F401
+from .scoring import INFEASIBLE, FitResult, Scorer, _packed, fit_dag_ml, log_psi  # noqa: F401
 
 EXACT_NODES = 8  # the size limit of exact_front, as the module docstring states
 
@@ -280,10 +281,12 @@ def exact_front(
     roots and U \\ {t}.  Roots (the nodes no arc may enter) come first in
     every order, so U runs over the other, free, nodes only.  The table is
     filled one popcount layer at a time, every (sink, parent count) of a
-    layer in one min-plus step; a degenerate parent set scores +inf and is
-    never chosen.  Each optimum is scored again by the Scorer, so a DAG that
-    evolve also finds gets the same chi-square, and a complexity is on the
-    front when its chi-square is below that of every lower one.
+    layer in one min-plus step.  Local scores are the Scorer's: small_fits,
+    and one log_psi call per parent count; a degenerate parent set scores
+    +inf and is never chosen.  Each optimum is scored again by the Scorer,
+    which sums its ln psi in node order, so a DAG that evolve also finds
+    gets the same chi-square, and a complexity is on the front when its
+    chi-square is below that of every lower one.
     """
     p = mask.n_nodes
     if cov.shape != (p, p):
@@ -307,7 +310,7 @@ def exact_front(
     valid = subsets < (1 << n_cand[:, None])  # [t, s]: s holds real candidates only
     for c in range(2, d + 1):
         ts, ss = np.nonzero(valid & (size == c))
-        local[ts, ss] = _log_psi(cov, free[ts], cand[ts][bits[ss]].reshape(-1, c))
+        local[ts, ss] = log_psi(cov, free[ts], cand[ts][bits[ss]].reshape(-1, c))
     # best[t, c, s]: least ln psi of t over its c-parent sets inside s, arg that set
     best = np.where(size == np.arange(d + 1)[:, None], local[:, None, :], INFEASIBLE)
     arg = np.broadcast_to(subsets, best.shape).copy()
@@ -356,19 +359,3 @@ def exact_front(
     front = objs[:, 0] < lowest
     return _pareto_postfilter(adjs[front], objs[front], mask, n, labels)
 
-
-def _log_psi(cov: np.ndarray, heads: np.ndarray, parents: np.ndarray) -> np.ndarray:
-    """ln psi of node heads[i] on the parents in row i, by one stacked solve;
-    +inf where node_regression would raise.  A singular block fails the whole
-    stack, so a failed stack is solved again row by row."""
-    rhs = cov[parents, heads[:, None]]
-    try:
-        coef = np.linalg.solve(cov[parents[:, :, None], parents[:, None, :]], rhs[..., None])
-    except np.linalg.LinAlgError:
-        if len(heads) == 1:
-            return np.array([INFEASIBLE])
-        return np.concatenate([_log_psi(cov, heads[i : i + 1], parents[i : i + 1])
-                               for i in range(len(heads))])
-    resid = cov[heads, heads] - np.einsum("ic,ic->i", rhs, coef[..., 0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where((resid > 0) & np.isfinite(resid), np.log(resid), INFEASIBLE)

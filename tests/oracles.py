@@ -10,13 +10,14 @@ model part, class enumeration with a Dag per member and a
 walk up the parent sets for each cycle test, DAG-to-pattern conversion
 with one pass over the edges per Meek rule, and stability curves
 tabulated one structure at a time, NSGA-II truncation by pairwise
-fronts and a crowding loop per objective.  Three exceptions use the package: the
+fronts and a crowding loop per objective, residual variances by one solve
+per (node, parents).  Three exceptions use the package: the
 per-member IDA loop composes its class enumeration and single-DAG effect
 without any sharing between members, the stability curves take their
 complete-DAG pin from its ``complete_dag_under`` and ``dag_to_cpdag``, and
-the exact front takes its local scores from ``node_regression`` and builds
-its models with the search's post-filter, so that it bounds the search's
-own score; each of those is tested against the oracles here.  ``stability_curve`` and
+the exact front builds its models with the search's post-filter, so that
+it bounds the search's own score; each of those is tested against the
+oracles here.  ``stability_curve`` and
 ``member_arcs`` are no oracles, only the tests' lookups of one curve and of
 one member's arcs.
 """
@@ -31,7 +32,7 @@ from stablesearch.errors import (
 )
 from stablesearch.graphs import Cpdag, Dag, arc_matrix, dag_to_cpdag, enumerate_extensions
 from stablesearch.longitudinal import LongitudinalDataset
-from stablesearch.scoring import Column, Dataset, node_regression
+from stablesearch.scoring import Column, Dataset
 from stablesearch.search import INFEASIBLE, _pareto_postfilter
 from stablesearch.stability import EDGE, complete_dag_under
 
@@ -551,6 +552,23 @@ def oracle_pareto_front(n_nodes, sample_cov, n_obs, forbidden=None):
             front[k] = best[k]
             cur = best[k]
     return front
+
+
+def node_regression(cov, j, parents):
+    """Residual variance of the least squares of node j on its parents, by one
+    solve; DegenerateData when the parent block is singular or the residual
+    variance is not positive."""
+    resid = float(cov[j, j])
+    if len(parents):
+        rhs = cov[parents, j]
+        try:
+            b = np.linalg.solve(cov[parents][:, parents], rhs)
+        except np.linalg.LinAlgError:
+            raise DegenerateData(f"singular parent block for node {j}") from None
+        resid = float(cov[j, j] - rhs @ b)
+    if resid <= 0 or not np.isfinite(resid):
+        raise DegenerateData(f"non-positive residual variance at node {j}")
+    return resid
 
 
 def oracle_exact_front(cov, n, mask):

@@ -22,7 +22,7 @@ from stablesearch.cli import (
     build_parser,
     main,
 )
-from stablesearch.export import read_json, write_json
+from stablesearch.export import dataset_csv, read_json, write_json
 
 
 def write_chain_csv(path, n=100, seed=0):
@@ -39,6 +39,17 @@ def write_chain_csv(path, n=100, seed=0):
 
 
 FAST = ["--subsets", "6", "--generations", "4", "--population", "12", "--seed", "3"]
+
+# the seven artifacts of a search run
+ARTIFACTS = (
+    "edge_stability.csv",
+    "causal_stability.csv",
+    "edge_stability.svg",
+    "causal_stability.svg",
+    "effects.csv",
+    "graph.json",
+    "graph.dot",
+)
 
 
 def parse_config(argv):
@@ -148,16 +159,26 @@ def test_search_rerun_and_parallelism_byte_identical(tmp_path):
         )
         == 0
     )
-    artifacts = (
-        "edge_stability.csv",
-        "causal_stability.csv",
-        "edge_stability.svg",
-        "causal_stability.svg",
-        "effects.csv",
-        "graph.json",
-        "graph.dot",
-    )
-    for name in artifacts:
+    for name in ARTIFACTS:
+        first = (outs[0] / name).read_bytes()
+        assert (outs[1] / name).read_bytes() == first, name
+        assert (outs[2] / name).read_bytes() == first, name
+
+
+def test_search_past_the_exact_limit_is_byte_identical_across_parallelism(tmp_path):
+    # 10 columns: past search.EXACT_NODES, so each subset runs NSGA-II in the pool
+    rng = np.random.default_rng(10)
+    values = rng.standard_normal((100, 10))
+    for j in range(1, 10):
+        values[:, j] += 0.6 * values[:, j - 1]
+    csv = tmp_path / "d.csv"
+    csv.write_text(dataset_csv([f"X{j}" for j in range(10)], values))
+    outs = [tmp_path / f"run{i}" for i in range(3)]
+    for out, parallelism in zip(outs, ("1", "1", "2")):
+        rc = main(["search", "--data", str(csv), "--out", str(out), *FAST,
+                   "--parallelism", parallelism])
+        assert rc == 0
+    for name in ARTIFACTS:
         first = (outs[0] / name).read_bytes()
         assert (outs[1] / name).read_bytes() == first, name
         assert (outs[2] / name).read_bytes() == first, name

@@ -300,6 +300,18 @@ def test_transition_problem_warns_once_per_kept_node_read_from_a_later_slice(cap
     ]
 
 
+def test_transition_problem_warns_once_per_kept_cur_node_read_from_an_earlier_slice(caplog):
+    # A_cur of the pair (0, 1) reads slice 0, the values of A_prev; A_prev
+    # reading slice 0 at slice 1 carries its own past forward and is not named
+    ld = long_data(Layout(("A", "B"), 3, presence={"A": [0, 2]}))
+    with caplog.at_level(logging.WARNING, logger="stablesearch.longitudinal"):
+        transition_problem(ld, SearchParams(seed=1), 2)
+    assert [r.getMessage() for r in caplog.records] == [
+        "transition node 'A_cur' reads an earlier slice: 'A' is unobserved at slice 1 "
+        "and is filled from slice 0"
+    ]
+
+
 def test_datasets_hold_their_values_in_c_order():
     layout = Layout(("A", "B"), 2)
     values = np.asfortranarray(np.random.default_rng(2).standard_normal((10, 4)))

@@ -7,6 +7,7 @@ from oracles import (
     all_dag_arcsets,
     equivalence_class,
     gaussian_deviance,
+    node_regression,
     oracle_midranks,
     oracle_sem_params,
     sem_implied_covariance,
@@ -22,7 +23,7 @@ from stablesearch.scoring import (
     Dataset,
     fit_dag_ml,
     load_dataset,
-    node_regression,
+    log_psi,
     rank_normalize,
     sample_covariance,
     small_fits,
@@ -224,18 +225,69 @@ def test_degenerate_parent_block_raises():
         fit_dag_ml(Dag(4, frozenset({(0, 2), (1, 2)})), cov, 50)
 
 
-def test_node_regression_rejects_a_singular_parent_block():
+def test_log_psi_is_infinite_for_a_singular_parent_block():
     cov = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(DegenerateData, match="singular parent block for node 2"):
         node_regression(cov, 2, [0, 1])
+    assert log_psi(cov, np.array([2]), np.array([[0, 1]])).tolist() == [np.inf]
 
 
-def test_node_regression_rejects_a_negative_residual():
-    # positive determinant (5), yet node 1 on parent 0 leaves 1 - 2 * 2 = -3
+def test_log_psi_is_infinite_for_a_negative_residual():
+    # positive determinant (5), yet node 1 on parent 0 leaves 1 - 2 * 2 = -3,
+    # and node 2 on parents {0, 1} leaves 1 - 8 / 3
     cov = np.array([[1.0, 2.0, 2.0], [2.0, 1.0, 2.0], [2.0, 2.0, 1.0]])
     assert np.linalg.det(cov) > 0
-    with pytest.raises(DegenerateData, match="non-positive residual variance at node 1"):
-        node_regression(cov, 1, [0])
+    for j, parents in ((1, [0]), (2, [0, 1])):
+        with pytest.raises(DegenerateData, match=f"non-positive residual variance at node {j}"):
+            node_regression(cov, j, parents)
+        assert log_psi(cov, np.array([j]), np.array([parents])).tolist() == [np.inf]
+    assert small_fits(cov)[0, 1] == np.inf
+    with pytest.raises(DegenerateData, match="a node's regression on its parents is degenerate"):
+        fit_dag_ml(Dag(3, frozenset({(0, 2), (1, 2)})), cov, 50)
+
+
+def reference_log_psi(cov, j, parents):
+    """ln of the oracle's residual variance, +inf where it raises."""
+    try:
+        return np.log(node_regression(cov, j, parents))
+    except DegenerateData:
+        return np.inf
+
+
+def test_log_psi_equals_node_regression_bit_for_bit():
+    rng = np.random.default_rng(38)
+    rows = 0
+    for p in range(3, 17):
+        for collinear in (False, True):
+            x = rng.standard_normal((p + 12, p)) * rng.uniform(0.01, 100.0, p)
+            if collinear:
+                x[:, -1] = x[:, 0] * rng.uniform(-3, 3) + 1e-7 * rng.standard_normal(len(x))
+            cov = np.cov(x, rowvar=False)
+            for c in range(2, min(8, p - 1) + 1):
+                heads = rng.integers(0, p, 40)
+                parents = np.array([rng.choice(np.delete(np.arange(p), j), c, replace=False)
+                                    for j in heads.tolist()])
+                got = log_psi(cov, heads, parents)
+                for j, pa, val in zip(heads.tolist(), parents.tolist(), got):
+                    want = np.float64(reference_log_psi(cov, j, pa))
+                    assert val.tobytes() == want.tobytes(), (p, c, j, pa)
+                rows += len(heads)
+    assert rows > 5000
+
+
+def test_log_psi_retries_a_stack_that_one_singular_block_fails():
+    # columns 0 and 4 are equal, so any block holding both is exactly singular
+    x = np.random.default_rng(7).standard_normal((30, 5))
+    x[:, 4] = x[:, 0]
+    cov = np.cov(x, rowvar=False)
+    heads = np.array([1, 2, 3, 1])
+    parents = np.array([[0, 2], [0, 4], [2, 4], [4, 0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(cov[parents[:, :, None], parents[:, None, :]], cov[parents, 0][..., None])
+    got = log_psi(cov, heads, parents)
+    want = [reference_log_psi(cov, j, pa) for j, pa in zip(heads.tolist(), parents.tolist())]
+    assert got.tobytes() == np.array(want).tobytes()
+    assert got.tolist()[1::2] == [np.inf, np.inf] and np.isfinite(got[::2]).all()
 
 
 def small_fit_covariances():
@@ -280,14 +332,15 @@ def test_scorer_solves_only_new_fits_on_two_or_more_parents(monkeypatch):
     p = 6
     cov = sample_covariance(Dataset(range(p), rng.standard_normal((60, p))))
     want = fit_dag_ml(Dag(p, frozenset({(0, 2), (1, 2)})), cov, 60).chi_square
-    solves = []
-    kernel = scoring.node_regression
+    solves, calls = [], []  # one (node, parents) per kernel row; rows per call
+    kernel = scoring.log_psi
 
-    def counted(cov, j, parents):
-        solves.append((j, tuple(parents)))
-        return kernel(cov, j, parents)
+    def counted(cov, heads, parents):
+        solves.extend(zip(heads.tolist(), map(tuple, parents.tolist())))
+        calls.append(len(heads))
+        return kernel(cov, heads, parents)
 
-    monkeypatch.setattr(scoring, "node_regression", counted)
+    monkeypatch.setattr(scoring, "log_psi", counted)
     scorer = scoring.Scorer(cov, 60)
     small = np.zeros((3, p, p), dtype=bool)
     small[0, [0, 1, 2], [1, 2, 3]] = True  # a path: one parent each
@@ -308,12 +361,24 @@ def test_scorer_solves_only_new_fits_on_two_or_more_parents(monkeypatch):
         scorer.chi_squares(batch)
     assert solves == [(2, (0, 1))]
 
+    # one kernel call per parent count, each new key once, in batch order
+    mixed = np.zeros((3, p, p), dtype=bool)
+    mixed[0, [0, 1, 2], 3] = True
+    mixed[1, [0, 1], 4] = True
+    mixed[2, [0, 2], 4] = True
+    mixed[2, [0, 1], 2] = True  # solved above
+    mixed[1, [0, 1, 2], 3] = True
+    del calls[:]
+    scorer.chi_squares(mixed)
+    assert solves[1:] == [(4, (0, 1)), (4, (0, 2)), (3, (0, 1, 2))] and calls == [2, 1]
+
 
 def test_a_negative_variance_is_degenerate_without_parents():
     # the determinant is positive, so only the node's own check can catch it
     cov = np.diag([-1.0, -1.0, 1.0])
     with pytest.raises(DegenerateData, match="non-positive residual variance at node 0"):
         node_regression(cov, 0, [])
+    assert small_fits(cov)[3].tolist() == [np.inf, np.inf, 0.0]
     with pytest.raises(DegenerateData):
         fit_dag_ml(Dag(3, frozenset()), cov, 10)
     models = evolve(cov, 10, 3, ConstraintMask.empty(3), SearchParams(seed=1))

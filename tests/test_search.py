@@ -250,10 +250,10 @@ def scalar_chi_square(cov, n, adj, infeasible=frozenset()):
 
 def force_degenerate(monkeypatch, bad, solves=None):
     """Make the fit of key bad = (node, parents) degenerate on the path that
-    scores it: the small_fits table for at most one parent, node_regression
-    for more.  solves, if given, records the node of each solve."""
+    scores it: the small_fits table for at most one parent, log_psi for more.
+    solves, if given, records the node of each row log_psi solves."""
     node, parents = bad
-    small_fits, kernel = scoring.small_fits, scoring.node_regression
+    small_fits, kernel = scoring.small_fits, scoring.log_psi
 
     def table(cov):
         fits = small_fits(cov)
@@ -261,15 +261,15 @@ def force_degenerate(monkeypatch, bad, solves=None):
             fits[parents[0] if parents else len(cov), node] = np.inf
         return fits
 
-    def degenerate(cov, j, pa):
+    def degenerate(cov, heads, pa):
         if solves is not None:
-            solves.append(j)
-        if (j, tuple(pa)) == bad:
-            raise DegenerateData("forced")
-        return kernel(cov, j, pa)
+            solves.extend(heads.tolist())
+        out = kernel(cov, heads, pa)
+        out[[(j, tuple(row)) == bad for j, row in zip(heads.tolist(), pa.tolist())]] = np.inf
+        return out
 
     monkeypatch.setattr(scoring, "small_fits", table)
-    monkeypatch.setattr(scoring, "node_regression", degenerate)
+    monkeypatch.setattr(scoring, "log_psi", degenerate)
 
 
 @pytest.mark.parametrize("p", [5, 8, 16, 70])
@@ -694,8 +694,7 @@ def test_exact_front_never_chooses_a_degenerate_parent_block():
     block = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.0], [0.5, 0.0, 1.0]])
     cov = np.kron(np.eye(2), block)
     mask = ConstraintMask.empty(6)
-    with pytest.raises(DegenerateData):
-        scoring.node_regression(cov, 2, [0, 1])
+    assert scoring.log_psi(cov, np.array([2]), np.array([[0, 1]])).tolist() == [np.inf]
     _, want = oracle_exact_front(cov, 50, mask)
     got = exact_front(cov, 50, mask, None)
     assert [(m.fit.complexity, m.fit.chi_square) for m in got] == [

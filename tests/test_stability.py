@@ -94,6 +94,25 @@ def test_run_searches_deterministic_across_parallelism(p):
         ]
 
 
+def test_one_pool_maps_an_exact_problem_and_an_evolve_problem_in_order():
+    rng = np.random.default_rng(4)
+    problems = []
+    for p in (3, 10):  # solved exactly, then past search.EXACT_NODES
+        data = chain_dataset(rng, rows=120) if p == 3 else random_dataset(rng, p, 120)
+        params = SearchParams(generations=6, population_size=12, seed=p)
+        subsets = subsample(data, 4, np.random.default_rng(p))
+        problems.append((subsets, ConstraintMask.empty(p), params))
+
+    serial = run_searches(problems)
+    parallel = run_searches(problems, parallelism=2)
+    assert [(r.index, r.models[0].dag.n_nodes) for r in parallel] == [
+        (i, p) for p in (3, 10) for i in range(4)
+    ]
+    for a, b in zip(serial, parallel, strict=True):
+        assert a.index == b.index and not a.failed and not b.failed
+        assert [(m.dag.arcs, m.fit) for m in a.models] == [(m.dag.arcs, m.fit) for m in b.models]
+
+
 def refuse(name):
     def call(*args):
         raise AssertionError(f"{name} must not run here")
