@@ -7,10 +7,11 @@ j's weights) and residual variances psi, the implied covariance
 Sigma = (I-C)^-1 diag(psi) (I-C)^-T satisfies ln|Sigma| = sum_j ln psi_j and
 tr(S Sigma^-1) = p, so the deviance reduces to
 chi_square = (n-1) * (sum_j ln psi_j - ln|S|) with no matrix inversion.
-Scorer computes it for whole batches of adjacency matrices, reading fits on at
-most one parent from a closed-form table (small_fits) and the rest from log_psi,
-the one ln psi kernel (a stacked solve per parent count, which exact_front's
-local scores share); fit_dag_ml is its call on one DAG.  FitResult.scored adds
+Scorer computes it for whole batches of adjacency matrices, each scored under
+its own covariance of a stack (one per search), reading fits on at most one
+parent from a closed-form table (small_fits) and the rest from log_psi, the
+one ln psi kernel (a stacked solve per parent count, which exact_front's local
+scores share); fit_dag_ml is its call on one DAG.  FitResult.scored adds
 BIC's k ln n for k arcs.
 """
 
@@ -185,80 +186,91 @@ class FitResult:
         return cls(chi_square, complexity, chi_square + complexity * float(np.log(n)))
 
 
-def log_psi(cov: np.ndarray, heads: np.ndarray, parents: np.ndarray) -> np.ndarray:
+def log_psi(covs: np.ndarray, search: np.ndarray, heads: np.ndarray,
+            parents: np.ndarray) -> np.ndarray:
     """ln psi, the residual variance of node heads[i] regressed on the parents
-    in row i of the (m, c) array, by one stacked solve; +inf where the parent
-    block is singular or the residual is not positive and finite.  A singular
-    block fails the whole stack, so a failed stack is solved again row by row."""
-    rhs = cov[parents, heads[:, None]]
+    in row i of the (m, c) array under covariance covs[search[i]] of the
+    (S, p, p) stack, by one stacked solve; +inf where the parent block is
+    singular or the residual is not positive and finite.  A singular block
+    fails the whole stack, so a failed stack is solved again row by row."""
+    at = search[:, None]
+    rhs = covs[at, parents, heads[:, None]]
+    blocks = covs[at[:, :, None], parents[:, :, None], parents[:, None, :]]
     try:
-        coef = np.linalg.solve(cov[parents[:, :, None], parents[:, None, :]], rhs[..., None])
+        coef = np.linalg.solve(blocks, rhs[..., None])
     except np.linalg.LinAlgError:
         if len(heads) == 1:
             return np.array([INFEASIBLE])
-        return np.concatenate([log_psi(cov, heads[i : i + 1], parents[i : i + 1])
-                               for i in range(len(heads))])
-    resid = cov[heads, heads] - (rhs[:, None, :] @ coef)[:, 0, 0]  # rounds as rhs @ b does
+        return np.concatenate([log_psi(covs, search[i : i + 1], heads[i : i + 1],
+                                       parents[i : i + 1]) for i in range(len(heads))])
+    resid = covs[search, heads, heads] - (rhs[:, None, :] @ coef)[:, 0, 0]  # rounds as rhs @ b does
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where((resid > 0) & np.isfinite(resid), np.log(resid), INFEASIBLE)
 
 
-def small_fits(cov: np.ndarray) -> np.ndarray:
-    """ln psi of node j on parent a at [a, j], on no parent at [p, j]; +inf on
-    the diagonal and where the fit degenerates.  A 1x1 solve is one division
-    and a one-element dot one product: the same floats a solve gives."""
-    var = np.diag(cov)
+def small_fits(covs: np.ndarray) -> np.ndarray:
+    """ln psi of node j on parent a at [s, a, j] under covs[s] of the (S, p, p)
+    stack, on no parent at [s, p, j]; +inf on the diagonal and where the fit
+    degenerates.  A 1x1 solve is one division and a one-element dot one
+    product: the same floats a solve gives."""
+    p = covs.shape[1]
+    var = np.diagonal(covs, axis1=1, axis2=2)[:, None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        resid = np.vstack([var - cov * (cov / var[:, None]), var])
+        resid = np.concatenate([var - covs * (covs / var.transpose(0, 2, 1)), var], axis=1)
         table = np.where((resid > 0) & np.isfinite(resid), np.log(resid), INFEASIBLE)
-    np.fill_diagonal(table, INFEASIBLE)
+    table[:, np.arange(p), np.arange(p)] = INFEASIBLE
     return table
 
 
 class Scorer:
-    """Chi-square scoring of whole batches, one ln psi per (node, parents).
+    """Chi-square scoring of whole batches, one ln psi per (search, node, parents).
 
+    Search s scores against covs[s] of an (S, p, p) stack, from ns[s] rows.
     The chi-square decomposes over nodes: a fit on at most one parent is read
-    from the small_fits table, others from a per-node dict keyed by the parent
-    column's packed bits (_packed).  A call's missing keys are scored by
-    log_psi, one stacked solve per parent count.  The positive-definiteness
-    check reads only the determinant's sign.
+    from the small_fits table, others from a dict per (search, node) keyed by
+    the parent column's packed bits (_packed).  A call's missing keys are
+    scored by log_psi, one stacked solve per parent count over every search.
+    The positive-definiteness check reads only the determinants' signs.
     """
 
-    def __init__(self, cov: np.ndarray, n: int):
-        sign, logdet = np.linalg.slogdet(cov)
-        if sign <= 0:
+    def __init__(self, covs: np.ndarray, ns):
+        sign, logdet = np.linalg.slogdet(covs)
+        if (sign <= 0).any():
             raise DegenerateData("covariance is not positive definite")
-        self.cov = cov
-        self.n = n
+        self.covs = covs
+        self.ns = np.asarray(ns)
         self.logdet_s = logdet
-        self.small_fits = small_fits(cov)
-        # per node: packed column of 2+ parents -> ln psi, +inf when the fit degenerates
-        self.fits: list[dict[bytes, float]] = [{} for _ in range(len(cov))]
+        self.small_fits = small_fits(covs)
+        # at s * p + j: node j's packed column of 2+ parents -> ln psi under covs[s]
+        self.fits: list[dict[bytes, float]] = [{} for _ in range(covs.shape[0] * covs.shape[1])]
 
-    def chi_squares(self, adjs: np.ndarray) -> np.ndarray:
-        """Chi-square per matrix of an (N, p, p) batch; +inf for degenerate fits."""
+    def chi_squares(self, adjs: np.ndarray, search: np.ndarray) -> np.ndarray:
+        """Chi-square per matrix of an (N, p, p) batch, matrix i scored under
+        search[i]; +inf for degenerate fits."""
         n_rows, p = adjs.shape[:2]
         in_degree = adjs.sum(axis=1)  # [r, j]: parents of node j in matrix r
-        logs = self.small_fits[np.where(in_degree == 0, p, adjs.argmax(axis=1)), np.arange(p)]
+        parent = np.where(in_degree == 0, p, adjs.argmax(axis=1))
+        logs = self.small_fits[search[:, None], parent, np.arange(p)]
         rows, nodes = np.nonzero(in_degree >= 2)  # the fits the table cannot score
-        heads, keys, fits = nodes.tolist(), _packed(adjs[rows, :, nodes]), self.fits
-        vals = [fits[j].get(key) for j, key in zip(heads, keys)]
+        slots = (search[rows] * p + nodes).tolist()  # the fits dict of each (search, node)
+        keys, fits = _packed(adjs[rows, :, nodes]), self.fits
+        vals = [fits[slot].get(key) for slot, key in zip(slots, keys)]
         if None in vals:  # new keys: one kernel call per parent count, each key once
-            new = {(heads[i], keys[i]): i for i, val in enumerate(vals) if val is None}
+            new = {(slots[i], keys[i]): i for i, val in enumerate(vals) if val is None}
             first = np.fromiter(new.values(), np.int64, len(new))
             counts = in_degree[rows[first], nodes[first]]
             for c in sorted(set(counts.tolist())):  # not np.unique: its first call takes ~12 ms
                 at = first[counts == c]
                 parents = np.nonzero(adjs[rows[at], :, nodes[at]])[1].reshape(-1, c)
-                for i, val in zip(at.tolist(), log_psi(self.cov, nodes[at], parents).tolist()):
-                    fits[heads[i]][keys[i]] = val
-            vals = [fits[j][key] for j, key in zip(heads, keys)]
+                psis = log_psi(self.covs, search[rows[at]], nodes[at], parents)
+                for i, val in zip(at.tolist(), psis.tolist()):
+                    fits[slots[i]][keys[i]] = val
+            vals = [fits[slot][key] for slot, key in zip(slots, keys)]
         logs[rows, nodes] = vals
         total = np.zeros(n_rows)
         for j in range(p):  # node order, as a scalar running sum would add them
             total += logs[:, j]
-        return np.maximum((self.n - 1) * (total - self.logdet_s), 0.0)
+        return np.maximum((self.ns[search] - 1) * (total - self.logdet_s[search]), 0.0)
 
 
 def _packed(bits: np.ndarray) -> list[bytes]:
@@ -273,7 +285,8 @@ def fit_dag_ml(dag: Dag, cov: np.ndarray, n: int) -> FitResult:
     p = cov.shape[0]
     if dag.n_nodes != p:
         raise ShapeMismatch(f"dag has {dag.n_nodes} nodes, covariance is {p}x{p}")
-    chi = Scorer(cov, n).chi_squares(arc_matrix(p, dag.arcs)[None]).item()
+    scorer = Scorer(cov[None], (n,))
+    chi = scorer.chi_squares(arc_matrix(p, dag.arcs)[None], np.zeros(1, int)).item()
     if chi == INFEASIBLE:
         raise DegenerateData("a node's regression on its parents is degenerate")
     return FitResult.scored(chi, len(dag.arcs), n)

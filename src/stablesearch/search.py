@@ -1,18 +1,20 @@
 """Pareto search over constrained DAG structures: NSGA-II, or the exact front.
 
-Objectives are (chi_square, complexity), both minimized.  evolve() holds the
-population as one (N, p, p) boolean array of adjacency matrices; forbidden
-cells are never set.  Selection and variation are pure array functions fed
-with evolve()'s draws.  Chi-squares come from scoring.Scorer, the package's
-one chi-square (scoring.fit_dag_ml is its call on one DAG), and BICs from
-FitResult.scored.  A per-search memo (a plain dict keyed, like the scorer's
-per-node caches, by packed bits: scoring._packed) maps an individual to its
-chi-square, +inf for a degenerate fit.  One step settles every drawn batch,
-the initial population as each offspring batch: it is packed once, a row seen
-before skips the cycle check, repair and scorer, a repaired row is repacked,
-and new ones go to the scorer in one batch, if there are any.
-Each generation ranks the union once and walks its fronts once (_survivors).
-The returned Pareto set carries the memo's scores.
+Objectives are (chi_square, complexity), both minimized.  evolve_batch()
+advances one problem's NSGA-II searches (one per covariance, each with its own
+generator, memo and draw order) together, holding their populations as one
+(S, N, p, p) boolean array of adjacency matrices; forbidden cells are never
+set.  Selection and variation are pure array functions fed with the draws.
+Chi-squares come from scoring.Scorer, the package's one chi-square
+(scoring.fit_dag_ml is its call on one DAG), and BICs from FitResult.scored.
+A per-search memo (a plain dict keyed, like the scorer's caches, by packed
+bits: scoring._packed) maps an individual to its chi-square, +inf for a
+degenerate fit.  One step settles every drawn batch, the initial population
+as each offspring batch: it is packed once, a row seen before skips the cycle
+check, repair and scorer, a repaired row is repacked, and new ones go to the
+scorer in one batch, if there are any.  Each generation ranks every search's
+union in one sweep and crowds all their fronts in one pass (_survivor_stack).
+The returned Pareto sets carry the memos' scores.
 
 exact_front() solves a small problem exactly instead: at most EXACT_NODES
 nodes may take a parent, none from more than EXACT_NODES - 1 candidates (no
@@ -70,78 +72,101 @@ class ParetoModel:
     cpdag: Cpdag
 
 
-def _rank_array(objs: np.ndarray) -> np.ndarray:
-    """Front index per row, by a sorted sweep over the two objectives.
+def _rank_stack(objs: np.ndarray) -> np.ndarray:
+    """Front index per row of each search of an (S, M, 2) stack, by one sorted sweep.
 
-    Feasible rows are visited by complexity, then chi-square, so each row
-    comes after every row that dominates it.  A front's latest member has
-    its lowest chi-square, so it dominates a row iff the front does, and the
-    fronts that dominate a row form a prefix: a binary search over the
-    latest members finds the row's front (Jensen 2003, IEEE TEC 7(5)).
-    Infeasible rows (chi-square +inf) dominate nothing; each lands one front
-    behind the worst feasible row of no greater complexity.
+    Rows are visited by search, then complexity, then chi-square, so each
+    row comes after every row of its search that dominates it.  A front's
+    latest member has its lowest chi-square, so it dominates a row iff the
+    front does, and the fronts that dominate a row form a prefix: a binary
+    search over the latest members finds the row's front (Jensen 2003, IEEE
+    TEC 7(5)).  Both are reset where a search begins.  Infeasible rows
+    (chi-square +inf) dominate nothing; each lands one front behind the
+    worst feasible row of its search of no greater complexity.
     """
-    chi, k = objs[:, 0], objs[:, 1]
-    order = np.lexsort((chi, k))
-    finite = np.isfinite(chi[order])
-    feasible, infeasible = order[finite], order[~finite]
-    points = objs[feasible]
+    n_s, m = objs.shape[:2]
+    owner = np.repeat(np.arange(n_s), m)
+    flat = objs.reshape(-1, 2)
+    order = np.lexsort((flat[:, 0], flat[:, 1], owner))
+    points = np.column_stack((owner, flat))[order]
     new = np.ones(len(points), dtype=bool)  # first of its point in sweep order
     new[1:] = (points[1:] != points[:-1]).any(axis=1)
-    latest: list[list[float]] = []  # [chi, k] of each front's latest member
-    fronts = []
-    for point in points[new].tolist():  # identical points share a front
-        f = bisect_left(latest, point)
+    fronts, current = [], -1
+    for s, chi, k in points[new].tolist():  # identical points share a front
+        if s != current:
+            # [chi, k] of each front's latest member; the worst feasible front
+            latest, worst, current = [], -1, s
+        if chi == INFEASIBLE:
+            fronts.append(worst + 1)
+            continue
+        f = bisect_left(latest, [chi, k])
         if f == len(latest):
-            latest.append(point)
+            latest.append([chi, k])
         else:
-            latest[f] = point
+            latest[f] = [chi, k]
+        worst = max(worst, f)
         fronts.append(f)
-    ranks = np.zeros(len(objs), dtype=np.int64)
-    ranks[feasible] = np.array(fronts, dtype=np.int64)[np.cumsum(new) - 1]
-    worst = np.concatenate(([-1], np.maximum.accumulate(ranks[feasible])))
-    ranks[infeasible] = worst[np.searchsorted(k[feasible], k[infeasible], "right")] + 1
-    return ranks
+    ranks = np.empty(n_s * m, dtype=np.int64)
+    ranks[order] = np.array(fronts, dtype=np.int64)[np.cumsum(new) - 1]
+    return ranks.reshape(n_s, m)
 
 
-def _crowding_array(objs: np.ndarray) -> np.ndarray:
-    m = objs.shape[0]
-    d = np.zeros(m)
-    if m <= 2:
-        d[:] = np.inf
-        return d
+def _crowding(objs: np.ndarray, segment: np.ndarray) -> np.ndarray:
+    """Crowding distance of each row of (m, 2) objs within its segment (a run
+    of rows with one nonnegative id), as NSGA-II measures one front (Deb et
+    al. 2002): per objective, rows sorted by value (ties in row order) add
+    their neighbours' gap over the segment's span, and the first and last
+    read +inf.  Infeasible chi-squares are clipped to a finite ceiling per
+    segment, so spans stay defined.
+    """
+    first = np.diff(segment, prepend=-1) != 0  # segment ids are nonnegative
+    last = np.roll(first, -1)
+    starts = np.flatnonzero(first)
+    sizes = np.diff(starts, append=len(segment))
+    inner = np.flatnonzero(~(first | last))
+    d = np.zeros(len(segment))
     for col in range(2):
-        vals = objs[:, col].astype(float)
+        vals = objs[:, col]
         finite = np.isfinite(vals)
         if not finite.all():
-            # clip infeasible fits to a finite ceiling so spans stay defined
-            ceiling = (vals[finite].max() * 2 + 1.0) if finite.any() else 1.0
-            vals = np.where(finite, vals, ceiling)
-        order = np.argsort(vals, kind="stable")
-        d[order[0]] = d[order[-1]] = np.inf
-        span = vals[order[-1]] - vals[order[0]]
-        if span > 0:
-            d[order[1:-1]] += (vals[order[2:]] - vals[order[:-2]]) / span
+            top = np.maximum.reduceat(np.where(finite, vals, -np.inf), starts)
+            ceiling = np.where(np.isfinite(top), top * 2 + 1.0, 1.0)
+            vals = np.where(finite, vals, np.repeat(ceiling, sizes))
+        order = np.lexsort((vals, segment))
+        ranked = vals[order]
+        span = np.repeat(ranked[last] - ranked[first], sizes)
+        d[order[first | last]] = np.inf
+        grow = inner[span[inner] > 0]
+        d[order[grow]] += (ranked[grow + 1] - ranked[grow - 1]) / span[grow]
     return d
 
 
-def _survivors(objs, ranks, k) -> tuple[np.ndarray, np.ndarray]:
-    """The k rows elitist selection keeps, in order, and crowding distances.
+def _survivor_stack(objs, ranks, k) -> tuple[np.ndarray, np.ndarray]:
+    """Per search of an (S, M) stack, the k rows elitist selection keeps, in
+    order, and crowding distances.
 
     Whole fronts are kept in rank order, then the split front's rows by
     descending crowding distance (stable).  A kept row's distance is taken
     within the kept part of its front, in kept order; other rows read NaN.
+    Every search's fronts are crowded in one _crowding call, and the kept
+    parts of split fronts in another.
     """
-    kept, crowding = [], np.full(len(objs), np.nan)
-    for r in range(int(ranks.max()) + 1):
-        idx = np.flatnonzero(ranks == r)
-        if len(kept) + len(idx) > k:
-            idx = idx[np.argsort(-_crowding_array(objs[idx]), kind="stable")[: k - len(kept)]]
-        crowding[idx] = _crowding_array(objs[idx])
-        kept.extend(idx.tolist())
-        if len(kept) == k:
-            break
-    return np.array(kept), crowding
+    n_s, m = ranks.shape
+    flat_ranks, flat_objs = ranks.ravel(), objs.reshape(-1, 2)
+    split_rank = np.sort(ranks, axis=1)[:, k - 1]  # the last front kept, whole or not
+    rows = np.flatnonzero(ranks <= split_rank[:, None])
+    rows = rows[np.lexsort((flat_ranks[rows], rows // m))]  # by (search, rank, row)
+    owner, rank = rows // m, flat_ranks[rows]
+    dist = _crowding(flat_objs[rows], owner * m + rank)
+    counts = np.bincount(owner, minlength=n_s)
+    at_split = (counts > k)[owner] & (rank == split_rank[owner])
+    order = np.lexsort((np.where(at_split, -dist, 0.0), rank, owner))
+    keep = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts) < k
+    kept, split = rows[order][keep], at_split[order][keep]
+    crowding = np.full(n_s * m, np.nan)
+    crowding[kept] = dist[order][keep]
+    crowding[kept[split]] = _crowding(flat_objs[kept[split]], kept[split] // m)
+    return kept.reshape(n_s, k) % m, crowding.reshape(n_s, m)
 
 
 def _tournament(ranks, crowding, cand, coin) -> np.ndarray:
@@ -157,18 +182,17 @@ def _tournament(ranks, crowding, cand, coin) -> np.ndarray:
     return np.where(a_better | (tie & coin), a, b)
 
 
-def _vary(pa, pb, apply_cx, mix, flip, allowed) -> np.ndarray:
-    """Uniform crossover of parent pairs, then bit-flip mutation; no repair.
+def _vary(offspring, apply_cx, mix, mutated, flips, allowed) -> None:
+    """Uniform crossover of parent pairs, then bit-flip mutation, in place; no repair.
 
-    Pair t (rows pa[t], pb[t]) yields offspring 2t and 2t+1, exchanging the
-    cells where mix[t] is set if apply_cx[t], else copying the parents.
-    Offspring i then flips its allowed cells where flip[i] is set.
+    Rows 2t and 2t+1 hold pair t's parents; they exchange the cells where
+    mix[t] is set if apply_cx[t], else stay copies.  Row mutated[i] then
+    flips its allowed cells where flips[i] is set.
     """
-    swap = (pa ^ pb) & apply_cx[:, None, None] & mix  # the cells the pair exchanges
-    out = np.empty((2 * len(pa),) + pa.shape[1:], dtype=bool)
-    out[0::2] = pa ^ swap
-    out[1::2] = pb ^ swap
-    return out ^ (flip & allowed)
+    swap = (offspring[0::2] ^ offspring[1::2]) & apply_cx[:, None, None] & mix
+    offspring[0::2] ^= swap
+    offspring[1::2] ^= swap
+    offspring[mutated] ^= flips & allowed
 
 
 def _arcs(adj: np.ndarray) -> list[tuple[int, int]]:
@@ -202,72 +226,98 @@ def _pareto_postfilter(
 
 
 def evolve(
-    cov: np.ndarray,
-    n: int,
-    p: int,
-    mask: ConstraintMask,
-    params: SearchParams,
-    labels: tuple[str, ...] | None = None,
+    cov: np.ndarray, n: int, p: int, mask: ConstraintMask, params: SearchParams,
+    labels: tuple[str, ...] | None,
 ) -> list[ParetoModel]:
-    """Full NSGA-II run; returns the final front 0 after the Pareto post-filter.
-
-    Deterministic for a fixed params.seed.  Individuals whose fit degenerates
-    carry chi_square = +inf; they stay in the population but never dominate.
-    """
+    """One NSGA-II run, seeded params.seed: evolve_batch's batch of one."""
     if mask.n_nodes != p or cov.shape != (p, p):
         raise DegenerateData("covariance, mask and p disagree on dimensions")
-    rng = np.random.default_rng(params.seed)
-    scorer = Scorer(cov, n)
-    pop_n = params.population_size
-    half = pop_n // 2
-    length = p * (p - 1)
+    return evolve_batch(cov[None], (n,), (params.seed,), mask, params, labels)[0]
+
+
+def evolve_batch(
+    covs: np.ndarray, ns, seeds, mask: ConstraintMask, params: SearchParams,
+    labels: tuple[str, ...] | None,
+) -> list[list[ParetoModel]]:
+    """Full NSGA-II runs of one problem, advanced together generation by
+    generation; per run, the final front 0 after the Pareto post-filter.
+
+    Run s scores against covs[s] of the (S, p, p) stack, from ns[s] rows, and
+    draws from its own generator, seeded seeds[s], what a run alone draws in
+    the same order: the initial population, its repairs in row order, then
+    per generation the tournament, crossover and mutation draws and the
+    offspring's repairs.  It keeps its own memo, so each run returns what it
+    returns alone, bit for bit.  Individuals whose fit degenerates carry
+    chi_square = +inf; they stay in the population but never dominate.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    scorer = Scorer(covs, ns)
+    n_s, p, pop_n = len(rngs), mask.n_nodes, params.population_size
+    half, length = pop_n // 2, p * (p - 1)
     allowed = ~mask.forbidden
     offdiag = ~np.eye(p, dtype=bool)
-    seen: dict[bytes, float] = {}  # packed individual -> chi_square
+    owner = np.repeat(np.arange(n_s), pop_n)  # the run of each stacked row
+    seen = [{} for _ in rngs]  # per run: packed individual -> chi_square
+    owners = owner.tolist()
 
     def settle(adjs: np.ndarray) -> np.ndarray:
-        """Repair a drawn batch in place (cyclic new rows in index order); its (chi, k) rows."""
+        """Repair a drawn (S * N, p, p) batch in place (cyclic new rows in
+        index order); its (S, N, 2) stack of (chi, k) rows."""
         keys = _packed(adjs.reshape(len(adjs), -1))
-        new = np.flatnonzero([key not in seen for key in keys])
-        for i in new[cyclic_rows(adjs[new])]:
-            repair_arcs(adjs[i], rng)
+        new = np.flatnonzero([key not in seen[s] for s, key in zip(owners, keys)])
+        for i in new[cyclic_rows(adjs[new])].tolist():
+            repair_arcs(adjs[i], rngs[owners[i]])
             keys[i] = _packed(adjs[i].reshape(1, -1))[0]
-        fresh = {key: i for i, key in enumerate(keys) if key not in seen}
+        fresh = {(s, key): i for i, (s, key) in enumerate(zip(owners, keys)) if key not in seen[s]}
         if fresh:
-            seen.update(zip(fresh, scorer.chi_squares(adjs[list(fresh.values())]).tolist()))
-        return np.column_stack(([seen[key] for key in keys], adjs.sum(axis=(1, 2))))
+            at = np.fromiter(fresh.values(), np.int64, len(fresh))
+            for (s, key), chi in zip(fresh, scorer.chi_squares(adjs[at], owner[at]).tolist()):
+                seen[s][key] = chi
+        chis = [seen[s][key] for s, key in zip(owners, keys)]
+        return np.column_stack((chis, adjs.sum(axis=(1, 2)))).reshape(n_s, pop_n, 2)
 
     # random sparse initialization
-    population = np.zeros((pop_n, p, p), dtype=bool)
-    population[:, offdiag] = rng.random((pop_n, length)) < 2.0 / length
+    population = np.zeros((n_s, pop_n, p, p), dtype=bool)
+    for s, rng in enumerate(rngs):
+        population[s][:, offdiag] = rng.random((pop_n, length)) < 2.0 / length
     population &= allowed
-    objs = settle(population)
-    ranks = _rank_array(objs)
-    crowding = _survivors(objs, ranks, pop_n)[1]
+    objs = settle(population.reshape(-1, p, p))
+    ranks = _rank_stack(objs)
+    crowding = _survivor_stack(objs, ranks, pop_n)[1]
 
-    for _ in range(params.generations):
+    def draw(rng):
+        """One generation's draws of one search, in a run's order."""
         cand = rng.integers(0, pop_n, size=(pop_n, 2))
         coin = rng.random(pop_n) < 0.5
-        winners = _tournament(ranks, crowding, cand, coin)
         apply_cx = rng.random(half) < params.p_crossover
         mix = rng.random((half, p, p)) < 0.5
         do_mut = rng.random(pop_n) < params.p_mutation
-        flip = np.zeros((pop_n, p, p), dtype=bool)
-        flip[do_mut] = rng.random((int(do_mut.sum()), p, p)) < 1.0 / length
-        offspring = _vary(
-            population[winners[0::2]], population[winners[1::2]], apply_cx, mix, flip, allowed
-        )
+        return cand, coin, apply_cx, mix, do_mut, rng.random((do_mut.sum(), p, p)) < 1.0 / length
+
+    for _ in range(params.generations):
+        cand, coin, apply_cx, mix, do_mut, flips = map(np.concatenate, zip(*map(draw, rngs)))
+        winners = _tournament(ranks.ravel(), crowding.ravel(), cand + owner[:, None] * pop_n, coin)
+        offspring = population.reshape(-1, p, p)[winners]
+        _vary(offspring, apply_cx, mix, np.flatnonzero(do_mut), flips, allowed)
         # elitist (mu + lambda) environmental selection; a kept front keeps
-        # all its dominators, so its ranks stand.  settle repairs in place,
-        # so it runs before the union copies the offspring.
-        objs = np.vstack([objs, settle(offspring)])
-        union = np.concatenate([population, offspring])
-        ranks = _rank_array(objs)
-        kept, crowding = _survivors(objs, ranks, pop_n)
-        population, objs, ranks, crowding = union[kept], objs[kept], ranks[kept], crowding[kept]
+        # all its dominators, so its ranks stand.  Survivors are gathered
+        # from the population and the offspring, with no union copy.
+        objs = np.concatenate([objs, settle(offspring)], axis=1)
+        ranks = _rank_stack(objs)
+        kept, crowding = _survivor_stack(objs, ranks, pop_n)
+        old, rows = kept < pop_n, kept + np.arange(n_s)[:, None] * pop_n
+        parents, population = population.reshape(-1, p, p), np.empty_like(population)
+        population[old] = parents[rows[old]]
+        population[~old] = offspring[rows[~old] - pop_n]
+        objs = np.take_along_axis(objs, kept[..., None], axis=1)
+        ranks = np.take_along_axis(ranks, kept, axis=1)
+        crowding = np.take_along_axis(crowding, kept, axis=1)
 
     front = ranks == 0
-    return _pareto_postfilter(population[front], objs[front], mask, n, labels)
+    return [
+        _pareto_postfilter(population[s][front[s]], objs[s][front[s]], mask, ns[s], labels)
+        for s in range(n_s)
+    ]
 
 
 def exact_front(
@@ -291,7 +341,7 @@ def exact_front(
     p = mask.n_nodes
     if cov.shape != (p, p):
         raise DegenerateData("covariance and mask disagree on dimensions")
-    scorer = Scorer(cov, n)
+    scorer = Scorer(cov[None], (n,))
     allowed = ~mask.forbidden
     free = np.flatnonzero(allowed.any(axis=0))
     f, d = len(free), int(allowed.sum(axis=0).max())
@@ -303,14 +353,14 @@ def exact_front(
     bits = (subsets[:, None] >> np.arange(d) & 1).astype(bool)
     size = bits.sum(axis=1)
     local = np.full((f, 1 << d), INFEASIBLE)
-    local[:, 0] = scorer.small_fits[p, free]
+    local[:, 0] = scorer.small_fits[0, p, free]
     local[:, 1 << np.arange(d)] = np.where(
-        np.arange(d) < n_cand[:, None], scorer.small_fits[cand, free[:, None]], INFEASIBLE
+        np.arange(d) < n_cand[:, None], scorer.small_fits[0, cand, free[:, None]], INFEASIBLE
     )
     valid = subsets < (1 << n_cand[:, None])  # [t, s]: s holds real candidates only
     for c in range(2, d + 1):
         ts, ss = np.nonzero(valid & (size == c))
-        local[ts, ss] = log_psi(cov, free[ts], cand[ts][bits[ss]].reshape(-1, c))
+        local[ts, ss] = log_psi(scorer.covs, 0 * ts, free[ts], cand[ts][bits[ss]].reshape(-1, c))
     # best[t, c, s]: least ln psi of t over its c-parent sets inside s, arg that set
     best = np.where(size == np.arange(d + 1)[:, None], local[:, None, :], INFEASIBLE)
     arg = np.broadcast_to(subsets, best.shape).copy()
@@ -354,7 +404,7 @@ def exact_front(
         rows, b = np.nonzero(bits[arg[t, c, within[u, t]]])
         adjs[rows, cand[t[rows], b], free[t[rows]]] = True
         left = left - c
-    objs = np.column_stack((scorer.chi_squares(adjs), ks))
+    objs = np.column_stack((scorer.chi_squares(adjs, 0 * ks), ks))
     lowest = np.concatenate(([INFEASIBLE], np.minimum.accumulate(objs[:-1, 0])))
     front = objs[:, 0] < lowest
     return _pareto_postfilter(adjs[front], objs[front], mask, n, labels)

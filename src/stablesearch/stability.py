@@ -19,8 +19,10 @@ from .graphs import (
     ConstraintMask, Dag, arc_matrix, dag_to_cpdag, is_acyclic, reachability,
     topological_order,
 )
-from .scoring import Dataset, sample_covariance
-from .search import EXACT_NODES, ParetoModel, SearchParams, evolve, exact_front
+from .scoring import Dataset, Scorer, sample_covariance
+from .search import EXACT_NODES, ParetoModel, SearchParams, evolve_batch, exact_front
+# evolve is not called here: bench/tracer.py wraps stablesearch.stability.evolve by name
+from .search import evolve  # noqa: F401
 from .seeding import SEARCH_LANE, derived_seed
 
 log = logging.getLogger(__name__)
@@ -125,21 +127,32 @@ def cross_sectional_cov(subset: Dataset):
     return sample_covariance(subset), subset.n_rows, subset.names
 
 
-def _search_one(task):
-    index, subset, mask, params = task
-    try:
-        cov, n_eff, labels = cross_sectional_cov(subset)
-        candidates = (~mask.forbidden).sum(axis=0)  # per node, the parents it may take
-        if (candidates > 0).sum() <= EXACT_NODES and candidates.max() < EXACT_NODES:
-            models = exact_front(cov, n_eff, mask, labels)
-        else:
-            seed_i = derived_seed(params.seed, SEARCH_LANE, index)
-            models = evolve(
-                cov, n_eff, mask.n_nodes, mask, replace(params, seed=seed_i), labels
-            )
-        return SubsetResult(index, models, cov=cov)
-    except StableSearchError as exc:
-        return SubsetResult(index, None, f"{type(exc).__name__}: {exc}")
+def _search_chunk(task):
+    """The results of one contiguous chunk of a problem's subsets, in order:
+    each subset's exact front (exact_front) within search.EXACT_NODES, else
+    one evolve_batch() run, which a subset whose covariance or scorer fails
+    is left out of."""
+    start, subsets, mask, params = task
+    candidates = (~mask.forbidden).sum(axis=0)  # per node, the parents it may take
+    exact = (candidates > 0).sum() <= EXACT_NODES and candidates.max() < EXACT_NODES
+    results, batch = {}, []
+    for index, subset in enumerate(subsets, start):
+        try:
+            cov, n_eff, labels = cross_sectional_cov(subset)
+            if exact:
+                results[index] = SubsetResult(index, exact_front(cov, n_eff, mask, labels), cov=cov)
+            else:
+                Scorer(cov[None], (n_eff,))  # rejects a covariance the batch cannot score
+                batch.append((index, cov, n_eff))
+        except StableSearchError as exc:
+            results[index] = SubsetResult(index, None, f"{type(exc).__name__}: {exc}")
+    if batch:
+        indices, covs, ns = zip(*batch)
+        seeds = [derived_seed(params.seed, SEARCH_LANE, i) for i in indices]
+        fronts = evolve_batch(np.array(covs), ns, seeds, mask, params, subsets[0].names)
+        results.update((i, SubsetResult(i, models, cov=cov))
+                       for i, cov, models in zip(indices, covs, fronts))
+    return [results[i] for i in sorted(results)]
 
 
 def run_searches(
@@ -147,25 +160,29 @@ def run_searches(
     parallelism: int = 1,
 ) -> list[SubsetResult]:
     """One search per subset of every (subsets, mask, params) problem, all
-    through one map, so a run starts at most one process pool.  A problem
-    within search.EXACT_NODES gets its exact front (exact_front), others
-    an evolve() run.
+    through one map, so a run starts at most one process pool.  Each problem's
+    subsets are split into min(workers, subsets) contiguous chunks (one at
+    parallelism 1), each a map task (_search_chunk).
 
     Results come back flat, by problem, then subset index, whatever the
     parallelism degree; each derived seed depends only on (the problem's
-    params.seed, the subset index), so outputs are reproducible bit for bit.
-    Fails when more than 10% of one problem's subsets fail, in problem order.
+    params.seed, the subset index), and a batched search returns what it
+    returns alone, so outputs are reproducible bit for bit.  Fails when more
+    than 10% of one problem's subsets fail, in problem order.
     """
-    tasks = [(i, s, mask, params) for subsets, mask, params in problems
-             for i, s in enumerate(subsets)]
     if not all(subsets for subsets, _, _ in problems):
         raise SearchFailed("no subsets to search")
-    workers = min(parallelism, len(tasks))
+    workers = min(parallelism, sum(len(subsets) for subsets, _, _ in problems))
+    tasks = []
+    for subsets, mask, params in problems:
+        bounds = np.linspace(0, len(subsets), min(workers, len(subsets)) + 1).astype(int)
+        tasks += [(a, subsets[a:b], mask, params) for a, b in zip(bounds[:-1], bounds[1:])]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_search_one, tasks))
+            chunks = list(pool.map(_search_chunk, tasks))
     else:
-        results = [_search_one(t) for t in tasks]
+        chunks = [_search_chunk(t) for t in tasks]
+    results = [r for chunk in chunks for r in chunk]
 
     start = 0
     for subsets, _, _ in problems:

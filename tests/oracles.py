@@ -11,7 +11,10 @@ walk up the parent sets for each cycle test, DAG-to-pattern conversion
 with one pass over the edges per Meek rule, and stability curves
 tabulated one structure at a time, NSGA-II truncation by pairwise
 fronts and a crowding loop per objective, residual variances by one solve
-per (node, parents).  Three exceptions use the package: the
+per (node, parents).  ``_rank_array``, ``_crowding_array`` and
+``_survivors`` are the per-search NSGA-II ranking and truncation that the
+search once ran for each search alone; its batched versions are checked
+against them on random stacks.  Three exceptions use the package: the
 per-member IDA loop composes its class enumeration and single-DAG effect
 without any sharing between members, the stability curves take their
 complete-DAG pin from its ``complete_dag_under`` and ``dag_to_cpdag``, and
@@ -23,6 +26,7 @@ one member's arcs.
 """
 
 import itertools
+from bisect import bisect_left
 
 import numpy as np
 
@@ -372,6 +376,86 @@ def oracle_survivors(points, k):
         part = [i for i in kept if ranks[i] == r]
         crowding.update(zip(part, oracle_crowding([points[i] for i in part])))
     return kept, [crowding[i] for i in kept]
+
+
+def _rank_array(objs: np.ndarray) -> np.ndarray:
+    """Front index per row of one search, by a sorted sweep over the two
+    objectives: the per-search NSGA-II ranking that the search's batched
+    sweep (search._rank_stack) must equal on every search of a stack.
+
+    Feasible rows are visited by complexity, then chi-square, so each row
+    comes after every row that dominates it.  A front's latest member has
+    its lowest chi-square, so it dominates a row iff the front does, and the
+    fronts that dominate a row form a prefix: a binary search over the
+    latest members finds the row's front (Jensen 2003, IEEE TEC 7(5)).
+    Infeasible rows (chi-square +inf) dominate nothing; each lands one front
+    behind the worst feasible row of no greater complexity.
+    """
+    chi, k = objs[:, 0], objs[:, 1]
+    order = np.lexsort((chi, k))
+    finite = np.isfinite(chi[order])
+    feasible, infeasible = order[finite], order[~finite]
+    points = objs[feasible]
+    new = np.ones(len(points), dtype=bool)  # first of its point in sweep order
+    new[1:] = (points[1:] != points[:-1]).any(axis=1)
+    latest: list[list[float]] = []  # [chi, k] of each front's latest member
+    fronts = []
+    for point in points[new].tolist():  # identical points share a front
+        f = bisect_left(latest, point)
+        if f == len(latest):
+            latest.append(point)
+        else:
+            latest[f] = point
+        fronts.append(f)
+    ranks = np.zeros(len(objs), dtype=np.int64)
+    ranks[feasible] = np.array(fronts, dtype=np.int64)[np.cumsum(new) - 1]
+    worst = np.concatenate(([-1], np.maximum.accumulate(ranks[feasible])))
+    ranks[infeasible] = worst[np.searchsorted(k[feasible], k[infeasible], "right")] + 1
+    return ranks
+
+
+def _crowding_array(objs: np.ndarray) -> np.ndarray:
+    """Crowding distance per row of one front: the per-front loop that the
+    search's segmented search._crowding must equal bit for bit."""
+    m = objs.shape[0]
+    d = np.zeros(m)
+    if m <= 2:
+        d[:] = np.inf
+        return d
+    for col in range(2):
+        vals = objs[:, col].astype(float)
+        finite = np.isfinite(vals)
+        if not finite.all():
+            # clip infeasible fits to a finite ceiling so spans stay defined
+            ceiling = (vals[finite].max() * 2 + 1.0) if finite.any() else 1.0
+            vals = np.where(finite, vals, ceiling)
+        order = np.argsort(vals, kind="stable")
+        d[order[0]] = d[order[-1]] = np.inf
+        span = vals[order[-1]] - vals[order[0]]
+        if span > 0:
+            d[order[1:-1]] += (vals[order[2:]] - vals[order[:-2]]) / span
+    return d
+
+
+def _survivors(objs, ranks, k) -> tuple[np.ndarray, np.ndarray]:
+    """The k rows elitist selection keeps from one search, in order, and
+    crowding distances: the per-search truncation that the search's batched
+    search._survivor_stack must equal bit for bit.
+
+    Whole fronts are kept in rank order, then the split front's rows by
+    descending crowding distance (stable).  A kept row's distance is taken
+    within the kept part of its front, in kept order; other rows read NaN.
+    """
+    kept, crowding = [], np.full(len(objs), np.nan)
+    for r in range(int(ranks.max()) + 1):
+        idx = np.flatnonzero(ranks == r)
+        if len(kept) + len(idx) > k:
+            idx = idx[np.argsort(-_crowding_array(objs[idx]), kind="stable")[: k - len(kept)]]
+        crowding[idx] = _crowding_array(objs[idx])
+        kept.extend(idx.tolist())
+        if len(kept) == k:
+            break
+    return np.array(kept), crowding
 
 
 def oracle_midranks(values):

@@ -31,7 +31,7 @@ from stablesearch.longitudinal import (
     transition_mask,
 )
 from stablesearch.scoring import Dataset, FitResult, fit_dag_ml, sample_covariance
-from stablesearch.search import ParetoModel, SearchParams, _rank_array, evolve
+from stablesearch.search import ParetoModel, SearchParams, _rank_stack, evolve
 from stablesearch.seeding import PARAMETERIZE_LANE, derived_rng
 from stablesearch.simulate import (
     default_structure,
@@ -200,7 +200,7 @@ def test_criterion_04_nondominated_sort_matches_oracle():
             (float(rng.integers(0, 25)), int(rng.integers(0, 12)))
             for _ in range(150)
         ]
-        ranks = _rank_array(np.array(objs, dtype=float))
+        ranks = _rank_stack(np.array(objs, dtype=float)[None])[0]
         expected = oracle_front_ranks(objs)
         if ranks.tolist() != expected:
             mismatches += 1
@@ -233,7 +233,7 @@ def test_criterion_05_small_p_exhaustive_recovery():
             + e[:, 2]
         )
         cov = sample_covariance(Dataset(["a", "b", "c"], vals))
-        models = evolve(cov, 400, 3, ConstraintMask.empty(3), SearchParams(seed=trial))
+        models = evolve(cov, 400, 3, ConstraintMask.empty(3), SearchParams(seed=trial), None)
         front = {m.fit.complexity: m.fit.chi_square for m in models}
         oracle = oracle_pareto_front(3, cov, 400)
         if set(front) == set(oracle) and all(

@@ -80,7 +80,7 @@ def test_evolve_binds_the_tracer_hook_arguments(tracer):
         if name != "self" and param.kind is not param.KEYWORD_ONLY
     ]
     assert list(evolve.parameters) == hook_names
-    # _search_one calls evolve with all six arguments positionally
+    # evolve is called with all six arguments positionally
     args = [object()] * 6
     evolve.bind(*args)
     hook.bind(object(), *args, result=[])

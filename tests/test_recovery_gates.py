@@ -101,7 +101,7 @@ def test_search_front_gap_against_the_exact_front(p):
         _, data = random_sem(p, seed)
         cov, mask = sample_covariance(data), ConstraintMask.empty(p)
         optimum, _ = oracle_exact_front(cov, data.n_rows, mask)
-        models = evolve(cov, data.n_rows, p, mask, SearchParams(seed=seed))
+        models = evolve(cov, data.n_rows, p, mask, SearchParams(seed=seed), None)
         gaps.append(front_gap(models, optimum, data.n_rows))
         tops.append(max(m.fit.complexity for m in models))
     print(f"search at p={p}: front gaps {np.round(gaps, 3).tolist()}, "

@@ -229,7 +229,7 @@ def test_log_psi_is_infinite_for_a_singular_parent_block():
     cov = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(DegenerateData, match="singular parent block for node 2"):
         node_regression(cov, 2, [0, 1])
-    assert log_psi(cov, np.array([2]), np.array([[0, 1]])).tolist() == [np.inf]
+    assert log_psi(cov[None], np.array([0]), np.array([2]), np.array([[0, 1]])).tolist() == [np.inf]
 
 
 def test_log_psi_is_infinite_for_a_negative_residual():
@@ -240,8 +240,10 @@ def test_log_psi_is_infinite_for_a_negative_residual():
     for j, parents in ((1, [0]), (2, [0, 1])):
         with pytest.raises(DegenerateData, match=f"non-positive residual variance at node {j}"):
             node_regression(cov, j, parents)
-        assert log_psi(cov, np.array([j]), np.array([parents])).tolist() == [np.inf]
-    assert small_fits(cov)[0, 1] == np.inf
+        assert log_psi(cov[None], np.array([0]), np.array([j]), np.array([parents])).tolist() == [
+            np.inf
+        ]
+    assert small_fits(cov[None])[0, 0, 1] == np.inf
     with pytest.raises(DegenerateData, match="a node's regression on its parents is degenerate"):
         fit_dag_ml(Dag(3, frozenset({(0, 2), (1, 2)})), cov, 50)
 
@@ -258,20 +260,22 @@ def test_log_psi_equals_node_regression_bit_for_bit():
     rng = np.random.default_rng(38)
     rows = 0
     for p in range(3, 17):
+        covs = []  # a stack of a random and a near-collinear covariance
         for collinear in (False, True):
             x = rng.standard_normal((p + 12, p)) * rng.uniform(0.01, 100.0, p)
             if collinear:
                 x[:, -1] = x[:, 0] * rng.uniform(-3, 3) + 1e-7 * rng.standard_normal(len(x))
-            cov = np.cov(x, rowvar=False)
-            for c in range(2, min(8, p - 1) + 1):
-                heads = rng.integers(0, p, 40)
-                parents = np.array([rng.choice(np.delete(np.arange(p), j), c, replace=False)
-                                    for j in heads.tolist()])
-                got = log_psi(cov, heads, parents)
-                for j, pa, val in zip(heads.tolist(), parents.tolist(), got):
-                    want = np.float64(reference_log_psi(cov, j, pa))
-                    assert val.tobytes() == want.tobytes(), (p, c, j, pa)
-                rows += len(heads)
+            covs.append(np.cov(x, rowvar=False))
+        covs = np.array(covs)
+        for c in range(2, min(8, p - 1) + 1):
+            search, heads = rng.integers(0, 2, 80), rng.integers(0, p, 80)
+            parents = np.array([rng.choice(np.delete(np.arange(p), j), c, replace=False)
+                                for j in heads.tolist()])
+            got = log_psi(covs, search, heads, parents)
+            for s, j, pa, val in zip(search.tolist(), heads.tolist(), parents.tolist(), got):
+                want = np.float64(reference_log_psi(covs[s], j, pa))
+                assert val.tobytes() == want.tobytes(), (p, c, s, j, pa)
+            rows += len(heads)
     assert rows > 5000
 
 
@@ -284,7 +288,7 @@ def test_log_psi_retries_a_stack_that_one_singular_block_fails():
     parents = np.array([[0, 2], [0, 4], [2, 4], [4, 0]])
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(cov[parents[:, :, None], parents[:, None, :]], cov[parents, 0][..., None])
-    got = log_psi(cov, heads, parents)
+    got = log_psi(cov[None], 0 * heads, heads, parents)
     want = [reference_log_psi(cov, j, pa) for j, pa in zip(heads.tolist(), parents.tolist())]
     assert got.tobytes() == np.array(want).tobytes()
     assert got.tolist()[1::2] == [np.inf, np.inf] and np.isfinite(got[::2]).all()
@@ -313,7 +317,7 @@ def test_small_fits_equal_node_regression_bit_for_bit():
         p = len(cov)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = small_fits(cov)
+            table = small_fits(np.stack([np.eye(p), cov]))[1]  # the second of a stack
         assert table.shape == (p + 1, p)
         assert np.all(table[np.arange(p), np.arange(p)] == np.inf)
         for j in range(p):
@@ -335,30 +339,31 @@ def test_scorer_solves_only_new_fits_on_two_or_more_parents(monkeypatch):
     solves, calls = [], []  # one (node, parents) per kernel row; rows per call
     kernel = scoring.log_psi
 
-    def counted(cov, heads, parents):
+    def counted(covs, search, heads, parents):
         solves.extend(zip(heads.tolist(), map(tuple, parents.tolist())))
         calls.append(len(heads))
-        return kernel(cov, heads, parents)
+        return kernel(covs, search, heads, parents)
 
     monkeypatch.setattr(scoring, "log_psi", counted)
-    scorer = scoring.Scorer(cov, 60)
+    scorer = scoring.Scorer(cov[None], (60,))
+    first = np.zeros(3, dtype=int)  # every row scores under the one covariance
     small = np.zeros((3, p, p), dtype=bool)
     small[0, [0, 1, 2], [1, 2, 3]] = True  # a path: one parent each
     small[1, [5, 5, 5], [0, 1, 2]] = True  # a fan-out from node 5
-    assert np.isfinite(scorer.chi_squares(small)).all()
+    assert np.isfinite(scorer.chi_squares(small, first)).all()
     assert solves == []
 
     collider = np.zeros((3, p, p), dtype=bool)
     collider[:, [0, 1], 2] = True  # node 2 on parents {0, 1}, in every row
     collider[1, 4, 3] = True
-    got = scorer.chi_squares(collider)
+    got = scorer.chi_squares(collider, first)
     assert solves == [(2, (0, 1))]
     assert got[0] == got[2] == want
 
     empty = np.zeros((0, p, p), dtype=bool)
-    assert scorer.chi_squares(empty).shape == (0,)
+    assert scorer.chi_squares(empty, first[:0]).shape == (0,)
     for batch in (small, collider, empty):  # a second pass solves nothing
-        scorer.chi_squares(batch)
+        scorer.chi_squares(batch, first[: len(batch)])
     assert solves == [(2, (0, 1))]
 
     # one kernel call per parent count, each new key once, in batch order
@@ -369,7 +374,7 @@ def test_scorer_solves_only_new_fits_on_two_or_more_parents(monkeypatch):
     mixed[2, [0, 1], 2] = True  # solved above
     mixed[1, [0, 1, 2], 3] = True
     del calls[:]
-    scorer.chi_squares(mixed)
+    scorer.chi_squares(mixed, first)
     assert solves[1:] == [(4, (0, 1)), (4, (0, 2)), (3, (0, 1, 2))] and calls == [2, 1]
 
 
@@ -378,10 +383,10 @@ def test_a_negative_variance_is_degenerate_without_parents():
     cov = np.diag([-1.0, -1.0, 1.0])
     with pytest.raises(DegenerateData, match="non-positive residual variance at node 0"):
         node_regression(cov, 0, [])
-    assert small_fits(cov)[3].tolist() == [np.inf, np.inf, 0.0]
+    assert small_fits(cov[None])[0, 3].tolist() == [np.inf, np.inf, 0.0]
     with pytest.raises(DegenerateData):
         fit_dag_ml(Dag(3, frozenset()), cov, 10)
-    models = evolve(cov, 10, 3, ConstraintMask.empty(3), SearchParams(seed=1))
+    models = evolve(cov, 10, 3, ConstraintMask.empty(3), SearchParams(seed=1), None)
     assert all(np.isfinite(m.fit.chi_square) for m in models)
 
 

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from oracles import (
+    _rank_array,
+    _survivors,
     oracle_crowding,
     oracle_dominates,
     oracle_exact_front,
@@ -20,23 +24,26 @@ from stablesearch.scoring import Dataset, sample_covariance
 from stablesearch.search import (
     SearchParams,
     _arcs,
-    _crowding_array,
-    _rank_array,
-    _survivors,
+    _crowding,
+    _rank_stack,
+    _survivor_stack,
     _tournament,
     _vary,
     evolve,
+    evolve_batch,
     exact_front,
 )
 from stablesearch.stability import complete_dag_under
 
 
 def ranks(points):
-    return _rank_array(np.array(points, dtype=float)).tolist()
+    """Front indices of one search: a stack of one."""
+    return _rank_stack(np.array(points, dtype=float)[None])[0].tolist()
 
 
 def crowding(points):
-    return _crowding_array(np.array(points, dtype=float)).tolist()
+    """Crowding distances of one front: one segment."""
+    return _crowding(np.array(points, dtype=float), np.zeros(len(points), dtype=int)).tolist()
 
 
 def tournament(rank, crowd, coin=False):
@@ -55,9 +62,10 @@ def vary_pair(a, b, rng, p_crossover=0.85, p_mutation=0.0, allowed=None):
     apply_cx = rng.random(1) < p_crossover
     mix = rng.random((1, p, p)) < 0.5
     do_mut = rng.random(2) < p_mutation
-    flip = np.zeros((2, p, p), dtype=bool)
-    flip[do_mut] = rng.random((int(do_mut.sum()), p, p)) < 1.0 / (p * (p - 1))
-    return _vary(a[None], b[None], apply_cx, mix, flip, allowed)
+    flips = rng.random((int(do_mut.sum()), p, p)) < 1.0 / (p * (p - 1))
+    offspring = np.stack([a, b])
+    _vary(offspring, apply_cx, mix, np.flatnonzero(do_mut), flips, allowed)
+    return offspring
 
 
 def random_adj(rng, p, density=0.3):
@@ -136,13 +144,43 @@ def test_survivors_match_oracle():
         objs, ranks = np.array(points, dtype=float), np.array(oracle_front_ranks(points))
         filled = np.cumsum(np.bincount(ranks)).tolist()  # a front ends exactly at each
         for k in {1, int(rng.integers(1, m + 1)), *filled[:2], m}:
-            kept, crowd = _survivors(objs, ranks, k)
+            kept, crowd = _survivor_stack(objs[None], ranks[None], k)
+            kept, crowd = kept[0], crowd[0]
             want_kept, want_crowd = oracle_survivors(points, k)
             assert kept.tolist() == want_kept
             assert crowd[kept].tolist() == want_crowd
             assert np.isnan(np.delete(crowd, kept)).all()
             cases += k < m and k not in filled  # a split front
     assert cases > 50
+
+
+def test_batched_ranks_and_survivors_match_the_per_search_loops():
+    """_rank_stack and _survivor_stack on (S, 2N, 2) stacks against the
+    per-search _rank_array and _survivors, bit for bit: ranks, kept order
+    and crowding distances (NaN where a row is dropped)."""
+    rng = np.random.default_rng(39)
+    seen = {"infeasible": 0, "copies": 0, "small fronts": 0, "split": 0}
+    for _ in range(300):
+        n_s, half = int(rng.integers(1, 6)), int(rng.integers(2, 12))
+        chi = rng.integers(0, rng.integers(1, 9), size=(n_s, 2 * half)).astype(float)
+        chi[rng.random(chi.shape) < 0.2] = np.inf
+        k = rng.integers(0, int(rng.integers(1, 7)), size=chi.shape)
+        objs = np.stack([chi, k], axis=-1).astype(float)
+        ranks = _rank_stack(objs)
+        for keep in (half, 2 * half):  # a generation's truncation, the initial crowding
+            kept, crowd = _survivor_stack(objs, ranks, keep)
+            for s in range(n_s):
+                want_ranks = _rank_array(objs[s])
+                assert ranks[s].tolist() == want_ranks.tolist()
+                want_kept, want_crowd = _survivors(objs[s], want_ranks, keep)
+                assert kept[s].tolist() == want_kept.tolist()
+                assert crowd[s].tobytes() == want_crowd.tobytes()
+                sizes = np.bincount(want_ranks)
+                seen["infeasible"] += bool(np.isinf(objs[s, :, 0]).any())
+                seen["copies"] += len(np.unique(objs[s], axis=0)) < len(objs[s])
+                seen["small fronts"] += bool((sizes <= 2).any())
+                seen["split"] += keep not in np.cumsum(sizes)
+    assert min(seen.values()) > 100, seen
 
 
 def test_tournament_rank_and_crowding_rules():
@@ -205,7 +243,8 @@ def test_mutate_expected_flip_count():
     base = np.zeros((trials // 2, p, p), dtype=bool)
     no_cx = np.zeros(trials // 2, dtype=bool)
     flip = rng.random((trials, p, p)) < 1.0 / (p * (p - 1))
-    out = _vary(base, base, no_cx, base, flip, ~np.eye(p, dtype=bool))
+    out = np.zeros((trials, p, p), dtype=bool)
+    _vary(out, no_cx, base, np.arange(trials), flip, ~np.eye(p, dtype=bool))
     assert abs(out.sum() / trials - 1.0) < 0.1
 
 
@@ -255,16 +294,16 @@ def force_degenerate(monkeypatch, bad, solves=None):
     node, parents = bad
     small_fits, kernel = scoring.small_fits, scoring.log_psi
 
-    def table(cov):
-        fits = small_fits(cov)
+    def table(covs):
+        fits = small_fits(covs)
         if len(parents) <= 1:
-            fits[parents[0] if parents else len(cov), node] = np.inf
+            fits[:, parents[0] if parents else covs.shape[1], node] = np.inf
         return fits
 
-    def degenerate(cov, heads, pa):
+    def degenerate(covs, search, heads, pa):
         if solves is not None:
             solves.extend(heads.tolist())
-        out = kernel(cov, heads, pa)
+        out = kernel(covs, search, heads, pa)
         out[[(j, tuple(row)) == bad for j, row in zip(heads.tolist(), pa.tolist())]] = np.inf
         return out
 
@@ -290,13 +329,13 @@ def test_batched_scorer_equals_per_row_loop(p, monkeypatch):
     bad = (j, tuple(np.flatnonzero(batches[0][i, :, j]).tolist()))
     solves = []
     force_degenerate(monkeypatch, bad, solves)
-    scorer = scoring.Scorer(cov, n)
+    scorer = scoring.Scorer(cov[None], (n,))
     wants = [[scalar_chi_square(cov, n, adj, {bad}) for adj in adjs] for adjs in batches]
     for adjs, want in zip(batches, wants):
-        assert scorer.chi_squares(adjs).tolist() == want
+        assert scorer.chi_squares(adjs, np.zeros(len(adjs), dtype=int)).tolist() == want
     solved = len(solves)
     for adjs, want in zip(batches, wants):  # the repeats hit the key cache
-        assert scorer.chi_squares(adjs).tolist() == want
+        assert scorer.chi_squares(adjs, np.zeros(len(adjs), dtype=int)).tolist() == want
     assert len(solves) == solved
     assert search.INFEASIBLE in wants[0]
 
@@ -305,18 +344,24 @@ def test_evolve_scores_each_distinct_individual_once(monkeypatch):
     scored, covs, varied, ranked = [], [], [], []
     chi_squares, vary = scoring.Scorer.chi_squares, search._vary
 
-    def recorded(self, adjs):
+    def recorded(self, adjs, search):
         scored.extend(adj.tobytes() for adj in adjs)
-        covs.append(self.cov)
-        return chi_squares(self, adjs)
+        covs.append(self.covs[0])
+        return chi_squares(self, adjs, search)
+
+    def recorded_vary(offspring, *args):
+        vary(offspring, *args)
+        varied.append(offspring)  # the array settle then repairs in place
 
     # node 4 without parents degenerates: a common infeasible key, so
     # infeasible individuals are bred again
     bad = (4, ())
     force_degenerate(monkeypatch, bad)
     monkeypatch.setattr(scoring.Scorer, "chi_squares", recorded)
-    monkeypatch.setattr(search, "_vary", lambda *args: varied.append(vary(*args)) or varied[-1])
-    monkeypatch.setattr(search, "_rank_array", lambda objs: ranked.append(objs) or _rank_array(objs))
+    monkeypatch.setattr(search, "_vary", recorded_vary)
+    monkeypatch.setattr(
+        search, "_rank_stack", lambda objs: ranked.append(objs[0]) or _rank_stack(objs)
+    )
     golden_run("cross")
     assert len(scored) == len(set(scored))
 
@@ -336,12 +381,12 @@ def test_evolve_ranks_once_per_generation(monkeypatch):
     calls = []
 
     def counted(objs):
-        calls.append(len(objs))
-        return _rank_array(objs)
+        calls.append(objs.shape)
+        return _rank_stack(objs)
 
-    monkeypatch.setattr(search, "_rank_array", counted)
+    monkeypatch.setattr(search, "_rank_stack", counted)
     golden_run("cross")
-    assert calls == [24] + [48] * 12
+    assert calls == [(1, 24, 2)] + [(1, 48, 2)] * 12
 
 
 def dataset_from_model(n, weighted_arcs, rng, rows):
@@ -358,7 +403,7 @@ def test_evolve_two_variables_recovers_both_front_points():
     cov = sample_covariance(data)
     mask = ConstraintMask.empty(2)
     params = SearchParams(generations=10, population_size=20, seed=1)
-    models = evolve(cov, data.n_rows, 2, mask, params)
+    models = evolve(cov, data.n_rows, 2, mask, params, None)
 
     expect = oracle_pareto_front(2, cov, data.n_rows)
     assert sorted(m.fit.complexity for m in models) == sorted(expect)
@@ -374,8 +419,8 @@ def test_evolve_same_seed_same_result():
     cov = sample_covariance(data)
     mask = ConstraintMask.empty(3)
     params = SearchParams(generations=8, population_size=16, seed=42)
-    first = evolve(cov, data.n_rows, 3, mask, params)
-    second = evolve(cov, data.n_rows, 3, mask, params)
+    first = evolve(cov, data.n_rows, 3, mask, params, None)
+    second = evolve(cov, data.n_rows, 3, mask, params, None)
     assert [m.dag.arcs for m in first] == [m.dag.arcs for m in second]
     assert [m.fit.chi_square for m in first] == [m.fit.chi_square for m in second]
 
@@ -387,7 +432,7 @@ def test_evolve_all_arcs_forbidden_returns_empty_model():
     every = [(a, b) for a in range(3) for b in range(3) if a != b]
     mask = ConstraintMask.empty(3).with_forbidden(every)
     params = SearchParams(generations=5, population_size=8, seed=0)
-    models = evolve(cov, data.n_rows, 3, mask, params)
+    models = evolve(cov, data.n_rows, 3, mask, params, None)
     assert len(models) == 1
     assert models[0].dag.arcs == frozenset()
 
@@ -402,7 +447,7 @@ def test_evolve_respects_mask_and_mutual_nondomination():
         forbidden = rng.random((4, 4)) < 0.2
         mask = ConstraintMask(4, forbidden)
         params = SearchParams(generations=12, population_size=24, seed=trial)
-        models = evolve(cov, data.n_rows, 4, mask, params)
+        models = evolve(cov, data.n_rows, 4, mask, params, None)
         assert models
         for m in models:
             assert all(mask.allows(a, b) for a, b in m.dag.arcs)
@@ -423,7 +468,7 @@ def test_evolve_matches_exhaustive_front_three_variables():
         expect = oracle_pareto_front(3, cov, data.n_rows)
         models = evolve(
             cov, data.n_rows, 3, ConstraintMask.empty(3),
-            SearchParams(seed=seed),
+            SearchParams(seed=seed), None,
         )
         got = {m.fit.complexity: m.fit.chi_square for m in models}
         if set(got) == set(expect) and all(
@@ -453,11 +498,12 @@ def test_evolve_never_beats_the_exact_front(p, masked):
 
         chis = [m.fit.chi_square for m in front]
         assert chis == sorted(chis, reverse=True) and len(set(chis)) == len(chis)
-        scorer = scoring.Scorer(cov, n)
+        scorer = scoring.Scorer(cov[None], (n,))
         for m in front:
             assert all(mask.allows(a, b) for a, b in m.dag.arcs)
             adj = arc_matrix(p, m.dag.arcs)[None]
-            assert scorer.chi_squares(adj)[0] == m.fit.chi_square == optimum[m.fit.complexity]
+            chi = scorer.chi_squares(adj, np.zeros(1, dtype=int))[0]
+            assert chi == m.fit.chi_square == optimum[m.fit.complexity]
         if p <= 4:
             brute = oracle_pareto_front(p, cov, n, forbidden)
             assert [m.fit.complexity for m in front] == sorted(brute)
@@ -466,7 +512,7 @@ def test_evolve_never_beats_the_exact_front(p, masked):
                 assert m.fit.chi_square == pytest.approx(want, rel=1e-9, abs=1e-9)
 
         # the search's own score is never below its exact optimum
-        for m in evolve(cov, n, p, mask, SearchParams(seed=trial)):
+        for m in evolve(cov, n, p, mask, SearchParams(seed=trial), None):
             want = optimum[m.fit.complexity]
             assert m.fit.chi_square >= want - 1e-12 * max(want, 1.0)
 
@@ -543,7 +589,7 @@ def golden_run(kind):
         later_to_earlier = [(b, a) for a in range(5) for b in range(a + 2, 5)]
         mask = mask.with_forbidden(later_to_earlier + [(1, 0), (2, 1)])
     params = SearchParams(generations=12, population_size=24, seed=5)
-    return evolve(cov, 300, p, mask, params)
+    return evolve(cov, 300, p, mask, params, None)
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_RUNS))
@@ -633,12 +679,34 @@ def test_evolve_repairs_only_cyclic_offspring(kind, monkeypatch):
     assert len(calls) == GOLDEN_REPAIRS[kind]
 
 
+def front_bits(models):
+    """Each model's arcs and the bits of its fit."""
+    return [(sorted(m.dag.arcs), m.fit.chi_square.hex(), m.fit.complexity, m.fit.bic.hex())
+            for m in models]
+
+
+@pytest.mark.parametrize("kind", ["unmasked", "random"])
+@pytest.mark.parametrize("size", [1, 2, 5])
+def test_evolve_batch_equals_each_search_alone(size, kind):
+    # p = 10 is past search.EXACT_NODES; the searches differ in covariance,
+    # row count and seed, and share the mask and the other settings
+    rng = np.random.default_rng(70 + size + 10 * (kind == "random"))
+    problems = [random_problem(rng, 10, kind, rows=40 + 10 * s) for s in range(size)]
+    covs, ns, masks = zip(*problems)
+    params = SearchParams(generations=6, population_size=12, seed=0)
+    seeds = rng.integers(0, 2**32, size).tolist()
+    batched = evolve_batch(np.array(covs), ns, seeds, masks[0], params, None)
+    for cov, n, seed, got in zip(covs, ns, seeds, batched, strict=True):
+        alone = evolve(cov, n, 10, masks[0], replace(params, seed=seed), None)
+        assert front_bits(got) == front_bits(alone) != []
+
+
 def test_evolve_rejects_dimensions_that_disagree():
     params = SearchParams(population_size=4, generations=1, seed=0)
     with pytest.raises(DegenerateData, match="covariance, mask and p disagree on dimensions"):
-        evolve(np.eye(3), 50, 3, ConstraintMask.empty(4), params)
+        evolve(np.eye(3), 50, 3, ConstraintMask.empty(4), params, None)
     with pytest.raises(DegenerateData, match="covariance, mask and p disagree on dimensions"):
-        evolve(np.eye(4), 50, 3, ConstraintMask.empty(3), params)
+        evolve(np.eye(4), 50, 3, ConstraintMask.empty(3), params, None)
 
 
 def random_problem(rng, p, kind, rows=200):
@@ -669,14 +737,15 @@ def test_exact_front_matches_the_oracle(p, kind):
         _, want = oracle_exact_front(cov, n, mask)
         got = exact_front(cov, n, mask, None)
         assert [m.fit.complexity for m in got] == [m.fit.complexity for m in want]
-        scorer = scoring.Scorer(cov, n)
+        scorer = scoring.Scorer(cov[None], (n,))
         for g, w in zip(got, want):
             # a Markov-equivalent tie may pick another DAG of the same score,
             # up to rounding; the complete DAG's chi-square is 0 up to rounding
             assert g.fit.chi_square == pytest.approx(w.fit.chi_square, rel=1e-9, abs=1e-9)
             assert all(mask.allows(a, b) for a, b in g.dag.arcs)
             assert g.fit.complexity == len(g.dag.arcs)
-            assert scorer.chi_squares(arc_matrix(p, g.dag.arcs)[None])[0] == g.fit.chi_square
+            adj = arc_matrix(p, g.dag.arcs)[None]
+            assert scorer.chi_squares(adj, np.zeros(1, dtype=int))[0] == g.fit.chi_square
 
 
 def test_exact_front_with_no_allowed_arc_is_the_empty_dag():
@@ -684,7 +753,9 @@ def test_exact_front_with_no_allowed_arc_is_the_empty_dag():
     mask = ConstraintMask(4, np.ones((4, 4), dtype=bool))
     (model,) = exact_front(cov, n, mask, ("a", "b", "c", "d"))
     assert model.dag.arcs == frozenset() and model.dag.labels == ("a", "b", "c", "d")
-    assert model.fit.chi_square == scoring.Scorer(cov, n).chi_squares(np.zeros((1, 4, 4), bool))[0]
+    scorer = scoring.Scorer(cov[None], (n,))
+    empty = np.zeros((1, 4, 4), dtype=bool)
+    assert model.fit.chi_square == scorer.chi_squares(empty, np.zeros(1, dtype=int))[0]
 
 
 def test_exact_front_never_chooses_a_degenerate_parent_block():
@@ -694,7 +765,8 @@ def test_exact_front_never_chooses_a_degenerate_parent_block():
     block = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.0], [0.5, 0.0, 1.0]])
     cov = np.kron(np.eye(2), block)
     mask = ConstraintMask.empty(6)
-    assert scoring.log_psi(cov, np.array([2]), np.array([[0, 1]])).tolist() == [np.inf]
+    got = scoring.log_psi(cov[None], np.array([0]), np.array([2]), np.array([[0, 1]]))
+    assert got.tolist() == [np.inf]
     _, want = oracle_exact_front(cov, 50, mask)
     got = exact_front(cov, 50, mask, None)
     assert [(m.fit.complexity, m.fit.chi_square) for m in got] == [

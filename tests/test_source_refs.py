@@ -46,6 +46,9 @@ KEPT_IMPORTS = {
     "longitudinal.sample_covariance",
     # bench/tracer.py wraps stablesearch.search.fit_dag_ml by name
     "search.fit_dag_ml",
+    # bench/tracer.py wraps stablesearch.stability.evolve by name; the
+    # subsets' searches run through evolve_batch
+    "stability.evolve",
 }
 
 

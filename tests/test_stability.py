@@ -136,7 +136,7 @@ def test_search_dispatch_at_the_exact_front_limit(case, monkeypatch):
     mask = ConstraintMask.empty(p).with_forbidden(arcs)
     subsets = [random_dataset(np.random.default_rng(4), p, 60)]
     params = SearchParams(generations=2, population_size=8, seed=1)
-    skipped = "evolve" if exact else "exact_front"
+    skipped = "evolve_batch" if exact else "exact_front"
     monkeypatch.setattr(stability, skipped, refuse(skipped))
     (result,) = run_searches([(subsets, mask, params)])
     assert not result.failed and result.models
@@ -207,6 +207,36 @@ def test_run_searches_maps_every_problem_once_and_budgets_each(in_process_pool):
     with pytest.raises(SearchFailed, match="^2 of 10 subset searches failed$"):
         run_searches([([good] * 10, mask, first), ([bad] * 2 + [good] * 8, mask, second)], 2)
     assert in_process_pool == [2] * 4  # one pool per call
+
+
+def result_bits(results):
+    """Each result's index, error and models' arcs and fits, in order."""
+    return [(r.index, r.error, None if r.failed else [(m.dag.arcs, m.fit) for m in r.models])
+            for r in results]
+
+
+def test_chunked_batches_return_the_same_results(in_process_pool, monkeypatch):
+    # p = 10 is past search.EXACT_NODES, so each chunk is one evolve_batch;
+    # 10 subsets are 1, 2 or 3 chunks, and one of them fails
+    p = 10
+    subsets = subsample(random_dataset(np.random.default_rng(5), p, 120), 10,
+                        np.random.default_rng(6))
+    mask = ConstraintMask.empty(p)
+    params = SearchParams(generations=6, population_size=12, seed=3)
+    clean = run_searches([(subsets, mask, params)])
+    # a determinant of -1: the scorer rejects this covariance
+    flipped = np.diag([-1.0] + [1.0] * (p - 1))
+    covariance = stability.sample_covariance
+    monkeypatch.setattr(stability, "sample_covariance",
+                        lambda s: flipped if s is subsets[4] else covariance(s))
+    runs = [run_searches([(subsets, mask, params)], parallelism) for parallelism in (1, 2, 3)]
+    assert in_process_pool == [2, 3]
+    for results in runs:
+        assert result_bits(results) == result_bits(runs[0])
+    bad = runs[0][4]
+    assert bad.failed and bad.error == "DegenerateData: covariance is not positive definite"
+    # its neighbours, in the same batch, return what they return without it
+    assert result_bits(runs[0][:4] + runs[0][5:]) == result_bits(clean[:4] + clean[5:])
 
 
 def test_edge_probabilities_count_cpdags():
