@@ -249,7 +249,7 @@ def cyclic_rows(adjs: np.ndarray) -> np.ndarray:
     with no in-arc left, until no row has a source.  A node that survives
     lies on a cycle or downstream of one.
     """
-    a = adjs.astype(np.int16)  # holds any in-degree, at a quarter of int64's memory
+    a = adjs.astype(np.float32)  # exact for any in-degree; its matmul beats int16's
     indeg = a.sum(axis=1)
     alive = np.ones(indeg.shape, dtype=bool)
     while True:
@@ -257,7 +257,7 @@ def cyclic_rows(adjs: np.ndarray) -> np.ndarray:
         if not src.any():
             return alive.any(axis=1)
         alive &= ~src
-        indeg -= np.matmul(src[:, None, :].astype(np.int16), a)[:, 0, :]
+        indeg -= np.matmul(src[:, None, :].astype(np.float32), a)[:, 0, :]
 
 
 def _bits(word: int):

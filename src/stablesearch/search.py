@@ -8,13 +8,17 @@ set.  Selection and variation are pure array functions fed with the draws.
 Chi-squares come from scoring.Scorer, the package's one chi-square
 (scoring.fit_dag_ml is its call on one DAG), and BICs from FitResult.scored.
 A per-search memo (a plain dict keyed, like the scorer's caches, by packed
-bits: scoring._packed) maps an individual to its chi-square, +inf for a
-degenerate fit.  One step settles every drawn batch, the initial population
-as each offspring batch: it is packed once, a row seen before skips the cycle
-check, repair and scorer, a repaired row is repacked, and new ones go to the
-scorer in one batch, if there are any.  Each generation ranks every search's
-union in one sweep and crowds all their fronts in one pass (_survivor_stack).
-The returned Pareto sets carry the memos' scores.
+bits: scoring._packed) maps an individual to an integer id; one table per
+batch holds each id's (chi-square, complexity, search), the chi-square +inf
+for a degenerate fit, and the population carries an (S, N) id array beside
+its matrices.  One step settles every drawn batch, the initial population as
+each offspring batch: it is packed and looked up once, a row seen before
+skips the cycle check, repair and scorer, a repaired row is repacked, and new
+ids go to the scorer in one batch, if there are any.  Each generation sorts
+the distinct points of every search's union once, ranks them in one sweep,
+and crowds all their fronts in one pass (_survivor_stack) by stable sorts of
+small integer keys read from the points.  The returned Pareto sets carry the
+table's scores.
 
 exact_front() solves a small problem exactly instead: at most EXACT_NODES
 nodes may take a parent, none from more than EXACT_NODES - 1 candidates (no
@@ -25,8 +29,9 @@ Its local scores are the Scorer's bits: small_fits and scoring.log_psi.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -72,52 +77,67 @@ class ParetoModel:
     cpdag: Cpdag
 
 
-def _rank_stack(objs: np.ndarray) -> np.ndarray:
-    """Front index per row of each search of an (S, M, 2) stack, by one sorted sweep.
+def _rank_stack(ids: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Front index per row of each search of an (S, M) stack of ids, by one
+    sorted sweep over the distinct points, and per row the keys that sort
+    its front for _crowding.
 
-    Rows are visited by search, then complexity, then chi-square, so each
-    row comes after every row of its search that dominates it.  A front's
-    latest member has its lowest chi-square, so it dominates a row iff the
-    front does, and the fronts that dominate a row form a prefix: a binary
-    search over the latest members finds the row's front (Jensen 2003, IEEE
-    TEC 7(5)).  Both are reset where a search begins.  Infeasible rows
-    (chi-square +inf) dominate nothing; each lands one front behind the
-    worst feasible row of its search of no greater complexity.
+    table[i] holds id i's (chi-square, complexity, search); ids of different
+    searches differ.  The points are sorted once, by search, complexity,
+    then chi-square, so each comes after every point of its search that
+    dominates it.  A front's latest member has its lowest chi-square, so it
+    dominates a point iff the front does, and the fronts that dominate a
+    point form a prefix: a binary search over the latest members finds the
+    point's front (Jensen 2003, IEEE TEC 7(5)).  They are reset where a
+    search begins.  Infeasible points (chi-square +inf) dominate nothing;
+    each lands one front behind the worst feasible point of its search of
+    no greater complexity.
+
+    The keys (segment, chi place, complexity place) are small integers: the
+    segment numbers the (search, front) pairs in order, and a place orders a
+    segment's points by one objective, equal where they tie.  A front's
+    points differ in complexity, so that place is their sweep order; its
+    infeasible ones tie on chi-square, as at the ceiling crowding clips to.
     """
-    n_s, m = objs.shape[:2]
-    owner = np.repeat(np.arange(n_s), m)
-    flat = objs.reshape(-1, 2)
-    order = np.lexsort((flat[:, 0], flat[:, 1], owner))
-    points = np.column_stack((owner, flat))[order]
-    new = np.ones(len(points), dtype=bool)  # first of its point in sweep order
-    new[1:] = (points[1:] != points[:-1]).any(axis=1)
+    distinct = np.flatnonzero(np.bincount(ids.ravel(), minlength=len(table)))
+    order = distinct[np.lexsort(table[distinct].T)]
+    new = np.ones(len(order), dtype=bool)  # the first id of each point
+    new[1:] = (table[order[1:]] != table[order[:-1]]).any(axis=1)
+    points = table[order[new]]
     fronts, current = [], -1
-    for s, chi, k in points[new].tolist():  # identical points share a front
+    for chi, s in points[:, ::2].tolist():
         if s != current:
-            # [chi, k] of each front's latest member; the worst feasible front
-            latest, worst, current = [], -1, s
+            latest, current = [], s  # the chi-square of each front's latest feasible member
         if chi == INFEASIBLE:
-            fronts.append(worst + 1)
-            continue
-        f = bisect_left(latest, [chi, k])
-        if f == len(latest):
-            latest.append([chi, k])
+            fronts.append(len(latest))  # one behind the worst feasible front so far
         else:
-            latest[f] = [chi, k]
-        worst = max(worst, f)
-        fronts.append(f)
-    ranks = np.empty(n_s * m, dtype=np.int64)
-    ranks[order] = np.array(fronts, dtype=np.int64)[np.cumsum(new) - 1]
-    return ranks.reshape(n_s, m)
+            f = bisect_right(latest, chi)  # an earlier point of equal chi-square dominates
+            latest[f : f + 1] = [chi]
+            fronts.append(f)
+    front = np.array(fronts, dtype=np.int64)
+    segment = points[:, 2].astype(np.int64) * (front.max() + 1) + front
+    by_k = np.argsort(segment, kind="stable")  # by complexity within a segment
+    by_chi = np.lexsort((points[:, 0], segment))
+    chi, seg = points[by_chi, 0], segment[by_chi]
+    keys = np.empty((len(points), 3), dtype=np.min_scalar_type(len(points)))
+    keys[by_k, 0] = np.cumsum(np.diff(segment[by_k], prepend=-1) != 0) - 1
+    keys[by_chi, 1] = np.cumsum(np.r_[True, (chi[1:] != chi[:-1]) | (seg[1:] != seg[:-1])]) - 1
+    keys[by_k, 2] = np.arange(len(points))
+    point = np.zeros(len(table), dtype=np.int64)
+    point[order] = np.cumsum(new) - 1
+    at = point[ids]
+    return front[at], keys[at]
 
 
-def _crowding(objs: np.ndarray, segment: np.ndarray) -> np.ndarray:
+def _crowding(objs: np.ndarray, segment: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Crowding distance of each row of (m, 2) objs within its segment (a run
     of rows with one nonnegative id), as NSGA-II measures one front (Deb et
     al. 2002): per objective, rows sorted by value (ties in row order) add
     their neighbours' gap over the segment's span, and the first and last
     read +inf.  Infeasible chi-squares are clipped to a finite ceiling per
-    segment, so spans stay defined.
+    segment, so spans stay defined.  Column c of the (m, 2) integer keys
+    sorts objective c: segments in row order, then values, equal exactly
+    where values tie within a segment.
     """
     first = np.diff(segment, prepend=-1) != 0  # segment ids are nonnegative
     last = np.roll(first, -1)
@@ -132,7 +152,7 @@ def _crowding(objs: np.ndarray, segment: np.ndarray) -> np.ndarray:
             top = np.maximum.reduceat(np.where(finite, vals, -np.inf), starts)
             ceiling = np.where(np.isfinite(top), top * 2 + 1.0, 1.0)
             vals = np.where(finite, vals, np.repeat(ceiling, sizes))
-        order = np.lexsort((vals, segment))
+        order = np.argsort(keys[:, col], kind="stable")
         ranked = vals[order]
         span = np.repeat(ranked[last] - ranked[first], sizes)
         d[order[first | last]] = np.inf
@@ -141,32 +161,62 @@ def _crowding(objs: np.ndarray, segment: np.ndarray) -> np.ndarray:
     return d
 
 
-def _survivor_stack(objs, ranks, k) -> tuple[np.ndarray, np.ndarray]:
-    """Per search of an (S, M) stack, the k rows elitist selection keeps, in
-    order, and crowding distances.
+def _ends(point: np.ndarray) -> np.ndarray:
+    """The indices, ascending, of the first and last row of each point,
+    given each row's point as a small nonnegative integer."""
+    order = np.argsort(point, kind="stable")
+    step = np.diff(point[order], prepend=-1, append=-1) != 0  # ids are nonnegative
+    ends = np.zeros(len(point), dtype=bool)
+    ends[order[step[:-1] | step[1:]]] = True
+    return np.flatnonzero(ends)
+
+
+def _survivor_stack(ids, table, ranks, keys, k) -> tuple[np.ndarray, np.ndarray]:
+    """Per search of an (S, M) stack of ids into table, with the ranks and
+    crowding keys _rank_stack gives them, the k rows elitist selection
+    keeps, in order, and crowding distances.
 
     Whole fronts are kept in rank order, then the split front's rows by
     descending crowding distance (stable).  A kept row's distance is taken
     within the kept part of its front, in kept order; other rows read NaN.
     Every search's fronts are crowded in one _crowding call, and the kept
-    parts of split fronts in another.
+    parts of split fronts in another, each on the first and last of every
+    point's rows alone (_ends): the copies between them lie inside a tie on
+    both objectives, so they read 0.  A front's points differ in
+    complexity, so the complexity place names the point.  Each order is a
+    stable sort of small integer keys; only the few positive finite
+    distances of split fronts are sorted as floats.
     """
     n_s, m = ranks.shape
-    flat_ranks, flat_objs = ranks.ravel(), objs.reshape(-1, 2)
+    flat_ranks, flat_keys = ranks.ravel(), keys.reshape(-1, 3)
     split_rank = np.sort(ranks, axis=1)[:, k - 1]  # the last front kept, whole or not
     rows = np.flatnonzero(ranks <= split_rank[:, None])
-    rows = rows[np.lexsort((flat_ranks[rows], rows // m))]  # by (search, rank, row)
-    owner, rank = rows // m, flat_ranks[rows]
-    dist = _crowding(flat_objs[rows], owner * m + rank)
+    rows = rows[np.argsort(flat_keys[rows, 0], kind="stable")]  # by (search, rank, row)
+    owner, rank, row_keys = rows // m, flat_ranks[rows], flat_keys[rows]
+    row_ids = ids.ravel()[rows]
+    dist = np.zeros(len(rows))
+    ends = _ends(row_keys[:, 2])
+    dist[ends] = _crowding(table[row_ids[ends], :2], row_keys[ends, 0], row_keys[ends, 1:])
     counts = np.bincount(owner, minlength=n_s)
     at_split = (counts > k)[owner] & (rank == split_rank[owner])
-    order = np.lexsort((np.where(at_split, -dist, 0.0), rank, owner))
+    # each search's split front ends its rows: +inf first, then the positive
+    # finite distances, descending, then zeros
+    split = np.flatnonzero(at_split)
+    d = dist[split]
+    positive = (d > 0) & (d < np.inf)
+    by_dist = np.where(d > 0, 0, len(d) + 1)
+    by_dist[positive] = np.argsort(np.argsort(-d[positive], kind="stable")) + 1
+    order = np.arange(len(rows))
+    order[split] = split[np.argsort(owner[split] * (len(d) + 2) + by_dist, kind="stable")]
     keep = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts) < k
-    kept, split = rows[order][keep], at_split[order][keep]
+    kept = order[keep]
+    cut = kept[at_split[kept]]
     crowding = np.full(n_s * m, np.nan)
-    crowding[kept] = dist[order][keep]
-    crowding[kept[split]] = _crowding(flat_objs[kept[split]], kept[split] // m)
-    return kept.reshape(n_s, k) % m, crowding.reshape(n_s, m)
+    crowding[rows[kept]] = dist[kept]
+    crowding[rows[cut]] = 0.0
+    cut = cut[_ends(row_keys[cut, 2])]
+    crowding[rows[cut]] = _crowding(table[row_ids[cut], :2], owner[cut], row_keys[cut, 1:])
+    return rows[kept].reshape(n_s, k) % m, crowding.reshape(n_s, m)
 
 
 def _tournament(ranks, crowding, cand, coin) -> np.ndarray:
@@ -257,33 +307,40 @@ def evolve_batch(
     allowed = ~mask.forbidden
     offdiag = ~np.eye(p, dtype=bool)
     owner = np.repeat(np.arange(n_s), pop_n)  # the run of each stacked row
-    seen = [{} for _ in rngs]  # per run: packed individual -> chi_square
-    owners = owner.tolist()
+    seen = [{} for _ in rngs]  # per run: packed individual -> its id
+    table = np.empty((0, 3))  # per id: (chi-square, complexity, run)
+    memos = [seen[s] for s in owner.tolist()]
 
     def settle(adjs: np.ndarray) -> np.ndarray:
         """Repair a drawn (S * N, p, p) batch in place (cyclic new rows in
-        index order); its (S, N, 2) stack of (chi, k) rows."""
-        keys = _packed(adjs.reshape(len(adjs), -1))
-        new = np.flatnonzero([key not in seen[s] for s, key in zip(owners, keys)])
+        index order); its (S, N) ids, scoring the new ones into table."""
+        nonlocal table
+        bits = _packed(adjs.reshape(len(adjs), -1))
+        ids = np.fromiter(map(dict.get, memos, bits, repeat(-1)), np.int64, len(bits))
+        new = np.flatnonzero(ids < 0)
         for i in new[cyclic_rows(adjs[new])].tolist():
-            repair_arcs(adjs[i], rngs[owners[i]])
-            keys[i] = _packed(adjs[i].reshape(1, -1))[0]
-        fresh = {(s, key): i for i, (s, key) in enumerate(zip(owners, keys)) if key not in seen[s]}
+            repair_arcs(adjs[i], rngs[owner[i]])
+            bits[i] = _packed(adjs[i].reshape(1, -1))[0]
+        fresh = []  # the rows that add an id, one per new individual
+        for i in new.tolist():
+            ids[i] = memos[i].setdefault(bits[i], len(table) + len(fresh))
+            if ids[i] == len(table) + len(fresh):
+                fresh.append(i)
         if fresh:
-            at = np.fromiter(fresh.values(), np.int64, len(fresh))
-            for (s, key), chi in zip(fresh, scorer.chi_squares(adjs[at], owner[at]).tolist()):
-                seen[s][key] = chi
-        chis = [seen[s][key] for s, key in zip(owners, keys)]
-        return np.column_stack((chis, adjs.sum(axis=(1, 2)))).reshape(n_s, pop_n, 2)
+            at = np.array(fresh)
+            chis = scorer.chi_squares(adjs[at], owner[at])
+            scored = np.column_stack((chis, adjs[at].sum(axis=(1, 2)), owner[at]))
+            table = np.concatenate([table, scored])
+        return ids.reshape(n_s, pop_n)
 
     # random sparse initialization
     population = np.zeros((n_s, pop_n, p, p), dtype=bool)
     for s, rng in enumerate(rngs):
         population[s][:, offdiag] = rng.random((pop_n, length)) < 2.0 / length
     population &= allowed
-    objs = settle(population.reshape(-1, p, p))
-    ranks = _rank_stack(objs)
-    crowding = _survivor_stack(objs, ranks, pop_n)[1]
+    ids = settle(population.reshape(-1, p, p))
+    ranks, keys = _rank_stack(ids, table)
+    crowding = _survivor_stack(ids, table, ranks, keys, pop_n)[1]
 
     def draw(rng):
         """One generation's draws of one search, in a run's order."""
@@ -302,18 +359,17 @@ def evolve_batch(
         # elitist (mu + lambda) environmental selection; a kept front keeps
         # all its dominators, so its ranks stand.  Survivors are gathered
         # from the population and the offspring, with no union copy.
-        objs = np.concatenate([objs, settle(offspring)], axis=1)
-        ranks = _rank_stack(objs)
-        kept, crowding = _survivor_stack(objs, ranks, pop_n)
+        ids = np.concatenate([ids, settle(offspring)], axis=1)
+        ranks, keys = _rank_stack(ids, table)
+        kept, crowding = _survivor_stack(ids, table, ranks, keys, pop_n)
         old, rows = kept < pop_n, kept + np.arange(n_s)[:, None] * pop_n
         parents, population = population.reshape(-1, p, p), np.empty_like(population)
         population[old] = parents[rows[old]]
         population[~old] = offspring[rows[~old] - pop_n]
-        objs = np.take_along_axis(objs, kept[..., None], axis=1)
-        ranks = np.take_along_axis(ranks, kept, axis=1)
-        crowding = np.take_along_axis(crowding, kept, axis=1)
+        at = (rows + np.arange(n_s)[:, None] * pop_n).ravel()  # in the unions
+        ids, ranks, crowding = (a.ravel()[at].reshape(n_s, pop_n) for a in (ids, ranks, crowding))
 
-    front = ranks == 0
+    front, objs = ranks == 0, table[ids, :2]
     return [
         _pareto_postfilter(population[s][front[s]], objs[s][front[s]], mask, ns[s], labels)
         for s in range(n_s)

@@ -19,7 +19,7 @@ from .graphs import (
     ConstraintMask, Dag, arc_matrix, dag_to_cpdag, is_acyclic, reachability,
     topological_order,
 )
-from .scoring import Dataset, Scorer, sample_covariance
+from .scoring import NOT_DEFINITE, Dataset, definite, sample_covariance
 from .search import EXACT_NODES, ParetoModel, SearchParams, evolve_batch, exact_front
 # evolve is not called here: bench/tracer.py wraps stablesearch.stability.evolve by name
 from .search import evolve  # noqa: F401
@@ -130,29 +130,34 @@ def cross_sectional_cov(subset: Dataset):
 def _search_chunk(task):
     """The results of one contiguous chunk of a problem's subsets, in order:
     each subset's exact front (exact_front) within search.EXACT_NODES, else
-    one evolve_batch() run, which a subset whose covariance or scorer fails
-    is left out of."""
+    one evolve_batch() run, which a subset whose covariance fails, or is not
+    positive definite (as the scorer requires), is left out of."""
     start, subsets, mask, params = task
     candidates = (~mask.forbidden).sum(axis=0)  # per node, the parents it may take
     exact = (candidates > 0).sum() <= EXACT_NODES and candidates.max() < EXACT_NODES
-    results, batch = {}, []
+    results, batch = {}, []  # a subset's result, or the error it failed with
     for index, subset in enumerate(subsets, start):
         try:
             cov, n_eff, labels = cross_sectional_cov(subset)
             if exact:
                 results[index] = SubsetResult(index, exact_front(cov, n_eff, mask, labels), cov=cov)
             else:
-                Scorer(cov[None], (n_eff,))  # rejects a covariance the batch cannot score
                 batch.append((index, cov, n_eff))
         except StableSearchError as exc:
-            results[index] = SubsetResult(index, None, f"{type(exc).__name__}: {exc}")
+            results[index] = exc
+    # the scorer's check, once for the chunk: a covariance that fails it fails alone
+    ok = definite(np.array([cov for _, cov, _ in batch]))[0] if batch else []
+    results.update((i, DegenerateData(NOT_DEFINITE))
+                   for (i, _, _), good in zip(batch, ok) if not good)
+    batch = [b for b, good in zip(batch, ok) if good]
     if batch:
         indices, covs, ns = zip(*batch)
         seeds = [derived_seed(params.seed, SEARCH_LANE, i) for i in indices]
         fronts = evolve_batch(np.array(covs), ns, seeds, mask, params, subsets[0].names)
         results.update((i, SubsetResult(i, models, cov=cov))
                        for i, cov, models in zip(indices, covs, fronts))
-    return [results[i] for i in sorted(results)]
+    return [r if isinstance(r, SubsetResult) else SubsetResult(i, None, f"{type(r).__name__}: {r}")
+            for i, r in sorted(results.items())]
 
 
 def run_searches(

@@ -13,16 +13,18 @@ tabulated one structure at a time, NSGA-II truncation by pairwise
 fronts and a crowding loop per objective, residual variances by one solve
 per (node, parents).  ``_rank_array``, ``_crowding_array`` and
 ``_survivors`` are the per-search NSGA-II ranking and truncation that the
-search once ran for each search alone; its batched versions are checked
-against them on random stacks.  Three exceptions use the package: the
+search once ran for each search alone, on one float row per individual; its
+batched versions (``search._rank_stack`` and ``search._survivor_stack``,
+which read each row's scores through its memo id and sort integer keys) are
+checked against them on random stacks.  Three exceptions use the package: the
 per-member IDA loop composes its class enumeration and single-DAG effect
 without any sharing between members, the stability curves take their
 complete-DAG pin from its ``complete_dag_under`` and ``dag_to_cpdag``, and
 the exact front builds its models with the search's post-filter, so that
 it bounds the search's own score; each of those is tested against the
-oracles here.  ``stability_curve`` and
-``member_arcs`` are no oracles, only the tests' lookups of one curve and of
-one member's arcs.
+oracles here.  ``stability_curve``,
+``member_arcs`` and ``stack_ids`` are no oracles, only the tests' lookups of
+one curve and of one member's arcs, and their memo ids for a stack of scores.
 """
 
 import itertools
@@ -46,6 +48,20 @@ def stability_curve(sg, a, b):
     if sg.kind == EDGE:
         a, b = min(a, b), max(a, b)
     return sg.probabilities[(a, b)]
+
+
+def stack_ids(objs, tags=None):
+    """(ids, table) for an (S, M, 2) stack of (chi-square, complexity) rows,
+    as the search's memos number them: one id per distinct (search, row,
+    tag), where a tag stands for a genotype, so rows with one score but
+    different tags get different ids; table[i] is id i's (chi-square,
+    complexity, search)."""
+    n_s, m = objs.shape[:2]
+    owner = np.repeat(np.arange(n_s), m)
+    tags = np.zeros(n_s * m) if tags is None else np.ravel(tags)
+    rows = np.column_stack((objs.reshape(-1, 2), owner, tags))
+    table, ids = np.unique(rows, axis=0, return_inverse=True)
+    return ids.reshape(n_s, m), table[:, :3]
 
 
 def oracle_is_acyclic(n, arcs):
@@ -381,7 +397,8 @@ def oracle_survivors(points, k):
 def _rank_array(objs: np.ndarray) -> np.ndarray:
     """Front index per row of one search, by a sorted sweep over the two
     objectives: the per-search NSGA-II ranking that the search's batched
-    sweep (search._rank_stack) must equal on every search of a stack.
+    sweep over distinct points (search._rank_stack) must equal on every
+    search of a stack.
 
     Feasible rows are visited by complexity, then chi-square, so each row
     comes after every row that dominates it.  A front's latest member has
@@ -415,8 +432,9 @@ def _rank_array(objs: np.ndarray) -> np.ndarray:
 
 
 def _crowding_array(objs: np.ndarray) -> np.ndarray:
-    """Crowding distance per row of one front: the per-front loop that the
-    search's segmented search._crowding must equal bit for bit."""
+    """Crowding distance per row of one front, sorting the float values: the
+    per-front loop that the search's segmented search._crowding, which sorts
+    integer keys, must equal bit for bit."""
     m = objs.shape[0]
     d = np.zeros(m)
     if m <= 2:

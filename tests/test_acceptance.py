@@ -20,6 +20,7 @@ from oracles import (
     oracle_pareto_front,
     sem_implied_covariance,
     stability_curve,
+    stack_ids,
 )
 from stablesearch.cli import main as cli_main
 from stablesearch.effects import aggregate_effects
@@ -200,7 +201,7 @@ def test_criterion_04_nondominated_sort_matches_oracle():
             (float(rng.integers(0, 25)), int(rng.integers(0, 12)))
             for _ in range(150)
         ]
-        ranks = _rank_stack(np.array(objs, dtype=float)[None])[0]
+        ranks = _rank_stack(*stack_ids(np.array(objs, dtype=float)[None]))[0][0]
         expected = oracle_front_ranks(objs)
         if ranks.tolist() != expected:
             mismatches += 1

@@ -15,6 +15,7 @@ from oracles import (
     oracle_reachability,
     oracle_survivors,
     sem_implied_covariance,
+    stack_ids,
 )
 from stablesearch import scoring, search
 from stablesearch.errors import DegenerateData
@@ -38,12 +39,15 @@ from stablesearch.stability import complete_dag_under
 
 def ranks(points):
     """Front indices of one search: a stack of one."""
-    return _rank_stack(np.array(points, dtype=float)[None])[0].tolist()
+    return _rank_stack(*stack_ids(np.array(points, dtype=float)[None]))[0][0].tolist()
 
 
 def crowding(points):
-    """Crowding distances of one front: one segment."""
-    return _crowding(np.array(points, dtype=float), np.zeros(len(points), dtype=int)).tolist()
+    """Crowding distances of one front: one segment, each objective keyed by
+    its value's place among the front's distinct values."""
+    objs = np.array(points, dtype=float).reshape(-1, 2)
+    keys = np.column_stack([np.unique(col, return_inverse=True)[1] for col in objs.T])
+    return _crowding(objs, np.zeros(len(objs), dtype=int), keys).tolist()
 
 
 def tournament(rank, crowd, coin=False):
@@ -142,9 +146,12 @@ def test_survivors_match_oracle():
         chi[rng.random(m) < 0.2] = np.inf
         points = [(c, int(k)) for c, k in zip(chi.tolist(), rng.integers(0, 6, size=m))]
         objs, ranks = np.array(points, dtype=float), np.array(oracle_front_ranks(points))
+        ids, table = stack_ids(objs[None])
+        got_ranks, keys = _rank_stack(ids, table)
+        assert got_ranks[0].tolist() == ranks.tolist()
         filled = np.cumsum(np.bincount(ranks)).tolist()  # a front ends exactly at each
         for k in {1, int(rng.integers(1, m + 1)), *filled[:2], m}:
-            kept, crowd = _survivor_stack(objs[None], ranks[None], k)
+            kept, crowd = _survivor_stack(ids, table, got_ranks, keys, k)
             kept, crowd = kept[0], crowd[0]
             want_kept, want_crowd = oracle_survivors(points, k)
             assert kept.tolist() == want_kept
@@ -155,9 +162,10 @@ def test_survivors_match_oracle():
 
 
 def test_batched_ranks_and_survivors_match_the_per_search_loops():
-    """_rank_stack and _survivor_stack on (S, 2N, 2) stacks against the
-    per-search _rank_array and _survivors, bit for bit: ranks, kept order
-    and crowding distances (NaN where a row is dropped)."""
+    """_rank_stack and _survivor_stack on the ids of (S, 2N, 2) stacks
+    against the per-search _rank_array and _survivors on the stacks, bit
+    for bit: ranks, kept order and crowding distances (NaN where a row is
+    dropped).  A score is held by up to three genotypes, each its own id."""
     rng = np.random.default_rng(39)
     seen = {"infeasible": 0, "copies": 0, "small fronts": 0, "split": 0}
     for _ in range(300):
@@ -166,9 +174,10 @@ def test_batched_ranks_and_survivors_match_the_per_search_loops():
         chi[rng.random(chi.shape) < 0.2] = np.inf
         k = rng.integers(0, int(rng.integers(1, 7)), size=chi.shape)
         objs = np.stack([chi, k], axis=-1).astype(float)
-        ranks = _rank_stack(objs)
+        ids, table = stack_ids(objs, rng.integers(0, 3, size=chi.shape))
+        ranks, keys = _rank_stack(ids, table)
         for keep in (half, 2 * half):  # a generation's truncation, the initial crowding
-            kept, crowd = _survivor_stack(objs, ranks, keep)
+            kept, crowd = _survivor_stack(ids, table, ranks, keys, keep)
             for s in range(n_s):
                 want_ranks = _rank_array(objs[s])
                 assert ranks[s].tolist() == want_ranks.tolist()
@@ -181,6 +190,31 @@ def test_batched_ranks_and_survivors_match_the_per_search_loops():
                 seen["small fronts"] += bool((sizes <= 2).any())
                 seen["split"] += keep not in np.cumsum(sizes)
     assert min(seen.values()) > 100, seen
+
+
+def test_infeasible_points_tie_in_row_order_within_a_front():
+    """Two infeasible points of different complexity share front 1 with two
+    feasible ones; their copies interleave in row order.  On the chi-square
+    axis both sit at the clipped ceiling, so their rows tie and keep row
+    order (kept order, once a split front is cut): the batched helpers
+    equal the per-search loops bit for bit at a split and at an unsplit
+    truncation, whichever genotypes hold the copies."""
+    inf = search.INFEASIBLE
+    objs = np.array([
+        (inf, 4), (1.0, 0), (inf, 2), (2.0, 6), (inf, 4), (inf, 2),
+        (1.5, 7), (inf, 2), (inf, 4), (2.0, 6), (1.0, 0), (9.0, 9),
+    ])
+    want_ranks = _rank_array(objs)
+    assert want_ranks.tolist() == [1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 2]
+    for tags in (None, np.arange(len(objs)) % 2):
+        ids, table = stack_ids(objs[None], tags)
+        got_ranks, keys = _rank_stack(ids, table)
+        assert got_ranks[0].tolist() == want_ranks.tolist()
+        for keep in (6, 11):  # front 1 cut to 4 of its 9 rows; fronts 0 and 1 whole
+            kept, crowd = _survivor_stack(ids, table, got_ranks, keys, keep)
+            want_kept, want_crowd = _survivors(objs, want_ranks, keep)
+            assert kept[0].tolist() == want_kept.tolist()
+            assert crowd[0].tobytes() == want_crowd.tobytes()
 
 
 def test_tournament_rank_and_crowding_rules():
@@ -360,7 +394,8 @@ def test_evolve_scores_each_distinct_individual_once(monkeypatch):
     monkeypatch.setattr(scoring.Scorer, "chi_squares", recorded)
     monkeypatch.setattr(search, "_vary", recorded_vary)
     monkeypatch.setattr(
-        search, "_rank_stack", lambda objs: ranked.append(objs[0]) or _rank_stack(objs)
+        search, "_rank_stack",
+        lambda ids, table: ranked.append(table[ids[0], :2]) or _rank_stack(ids, table),
     )
     golden_run("cross")
     assert len(scored) == len(set(scored))
@@ -380,13 +415,13 @@ def test_evolve_scores_each_distinct_individual_once(monkeypatch):
 def test_evolve_ranks_once_per_generation(monkeypatch):
     calls = []
 
-    def counted(objs):
-        calls.append(objs.shape)
-        return _rank_stack(objs)
+    def counted(ids, table):
+        calls.append(ids.shape)
+        return _rank_stack(ids, table)
 
     monkeypatch.setattr(search, "_rank_stack", counted)
     golden_run("cross")
-    assert calls == [(1, 24, 2)] + [(1, 48, 2)] * 12
+    assert calls == [(1, 24)] + [(1, 48)] * 12
 
 
 def dataset_from_model(n, weighted_arcs, rng, rows):
@@ -699,6 +734,43 @@ def test_evolve_batch_equals_each_search_alone(size, kind):
     for cov, n, seed, got in zip(covs, ns, seeds, batched, strict=True):
         alone = evolve(cov, n, 10, masks[0], replace(params, seed=seed), None)
         assert front_bits(got) == front_bits(alone) != []
+
+
+def test_memo_ids_stay_per_search(monkeypatch):
+    """Two searches of one batch with one seed start from the same
+    individuals, under different covariances and row counts: every offspring
+    row reads its own search's chi-square through an id of its own search,
+    also for a genotype both searches hold, and each front is the one its
+    search returns alone."""
+    rng = np.random.default_rng(40)
+    covs, ns, masks = zip(*[random_problem(rng, 10, "unmasked", rows) for rows in (60, 90)])
+    varied, ranked = [], []
+    vary = search._vary
+
+    def recorded_vary(offspring, *args):
+        vary(offspring, *args)
+        varied.append(offspring)  # the array settle then repairs in place
+
+    monkeypatch.setattr(search, "_vary", recorded_vary)
+    monkeypatch.setattr(
+        search, "_rank_stack",
+        lambda ids, table: ranked.append((ids, table)) or _rank_stack(ids, table),
+    )
+    params = SearchParams(generations=4, population_size=12, seed=5)
+    batched = evolve_batch(np.array(covs), ns, (5, 5), masks[0], params, None)
+    held = [{}, {}]  # per search: genotype -> chi-square
+    for offspring, (ids, table) in zip(varied, ranked[1:]):
+        assert not set(ids[0].tolist()) & set(ids[1].tolist())
+        objs = table[ids[:, -12:], :2]
+        for s in range(2):
+            for adj, (chi, k) in zip(offspring[12 * s : 12 * (s + 1)], objs[s].tolist()):
+                assert (chi, k) == (scalar_chi_square(covs[s], ns[s], adj), adj.sum())
+                held[s][adj.tobytes()] = chi
+    shared = held[0].keys() & held[1].keys()
+    assert any(held[0][key] != held[1][key] for key in shared)
+    for s in range(2):
+        alone = evolve(covs[s], ns[s], 10, masks[0], params, None)
+        assert front_bits(batched[s]) == front_bits(alone)
 
 
 def test_evolve_rejects_dimensions_that_disagree():
