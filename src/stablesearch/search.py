@@ -1,30 +1,18 @@
 """Pareto search over constrained DAG structures: NSGA-II, or the exact front.
 
-Objectives are (chi_square, complexity), both minimized.  evolve_batch()
-advances one problem's NSGA-II searches (one per covariance, each with its own
-generator, memo and draw order) together, holding their populations as one
-(S, N, p, p) boolean array of adjacency matrices; forbidden cells are never
-set.  Selection and variation are pure array functions fed with the draws.
-Chi-squares come from scoring.Scorer, the package's one chi-square
-(scoring.fit_dag_ml is its call on one DAG), and BICs from FitResult.scored.
-A per-search memo (a plain dict keyed, like the scorer's caches, by packed
-bits: scoring._packed) maps an individual to an integer id; one table per
-batch holds each id's (chi-square, complexity, search), the chi-square +inf
-for a degenerate fit, and the population carries an (S, N) id array beside
-its matrices.  One step settles every drawn batch, the initial population as
-each offspring batch: it is packed and looked up once, a row seen before
-skips the cycle check, repair and scorer, a repaired row is repacked, and new
-ids go to the scorer in one batch, if there are any.  Each generation sorts
-the distinct points of every search's union once, ranks them in one sweep,
-and crowds all their fronts in one pass (_survivor_stack) by stable sorts of
-small integer keys read from the points.  The returned Pareto sets carry the
-table's scores.
-
-exact_front() solves a small problem exactly instead: at most EXACT_NODES
-nodes may take a parent, none from more than EXACT_NODES - 1 candidates (no
-bigger than an unmasked 8-node problem).  There the dynamic program costs
-less than evolve() at the SearchParams defaults; past it, it soon costs more.
-Its local scores are the Scorer's bits: small_fits and scoring.log_psi.
+Objectives are (chi_square, complexity), both minimized.  pareto_fronts() is
+the package's one search entry point, and holds the rule that picks the
+exact front (exact_front(), a dynamic program over the Scorer's local
+scores: small_fits and scoring.log_psi) or NSGA-II (evolve_batch(), one
+problem's searches advanced together over one (S, N, p, p) boolean array of
+adjacency matrices, whose forbidden cells are never set).  Selection and
+variation are pure array functions fed with the draws.  Chi-squares come
+from scoring.Scorer, the package's one chi-square (scoring.fit_dag_ml is its
+call on one DAG), and BICs from FitResult.scored.  A per-search memo (a plain
+dict keyed, like the scorer's caches, by packed bits: scoring._packed) maps
+an individual to an integer id; one table per batch holds each id's
+(chi-square, complexity, search), the chi-square +inf for a degenerate fit,
+and the population carries an (S, N) id array beside its matrices.
 """
 
 from __future__ import annotations
@@ -37,11 +25,11 @@ import numpy as np
 
 from .errors import DegenerateData, require
 from .graphs import ConstraintMask, Cpdag, Dag, cyclic_rows, dag_to_cpdag, repair_arcs
-# fit_dag_ml is not called here: bench/tracer.py wraps
-# stablesearch.search.fit_dag_ml by name
-from .scoring import INFEASIBLE, FitResult, Scorer, _packed, fit_dag_ml, log_psi  # noqa: F401
+from .scoring import INFEASIBLE, NOT_DEFINITE, FitResult, Scorer, _packed, definite, log_psi
+# fit_dag_ml is not called here: bench/tracer.py wraps stablesearch.search.fit_dag_ml by name
+from .scoring import fit_dag_ml  # noqa: F401
 
-EXACT_NODES = 8  # the size limit of exact_front, as the module docstring states
+EXACT_NODES = 8  # the size limit of exact_front, as pareto_fronts states
 
 
 @dataclass(frozen=True)
@@ -465,3 +453,27 @@ def exact_front(
     front = objs[:, 0] < lowest
     return _pareto_postfilter(adjs[front], objs[front], mask, n, labels)
 
+
+def pareto_fronts(
+    covs: np.ndarray, ns, seeds, mask: ConstraintMask, params: SearchParams,
+    labels: tuple[str, ...] | None,
+) -> list[list[ParetoModel] | DegenerateData]:
+    """The package's one search: per covariance of one problem's (S, p, p)
+    stack, covs[s] from ns[s] rows, its Pareto set or the DegenerateData it
+    fails with.  Each is checked first, by the Scorer's own check
+    (scoring.definite), and one that fails is not searched.  Where at most EXACT_NODES nodes may
+    take a parent, none from more than EXACT_NODES - 1 candidates (no bigger
+    than an unmasked 8-node problem), each gets its exact_front, which costs
+    less there than NSGA-II at the SearchParams defaults and soon more past
+    it; past it, one evolve_batch runs them together, search s seeded seeds[s].
+    """
+    candidates = (~mask.forbidden).sum(axis=0)  # per node, the parents it may take
+    good = np.flatnonzero(definite(covs)[0]).tolist()
+    fronts = {}  # per definite covariance, its Pareto set
+    if (candidates > 0).sum() <= EXACT_NODES and candidates.max() < EXACT_NODES:
+        fronts = {s: exact_front(covs[s], ns[s], mask, labels) for s in good}
+    elif good:
+        batch = evolve_batch(covs[good], [ns[s] for s in good], [seeds[s] for s in good],
+                             mask, params, labels)
+        fronts = dict(zip(good, batch))
+    return [fronts[s] if s in fronts else DegenerateData(NOT_DEFINITE) for s in range(len(covs))]

@@ -19,8 +19,8 @@ from .graphs import (
     ConstraintMask, Dag, arc_matrix, dag_to_cpdag, is_acyclic, reachability,
     topological_order,
 )
-from .scoring import NOT_DEFINITE, Dataset, definite, sample_covariance
-from .search import EXACT_NODES, ParetoModel, SearchParams, evolve_batch, exact_front
+from .scoring import Dataset, sample_covariance
+from .search import ParetoModel, SearchParams, pareto_fronts
 # evolve is not called here: bench/tracer.py wraps stablesearch.stability.evolve by name
 from .search import evolve  # noqa: F401
 from .seeding import SEARCH_LANE, derived_seed
@@ -123,41 +123,29 @@ def subsample(data: Dataset, n_subsets: int, rng: np.random.Generator) -> list[D
 
 
 def cross_sectional_cov(subset: Dataset):
-    """A subset's sample covariance, row count and column names."""
-    return sample_covariance(subset), subset.n_rows, subset.names
+    """A subset's sample covariance and row count."""
+    return sample_covariance(subset), subset.n_rows
 
 
 def _search_chunk(task):
-    """The results of one contiguous chunk of a problem's subsets, in order:
-    each subset's exact front (exact_front) within search.EXACT_NODES, else
-    one evolve_batch() run, which a subset whose covariance fails, or is not
-    positive definite (as the scorer requires), is left out of."""
+    """The results of one contiguous chunk of a problem's subsets, in order,
+    from one search.pareto_fronts call over the covariances that compute.
+    A subset fails alone, whether its covariance or its search failed: its
+    result holds the error's type and text."""
     start, subsets, mask, params = task
-    candidates = (~mask.forbidden).sum(axis=0)  # per node, the parents it may take
-    exact = (candidates > 0).sum() <= EXACT_NODES and candidates.max() < EXACT_NODES
-    results, batch = {}, []  # a subset's result, or the error it failed with
+    results, searched = {}, {}  # per subset: the error it failed with, or its (cov, n)
     for index, subset in enumerate(subsets, start):
         try:
-            cov, n_eff, labels = cross_sectional_cov(subset)
-            if exact:
-                results[index] = SubsetResult(index, exact_front(cov, n_eff, mask, labels), cov=cov)
-            else:
-                batch.append((index, cov, n_eff))
+            searched[index] = cross_sectional_cov(subset)
         except StableSearchError as exc:
             results[index] = exc
-    # the scorer's check, once for the chunk: a covariance that fails it fails alone
-    ok = definite(np.array([cov for _, cov, _ in batch]))[0] if batch else []
-    results.update((i, DegenerateData(NOT_DEFINITE))
-                   for (i, _, _), good in zip(batch, ok) if not good)
-    batch = [b for b, good in zip(batch, ok) if good]
-    if batch:
-        indices, covs, ns = zip(*batch)
-        seeds = [derived_seed(params.seed, SEARCH_LANE, i) for i in indices]
-        fronts = evolve_batch(np.array(covs), ns, seeds, mask, params, subsets[0].names)
-        results.update((i, SubsetResult(i, models, cov=cov))
-                       for i, cov, models in zip(indices, covs, fronts))
-    return [r if isinstance(r, SubsetResult) else SubsetResult(i, None, f"{type(r).__name__}: {r}")
-            for i, r in sorted(results.items())]
+    p = mask.n_nodes  # the stack keeps its shape when no covariance computes
+    covs = np.array([cov for cov, _ in searched.values()]).reshape(len(searched), p, p)
+    ns = [n for _, n in searched.values()]
+    seeds = [derived_seed(params.seed, SEARCH_LANE, i) for i in searched]
+    results.update(zip(searched, pareto_fronts(covs, ns, seeds, mask, params, subsets[0].names)))
+    return [SubsetResult(i, None, f"{type(r).__name__}: {r}") if isinstance(r, StableSearchError)
+            else SubsetResult(i, r, cov=searched[i][0]) for i, r in sorted(results.items())]
 
 
 def run_searches(

@@ -47,7 +47,7 @@ KEPT_IMPORTS = {
     # bench/tracer.py wraps stablesearch.search.fit_dag_ml by name
     "search.fit_dag_ml",
     # bench/tracer.py wraps stablesearch.stability.evolve by name; the
-    # subsets' searches run through evolve_batch
+    # subsets' searches run through search.pareto_fronts
     "stability.evolve",
 }
 

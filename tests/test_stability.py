@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_stability_curves, sem_implied_covariance, stability_curve
-from stablesearch import stability
+from stablesearch import search, stability
 from stablesearch.errors import DegenerateData, SearchFailed
 from stablesearch.graphs import ConstraintMask, Dag, dag_to_cpdag, topological_order
 from stablesearch.scoring import Dataset, FitResult, sample_covariance
@@ -137,7 +137,7 @@ def test_search_dispatch_at_the_exact_front_limit(case, monkeypatch):
     subsets = [random_dataset(np.random.default_rng(4), p, 60)]
     params = SearchParams(generations=2, population_size=8, seed=1)
     skipped = "evolve_batch" if exact else "exact_front"
-    monkeypatch.setattr(stability, skipped, refuse(skipped))
+    monkeypatch.setattr(search, skipped, refuse(skipped))  # looked up by pareto_fronts
     (result,) = run_searches([(subsets, mask, params)])
     assert not result.failed and result.models
 
@@ -215,10 +215,11 @@ def result_bits(results):
             for r in results]
 
 
-def test_chunked_batches_return_the_same_results(in_process_pool, monkeypatch):
-    # p = 10 is past search.EXACT_NODES, so each chunk is one evolve_batch;
+# p = 6 is solved exactly, one exact_front per subset; p = 10 is past
+# search.EXACT_NODES, so each chunk is one evolve_batch
+@pytest.mark.parametrize("p", [6, 10])
+def test_chunked_batches_return_the_same_results(p, in_process_pool, monkeypatch):
     # 10 subsets are 1, 2 or 3 chunks, and one of them fails
-    p = 10
     subsets = subsample(random_dataset(np.random.default_rng(5), p, 120), 10,
                         np.random.default_rng(6))
     mask = ConstraintMask.empty(p)
