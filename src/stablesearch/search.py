@@ -36,7 +36,7 @@ EXACT_NODES = 8  # the size limit of exact_front, as pareto_fronts states
 class SearchParams:
     """NSGA-II settings; each error message starts with the field it names."""
 
-    generations: int = 35
+    generations: int = 8
     population_size: int = 150
     p_crossover: float = 0.85
     p_mutation: float = 0.07
@@ -115,6 +115,30 @@ def _rank_stack(ids: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndar
     point[order] = np.cumsum(new) - 1
     at = point[ids]
     return front[at], keys[at]
+
+
+def _clone_last(front: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clone-last ranks and crowding keys of an (S, M) stack, from its
+    _rank_stack fronts and keys: a row whose point repeats an earlier row's
+    point in its search ranks at its front plus the search's highest front
+    plus 1, so copies rank behind every distinct point (Nojima, Narukawa,
+    Kaige & Ishibuchi 2005, EMO, LNCS 3410).
+
+    The complexity place names a row's point; its first row is the least
+    row index scattered per point.  Every key column is dense and runs
+    search by search, so shifting a search's keys by its own first key, and
+    its copies' by its span too, orders them by (search, rank) and keeps
+    the ties of each demoted segment.
+    """
+    point = keys[..., 2].ravel()
+    first = np.full(int(point.max()) + 1, point.size)
+    np.minimum.at(first, point, np.arange(point.size))
+    copy = (first[point] != np.arange(point.size)).reshape(front.shape)
+    wide = keys.astype(np.int64)
+    low, high = wide.min(axis=1), wide.max(axis=1) + 1  # per search and column
+    shifted = wide + low[:, None] + copy[..., None] * (high - low)[:, None]
+    ranks = front + copy * (front.max(axis=1) + 1)[:, None]
+    return ranks, shifted.astype(np.min_scalar_type(2 * int(high.max())))
 
 
 def _crowding(objs: np.ndarray, segment: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -327,7 +351,7 @@ def evolve_batch(
         population[s][:, offdiag] = rng.random((pop_n, length)) < 2.0 / length
     population &= allowed
     ids = settle(population.reshape(-1, p, p))
-    ranks, keys = _rank_stack(ids, table)
+    ranks, keys = _clone_last(*_rank_stack(ids, table))
     crowding = _survivor_stack(ids, table, ranks, keys, pop_n)[1]
 
     def draw(rng):
@@ -344,11 +368,12 @@ def evolve_batch(
         winners = _tournament(ranks.ravel(), crowding.ravel(), cand + owner[:, None] * pop_n, coin)
         offspring = population.reshape(-1, p, p)[winners]
         _vary(offspring, apply_cx, mix, np.flatnonzero(do_mut), flips, allowed)
-        # elitist (mu + lambda) environmental selection; a kept front keeps
-        # all its dominators, so its ranks stand.  Survivors are gathered
-        # from the population and the offspring, with no union copy.
+        # elitist (mu + lambda) environmental selection, copies last; a kept
+        # front keeps all its dominators, and a kept copy its point's first
+        # row, so its ranks stand.  Survivors are gathered from the
+        # population and the offspring, with no union copy.
         ids = np.concatenate([ids, settle(offspring)], axis=1)
-        ranks, keys = _rank_stack(ids, table)
+        ranks, keys = _clone_last(*_rank_stack(ids, table))
         kept, crowding = _survivor_stack(ids, table, ranks, keys, pop_n)
         old, rows = kept < pop_n, kept + np.arange(n_s)[:, None] * pop_n
         parents, population = population.reshape(-1, p, p), np.empty_like(population)

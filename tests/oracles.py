@@ -11,18 +11,18 @@ walk up the parent sets for each cycle test, DAG-to-pattern conversion
 with one pass over the edges per Meek rule, and stability curves
 tabulated one structure at a time, NSGA-II truncation by pairwise
 fronts and a crowding loop per objective, residual variances by one solve
-per (node, parents).  ``_rank_array``, ``_crowding_array`` and
-``_survivors`` are the per-search NSGA-II ranking and truncation that the
-search once ran for each search alone, on one float row per individual; its
-batched versions (``search._rank_stack`` and ``search._survivor_stack``,
-which read each row's scores through its memo id and sort integer keys) are
-checked against them on random stacks.  Three exceptions use the package: the
-per-member IDA loop composes its class enumeration and single-DAG effect
-without any sharing between members, the stability curves take their
-complete-DAG pin from its ``complete_dag_under`` and ``dag_to_cpdag``, and
-the exact front builds its models with the search's post-filter, so that
-it bounds the search's own score; each of those is tested against the
-oracles here.  ``stability_curve``,
+per (node, parents).  ``_rank_array``, ``_clone_last_array``,
+``_crowding_array`` and ``_survivors`` are the per-search NSGA-II ranking,
+copies-last demotion and truncation, on one float row per individual; their
+batched versions (``search._rank_stack``, ``search._clone_last`` and
+``search._survivor_stack``, which read each row's scores through its memo id
+and sort integer keys) are checked against them on random stacks.  Three
+exceptions use the package: the per-member IDA loop composes its class
+enumeration and single-DAG effect without any sharing between members, the
+stability curves take their complete-DAG pin from its ``complete_dag_under``
+and ``dag_to_cpdag``, and the exact front builds its models with the
+search's post-filter, so that it bounds the search's own score; each of
+those is tested against the oracles here.  ``stability_curve``,
 ``member_arcs`` and ``stack_ids`` are no oracles, only the tests' lookups of
 one curve and of one member's arcs, and their memo ids for a stack of scores.
 """
@@ -428,6 +428,20 @@ def _rank_array(objs: np.ndarray) -> np.ndarray:
     ranks[feasible] = np.array(fronts, dtype=np.int64)[np.cumsum(new) - 1]
     worst = np.concatenate(([-1], np.maximum.accumulate(ranks[feasible])))
     ranks[infeasible] = worst[np.searchsorted(k[feasible], k[infeasible], "right")] + 1
+    return ranks
+
+
+def _clone_last_array(objs: np.ndarray) -> np.ndarray:
+    """Clone-last rank per row of one search: _rank_array's fronts, then
+    each row whose (chi-square, complexity) point an earlier row holds
+    demoted by the search's highest front + 1, the ranks that the search's
+    search._clone_last must give every search of a stack."""
+    ranks = _rank_array(objs)
+    top, seen = int(ranks.max()) + 1, set()
+    for i, point in enumerate(map(tuple, objs.tolist())):
+        if point in seen:
+            ranks[i] += top
+        seen.add(point)
     return ranks
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    _clone_last_array,
     _rank_array,
     _survivors,
     oracle_crowding,
@@ -25,6 +26,7 @@ from stablesearch.scoring import Dataset, sample_covariance
 from stablesearch.search import (
     SearchParams,
     _arcs,
+    _clone_last,
     _crowding,
     _rank_stack,
     _survivor_stack,
@@ -161,20 +163,28 @@ def test_survivors_match_oracle():
     assert cases > 50
 
 
-def test_batched_ranks_and_survivors_match_the_per_search_loops():
-    """_rank_stack and _survivor_stack on the ids of (S, 2N, 2) stacks
-    against the per-search _rank_array and _survivors on the stacks, bit
-    for bit: ranks, kept order and crowding distances (NaN where a row is
-    dropped).  A score is held by up to three genotypes, each its own id."""
+def random_stacks():
+    """300 random (S, 2N, 2) stacks of scores, with their (ids, table) and N:
+    few values, so copies and split fronts abound, and +inf rows.  A score
+    is held by up to three genotypes, each its own id."""
     rng = np.random.default_rng(39)
-    seen = {"infeasible": 0, "copies": 0, "small fronts": 0, "split": 0}
     for _ in range(300):
         n_s, half = int(rng.integers(1, 6)), int(rng.integers(2, 12))
         chi = rng.integers(0, rng.integers(1, 9), size=(n_s, 2 * half)).astype(float)
         chi[rng.random(chi.shape) < 0.2] = np.inf
         k = rng.integers(0, int(rng.integers(1, 7)), size=chi.shape)
         objs = np.stack([chi, k], axis=-1).astype(float)
-        ids, table = stack_ids(objs, rng.integers(0, 3, size=chi.shape))
+        yield objs, *stack_ids(objs, rng.integers(0, 3, size=chi.shape)), half
+
+
+def test_batched_ranks_and_survivors_match_the_per_search_loops():
+    """_rank_stack and _survivor_stack on the ids of random_stacks()
+    against the per-search _rank_array and _survivors on the stacks, bit
+    for bit: ranks, kept order and crowding distances (NaN where a row is
+    dropped)."""
+    seen = {"infeasible": 0, "copies": 0, "small fronts": 0, "split": 0}
+    for objs, ids, table, half in random_stacks():
+        n_s = len(objs)
         ranks, keys = _rank_stack(ids, table)
         for keep in (half, 2 * half):  # a generation's truncation, the initial crowding
             kept, crowd = _survivor_stack(ids, table, ranks, keys, keep)
@@ -190,6 +200,75 @@ def test_batched_ranks_and_survivors_match_the_per_search_loops():
                 seen["small fronts"] += bool((sizes <= 2).any())
                 seen["split"] += keep not in np.cumsum(sizes)
     assert min(seen.values()) > 100, seen
+
+
+def test_clone_last_ranks_and_survivors_match_the_per_search_loops():
+    """_clone_last on random_stacks(), then _survivor_stack, against the
+    per-search _clone_last_array and _survivors on those ranks, bit for
+    bit: ranks, kept order and crowding distances."""
+    seen = {"demoted": 0, "copy split": 0, "distinct split": 0, "infeasible copies": 0}
+    for objs, ids, table, half in random_stacks():
+        ranks, keys = _clone_last(*_rank_stack(ids, table))
+        for keep in (half, 2 * half):
+            kept, crowd = _survivor_stack(ids, table, ranks, keys, keep)
+            for s in range(len(objs)):
+                want_ranks = _clone_last_array(objs[s])
+                assert ranks[s].tolist() == want_ranks.tolist()
+                want_kept, want_crowd = _survivors(objs[s], want_ranks, keep)
+                assert kept[s].tolist() == want_kept.tolist()
+                assert crowd[s].tobytes() == want_crowd.tobytes()
+                demoted = want_ranks > _rank_array(objs[s]).max()
+                split = np.sort(want_ranks)[keep - 1]
+                seen["demoted"] += bool(demoted.any())
+                seen["infeasible copies"] += bool(np.isinf(objs[s, demoted, 0]).any())
+                if keep < 2 * half and (want_ranks == split).sum() > 1:
+                    seen["copy split" if demoted[want_ranks == split][0] else
+                         "distinct split"] += keep < (want_ranks <= split).sum()
+    assert min(seen.values()) > 50, seen
+
+
+def test_clone_last_without_copies_is_the_plain_sort():
+    """Where no search of a stack repeats a point, clone-last ranks are the
+    plain fronts and the survivors and crowding bits are the plain ones."""
+    rng = np.random.default_rng(42)
+    for _ in range(200):
+        n_s, m = int(rng.integers(1, 6)), int(rng.integers(2, 24))
+        cells = np.array([(c, k) for c in (*range(8), np.inf) for k in range(6)], dtype=float)
+        objs = np.stack([cells[rng.choice(len(cells), m, replace=False)] for _ in range(n_s)])
+        ids, table = stack_ids(objs)
+        front, keys = _rank_stack(ids, table)
+        ranks, shifted = _clone_last(front, keys)
+        assert ranks.tolist() == front.tolist()
+        for keep in {1, m // 2, m}:
+            plain = _survivor_stack(ids, table, front, keys, keep)
+            clone_last = _survivor_stack(ids, table, ranks, shifted, keep)
+            assert plain[0].tolist() == clone_last[0].tolist()
+            assert plain[1].tobytes() == clone_last[1].tobytes()
+
+
+def test_evolve_keeps_no_copy_while_dropping_a_distinct_point(monkeypatch):
+    """Every generation's survivors of every search hold a copy of a point
+    only when they hold every distinct point of the union."""
+    survivor_stack, checked = search._survivor_stack, []
+
+    def recorded(ids, table, ranks, keys, k):
+        kept, crowd = survivor_stack(ids, table, ranks, keys, k)
+        if ids.shape[1] == 2 * k:  # a generation's union
+            for row_ids, rows in zip(ids, kept):
+                points = [tuple(pt) for pt in table[row_ids, :2].tolist()]
+                held = [points[i] for i in rows]
+                copies, dropped = len(held) > len(set(held)), set(points) - set(held)
+                assert not (copies and dropped)
+                checked.append((copies, bool(dropped)))
+        return kept, crowd
+
+    monkeypatch.setattr(search, "_survivor_stack", recorded)
+    rng = np.random.default_rng(41)
+    for p in (3, 10):  # fewer distinct points than the population, then more
+        covs, ns, masks = zip(*[random_problem(rng, p, "unmasked", 200) for _ in range(3)])
+        evolve_batch(np.array(covs), ns, (1, 2, 3), masks[0], SearchParams(seed=0), None)
+    assert len(checked) == 6 * SearchParams().generations
+    assert {(True, False), (False, True)} <= set(checked)
 
 
 def test_infeasible_points_tie_in_row_order_within_a_front():
