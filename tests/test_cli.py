@@ -58,7 +58,7 @@ def parse_config(argv):
 
 def test_config_defaults():
     cfg = parse_config(["search"])
-    assert cfg.generations == 35
+    assert cfg.generations == 8
     assert cfg.population == 150
     assert cfg.crossover == 0.85
     assert cfg.mutation == 0.07

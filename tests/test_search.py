@@ -660,22 +660,25 @@ def test_adjacency_arcs_roundtrip_and_order():
 GOLDEN_ARCS = {(0, 1): 0.8, (1, 2): -0.6, (0, 3): 0.5, (3, 4): 0.7, (2, 4): 0.4}
 
 # (sorted arcs, chi-square) of every returned model at a fixed seed; a change
-# to the order of generator draws or to cycle repair changes these runs
+# to the order of generator draws, to cycle repair or to survival changes
+# these runs
 GOLDEN_RUNS = {
     "cross": [
         ([], 471.2896504027231),
         ([(0, 1)], 339.8227365944575),
-        ([(0, 1), (1, 2)], 221.97633205345275),
-        ([(0, 1), (1, 2), (3, 4)], 108.81840210777285),
-        ([(0, 1), (1, 2), (1, 3), (3, 4)], 81.9784372918409),
-        ([(1, 0), (1, 2), (1, 3), (2, 3), (3, 4)], 81.97812986871678),
+        ([(1, 0), (1, 2)], 221.97633205345275),
+        ([(0, 1), (1, 2), (4, 3)], 108.81840210777285),
+        ([(0, 1), (1, 2), (3, 0), (3, 4)], 44.97901313782286),
+        ([(0, 1), (1, 2), (2, 4), (3, 0), (3, 4)], 1.0346170768141256),
     ],
     "masked": [
         ([], 471.2896504027231),
         ([(0, 1)], 339.8227365944575),
         ([(0, 1), (1, 2)], 221.97633205345275),
-        ([(0, 1), (1, 2), (1, 3)], 195.13636723752077),
-        ([(0, 1), (0, 3), (1, 2), (1, 4)], 158.0614409377409),
+        ([(0, 1), (1, 2), (3, 4)], 108.81840210777285),
+        ([(0, 1), (1, 2), (2, 4), (3, 4)], 64.87400604676412),
+        ([(0, 1), (1, 2), (1, 3), (2, 3), (4, 3)], 55.794824920768924),
+        ([(0, 1), (1, 2), (1, 4), (2, 3), (2, 4), (4, 3)], 51.41007649515287),
     ],
     "dense": [
         ([], 306.09094049505296),
@@ -775,7 +778,7 @@ def test_pareto_postfilter_matches_the_per_row_loop():
 
 # repair_arcs calls of the golden runs: one per cyclic initial individual
 # and one per cyclic offspring new to the search
-GOLDEN_REPAIRS = {"cross": 18, "dense": 25, "masked": 2}
+GOLDEN_REPAIRS = {"cross": 32, "dense": 46, "masked": 13}
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_REPAIRS))
