@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .effects import EffectEstimate, aggregate_effects
-from .errors import DegenerateData
+from .errors import DegenerateData, ShapeMismatch
 from .graphs import ConstraintMask
 from .scoring import Dataset, sample_covariance
 from .search import SearchParams
@@ -67,11 +67,16 @@ def search_stability(
     of data, or the given subsets: the transition model's whole subjects),
     then one ``run_searches`` call searches every model's subsets.  Returns,
     per model, (subset results, edge curves, causal-path curves, pi_bic),
-    the curves labelled with ``data.names``.  Raises DegenerateData for
-    fewer than two variables or a degenerate covariance.
+    the curves labelled with ``data.names``.  Raises ShapeMismatch for a
+    mask whose node count is not the data's column count, and
+    DegenerateData for fewer than two variables or a degenerate covariance.
     """
     problems = []
     for data, mask, params, subsets in models:
+        if mask.n_nodes != data.n_cols:
+            raise ShapeMismatch(
+                f"mask has {mask.n_nodes} nodes but data has {data.n_cols} columns"
+            )
         if data.n_cols < 2:
             raise DegenerateData("need at least two variables")
         sample_covariance(data)

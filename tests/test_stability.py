@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import oracle_stability_curves, sem_implied_covariance, stability_curve
-from stablesearch import search, stability
-from stablesearch.errors import DegenerateData, SearchFailed
+from stablesearch import pipeline, search, stability
+from stablesearch.errors import DegenerateData, SearchFailed, ShapeMismatch
 from stablesearch.graphs import ConstraintMask, Dag, dag_to_cpdag, topological_order
 from stablesearch.scoring import Dataset, FitResult, sample_covariance
 from stablesearch.search import ParetoModel, SearchParams
@@ -163,6 +163,20 @@ def good_and_bad_subsets():
     bad_vals = np.array(good.values, copy=True)
     bad_vals[:, 0] = 1.0
     return good, Dataset(good.columns, bad_vals)
+
+
+@pytest.mark.parametrize("cols", [4, 10])  # the exact path's size, then the GA's
+def test_search_stability_rejects_a_mask_of_another_size(cols, monkeypatch):
+    def never(*args):
+        raise AssertionError("no subset is drawn or searched")
+
+    monkeypatch.setattr(pipeline, "subsample", never)
+    monkeypatch.setattr(pipeline, "run_searches", never)
+    rng = np.random.default_rng(cols)
+    data = Dataset([f"X{i}" for i in range(cols)], rng.standard_normal((60, cols)))
+    model = (data, ConstraintMask.empty(cols + 1), SearchParams(seed=0), None)
+    with pytest.raises(ShapeMismatch, match=f"mask has {cols + 1} nodes but data has {cols} "):
+        pipeline.search_stability([model], 4, 1)
 
 
 def test_run_searches_failure_budget():
