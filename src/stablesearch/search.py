@@ -6,7 +6,8 @@ exact front (exact_front(), a dynamic program over the Scorer's local
 scores: small_fits and scoring.log_psi) or NSGA-II (evolve_batch(), one
 problem's searches advanced together over one (S, N, p, p) boolean array of
 adjacency matrices, whose forbidden cells are never set).  Selection and
-variation are pure array functions fed with the draws.  Chi-squares come
+variation are pure array functions fed with the draws; survival ranks a
+copy of a point behind every distinct point (_clone_last).  Chi-squares come
 from scoring.Scorer, the package's one chi-square (scoring.fit_dag_ml is its
 call on one DAG), and BICs from FitResult.scored.  A per-search memo (a plain
 dict keyed, like the scorer's caches, by packed bits: scoring._packed) maps
@@ -311,6 +312,10 @@ def evolve_batch(
     offspring's repairs.  It keeps its own memo, so each run returns what it
     returns alone, bit for bit.  Individuals whose fit degenerates carry
     chi_square = +inf; they stay in the population but never dominate.
+    Survival is elitist over the union of parents and offspring, with the
+    rows that repeat an earlier row's (chi-square, complexity) ranked last
+    (_clone_last), so the population holds as many distinct points as the
+    union has, up to its size.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     scorer = Scorer(covs, ns)
@@ -489,8 +494,10 @@ def pareto_fronts(
     (scoring.definite), and one that fails is not searched.  Where at most EXACT_NODES nodes may
     take a parent, none from more than EXACT_NODES - 1 candidates (no bigger
     than an unmasked 8-node problem), each gets its exact_front, which costs
-    less there than NSGA-II at the SearchParams defaults and soon more past
-    it; past it, one evolve_batch runs them together, search s seeded seeds[s].
+    less there than NSGA-II at the SearchParams defaults (about 7 against
+    16 ms per search at unmasked p = 8, n = 400), about as much at p = 9 and
+    more past it; past it, one evolve_batch runs them together, search s
+    seeded seeds[s].
     """
     candidates = (~mask.forbidden).sum(axis=0)  # per node, the parents it may take
     good = np.flatnonzero(definite(covs)[0]).tolist()

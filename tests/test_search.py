@@ -231,9 +231,9 @@ def test_clone_last_without_copies_is_the_plain_sort():
     """Where no search of a stack repeats a point, clone-last ranks are the
     plain fronts and the survivors and crowding bits are the plain ones."""
     rng = np.random.default_rng(42)
+    cells = np.array([(c, k) for c in (*range(8), np.inf) for k in range(6)], dtype=float)
     for _ in range(200):
         n_s, m = int(rng.integers(1, 6)), int(rng.integers(2, 24))
-        cells = np.array([(c, k) for c in (*range(8), np.inf) for k in range(6)], dtype=float)
         objs = np.stack([cells[rng.choice(len(cells), m, replace=False)] for _ in range(n_s)])
         ids, table = stack_ids(objs)
         front, keys = _rank_stack(ids, table)
